@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ResourceCapError, StructuralError
-from .grover import GroverConfig, IndicatorOracle
+from .grover import GroverConfig, IndicatorOracle, _is_power_of_two
 from .learn import (
     Concept,
     LEARNER_KINDS,
@@ -133,10 +133,6 @@ def build_config(file_pairs: dict, set_pairs: list[str], flag_overrides: dict) -
         if value is not None:
             setattr(config, key, _coerce(key, str(value)))
     return config
-
-
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
 
 
 def _as_int(key: str, value) -> int:
@@ -302,17 +298,20 @@ def run_single_trial(resolved: ResolvedConfig, trial: int) -> dict:
     }
 
 
-def _worker_count() -> int:
+def _worker_count(trials: int) -> int:
+    """Pool size: the requested count, capped by the trial count and the CPU count."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         count = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, count)
+    if count < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {count}")
+    return min(count, trials, os.cpu_count() or 1)
 
 
 def _run_trials(resolved: ResolvedConfig) -> list[dict]:
-    workers = _worker_count()
+    workers = _worker_count(resolved.trials)
     indices = list(range(resolved.trials))
     if workers == 1:
         records = [run_single_trial(resolved, t) for t in indices]

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolationError,
-    InvalidIntervalError,
-    ResourceCapError,
-    StructuralError,
-)
+from .errors import ContractViolationError, InvalidIntervalError, StructuralError
 from .grover import GroverConfig, IndicatorOracle, feature_map_circuit
 from .ledger import QueryLedger
 from . import sim
@@ -101,8 +96,6 @@ def kernel_circuit(
     if oracle_i.domain_size != oracle_j.domain_size:
         raise StructuralError("oracles must share a domain size")
     n = oracle_i.num_qubits
-    if 2 * n > sim.QUBIT_CAP:
-        raise ResourceCapError(f"kernel circuit needs {2 * n} qubits, cap is {sim.QUBIT_CAP}")
     _check_interval(int(interval_width), oracle_i.domain_size)
     before = oracle_i.query_count + oracle_j.query_count
     forward = feature_map_circuit(oracle_i, interval_width, config)

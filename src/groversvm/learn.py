@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, IndicatorOracle, grover_search, resolve_iterations
+from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, grover_search, resolve_iterations
 from .kernel import KernelMode, gram_matrix, kernel_exact, kernel_sampled
 from .ledger import QueryLedger
 from .sim import StateVector, as_rng
@@ -33,10 +33,6 @@ from . import svm
 
 _DATASET_RETRIES = 1000
 _TEST_STREAM_TAG = 0x7E57
-
-
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIntervalError, ResourceCapError, StructuralError
+from .errors import InvalidIntervalError, StructuralError
 from .grover import GroverConfig, adder_gates, interval_state_analytic
 from .kernel import kernel_exact
 from . import sim
@@ -149,12 +149,9 @@ def _write_gates(bits: np.ndarray, qubits) -> list[Gate]:
 
 def encode(instance: TextInstance) -> StateVector:
     """Basis state |0^n>|text>|pattern> prepared with bit flips from |0...0>."""
-    total = instance.total_qubits
-    if total > sim.QUBIT_CAP:
-        raise ResourceCapError(f"{total} qubits exceeds the dense cap of {sim.QUBIT_CAP}")
     _, text_q, pattern_q = _registers(instance)
     gates = _write_gates(instance.text, text_q) + _write_gates(instance.pattern, pattern_q)
-    return sim.run_from_zero(Circuit(total, tuple(gates)))
+    return sim.run_from_zero(Circuit(instance.total_qubits, tuple(gates)))
 
 
 def _cswap(control: int, a: int, b: int) -> list[Gate]:
@@ -247,13 +244,10 @@ def _amplification_gates(instance: TextInstance, rounds: int, offset: int = 0) -
 
 def match_circuit(instance: TextInstance, rounds: int | None = None) -> Circuit:
     """Full matcher on n + N + L qubits: preparation plus amplification rounds."""
-    total = instance.total_qubits
-    if total > sim.QUBIT_CAP:
-        raise ResourceCapError(f"{total} qubits exceeds the dense cap of {sim.QUBIT_CAP}")
     if rounds is None:
         rounds = amplification_rounds_for(instance.text_length)
     gates = _prep_gates(instance) + _amplification_gates(instance, rounds)
-    return Circuit(total, tuple(gates))
+    return Circuit(instance.total_qubits, tuple(gates))
 
 
 def pattern_match(
@@ -369,8 +363,6 @@ def pattern_feature_map(
     if mode != "circuit":
         raise StructuralError("mode must be 'circuit' or 'analytic'")
     gates, total = feature_map_gates(instance, interval_width, config)
-    if total > sim.QUBIT_CAP:
-        raise ResourceCapError(f"{total} qubits exceeds the dense cap of {sim.QUBIT_CAP}")
     state = sim.run_from_zero(Circuit(total, tuple(gates)))
     ancilla = tuple(range(n, total))
     fidelity = sim.prob_all_zero(state, ancilla)
@@ -408,8 +400,6 @@ def pattern_kernel(
     backward, total_b = feature_map_gates(b, interval_width, config)
     if total != total_b:
         raise StructuralError("instances disagree on circuit width")
-    if total > sim.QUBIT_CAP:
-        raise ResourceCapError(f"{total} qubits exceeds the dense cap of {sim.QUBIT_CAP}")
     circuit = Circuit(total, tuple(forward) + tuple(reversed(backward)))
     state = sim.run_from_zero(circuit)
     n = a.index_qubits

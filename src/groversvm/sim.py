@@ -9,8 +9,12 @@ Conventions used by every module in this package:
 * Every supported gate kind is an involution, so a circuit is inverted simply
   by reversing its gate list.
 
-States are immutable; gate application returns a fresh state.  All
-randomness is injected through explicit seeds or generators.
+Public states are immutable.  :func:`run` copies its initial amplitudes once
+into a private buffer, updates that buffer in place gate by gate through its
+``(2,)*n`` view (axis ``a`` holds qubit ``n-1-a``), and wraps the result in one
+new state at the end.  It calls each phase oracle's predicate exactly once per
+application, which is what query accounting relies on.  All randomness is
+injected through explicit seeds or generators.
 """
 
 from __future__ import annotations
@@ -188,6 +192,10 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.num_qubits < 1:
             raise StructuralError("num_qubits must be at least 1")
+        if self.num_qubits > QUBIT_CAP:
+            raise ResourceCapError(
+                f"{self.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
+            )
         for gate in self.gates:
             if gate.max_qubit() >= self.num_qubits:
                 raise StructuralError(
@@ -227,9 +235,9 @@ def _register_unmatrix(mat: np.ndarray, num_qubits: int, order: list[int]) -> np
     return mat.reshape((2,) * num_qubits).transpose(inv).reshape(-1)
 
 
-def _check_register(num_qubits: int, register: Sequence[int], allow_empty: bool = False):
+def _check_register(num_qubits: int, register: Sequence[int]):
     register = tuple(int(q) for q in register)
-    if not register and not allow_empty:
+    if not register:
         raise StructuralError("empty register")
     if len(set(register)) != len(register):
         raise StructuralError("duplicate qubit in register")
@@ -239,66 +247,80 @@ def _check_register(num_qubits: int, register: Sequence[int], allow_empty: bool 
     return register
 
 
-def _apply_raw(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
-    if gate.max_qubit() >= num_qubits:
-        raise StructuralError(
-            f"gate on qubit {gate.max_qubit()} out of range for {num_qubits} qubits"
-        )
+def _fixed(num_qubits: int, bits) -> tuple:
+    """Index into the ``(2,)*n`` view fixing qubit ``q`` to ``b`` for each ``(q, b)``."""
+    index = [slice(None)] * num_qubits
+    for q, b in bits:
+        index[num_qubits - 1 - q] = b
+    return tuple(index) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
+
+
+def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
+    """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
+    view = psi.reshape((2,) * num_qubits)
     if gate.kind == HADAMARD:
-        q = gate.targets[0]
-        a = amps.reshape(-1, 2, 1 << q)
-        out = np.empty_like(a)
-        out[:, 0, :] = a[:, 0, :] + a[:, 1, :]
-        out[:, 1, :] = a[:, 0, :] - a[:, 1, :]
-        out *= _INV_SQRT2
-        return out.reshape(-1)
-    if gate.kind == PAULI_X:
-        q = gate.targets[0]
-        a = amps.reshape(-1, 2, 1 << q)
-        return np.ascontiguousarray(a[:, ::-1, :]).reshape(-1)
-    if gate.kind in (CNOT, MCX):
-        q = gate.targets[0]
-        ctrl_mask = 0
-        for c in gate.controls:
-            ctrl_mask |= 1 << c
-        idx = np.arange(amps.size)
-        lower = idx[((idx & ctrl_mask) == ctrl_mask) & ((idx & (1 << q)) == 0)]
-        upper = lower | (1 << q)
-        out = amps.copy()
-        out[lower] = amps[upper]
-        out[upper] = amps[lower]
-        return out
-    if gate.kind == PHASE_ORACLE:
+        a = psi.reshape(-1, 2, 1 << gate.targets[0])
+        a0, a1 = a[:, 0, :], a[:, 1, :]
+        total = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        a0[...] = total
+        psi *= _INV_SQRT2
+    elif gate.kind in (PAULI_X, CNOT, MCX):
+        # Fix every control to 1 and swap the target-0 and target-1 slices.
+        controls = [(c, 1) for c in gate.controls]
+        lower = _fixed(num_qubits, controls + [(gate.targets[0], 0)])
+        upper = _fixed(num_qubits, controls + [(gate.targets[0], 1)])
+        view[lower], view[upper] = view[upper], view[lower].copy()
+    elif gate.kind == PHASE_ORACLE:
         width = len(gate.targets)
         table = np.asarray(gate.oracle_predicate(np.arange(1 << width, dtype=np.int64)))
         if table.shape != (1 << width,):
             raise ContractViolationError(
                 f"oracle predicate returned shape {table.shape}, expected ({1 << width},)"
             )
-        flips = table.astype(bool)[_register_values(num_qubits, gate.targets)]
-        return np.where(flips, -amps, amps)
-    if gate.kind == DIFFUSION:
-        mat, order = _register_matrix(amps, num_qubits, gate.targets)
-        mat = 2.0 * mat.mean(axis=1, keepdims=True) - mat
-        return _register_unmatrix(mat, num_qubits, order)
-    raise StructuralError(f"unhandled gate kind {gate.kind!r}")
+        # Negate the sub-view of each marked register value: the cost grows
+        # with the marked amplitudes, and an all-false table touches none.
+        for value in np.flatnonzero(table).tolist():
+            index = _fixed(num_qubits, ((q, (value >> p) & 1) for p, q in enumerate(gate.targets)))
+            view[index] = -view[index]
+    elif gate.kind == DIFFUSION:
+        axes = tuple(num_qubits - 1 - q for q in gate.targets)
+        mean = view.mean(axis=axes, keepdims=True)
+        np.subtract(2.0 * mean, view, out=view)
+    else:
+        raise StructuralError(f"unhandled gate kind {gate.kind!r}")
+
+
+def _apply_raw(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
+    """Return a new amplitude array: a copy of ``amps`` with ``gate`` applied."""
+    psi = np.array(amps, dtype=np.complex128)
+    _apply_inplace(psi, num_qubits, gate)
+    return psi
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate and return the new state (norm preserved by construction)."""
+    if gate.max_qubit() >= state.num_qubits:
+        raise StructuralError(
+            f"gate on qubit {gate.max_qubit()} out of range for {state.num_qubits} qubits"
+        )
     return StateVector(state.num_qubits, _apply_raw(state.amplitudes, state.num_qubits, gate))
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply every gate of ``circuit`` in order to ``initial``."""
+    """Apply every gate of ``circuit`` in order to a private copy of ``initial``.
+
+    Each phase oracle's predicate is called exactly once per application, and
+    the norm is checked once, on the returned state.
+    """
     if circuit.num_qubits != initial.num_qubits:
         raise StructuralError(
             f"circuit width {circuit.num_qubits} != state width {initial.num_qubits}"
         )
-    amps = initial.amplitudes
+    psi = initial.amplitudes.copy()
     for gate in circuit.gates:
-        amps = _apply_raw(amps, circuit.num_qubits, gate)
-    return StateVector(circuit.num_qubits, amps)
+        _apply_inplace(psi, circuit.num_qubits, gate)
+    return StateVector(circuit.num_qubits, psi)
 
 
 def run_from_zero(circuit: Circuit) -> StateVector:
@@ -308,12 +330,9 @@ def run_from_zero(circuit: Circuit) -> StateVector:
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
     """Probability that measuring ``register`` yields the all-zero bitstring."""
     register = _check_register(state.num_qubits, register)
-    mask = 0
-    for q in register:
-        mask |= 1 << q
-    idx = np.arange(state.dim)
-    sel = (idx & mask) == 0
-    return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    zero = state.amplitudes.reshape((2,) * state.num_qubits)
+    zero = zero[_fixed(state.num_qubits, ((q, 0) for q in register))]
+    return float(np.sum(np.abs(zero) ** 2))
 
 
 def register_probabilities(state: StateVector, register: Sequence[int]) -> np.ndarray:

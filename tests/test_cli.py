@@ -1,5 +1,7 @@
 """CLI: config precedence, artifact formats, exit codes, reproducibility."""
 
+import os
+
 import pytest
 
 from groversvm import cli
@@ -257,3 +259,22 @@ class TestWorkerPool:
         cli.main(args + ["--out", str(out_pool)])
         capsys.readouterr()
         assert out_serial.read_bytes() == out_pool.read_bytes()
+
+    @pytest.mark.parametrize("requested, trials", [(1, 5), (3, 2), (10**6, 10**6), (10**6, 3)])
+    def test_worker_count_is_bounded(self, monkeypatch, requested, trials):
+        # The resolver only computes a size; no pool is started here.
+        monkeypatch.setenv(cli.WORKERS_ENV, str(requested))
+        expected = min(requested, trials, os.cpu_count() or 1)
+        assert cli._worker_count(trials) == expected
+
+    @pytest.mark.parametrize("requested", ["0", "-2", "two"])
+    def test_worker_count_rejects_invalid(self, monkeypatch, requested):
+        monkeypatch.setenv(cli.WORKERS_ENV, requested)
+        with pytest.raises(cli.ConfigError):
+            cli._worker_count(4)
+
+    def test_zero_workers_is_invalid_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "0")
+        code = cli.main(RUN_ARGS + ["--learner", "classical", "--out", str(tmp_path / "r.rpt")])
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert cli.WORKERS_ENV in capsys.readouterr().err

@@ -20,6 +20,7 @@ from groversvm.grover import (
     interval_state_analytic,
     multi_marked_ancilla_fidelity,
     optimal_iterations,
+    search_circuit,
     theoretical_success_probability,
 )
 from groversvm.sim import StateVector
@@ -59,6 +60,14 @@ class TestIndicatorOracle:
         for _ in range(4):
             state = sim.apply(state, gate)
         assert oracle.query_count == 4
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    def test_search_circuit_run_bills_k_queries(self, k):
+        oracle = IndicatorOracle(16, 11)
+        circuit = search_circuit(oracle, k)
+        assert oracle.query_count == 0
+        sim.run_from_zero(circuit)
+        assert oracle.query_count == k
 
     def test_size_validation(self):
         with pytest.raises(UnsupportedSizeError):
@@ -198,6 +207,17 @@ class TestFeatureMap:
             assert oracle.query_count == 6
             sim.run_from_zero(circuit)
             assert oracle.query_count == 12
+
+    def test_ideal_billing_gates_bill_2k_and_touch_nothing(self):
+        oracle = IndicatorOracle(32, 21)
+        circuit = feature_map_circuit(oracle, 8)
+        billing = [g for g in circuit.gates if g.kind == sim.PHASE_ORACLE]
+        assert len(billing) == 2 * optimal_iterations(32)
+        state = sim.run_from_zero(circuit)
+        assert oracle.query_count == 2 * optimal_iterations(32)
+        others = tuple(g for g in circuit.gates if g.kind != sim.PHASE_ORACLE)
+        stripped = sim.run_from_zero(sim.Circuit(circuit.num_qubits, others))
+        npt.assert_array_equal(state.amplitudes, stripped.amplitudes)
 
     @pytest.mark.parametrize("N", [8, 16, 32])
     def test_faithful_ancilla_fidelity_bound(self, N):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groversvm.errors import ContractViolationError, InvalidIntervalError, StructuralError
+from groversvm.errors import (
+    ContractViolationError,
+    InvalidIntervalError,
+    ResourceCapError,
+    StructuralError,
+)
 from groversvm.grover import GroverConfig, IndicatorOracle, interval_state_analytic
 from groversvm.kernel import (
     GramMatrix,
@@ -101,6 +106,13 @@ class TestKernelCircuit:
     def test_mismatched_domains_rejected(self):
         with pytest.raises(StructuralError):
             kernel_circuit(IndicatorOracle(16, 3), IndicatorOracle(32, 3), 4)
+
+    def test_above_qubit_cap_rejected(self):
+        # N = 2^13 needs 26 qubits; the circuit refuses before any query is billed.
+        oracle_i, oracle_j = IndicatorOracle(8192, 3), IndicatorOracle(8192, 9)
+        with pytest.raises(ResourceCapError):
+            kernel_circuit(oracle_i, oracle_j, 4)
+        assert oracle_i.query_count == oracle_j.query_count == 0
 
     def test_circuit_level_shot_sampling_matches_binomial_model(self):
         # Small-N validation of the analytic sampling shortcut: measuring the

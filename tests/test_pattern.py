@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from groversvm import sim
-from groversvm.errors import StructuralError
+from groversvm.errors import ResourceCapError, StructuralError
 from groversvm.grover import GroverConfig, interval_state_analytic, theoretical_success_probability
 from groversvm.pattern import (
     TextInstance,
@@ -210,6 +210,22 @@ class TestPatternFeatureMap:
         instance = TextInstance("10110010", "110")
         out = pattern_feature_map(instance, 2, GroverConfig("faithful"))
         assert out.ancilla_zero_fidelity >= 1 - 5.0 / 8.0
+
+
+class TestQubitCap:
+    def test_every_circuit_path_rejects_oversized_instances(self):
+        # 5 index + 32 text + 3 pattern qubits exceed the dense cap.
+        a = TextInstance(zero_text_with("111", 3, 32), "111")
+        b = TextInstance(zero_text_with("111", 7, 32), "111")
+        assert a.total_qubits > sim.QUBIT_CAP
+        with pytest.raises(ResourceCapError):
+            encode(a)
+        with pytest.raises(ResourceCapError):
+            match_circuit(a)
+        with pytest.raises(ResourceCapError):
+            pattern_feature_map(a, 4)
+        with pytest.raises(ResourceCapError):
+            pattern_kernel(a, b, 4, mode="circuit_ideal")
 
 
 class TestPatternKernel:

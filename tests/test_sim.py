@@ -38,6 +38,34 @@ def random_gate(num_qubits: int, rng) -> sim.Gate:
     return sim.diffusion(qubits[: max(1, num_qubits // 2)])
 
 
+def dense_operator(gate: sim.Gate, num_qubits: int) -> np.ndarray:
+    """Independent oracle: the gate's full 2^n x 2^n matrix, built column by column."""
+    dim = 1 << num_qubits
+    dense = np.zeros((dim, dim), dtype=complex)
+    register = gate.targets
+    if gate.kind == sim.PHASE_ORACLE:
+        table = np.asarray(gate.oracle_predicate(np.arange(1 << len(register))), dtype=bool)
+    for col in range(dim):
+        bits = [(col >> q) & 1 for q in range(num_qubits)]
+        if gate.kind == sim.HADAMARD:
+            q = register[0]
+            for b in (0, 1):
+                row = col & ~(1 << q) | (b << q)
+                dense[row, col] = (-1 if bits[q] and b else 1) / math.sqrt(2)
+        elif gate.kind in (sim.PAULI_X, sim.CNOT, sim.MCX):
+            fire = all(bits[c] for c in gate.controls)
+            dense[col ^ (1 << register[0]) if fire else col, col] = 1
+        elif gate.kind == sim.PHASE_ORACLE:
+            value = sum(bits[q] << p for p, q in enumerate(register))
+            dense[col, col] = -1 if table[value] else 1
+        else:  # diffusion: 2|u><u| - I on the register, identity on the rest
+            rest = col & ~sum(1 << q for q in register)
+            for value in range(1 << len(register)):
+                row = rest | sum(((value >> p) & 1) << q for p, q in enumerate(register))
+                dense[row, col] = 2 / (1 << len(register)) - (row == col)
+    return dense
+
+
 class TestStateVector:
     def test_zero_state(self):
         state = StateVector.zero(3)
@@ -119,6 +147,63 @@ class TestSingleGates:
             sim.apply(StateVector.zero(1), sim.hadamard(3))
 
 
+class TestKernelsAgainstDenseReference:
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            sim.hadamard(0),
+            sim.hadamard(2),
+            sim.hadamard(4),
+            sim.pauli_x(0),
+            sim.pauli_x(4),
+            sim.cnot(4, 1),
+            sim.cnot(0, 3),
+            sim.mcx([0, 4], 2),  # controls below and above the target
+            sim.mcx([3, 1], 0),  # both controls above
+            sim.mcx([4, 0, 3, 1], 2),  # every other qubit: the control index fixes all axes
+            sim.phase_oracle([3, 0, 4, 1, 2], lambda v: v == 19),  # full register
+            sim.phase_oracle([4, 2, 0, 1, 3], lambda v: v % 7 == 3),  # full register, five values
+            sim.phase_oracle([1, 3], lambda v: np.isin(v, [0, 2, 3])),  # several values
+            sim.phase_oracle([2, 0, 4], lambda v: np.zeros(v.shape, dtype=bool)),  # all false
+            sim.diffusion([3, 0, 2]),  # non-contiguous, out of order
+            sim.diffusion([4, 1]),
+            sim.diffusion([0, 1, 2, 3, 4]),
+        ],
+        ids=lambda gate: f"{gate.kind}{gate.targets}{gate.controls or ''}",
+    )
+    def test_gate_equals_dense_operator(self, gate):
+        state = random_state(5, seed=31)
+        expected = dense_operator(gate, 5) @ state.amplitudes
+        npt.assert_allclose(sim.apply(state, gate).amplitudes, expected, atol=1e-12)
+        out = sim.run(Circuit(5, (gate,)), state)
+        npt.assert_allclose(out.amplitudes, expected, atol=1e-12)
+
+
+class TestRunBuffer:
+    def test_initial_unchanged_and_unshared(self):
+        state = random_state(4, seed=41)
+        before = state.amplitudes.copy()
+        gates = (sim.hadamard(1), sim.mcx([0, 2], 3), sim.diffusion([0, 3]))
+        out = sim.run(Circuit(4, gates), state)
+        npt.assert_array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert not out.amplitudes.flags.writeable
+
+    def test_one_predicate_call_per_application(self):
+        calls = []
+
+        def predicate(values):
+            calls.append(values.size)
+            return values == 1
+
+        gate = sim.phase_oracle([2, 0], predicate)
+        circuit = Circuit(3, (gate, sim.hadamard(1), gate, gate))
+        sim.run(circuit, StateVector.zero(3))
+        assert calls == [4, 4, 4]
+        sim.run(circuit.inverse(), StateVector.zero(3))
+        assert len(calls) == 6
+
+
 class TestNormAndUnitarity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -163,6 +248,11 @@ class TestCircuit:
     def test_gate_outside_width_rejected(self):
         with pytest.raises(StructuralError):
             Circuit(2, (sim.hadamard(2),))
+
+    def test_qubit_cap_checked_at_construction(self):
+        Circuit(sim.QUBIT_CAP, ())
+        with pytest.raises(ResourceCapError):
+            Circuit(sim.QUBIT_CAP + 1, ())
 
     def test_inverse_reverses_gates(self):
         rng = np.random.default_rng(9)
