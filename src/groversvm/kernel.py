@@ -80,6 +80,25 @@ def kernel_exact(i: int, j: int, interval_width: int, domain_size: int) -> float
     return (M - d) / M
 
 
+def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray:
+    """:func:`kernel_exact` broadcast over index arrays ``a`` and ``b``.
+
+    Each entry has the same bits as the scalar form: ``(M - d) / M`` on exact
+    int64 values is the same IEEE division numpy and Python both perform.
+    """
+    N = int(domain_size)
+    M = int(interval_width)
+    _check_interval(M, N)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    for idx in (a, b):
+        if idx.size and (idx.min() < 0 or idx.max() >= N):
+            raise StructuralError("kernel indices out of range")
+    d = np.abs(a - b) % N
+    d = np.minimum(d, N - d)
+    return np.where(d < M, (M - d) / M, 0.0)
+
+
 def kernel_circuit(
     oracle_i: IndicatorOracle,
     oracle_j: IndicatorOracle,
@@ -172,8 +191,10 @@ def gram_matrix(
     diagonal is 1 a priori for a pure-state kernel, so sampled mode never
     spends shots on it.  Sampled entries use a per-pair RNG stream derived
     from (seed, i, j), making the result independent of evaluation order.
-    Sampled matrices may be indefinite; they are passed through unchanged
-    unless ``clip_psd`` is set.
+    Pairs whose true kernel is 0 take no draw, since Binomial(R, 0) is 0;
+    every other pair draws from its own stream, so a skipped pair changes no
+    other entry.  Sampled matrices may be indefinite; they are passed
+    through unchanged unless ``clip_psd`` is set.
     """
     oracles = list(oracles)
     if not oracles:
@@ -182,21 +203,25 @@ def gram_matrix(
     if any(o.domain_size != N for o in oracles):
         raise StructuralError("all oracles must share a domain size")
     _check_interval(int(interval_width), N)
-    m = len(oracles)
-    entries = np.eye(m, dtype=np.float64)
+    if mode.tag == "sampled" and int(rng_seed) < 0:
+        # Checked up front: SeedSequence would raise a bare ValueError, and
+        # only once some pair with a nonzero kernel reached its draw.
+        raise StructuralError(f"rng seed must be non-negative (got {rng_seed})")
     if mode.tag in ("circuit_ideal", "circuit_faithful"):
+        m = len(oracles)
+        entries = np.eye(m, dtype=np.float64)
         config = GroverConfig(backend=mode.tag.removeprefix("circuit_"))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if mode.tag == "exact":
-                value = kernel_exact(oracles[i].marked, oracles[j].marked, interval_width, N)
-            elif mode.tag == "sampled":
-                true = kernel_exact(oracles[i].marked, oracles[j].marked, interval_width, N)
-                value = kernel_sampled(true, mode.shots, _pair_rng(rng_seed, i, j))
-            else:
+        for i in range(m):
+            for j in range(i + 1, m):
                 value, _ = kernel_circuit(oracles[i], oracles[j], interval_width, config)
-            entries[i, j] = value
-            entries[j, i] = value
+                entries[i, j] = entries[j, i] = value
+    else:
+        marked = np.array([o.marked for o in oracles], dtype=np.int64)
+        entries = kernel_exact_many(marked[:, None], marked[None, :], interval_width, N)
+        if mode.tag == "sampled":
+            for i, j in zip(*np.nonzero(np.triu(entries, 1))):
+                value = kernel_sampled(entries[i, j], mode.shots, _pair_rng(rng_seed, i, j))
+                entries[i, j] = entries[j, i] = value
     if clip_psd:
         entries = clip_to_psd(entries)
         entries = (entries + entries.T) / 2.0

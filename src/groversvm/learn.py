@@ -15,6 +15,10 @@ All shot-sampled kernels draw from the analytic binomial law rather than
 re-running circuits, which is statistically identical and keeps R ~ m^4
 experiments tractable; the query ledgers charge what the circuits would have
 consumed (4k oracle queries per kernel shot, k per preprocessing search).
+Closed-form kernel values are computed for whole rows at once; a sampled
+entry whose true value is 0 takes no draw (Binomial(R, 0) is 0), and every
+other entry draws from its own per-pair stream, so results do not depend on
+which entries were skipped or on evaluation order.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, grover_search, resolve_iterations
-from .kernel import KernelMode, gram_matrix, kernel_exact, kernel_sampled
+from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled
 from .ledger import QueryLedger
 from .sim import StateVector, as_rng
 from . import svm
@@ -279,31 +283,32 @@ def quantum_kernel_learner(
         train.oracles, interval_width, KernelMode.sampled(shots), rng_seed=rng_seed
     )
     n_pairs = m * (m - 1) // 2
-    for i in range(m):
-        for j in range(i + 1, m):
-            train.oracles[i].charge_queries(2 * k * shots)
-            train.oracles[j].charge_queries(2 * k * shots)
+    for oracle in train.oracles:
+        oracle.charge_queries(2 * k * shots * (m - 1))
     train_ledger = QueryLedger(oracle_queries=n_pairs * shots * per_shot, shots=n_pairs * shots)
 
     model = svm.train(gram, train.labels, box_bound=box_bound)
     support = model.support_indices
     train_marked = train.marked_indices()
+    test_marked = np.array([o.marked for o in test_oracles], dtype=np.int64)
 
-    infer_ledger = QueryLedger()
-    predictions = np.empty(len(test_oracles), dtype=np.int64)
-    for t_idx, oracle in enumerate(test_oracles):
-        row = np.zeros(m)
-        for sv in support:
-            true = kernel_exact(oracle.marked, int(train_marked[sv]), interval_width, N)
-            stream = np.random.SeedSequence(
-                [int(rng_seed) & 0xFFFFFFFF, _TEST_STREAM_TAG, t_idx, int(sv)]
-            )
-            row[sv] = kernel_sampled(true, shots, np.random.default_rng(stream))
-            oracle.charge_queries(2 * k * shots)
-            train.oracles[sv].charge_queries(2 * k * shots)
-        _, predictions[t_idx] = svm.decide(model, row)
-        infer_ledger.oracle_queries += support.size * shots * per_shot
-        infer_ledger.shots += support.size * shots
+    # Test point t against support vector sv draws from the stream keyed by
+    # (seed, tag, t, sv); entries whose true kernel is 0 take no draw.
+    rows = np.zeros((test_marked.size, m))
+    rows[:, support] = kernel_exact_many(
+        test_marked[:, None], train_marked[support][None, :], interval_width, N
+    )
+    stream_seed = int(rng_seed) & 0xFFFFFFFF
+    for t_idx, sv in zip(*np.nonzero(rows)):
+        stream = np.random.SeedSequence([stream_seed, _TEST_STREAM_TAG, int(t_idx), int(sv)])
+        rows[t_idx, sv] = kernel_sampled(rows[t_idx, sv], shots, np.random.default_rng(stream))
+    for oracle in test_oracles:
+        oracle.charge_queries(2 * k * shots * support.size)
+    for sv in support:
+        train.oracles[sv].charge_queries(2 * k * shots * len(test_oracles))
+    predictions = np.array([svm.decide(model, row)[1] for row in rows], dtype=np.int64)
+    n_entries = len(test_oracles) * support.size
+    infer_ledger = QueryLedger(oracle_queries=n_entries * shots * per_shot, shots=n_entries * shots)
     return LearnerResult(predictions, train_ledger, infer_ledger, model.support_count, model)
 
 
@@ -332,22 +337,16 @@ def preprocessing_learner(
         recovered[i], ledger = grover_search(oracle, config, seeds[i])
         train_ledger.add(ledger)
 
-    entries = np.eye(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            value = kernel_exact(int(recovered[i]), int(recovered[j]), interval_width, N)
-            entries[i, j] = entries[j, i] = value
+    entries = kernel_exact_many(recovered[:, None], recovered[None, :], interval_width, N)
     model = svm.train(entries, train.labels, box_bound=box_bound)
 
     infer_ledger = QueryLedger()
-    predictions = np.empty(len(test_oracles), dtype=np.int64)
+    found = np.empty(len(test_oracles), dtype=np.int64)
     for t_idx, oracle in enumerate(test_oracles):
-        found, ledger = grover_search(oracle, config, seeds[m + t_idx])
+        found[t_idx], ledger = grover_search(oracle, config, seeds[m + t_idx])
         infer_ledger.add(ledger)
-        row = np.array(
-            [kernel_exact(int(found), int(r), interval_width, N) for r in recovered]
-        )
-        _, predictions[t_idx] = svm.decide(model, row)
+    rows = kernel_exact_many(found[:, None], recovered[None, :], interval_width, N)
+    predictions = np.array([svm.decide(model, row)[1] for row in rows], dtype=np.int64)
     return LearnerResult(predictions, train_ledger, infer_ledger, model.support_count, model)
 
 

@@ -360,7 +360,7 @@ def sample_measurement(
     rng = as_rng(rng_seed)
     counts = rng.multinomial(shots, probs)
     width = len(register)
-    return {format(v, f"0{width}b"): int(c) for v, c in enumerate(counts) if c > 0}
+    return {format(v, f"0{width}b"): int(counts[v]) for v in np.flatnonzero(counts).tolist()}
 
 
 def subsystem_fidelity(

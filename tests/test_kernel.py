@@ -23,6 +23,7 @@ from groversvm.kernel import (
     gram_matrix,
     kernel_circuit,
     kernel_exact,
+    kernel_exact_many,
     kernel_sampled,
 )
 
@@ -167,6 +168,46 @@ class TestKernelSampled:
             kernel_sampled(0.5, 0, 0)
 
 
+class TestKernelExactMany:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_scalar_bit_for_bit(self, data):
+        N = data.draw(st.integers(3, 1 << 14), label="N")
+        M = data.draw(st.integers(1, (N - 1) // 2), label="M")
+        i = data.draw(st.one_of(st.integers(0, N - 1), st.sampled_from([0, N - 1])), label="i")
+        d = data.draw(
+            st.one_of(st.sampled_from([0, M - 1, M, M + 1]), st.integers(0, N // 2)), label="d"
+        )
+        j = (i + data.draw(st.sampled_from([d, -d]), label="offset")) % N
+        scalar = kernel_exact(i, j, M, N)
+        assert float(kernel_exact_many(i, j, M, N)).hex() == scalar.hex()
+        assert float(kernel_exact_many([j], [i], M, N)[0]).hex() == scalar.hex()
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(5, 5), (5, 8), (5, 9), (0, 63), (1, 61), (62, 2), (0, 32), (31, 63)],
+    )
+    def test_boundary_and_wraparound_cases(self, i, j):
+        # M = 4, N = 64: distances 0, 3 (= M-1), 4 (= M), and pairs across 0.
+        assert float(kernel_exact_many(i, j, 4, 64)).hex() == kernel_exact(i, j, 4, 64).hex()
+
+    def test_broadcasts_over_a_grid(self):
+        a = np.array([0, 3, 15, 7, 8])
+        b = np.array([1, 14, 0, 5, 9, 12, 3])
+        grid = kernel_exact_many(a[:, None], b[None, :], 4, 16)
+        expected = [[kernel_exact(int(x), int(y), 4, 16) for y in b] for x in a]
+        assert grid.shape == (5, 7)
+        assert np.array_equal(grid, expected)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(StructuralError):
+            kernel_exact_many([0, 16], [1, 2], 4, 16)
+        with pytest.raises(StructuralError):
+            kernel_exact_many([0], [-1], 4, 16)
+        with pytest.raises(InvalidIntervalError):
+            kernel_exact_many([0], [1], 8, 16)
+
+
 def _oracles(marks, N=16):
     return [IndicatorOracle(N, v) for v in marks]
 
@@ -247,6 +288,68 @@ class TestGramMatrix:
             KernelMode("exact", shots=5)
         with pytest.raises(StructuralError):
             KernelMode("bogus")
+
+
+def _reference_gram(oracles, M, mode, seed=0, clip_psd=False):
+    """The per-pair loop: one scalar kernel and, when sampled, one draw per pair."""
+    N = oracles[0].domain_size
+    m = len(oracles)
+    entries = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            value = kernel_exact(oracles[i].marked, oracles[j].marked, M, N)
+            if mode.tag == "sampled":
+                stream = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+                value = kernel_sampled(value, mode.shots, stream)
+            entries[i, j] = entries[j, i] = value
+    if clip_psd:
+        entries = clip_to_psd(entries)
+        entries = (entries + entries.T) / 2.0
+    return entries
+
+
+class TestGramMatchesPerPairLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+    @pytest.mark.parametrize(
+        "N, M, m, shots",
+        [
+            (256, 4, 48, 64),  # sparse: most pairs are 0 and take no draw
+            (64, 15, 24, 16),  # dense: M = N/4 - 1
+            (16, 7, 16, 3),  # every index, many duplicate-distance pairs
+        ],
+    )
+    def test_sampled_bit_identical(self, N, M, m, shots, seed):
+        marks = np.random.default_rng(N + seed).choice(N, size=m, replace=False)
+        oracles = _oracles(marks, N)
+        mode = KernelMode.sampled(shots)
+        gram = gram_matrix(oracles, M, mode, rng_seed=seed)
+        assert np.array_equal(gram.entries, _reference_gram(oracles, M, mode, seed))
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_sampled_clip_psd_bit_identical(self, seed):
+        marks = np.random.default_rng(seed).choice(64, size=20, replace=False)
+        oracles = _oracles(marks, 64)
+        mode = KernelMode.sampled(4)
+        gram = gram_matrix(oracles, 12, mode, rng_seed=seed, clip_psd=True)
+        expected = _reference_gram(oracles, 12, mode, seed, clip_psd=True)
+        assert np.array_equal(gram.entries, expected)
+
+    def test_exact_bit_identical_with_repeated_marks(self):
+        oracles = _oracles([3, 3, 0, 15, 9, 5, 3], 16)
+        gram = gram_matrix(oracles, 4, KernelMode.exact())
+        assert np.array_equal(gram.entries, _reference_gram(oracles, 4, KernelMode.exact()))
+
+
+class TestGramSeedValidation:
+    @pytest.mark.parametrize("marks", [[0, 2, 5, 9], [0, 16, 32, 48]])
+    def test_negative_seed_rejected(self, marks):
+        # The second set has no nonzero off-diagonal kernel, so no pair draws.
+        with pytest.raises(StructuralError):
+            gram_matrix(_oracles(marks, 64), 4, KernelMode.sampled(8), rng_seed=-1)
+
+    def test_exact_mode_ignores_the_seed(self):
+        gram = gram_matrix(_oracles([0, 2]), 4, KernelMode.exact(), rng_seed=-1)
+        npt.assert_array_equal(gram.entries, [[1.0, 0.5], [0.5, 1.0]])
 
 
 class TestGramMatrixType:

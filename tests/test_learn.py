@@ -7,8 +7,15 @@ import numpy.testing as npt
 import pytest
 
 from groversvm.errors import StructuralError
-from groversvm.grover import IndicatorOracle, interval_state_analytic
-from groversvm.kernel import KernelMode, gram_matrix
+from groversvm.grover import (
+    GroverConfig,
+    IndicatorOracle,
+    grover_search,
+    interval_state_analytic,
+    resolve_iterations,
+)
+from groversvm.kernel import GramMatrix, KernelMode, gram_matrix, kernel_exact, kernel_sampled
+from groversvm.ledger import QueryLedger
 from groversvm.learn import (
     Concept,
     Dataset,
@@ -263,6 +270,124 @@ class TestQuantumKernelLearner:
             means.append(np.mean(accs))
         assert means[1] >= means[0] - 0.02
         assert means[2] >= means[1] - 0.02
+
+
+    @pytest.mark.parametrize("marks", [[3, 9, 40, 50], [4, 20, 36, 52]])
+    def test_negative_seed_rejected_before_any_charge(self, marks):
+        # The second set has no nonzero off-diagonal kernel at M = 2.
+        concept = Concept(0, 64)
+        oracles = [IndicatorOracle(64, v) for v in marks]
+        dataset = Dataset(oracles, np.array([concept.label(v) for v in marks]), concept)
+        test_oracle = IndicatorOracle(64, 5)
+        with pytest.raises(StructuralError):
+            quantum_kernel_learner(dataset, [test_oracle], 2, 8, 10.0, rng_seed=-3)
+        assert [o.query_count for o in oracles + [test_oracle]] == [0] * 5
+
+
+def _reference_quantum_kernel_learner(train, test_oracles, M, shots, box_bound, seed):
+    """The per-pair and per-entry loops: one stream, one draw and two charges each."""
+    N = train.concept.domain_size
+    k = resolve_iterations(N, GroverConfig())
+    m = train.size
+    entries = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            true = kernel_exact(train.oracles[i].marked, train.oracles[j].marked, M, N)
+            stream = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
+            entries[i, j] = entries[j, i] = kernel_sampled(true, shots, stream)
+            train.oracles[i].charge_queries(2 * k * shots)
+            train.oracles[j].charge_queries(2 * k * shots)
+    model = svm.train(GramMatrix(entries, KernelMode.sampled(shots)), train.labels, box_bound)
+    predictions = []
+    for t_idx, oracle in enumerate(test_oracles):
+        row = np.zeros(m)
+        for sv in model.support_indices:
+            true = kernel_exact(oracle.marked, train.oracles[sv].marked, M, N)
+            stream = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x7E57, t_idx, int(sv)])
+            row[sv] = kernel_sampled(true, shots, np.random.default_rng(stream))
+            oracle.charge_queries(2 * k * shots)
+            train.oracles[sv].charge_queries(2 * k * shots)
+        predictions.append(svm.decide(model, row)[1])
+    pairs = m * (m - 1) // 2
+    entries_inferred = len(test_oracles) * model.support_count
+    train_ledger = QueryLedger(pairs * shots * 4 * k, pairs * shots)
+    infer_ledger = QueryLedger(entries_inferred * shots * 4 * k, entries_inferred * shots)
+    return predictions, model, train_ledger, infer_ledger
+
+
+def _reference_preprocessing_learner(train, test_oracles, M, box_bound, seed):
+    """Per-pair Gram loop and one scalar kernel row per test point."""
+    N = train.concept.domain_size
+    m = train.size
+    seeds = np.random.SeedSequence(seed & 0xFFFFFFFF).spawn(m + len(test_oracles))
+    recovered = [grover_search(o, GroverConfig(), seeds[i])[0] for i, o in enumerate(train.oracles)]
+    entries = np.eye(m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            entries[i, j] = entries[j, i] = kernel_exact(recovered[i], recovered[j], M, N)
+    model = svm.train(entries, train.labels, box_bound=box_bound)
+    predictions = []
+    for t_idx, oracle in enumerate(test_oracles):
+        found, _ = grover_search(oracle, GroverConfig(), seeds[m + t_idx])
+        row = np.array([kernel_exact(int(found), int(r), M, N) for r in recovered])
+        predictions.append(svm.decide(model, row)[1])
+    return predictions, model
+
+
+def _learner_inputs(N, m, data_seed):
+    """A fresh dataset and test set; every training point is also a test point (K = 1)."""
+    dataset = generate_dataset(Concept(data_seed % (N // 2), N), m, rng_seed=data_seed)
+    marks = [*dataset.marked_indices(), 0, N - 1, N // 2, *range(3, N, N // 7)]
+    return dataset, [IndicatorOracle(N, int(v)) for v in marks]
+
+
+class TestLearnersMatchPerPairLoops:
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 + 1])
+    @pytest.mark.parametrize("N, m, M, shots", [(256, 24, 8, 16), (64, 12, 15, 4)])
+    def test_quantum_kernel_learner_bit_identical(self, N, m, M, shots, seed):
+        train, tests = _learner_inputs(N, m, seed % 97)
+        result = quantum_kernel_learner(train, tests, M, shots, 10.0, rng_seed=seed)
+        ref_train, ref_tests = _learner_inputs(N, m, seed % 97)
+        predictions, model, train_ledger, infer_ledger = _reference_quantum_kernel_learner(
+            ref_train, ref_tests, M, shots, 10.0, seed
+        )
+        assert result.support_count == model.support_count > 0
+        npt.assert_array_equal(result.predictions, predictions)
+        assert np.array_equal(result.model.dual_coeffs, model.dual_coeffs)
+        assert result.model.bias == model.bias
+        assert result.train_ledger == train_ledger
+        assert result.infer_ledger == infer_ledger
+        counts = [o.query_count for o in train.oracles + tests]
+        assert counts == [o.query_count for o in ref_train.oracles + ref_tests]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_preprocessing_learner_bit_identical(self, seed):
+        train, tests = _learner_inputs(64, 12, seed)
+        result = preprocessing_learner(train, tests, 8, 10.0, rng_seed=seed)
+        ref_train, ref_tests = _learner_inputs(64, 12, seed)
+        predictions, model = _reference_preprocessing_learner(ref_train, ref_tests, 8, 10.0, seed)
+        npt.assert_array_equal(result.predictions, predictions)
+        assert np.array_equal(result.model.dual_coeffs, model.dual_coeffs)
+        assert result.model.bias == model.bias
+
+
+class TestLedgerMatchesOracleCounters:
+    def test_quantum_kernel_learner(self):
+        train, tests = _learner_inputs(128, 16, 4)
+        result = quantum_kernel_learner(train, tests, 16, 8, 10.0, rng_seed=4)
+        billed = sum(o.query_count for o in train.oracles + tests)
+        assert billed == result.ledger.oracle_queries > 0
+
+    def test_preprocessing_learner(self):
+        train, tests = _learner_inputs(128, 16, 4)
+        result = preprocessing_learner(train, tests, 16, 10.0, rng_seed=4)
+        billed = sum(o.query_count for o in train.oracles + tests)
+        assert billed == result.ledger.oracle_queries > 0
+
+    def test_classical_learner(self):
+        train, tests = _learner_inputs(128, 16, 4)
+        result = classical_learner(train.concept, tests, 20, rng_seed=4)
+        assert sum(o.query_count for o in tests) == result.ledger.classical_evaluations > 0
 
 
 class TestPreprocessingLearner:

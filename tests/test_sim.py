@@ -311,6 +311,18 @@ class TestSampling:
         freq = hist.get("0", 0) / shots
         assert abs(freq - 0.5) <= 4 * math.sqrt(0.25 / shots)
 
+    def test_histogram_matches_full_enumeration(self):
+        # Few shots over 64 outcomes: most counts are 0 and get no key.
+        state = random_state(6, seed=5)
+        register = [4, 0, 2, 5, 1, 3]
+        hist = sim.sample_measurement(state, register, 10, 9)
+        probs = np.clip(sim.register_probabilities(state, register), 0.0, None)
+        probs /= probs.sum()
+        counts = np.random.default_rng(9).multinomial(10, probs)
+        expected = {format(v, "06b"): int(c) for v, c in enumerate(counts) if c > 0}
+        assert list(hist.items()) == list(expected.items())
+        assert all(type(c) is int for c in hist.values())
+
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_chi_square_against_born_distribution(self, seed):
         state = random_state(3, seed=seed)
