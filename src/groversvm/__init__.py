@@ -44,7 +44,7 @@ from .kernel import (
     kernel_exact,
     kernel_sampled,
 )
-from .svm import SvmModel, brute_force_qp, decide, dual_objective, kkt_gap, train
+from .svm import SvmModel, decide, dual_objective, kkt_gap, train
 from .learn import (
     Concept,
     Dataset,

@@ -168,11 +168,10 @@ def theoretical_success_probability(
 def search_gates(oracle: IndicatorOracle, iterations: int, register) -> list[Gate]:
     """Uniform superposition followed by ``iterations`` oracle+diffusion rounds."""
     register = tuple(register)
-    gates = [sim.hadamard(q) for q in register]
-    for _ in range(iterations):
-        gates.append(oracle.phase_gate(register))
-        gates.append(sim.diffusion(register))
-    return gates
+    # One gate object per role, listed ``iterations`` times: the simulator
+    # calls the oracle's predicate once per application, so k queries are billed.
+    rounds = [oracle.phase_gate(register), sim.diffusion(register)] * iterations
+    return [sim.hadamard(q) for q in register] + rounds
 
 
 def search_circuit(oracle: IndicatorOracle, iterations: int | None = None) -> Circuit:
@@ -245,7 +244,7 @@ def adder_circuit(n: int) -> Circuit:
 
 def _ideal_write_gates(oracle: IndicatorOracle, iterations: int, register) -> list[Gate]:
     register = tuple(register)
-    gates = [oracle.billing_gate(register) for _ in range(iterations)]
+    gates = [oracle.billing_gate(register)] * iterations
     for b, q in enumerate(register):
         if (oracle.marked >> b) & 1:
             gates.append(sim.pauli_x(q))

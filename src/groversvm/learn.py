@@ -204,7 +204,8 @@ def classical_learner_classify(
 
     The concept threshold is assumed known; the budget buys oracle probes
     only.  Probes are distinct indices drawn uniformly from the +1 region
-    (capped at its size), each charged as one classical evaluation.
+    (capped at its size), each charged as one classical evaluation.  A budget
+    that covers the region probes all of it, and then nothing is drawn.
     """
     N = oracle.domain_size
     if not 0 <= budget <= N:
@@ -213,8 +214,10 @@ def classical_learner_classify(
     n_probes = min(budget, region.size)
     found = False
     if n_probes > 0:
-        rng = as_rng(rng_seed)
-        probes = rng.choice(region, size=n_probes, replace=False)
+        if n_probes == region.size:
+            probes = region
+        else:
+            probes = as_rng(rng_seed).choice(region, size=n_probes, replace=False)
         found = bool(oracle.evaluate_batch(probes).any())
     ledger = QueryLedger(classical_evaluations=n_probes)
     return (1 if found else -1), ledger

@@ -227,10 +227,11 @@ def _prep_gates(instance: TextInstance, offset: int = 0) -> list[Gate]:
     return gates
 
 
-def _amplification_gates(instance: TextInstance, rounds: int, offset: int = 0) -> list[Gate]:
+def _amplification_gates(
+    instance: TextInstance, prep: list[Gate], rounds: int, offset: int = 0
+) -> list[Gate]:
     index_q, text_q, pattern_q = _registers(instance, offset)
     block = tuple(index_q) + tuple(text_q) + tuple(pattern_q)
-    prep = _prep_gates(instance, offset)
     flip_good = sim.phase_oracle(pattern_q, lambda v: v == 0)
     flip_zero = sim.phase_oracle(block, lambda v: v == 0)
     gates: list[Gate] = []
@@ -246,7 +247,8 @@ def match_circuit(instance: TextInstance, rounds: int | None = None) -> Circuit:
     """Full matcher on n + N + L qubits: preparation plus amplification rounds."""
     if rounds is None:
         rounds = amplification_rounds_for(instance.text_length)
-    gates = _prep_gates(instance) + _amplification_gates(instance, rounds)
+    prep = _prep_gates(instance)
+    gates = prep + _amplification_gates(instance, prep, rounds)
     return Circuit(instance.total_qubits, tuple(gates))
 
 
@@ -295,7 +297,8 @@ class FeatureMapOutcome:
 
 def _pattern_block_gates(instance: TextInstance, rounds: int, backend: str, offset: int):
     if backend == "faithful":
-        return _prep_gates(instance, offset) + _amplification_gates(instance, rounds, offset)
+        prep = _prep_gates(instance, offset)
+        return prep + _amplification_gates(instance, prep, rounds, offset)
     # Ideal: write the matcher's output state |t>|shifted text>|0^L> directly.
     index_q, text_q, _ = _registers(instance, offset)
     t = instance.location

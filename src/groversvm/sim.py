@@ -10,11 +10,16 @@ Conventions used by every module in this package:
   by reversing its gate list.
 
 Public states are immutable.  :func:`run` copies its initial amplitudes once
-into a private buffer, updates that buffer in place gate by gate through its
-``(2,)*n`` view (axis ``a`` holds qubit ``n-1-a``), and wraps the result in one
-new state at the end.  It calls each phase oracle's predicate exactly once per
-application, which is what query accounting relies on.  All randomness is
-injected through explicit seeds or generators.
+into a private buffer, updates that buffer in place gate by gate, and wraps
+the result in one new state at the end.  Each gate shape (qubit count, kind,
+targets, controls) gets an in-place kernel planned once and kept in a bounded
+cache, so a repeated gate costs only its array work.  Kernels view the buffer
+in the ``(2,)*n`` layout (axis ``a`` holds qubit ``n-1-a``) or in a coarser
+reshape of it that gives the same bits.  :func:`run` calls each phase
+oracle's predicate exactly once per application, with one shared read-only
+array of register values per width; query accounting relies on this.  All
+randomness is injected through explicit seeds or generators; a negative
+integer seed is a :class:`StructuralError`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +38,7 @@ QUBIT_CAP = 24  # dense complex128 beyond this is not a desk-scale simulation
 
 _NORM_ATOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_CACHE_ROW = 1 << 16  # amplitudes in a Hadamard row: 1 MiB of complex128
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -44,9 +51,11 @@ GATE_KINDS = (HADAMARD, PAULI_X, CNOT, MCX, PHASE_ORACLE, DIFFUSION)
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Accept an integer seed, a SeedSequence, or a ready Generator."""
+    """Accept a non-negative integer seed, a SeedSequence, or a ready Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(seed)
 
 
@@ -255,40 +264,139 @@ def _fixed(num_qubits: int, bits) -> tuple:
     return tuple(index) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
 
 
-def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
-    view = psi.reshape((2,) * num_qubits)
-    if gate.kind == HADAMARD:
-        a = psi.reshape(-1, 2, 1 << gate.targets[0])
-        a0, a1 = a[:, 0, :], a[:, 1, :]
-        total = a0 + a1
-        np.subtract(a0, a1, out=a1)
-        a0[...] = total
-        psi *= _INV_SQRT2
-    elif gate.kind in (PAULI_X, CNOT, MCX):
-        # Fix every control to 1 and swap the target-0 and target-1 slices.
-        controls = [(c, 1) for c in gate.controls]
-        lower = _fixed(num_qubits, controls + [(gate.targets[0], 0)])
-        upper = _fixed(num_qubits, controls + [(gate.targets[0], 1)])
+@lru_cache(maxsize=None)  # at most QUBIT_CAP widths
+def _register_arange(width: int) -> np.ndarray:
+    """The read-only predicate input ``0 .. 2**width - 1``, one array per width."""
+    values = np.arange(1 << width, dtype=np.int64)
+    values.flags.writeable = False
+    return values
+
+
+def _hadamard_plan(num_qubits: int, q: int):
+    # The butterfly pairs the two halves of every block of 2**(q+1) amplitudes.
+    # A state larger than _CACHE_ROW amplitudes is done one row at a time, so
+    # that a row stays in cache from the butterfly to its scaling.  When a
+    # contiguous run of 2**q amplitudes fits in one 64-byte cache line, numpy's
+    # inner loops over it would be that short, so the butterfly runs over the
+    # 2**q interleaved strided slices of the row instead.
+    run = 1 << q
+    row = min(1 << num_qubits, max(2 * run, _CACHE_ROW))
+    columns = range(run) if run <= 4 else (slice(None),)
+
+    def apply_row(block, gate=None):
+        a = block.reshape(-1, 2, run)
+        for r in columns:
+            a0, a1 = a[:, 0, r], a[:, 1, r]
+            total = a0 + a1
+            np.subtract(a0, a1, out=a1)
+            a0[...] = total
+        block *= _INV_SQRT2
+
+    if row == 1 << num_qubits:
+        return apply_row
+
+    def apply(psi, gate):
+        for block in psi.reshape(-1, row):
+            apply_row(block)
+
+    return apply
+
+
+def _swap_plan(num_qubits: int, target: int, controls: tuple[int, ...]):
+    # Fix every control to 1 and swap the target-0 and target-1 slices.  Each
+    # fixed qubit keeps an axis of 2; each run of adjacent free qubits is one axis.
+    fixed = set(controls) | {target}
+    shape, lower, upper = [], [], []
+    for is_fixed, qubits in groupby(range(num_qubits - 1, -1, -1), key=fixed.__contains__):
+        qubits = list(qubits)
+        if is_fixed:
+            shape.extend([2] * len(qubits))
+            lower.extend(int(q != target) for q in qubits)
+            upper.extend([1] * len(qubits))
+        else:
+            shape.append(1 << len(qubits))
+            lower.append(slice(None))
+            upper.append(slice(None))
+    shape = tuple(shape)
+    lower = tuple(lower) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
+    upper = tuple(upper) + (Ellipsis,)
+
+    def apply(psi, gate):
+        view = psi.reshape(shape)
         view[lower], view[upper] = view[upper], view[lower].copy()
-    elif gate.kind == PHASE_ORACLE:
-        width = len(gate.targets)
-        table = np.asarray(gate.oracle_predicate(np.arange(1 << width, dtype=np.int64)))
+
+    return apply
+
+
+def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
+    width = len(targets)
+    values = _register_arange(width)
+    if targets == tuple(range(num_qubits)):
+        def negate(psi, value):
+            psi[value] = -psi[value]  # the register value is the basis index
+    else:
+        shape = (2,) * num_qubits
+
+        def negate(psi, value):
+            view = psi.reshape(shape)
+            index = _fixed(num_qubits, ((q, (value >> p) & 1) for p, q in enumerate(targets)))
+            view[index] = -view[index]
+
+    def apply(psi, gate):
+        table = np.asarray(gate.oracle_predicate(values))
         if table.shape != (1 << width,):
             raise ContractViolationError(
                 f"oracle predicate returned shape {table.shape}, expected ({1 << width},)"
             )
         # Negate the sub-view of each marked register value: the cost grows
         # with the marked amplitudes, and an all-false table touches none.
-        for value in np.flatnonzero(table).tolist():
-            index = _fixed(num_qubits, ((q, (value >> p) & 1) for p, q in enumerate(gate.targets)))
-            view[index] = -view[index]
-    elif gate.kind == DIFFUSION:
-        axes = tuple(num_qubits - 1 - q for q in gate.targets)
-        mean = view.mean(axis=axes, keepdims=True)
-        np.subtract(2.0 * mean, view, out=view)
+        for value in table.nonzero()[0].tolist():
+            negate(psi, value)
+
+    return apply
+
+
+def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
+    # 2 * mean - psi, the mean taken over the register for each value of the
+    # other qubits.  A register that is the bottom (or top) block of qubits is
+    # the trailing (or leading) axis of a 2-D view; numpy sums both in the
+    # same order as over the matching axes of the (2,)*n view.
+    width = len(targets)
+    register = set(targets)
+    if register == set(range(width)):
+        shape, axis = (-1, 1 << width), 1
+    elif register == set(range(num_qubits - width, num_qubits)):
+        shape, axis = (1 << width, -1), 0
     else:
-        raise StructuralError(f"unhandled gate kind {gate.kind!r}")
+        shape, axis = (2,) * num_qubits, tuple(num_qubits - 1 - q for q in targets)
+    count = 1 << width
+
+    def apply(psi, gate):
+        view = psi.reshape(shape)
+        mean = np.add.reduce(view, axis=axis, keepdims=True)
+        np.true_divide(mean, count, out=mean)
+        np.subtract(2.0 * mean, view, out=view)
+
+    return apply
+
+
+@lru_cache(maxsize=4096)
+def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[int, ...]):
+    """The in-place kernel ``apply(psi, gate)`` for one gate shape on ``num_qubits``."""
+    if kind == HADAMARD:
+        return _hadamard_plan(num_qubits, targets[0])
+    if kind in (PAULI_X, CNOT, MCX):
+        return _swap_plan(num_qubits, targets[0], controls)
+    if kind == PHASE_ORACLE:
+        return _phase_plan(num_qubits, targets)
+    if kind == DIFFUSION:
+        return _diffusion_plan(num_qubits, targets)
+    raise StructuralError(f"unhandled gate kind {kind!r}")
+
+
+def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
+    """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
+    _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, gate)
 
 
 def _apply_raw(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:

@@ -6,8 +6,8 @@
     s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0,
 
 selecting the maximal-KKT-violation pair each step (ties broken by lowest
-index), which makes training deterministic.  ``brute_force_qp`` solves the
-same dual by projected gradient and exists purely to cross-check ``train``.
+index), which makes training deterministic.  Each step costs O(m) array
+work, done in preallocated buffers, plus scalar arithmetic on Python floats.
 Indefinite (shot-sampled) Gram inputs are accepted; convergence is then to a
 stationary KKT point.
 """
@@ -107,38 +107,53 @@ def train(
 
     alpha = np.zeros(m)
     u = np.zeros(m)  # u_i = sum_j alpha_j y_j K_ij, maintained incrementally
+    # g = y - u.  y_up holds y_k where k may move up (I_up) and -inf elsewhere,
+    # y_low holds y_k on I_low and +inf elsewhere, so g_up = y_up - u and
+    # g_low = y_low - u are g masked for the pair selection.  Only alpha_i and
+    # alpha_j change in a step, so only entries i and j of the masks do.
+    ys = y.tolist()
+    diag = K.diagonal().tolist()
+    y_up = np.where(y > 0, y, -np.inf)  # alpha = 0: I_up is y > 0, I_low is y < 0
+    y_low = np.where(y < 0, y, np.inf)
+    g_up, g_low, step_i, step_j = (np.empty(m) for _ in range(4))
     for _ in range(max_iterations):
-        g = y - u
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        if not np.any(up) or not np.any(low):
-            break
-        g_up = np.where(up, g, -np.inf)
-        g_low = np.where(low, g, np.inf)
-        i = int(np.argmax(g_up))  # argmax/argmin take the lowest index on ties
-        j = int(np.argmin(g_low))
-        if g_up[i] - g_low[j] <= tol:
-            break
+        np.subtract(y_up, u, out=g_up)
+        np.subtract(y_low, u, out=g_low)
+        i = int(g_up.argmax())  # argmax/argmin take the lowest index on ties
+        j = int(g_low.argmin())
+        g_i, g_j = g_up.item(i), g_low.item(j)
+        if g_i == -np.inf or g_j == np.inf or g_i - g_j <= tol:
+            break  # I_up or I_low is empty, or every KKT violation is within tol
 
-        # Two-variable analytic step in (alpha_i, alpha_j).
-        s = y[i] * y[j]
+        # Two-variable analytic step in (alpha_i, alpha_j), on Python floats.
+        yi, yj = ys[i], ys[j]
+        ai, aj = alpha.item(i), alpha.item(j)
+        s = yi * yj
         if s < 0:
-            lo, hi = max(0.0, alpha[j] - alpha[i]), min(C, C + alpha[j] - alpha[i])
+            lo, hi = max(0.0, aj - ai), min(C, C + aj - ai)
         else:
-            lo, hi = max(0.0, alpha[j] + alpha[i] - C), min(C, alpha[j] + alpha[i])
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        e_diff = (u[i] - y[i]) - (u[j] - y[j])
+            lo, hi = max(0.0, aj + ai - C), min(C, aj + ai)
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        e_diff = (u.item(i) - yi) - (u.item(j) - yj)
         if eta > 1e-15:
-            aj_new = np.clip(alpha[j] + y[j] * e_diff / eta, lo, hi)
+            aj_new = min(max(aj + yj * e_diff / eta, lo), hi)  # np.clip, signed zeros too
         else:
             # Indefinite direction: evaluate the restricted objective at both ends.
-            aj_new = _endpoint_step(K, y, alpha, u, i, j, lo, hi)
-        ai_new = alpha[i] + s * (alpha[j] - aj_new)
-        di, dj = ai_new - alpha[i], aj_new - alpha[j]
-        if abs(dj) < 1e-14 * (abs(aj_new) + abs(alpha[j]) + 1.0):
+            aj_new = float(_endpoint_step(K, y, alpha, u, i, j, lo, hi))
+        ai_new = ai + s * (aj - aj_new)
+        di, dj = ai_new - ai, aj_new - aj
+        if abs(dj) < 1e-14 * (abs(aj_new) + abs(aj) + 1.0):
             break  # no representable progress on the worst pair
         alpha[i], alpha[j] = ai_new, aj_new
-        u += di * y[i] * K[:, i] + dj * y[j] * K[:, j]
+        for k, a in ((i, ai_new), (j, aj_new)):
+            yk = ys[k]
+            y_up[k] = yk if (yk > 0 and a < C) or (yk < 0 and a > 0) else -np.inf
+            y_low[k] = yk if (yk > 0 and a > 0) or (yk < 0 and a < C) else np.inf
+        # u += di y_i K[:, i] + dj y_j K[:, j], summed in that order.
+        np.multiply(K[:, i], di * yi, out=step_i)
+        np.multiply(K[:, j], dj * yj, out=step_j)
+        step_i += step_j
+        u += step_i
         if objective_history is not None:
             objective_history.append(float(np.sum(alpha) - 0.5 * (alpha * y) @ u))
     else:
@@ -204,64 +219,3 @@ def decide(model: SvmModel, kernel_row) -> tuple[float, int]:
         )
     score = float(np.dot(model.dual_coeffs * model.labels, row) + model.bias)
     return score, (1 if score >= 0.0 else -1)
-
-
-def _project_box_hyperplane(beta: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
-    """Project onto {0 <= a <= C, y . a = 0} by bisection on the multiplier."""
-    span = float(np.max(np.abs(beta))) + C + 1.0
-
-    def constraint(nu):
-        return float(y @ np.clip(beta - nu * y, 0.0, C))
-
-    lo, hi = -span, span
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(beta - ((lo + hi) / 2.0) * y, 0.0, C)
-
-
-def brute_force_qp(
-    gram,
-    labels,
-    box_bound: float,
-    tol: float = 1e-10,
-    max_iterations: int = 500_000,
-) -> SvmModel:
-    """Dense projected-gradient solution of the same dual; validation oracle only.
-
-    Deliberately slow and refused above m = 8.
-    """
-    K = _as_matrix(gram)
-    m = K.shape[0]
-    if m > 8:
-        raise StructuralError("brute-force QP oracle is limited to m <= 8")
-    y = _check_labels(labels, m)
-    C = float(box_bound)
-    if C < 0.0:
-        raise StructuralError("box bound must be non-negative")
-    if C == 0.0:
-        warnings.warn("box bound 0 forces the degenerate all-zero dual solution")
-        alpha = np.zeros(m)
-        return SvmModel(alpha, y, 0.0, np.flatnonzero(alpha > 0), C)
-
-    Q = np.outer(y, y) * K
-    step = 1.0 / max(float(np.max(np.abs(np.linalg.eigvalsh(Q)))), 1e-12)
-    alpha = np.zeros(m)
-    for _ in range(max_iterations):
-        grad = 1.0 - Q @ alpha
-        alpha_new = _project_box_hyperplane(alpha + step * grad, y, C)
-        alpha = alpha_new
-        if kkt_gap(K, y, alpha, C) <= tol:
-            break
-    else:
-        warnings.warn("projected gradient hit the iteration cap before reaching tol")
-
-    alpha = alpha.copy()
-    alpha[alpha < _ALPHA_SNAP] = 0.0
-    alpha[alpha > C - _ALPHA_SNAP] = C
-    u = K @ (alpha * y)
-    bias = _compute_bias(alpha, y, u, C)
-    return SvmModel(alpha, y, bias, np.flatnonzero(alpha > 0.0), C)

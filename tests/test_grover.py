@@ -69,6 +69,27 @@ class TestIndicatorOracle:
         sim.run_from_zero(circuit)
         assert oracle.query_count == k
 
+    def test_shared_search_gates_bill_every_application(self):
+        # The search lists one oracle gate and one diffusion gate k times each.
+        oracle = IndicatorOracle(64, 37)
+        k = optimal_iterations(64)
+        circuit = search_circuit(oracle, k)
+        for kind in (sim.PHASE_ORACLE, sim.DIFFUSION):
+            gates = [g for g in circuit.gates if g.kind == kind]
+            assert len(gates) == k and len({id(g) for g in gates}) == 1
+        state = sim.run_from_zero(circuit)
+        assert oracle.query_count == k
+        probs = sim.register_probabilities(state, range(6))
+        assert probs[37] == pytest.approx(theoretical_success_probability(64), abs=1e-12)
+
+    def test_shared_billing_gate_bills_2k(self):
+        oracle = IndicatorOracle(64, 37)
+        circuit = feature_map_circuit(oracle, 4)
+        billing = [g for g in circuit.gates if g.kind == sim.PHASE_ORACLE]
+        assert len({id(g) for g in billing}) == 1
+        sim.run_from_zero(circuit)
+        assert oracle.query_count == len(billing) == 2 * optimal_iterations(64)
+
     def test_size_validation(self):
         with pytest.raises(UnsupportedSizeError):
             IndicatorOracle(2, 0)

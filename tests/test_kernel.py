@@ -138,6 +138,10 @@ class TestKernelSampled:
             assert kernel_sampled(1.0, 7, seed) == 1.0
             assert kernel_sampled(0.0, 7, seed) == 0.0
 
+    def test_negative_seed_is_a_structural_error(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            kernel_sampled(0.5, 4, -1)
+
     def test_variance_matches_binomial(self):
         R = 100
         draws = np.array([kernel_sampled(0.5, R, 1000 + i) for i in range(20_000)])

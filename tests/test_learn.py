@@ -182,6 +182,22 @@ class TestClassicalBound:
             assert label == -1
             assert ledger.classical_evaluations == 0
 
+    def test_full_budget_probes_the_region_without_a_draw(self):
+        # The probe set is the whole +1 region, as the full draw's set was; the
+        # generator is left untouched.
+        N, start = 64, 9
+        region = np.arange(start, start + N // 2)
+        drawn = set(np.random.default_rng(3).choice(region, size=region.size, replace=False))
+        assert drawn == set(region)
+        for budget in (N // 2, N // 2 + 5, N):
+            for marked in range(N):
+                rng = np.random.default_rng(3)
+                oracle = IndicatorOracle(N, marked)
+                label, ledger = classical_learner_classify(oracle, start, budget, rng)
+                assert label == (1 if marked in drawn else -1)
+                assert ledger.classical_evaluations == oracle.query_count == N // 2
+                assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
     def test_monte_carlo_respects_bound(self):
         N, trials = 256, 4000
         concept = Concept(0, N)
@@ -195,6 +211,16 @@ class TestClassicalBound:
             bound = classical_accuracy_bound(budget, N)
             sigma = math.sqrt(bound * (1 - bound) / trials)
             assert correct / trials <= bound + 3 * sigma + 1e-12
+
+
+class TestNegativeSeeds:
+    def test_generate_dataset(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            generate_dataset(Concept(0, 64), 8, -1)
+
+    def test_generate_balanced_test(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            generate_balanced_test(Concept(0, 64), 8, np.int64(-5))
 
 
 class TestQuantumKernelLearner:

@@ -10,6 +10,7 @@ from groversvm import sim
 from groversvm.errors import ResourceCapError, StructuralError
 from groversvm.grover import GroverConfig, interval_state_analytic, theoretical_success_probability
 from groversvm.pattern import (
+    _prep_gates,
     TextInstance,
     amplification_rounds_for,
     cyclic_match_locations,
@@ -129,8 +130,23 @@ class TestCyclicShift:
         out = sim.run(circuit.inverse(), sim.run(circuit, state))
         npt.assert_allclose(out.amplitudes, state.amplitudes, atol=1e-10)
 
+    def test_random_instance_negative_seed(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            random_instance(16, "101", 7, -2)
+
 
 class TestMatcherStates:
+    def test_match_circuit_reuses_its_preparation(self):
+        instance = TextInstance("10110010", "110")
+        prep = _prep_gates(instance)
+        gates = match_circuit(instance, rounds=2).gates
+        p = len(prep)
+        assert len(gates) == p + 2 * (2 * p + 2)
+        assert list(gates[:p]) == prep
+        for start in (p, 3 * p + 2):  # flip_good, reversed prep, flip_zero, prep
+            assert all(a is b for a, b in zip(gates[start + 1 : start + 1 + p], gates[p - 1 :: -1]))
+            assert all(a is b for a, b in zip(gates[start + p + 2 : start + 2 * p + 2], gates[:p]))
+
     def test_psi4_zeroes_pattern_register_only_at_match(self):
         # Enumerate the pre-amplification state: the matching shift is the only
         # branch whose pattern register is all zero.

@@ -1,5 +1,6 @@
 """Statevector simulator: gate semantics, norm preservation, measurement statistics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -179,6 +180,92 @@ class TestKernelsAgainstDenseReference:
         npt.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
 
+def swap_gates(num_qubits: int, max_controls: int = 3):
+    """Every X, CNOT and MCX with up to ``max_controls`` controls, on every target."""
+    for target in range(num_qubits):
+        others = [q for q in range(num_qubits) if q != target]
+        for count in range(max_controls + 1):
+            for controls in itertools.combinations(others, count):
+                yield sim.pauli_x(target, controls)
+
+
+def block_registers(num_qubits: int):
+    """The bottom and top blocks of every width, in ascending and descending order."""
+    for width in range(1, num_qubits + 1):
+        for block in (range(width), range(num_qubits - width, num_qubits)):
+            yield tuple(block)
+            yield tuple(reversed(block))
+
+
+class TestGatePlans:
+    """Cached per-shape kernels: exhaustive at 6 qubits, bit for bit where paths differ."""
+
+    def test_every_swap_gate_at_six_qubits(self):
+        state = random_state(6, seed=43)
+        gates = list(swap_gates(6))
+        assert len(gates) == 6 * (1 + 5 + 10 + 10)
+        for gate in gates:
+            expected = dense_operator(gate, 6) @ state.amplitudes
+            npt.assert_array_equal(sim.run(Circuit(6, (gate,)), state).amplitudes, expected)
+
+    def test_diffusion_at_six_qubits(self):
+        state = random_state(6, seed=47)
+        scattered = [(0, 2, 5), (5, 0), (1, 3), (4, 1, 0), (2, 3, 4), (1, 2, 3, 4)]
+        for register in [*block_registers(6), *scattered]:
+            gate = sim.diffusion(register)
+            expected = dense_operator(gate, 6) @ state.amplitudes
+            npt.assert_allclose(sim.apply(state, gate).amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", [6, 12, 14])
+    def test_block_diffusion_matches_mean_over_view_axes(self, num_qubits):
+        # The 2-D reshape sums in the same order as the mean over the (2,)*n axes.
+        psi = random_state(num_qubits, seed=num_qubits).amplitudes
+        view = psi.reshape((2,) * num_qubits)
+        for register in block_registers(num_qubits):
+            axes = tuple(num_qubits - 1 - q for q in register)
+            expected = 2.0 * view.mean(axis=axes, keepdims=True) - view
+            circuit = Circuit(num_qubits, (sim.diffusion(register),))
+            out = sim.run(circuit, StateVector(num_qubits, psi))
+            assert out.amplitudes.tobytes() == expected.reshape(-1).tobytes(), register
+
+    @pytest.mark.parametrize("num_qubits", [6, 12, 17])
+    def test_hadamard_every_qubit_matches_blockwise_butterfly(self, num_qubits):
+        # Short runs are processed as interleaved slices, and a 17-qubit state
+        # one cache row at a time; the bits must not change.
+        state = random_state(num_qubits, seed=53)
+        for q in range(num_qubits):
+            a = state.amplitudes.reshape(-1, 2, 1 << q)
+            expected = np.stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]], axis=1) * (1 / math.sqrt(2))
+            out = sim.apply(state, sim.hadamard(q)).amplitudes
+            assert out.tobytes() == expected.reshape(-1).tobytes(), q
+            if num_qubits == 6:
+                npt.assert_allclose(out, dense_operator(sim.hadamard(q), 6) @ state.amplitudes,
+                                    atol=1e-12)
+
+    def test_phase_oracle_on_the_whole_register_in_order(self):
+        state = random_state(6, seed=59)
+        for marked in ([0], [63], [5, 17, 40]):
+            gate = sim.phase_oracle(range(6), lambda v, marked=marked: np.isin(v, marked))
+            expected = state.amplitudes.copy()
+            expected[marked] *= -1
+            npt.assert_array_equal(sim.apply(state, gate).amplitudes, expected)
+
+    def test_predicate_gets_one_read_only_range_per_width(self):
+        seen = []
+
+        def predicate(values):
+            seen.append(values)
+            return values == 3
+
+        gates = (sim.phase_oracle([0, 2], predicate), sim.phase_oracle([3, 1], predicate))
+        sim.run(Circuit(4, gates), StateVector.zero(4))
+        assert seen[0] is seen[1]
+        npt.assert_array_equal(seen[0], np.arange(4))
+        assert not seen[0].flags.writeable
+        with pytest.raises(ValueError):
+            seen[0][0] = 1
+
+
 class TestRunBuffer:
     def test_initial_unchanged_and_unshared(self):
         state = random_state(4, seed=41)
@@ -297,6 +384,11 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(StructuralError):
             sim.sample_measurement(StateVector.zero(1), [0], 0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed_is_a_structural_error(self, seed):
+        with pytest.raises(StructuralError, match="non-negative"):
+            sim.sample_measurement(StateVector.zero(2), range(2), 1, seed)
 
     def test_seed_determinism(self):
         state = random_state(3, seed=29)

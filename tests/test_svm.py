@@ -1,4 +1,6 @@
-"""SVM dual solver: analytic cases, the brute-force QP oracle, and KKT invariants."""
+"""SVM dual solver: analytic cases, QP oracle, KKT invariants, and the reference loop."""
+
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +9,10 @@ import pytest
 from groversvm.errors import ContractViolationError, DegenerateProblemError, StructuralError
 from groversvm.grover import IndicatorOracle
 from groversvm.kernel import KernelMode, gram_matrix
-from groversvm.svm import brute_force_qp, decide, dual_objective, kkt_gap, train
+from groversvm.learn import Concept, generate_dataset
+from groversvm import svm
+from groversvm.svm import decide, dual_objective, kkt_gap, train
+from svm_reference import brute_force_qp, train_reference
 
 
 def random_instance(rng, size=None, N=64, M=8):
@@ -201,3 +206,76 @@ class TestValidation:
     def test_bad_labels_rejected(self):
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, 2], box_bound=1.0)
+
+
+def gram_case(kind: str, m: int, seed: int):
+    """A training problem whose Gram matrix is dense PSD, exact interval or shot-sampled."""
+    if kind == "psd":
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(m, 3))
+        labels = np.where(X @ [1.0, -0.5, 0.25] + 0.3 * rng.normal(size=m) > 0, 1, -1)
+        return X @ X.T, labels
+    N = 16 * m
+    data = generate_dataset(Concept(int(seed) % N, N), m, seed)
+    mode = KernelMode.exact() if kind == "exact" else KernelMode.sampled(4)
+    return gram_matrix(data.oracles, N // 4, mode, rng_seed=seed).entries, data.labels
+
+
+def assert_same_run(K, y, C, **kwargs):
+    """``train`` and the reference loop give the same bits; returns the history length."""
+    history, reference_history = [], []
+    model = train(K, y, C, objective_history=history, **kwargs)
+    reference = train_reference(K, y, C, objective_history=reference_history, **kwargs)
+    assert np.array_equal(model.dual_coeffs, reference.dual_coeffs)
+    assert np.array_equal(model.support_indices, reference.support_indices)
+    assert model.bias == reference.bias
+    assert history == reference_history
+    return len(history)
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("m", [8, 128, 512])
+    @pytest.mark.parametrize("kind", ["psd", "exact", "sampled"])
+    def test_same_bits(self, kind, m):
+        K, y = gram_case(kind, m, seed=m + 3)
+        if kind == "sampled":
+            assert np.linalg.eigvalsh(K)[0] < 0  # genuinely indefinite input
+        for C in (1.0, 100.0):
+            assert assert_same_run(K, y, C) > 0
+
+    def test_endpoint_step_path(self, monkeypatch):
+        # Shot-sampled kernels of 1 off the diagonal give eta = 0 for that pair.
+        calls = []
+        endpoint_step = svm._endpoint_step
+        monkeypatch.setattr(
+            svm, "_endpoint_step", lambda *args: calls.append(args[5]) or endpoint_step(*args)
+        )
+        for seed in range(4):
+            K, y = gram_case("sampled", 32, seed)
+            assert_same_run(K, y, 100.0)
+        assert calls
+
+    def test_iteration_cap_warns_on_both_sides(self):
+        K, y = gram_case("exact", 128, seed=5)
+        history, reference_history = [], []
+        with pytest.warns(UserWarning, match="iteration cap"):
+            model = train(K, y, 1.0, max_iterations=7, objective_history=history)
+        with pytest.warns(UserWarning, match="iteration cap"):
+            reference = train_reference(K, y, 1.0, max_iterations=7,
+                                        objective_history=reference_history)
+        assert len(history) == 7
+        assert history == reference_history
+        assert np.array_equal(model.dual_coeffs, reference.dual_coeffs)
+        assert model.bias == reference.bias
+
+    def test_no_progress_stop(self):
+        # Concept(5, 256), m=32, R=4, C=100, seed 12 stops on the no-progress
+        # rule, far from the KKT tolerance and well below the iteration cap.
+        data = generate_dataset(Concept(5, 256), 32, 12)
+        K = gram_matrix(data.oracles, 32, KernelMode.sampled(4), rng_seed=12).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # neither side may reach the cap
+            steps = assert_same_run(K, data.labels, 100.0)
+        model = train(K, data.labels, 100.0)
+        assert steps < 400 * 32
+        assert kkt_gap(K, data.labels, model.dual_coeffs, 100.0) > 1e-3
