@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,50 +56,63 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise ValueError(value)
+    return number
+
+
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in value.split(",") if part.strip())
+
+
+# (parse, description) of a key's text form; a ValueError names the description.
+_TEXT = (str, "text")
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_SEED = (_non_negative_int, "a non-negative integer")
+_INT_LIST = (_int_list, "comma-separated integers")
+
+
+def _key(default, parser=_TEXT, choices=None):
+    """A config key: its default, its parser and, when restricted, its allowed values."""
+    return field(default=default, metadata={"parser": parser, "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    problem: str = "indicator"
-    domain_size: int = 1024
-    interval_width: str = "auto"
-    train_size: int = 16
-    shots: str = "auto"
-    box_bound: float = 100.0
-    backend: str = "ideal"
-    learner: str = "quantum_kernel"
-    trials: int = 10
-    seed: int | None = None
-    concept_start: str = "random"
-    test_size: int = 200
-    budget: str = "auto"
-    domain_sizes: str = ""
-    pattern: str = "110"
-    label_rule: str = "halfspace"
+    problem: str = _key("indicator", choices=("indicator", "pattern"))
+    domain_size: int = _key(1024, _INT)
+    interval_width: str = _key("auto")
+    train_size: int = _key(16, _INT)
+    shots: str = _key("auto")
+    box_bound: float = _key(100.0, _FLOAT)
+    backend: str = _key("ideal", choices=("ideal", "faithful"))
+    learner: str = _key("quantum_kernel", choices=LEARNER_KINDS)
+    trials: int = _key(10, _INT)
+    seed: int | None = _key(None, _SEED)
+    concept_start: str = _key("random")
+    test_size: int = _key(200, _INT)
+    budget: str = _key("auto")
+    domain_sizes: tuple[int, ...] = _key((), _INT_LIST)
+    pattern: str = _key("110")
+    label_rule: str = _key("halfspace", choices=("halfspace", "log_width"))
 
 
-_INT_KEYS = {"domain_size", "train_size", "trials", "seed", "test_size"}
-_FLOAT_KEYS = {"box_bound"}
-_CHOICE_KEYS = {
-    "problem": ("indicator", "pattern"),
-    "backend": ("ideal", "faithful"),
-    "learner": LEARNER_KINDS,
-    "label_rule": ("halfspace", "log_width"),
-}
+_CONFIG_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, value: str):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from exc
-    if key in _CHOICE_KEYS and value not in _CHOICE_KEYS[key]:
-        raise ConfigError(f"{key} must be one of {_CHOICE_KEYS[key]}, got {value!r}")
-    return value
+    meta = _CONFIG_KEYS[key]
+    parse, description = meta["parser"]
+    try:
+        parsed = parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be {description}, got {value!r}") from exc
+    if meta["choices"] and parsed not in meta["choices"]:
+        raise ConfigError(f"{key} must be one of {meta['choices']}, got {value!r}")
+    return parsed
 
 
 def parse_config_file(path: str) -> dict:
@@ -117,7 +130,6 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(file_pairs: dict, set_pairs: list[str], flag_overrides: dict) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
     config = ExperimentConfig()
     merged: dict[str, str] = dict(file_pairs)
     for item in set_pairs or []:
@@ -126,7 +138,7 @@ def build_config(file_pairs: dict, set_pairs: list[str], flag_overrides: dict) -
         key, value = (part.strip() for part in item.split("=", 1))
         merged[key] = value
     for key, value in merged.items():
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(config, key, _coerce(key, value))
     for key, value in flag_overrides.items():
@@ -163,24 +175,8 @@ class ResolvedConfig:
     label_rule: str
 
     def as_pairs(self) -> list[tuple[str, str]]:
-        values = [
-            ("problem", self.problem),
-            ("domain_size", self.domain_size),
-            ("interval_width", self.interval_width),
-            ("train_size", self.train_size),
-            ("shots", self.shots),
-            ("box_bound", f"{self.box_bound:g}"),
-            ("backend", self.backend),
-            ("learner", self.learner),
-            ("trials", self.trials),
-            ("seed", self.seed),
-            ("concept_start", self.concept_start),
-            ("test_size", self.test_size),
-            ("budget", self.budget),
-            ("pattern", self.pattern),
-            ("label_rule", self.label_rule),
-        ]
-        return [(key, str(value)) for key, value in values]
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [(key, f"{v:g}" if isinstance(v, float) else str(v)) for key, v in values]
 
 
 def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
@@ -220,27 +216,16 @@ def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
         raise ConfigError("trials must be >= 1 and test_size an even number >= 2")
     if any(ch not in "01" for ch in config.pattern) or not config.pattern:
         raise ConfigError("pattern must be a nonempty binary string")
+    resolved = dict(domain_size=N, interval_width=M, train_size=m, shots=R, budget=X,
+                    box_bound=float(config.box_bound), seed=_coerce("seed", str(config.seed)),
+                    concept_start=str(config.concept_start))
     return ResolvedConfig(
-        problem=config.problem,
-        domain_size=N,
-        interval_width=M,
-        train_size=m,
-        shots=R,
-        box_bound=float(config.box_bound),
-        backend=config.backend,
-        learner=config.learner,
-        trials=config.trials,
-        seed=int(config.seed),
-        concept_start=str(config.concept_start),
-        test_size=config.test_size,
-        budget=X,
-        pattern=config.pattern,
-        label_rule=config.label_rule,
+        **{f.name: resolved.get(f.name, getattr(config, f.name)) for f in fields(ResolvedConfig)}
     )
 
 
 def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence([p & 0xFFFFFFFF for p in parts]).generate_state(1)[0])
+    return int(np.random.SeedSequence([sim.seed32(p) for p in parts]).generate_state(1)[0])
 
 
 def _concept_for_trial(resolved: ResolvedConfig, trial: int) -> Concept:
@@ -321,20 +306,85 @@ def _run_trials(resolved: ResolvedConfig) -> list[dict]:
     return sorted(records, key=lambda rec: rec["trial"])
 
 
+# Report and CSV trial columns in order, with the type read_report parses each into.
+_TRIAL_COLUMNS = (
+    ("trial", int),
+    ("status", str),
+    ("accuracy", float),
+    ("support_count", int),
+    ("oracle_queries", int),
+    ("shots", int),
+    ("classical_evaluations", int),
+)
+
+
+def _trial_cells(rec: dict) -> list[str]:
+    """A trial's cells; a failed trial shows its status prefix, nan and zero counts."""
+    if rec["status"] != "ok":
+        status = rec["status"].split(":", 1)[0]
+        failed = {"trial": rec["trial"], "status": status, "accuracy": math.nan}
+        rec = {n: 0 for n, _ in _TRIAL_COLUMNS} | failed
+    return [f"{rec[n]:.6f}" if kind is float else str(rec[n]) for n, kind in _TRIAL_COLUMNS]
+
+
+def _parse_trial(line: str) -> dict:
+    cells = line.split()
+    if len(cells) != len(_TRIAL_COLUMNS):
+        raise StructuralError(f"trial row needs {len(_TRIAL_COLUMNS)} columns: {line!r}")
+    try:
+        return {name: kind(cell) for (name, kind), cell in zip(_TRIAL_COLUMNS, cells)}
+    except ValueError as exc:
+        raise StructuralError(f"malformed trial row {line!r}") from exc
+
+
+def _header(schema: str) -> list[str]:
+    return [f"schema {schema}", f"artifact_version {__version__}"]
+
+
+def _read_sections(path: str, schema: str) -> dict:
+    """Check the schema line; map each ``[section]`` (None before the first) to its lines."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines or not lines[0].startswith("schema "):
+        raise StructuralError("missing schema line")
+    found = lines[0].split(" ", 1)[1]
+    if found != schema:
+        kind = schema.split("/")[0].removeprefix("groversvm-")
+        raise StructuralError(f"unsupported {kind} schema {found!r}")
+    sections: dict = {None: []}
+    current = sections[None]
+    for line in lines[1:]:
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), [])
+        elif line and not line.startswith("#"):
+            current.append(line)
+    return sections
+
+
+def _key_values(lines: list[str]) -> dict:
+    pairs = {}
+    for line in lines:
+        key, sep, value = line.partition(" ")
+        if not sep:
+            raise StructuralError(f"expected 'key value', got {line!r}")
+        pairs[key] = value
+    return pairs
+
+
+def _emit(payload: str, out_path: str | None) -> None:
+    sys.stdout.write(payload)
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+
+
 def format_run_report(resolved: ResolvedConfig, records: list[dict]) -> str:
-    lines = [f"schema {REPORT_SCHEMA}", f"artifact_version {__version__}", "[config]"]
+    lines = _header(REPORT_SCHEMA) + ["[config]"]
     lines.extend(f"{key} {value}" for key, value in resolved.as_pairs())
     lines.append("[trials]")
-    lines.append("# trial status accuracy support_count oracle_queries shots classical_evaluations")
+    lines.append("# " + " ".join(name for name, _ in _TRIAL_COLUMNS))
+    lines.extend(" ".join(_trial_cells(rec)) for rec in records)
     ok = [rec for rec in records if rec["status"] == "ok"]
-    for rec in records:
-        if rec["status"] == "ok":
-            lines.append(
-                f"{rec['trial']} ok {rec['accuracy']:.6f} {rec['support_count']} "
-                f"{rec['oracle_queries']} {rec['shots']} {rec['classical_evaluations']}"
-            )
-        else:
-            lines.append(f"{rec['trial']} {rec['status'].split(':', 1)[0]} nan 0 0 0 0")
     lines.append("[summary]")
     lines.append(f"trials {len(records)}")
     lines.append(f"completed {len(ok)}")
@@ -351,57 +401,20 @@ def format_run_report(resolved: ResolvedConfig, records: list[dict]) -> str:
 
 
 def format_run_csv(records: list[dict]) -> str:
-    lines = ["trial,status,accuracy,support_count,oracle_queries,shots,classical_evaluations"]
-    for rec in records:
-        if rec["status"] == "ok":
-            lines.append(
-                f"{rec['trial']},ok,{rec['accuracy']:.6f},{rec['support_count']},"
-                f"{rec['oracle_queries']},{rec['shots']},{rec['classical_evaluations']}"
-            )
-        else:
-            lines.append(f"{rec['trial']},{rec['status'].split(':', 1)[0]},nan,0,0,0,0")
-    return "\n".join(lines) + "\n"
+    rows = [[name for name, _ in _TRIAL_COLUMNS]] + [_trial_cells(rec) for rec in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def read_report(path: str) -> dict:
-    """Parse a run report, rejecting unknown schema versions."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith("schema "):
-        raise StructuralError("missing schema line")
-    schema = lines[0].split(" ", 1)[1]
-    if schema != REPORT_SCHEMA:
-        raise StructuralError(f"unsupported report schema {schema!r}")
-    report: dict = {"schema": schema, "config": {}, "trials": [], "summary": {}}
-    section = None
-    for line in lines[1:]:
-        if line.startswith("["):
-            section = line.strip("[]")
-            continue
-        if not line or line.startswith("#"):
-            continue
-        if section == "config":
-            key, value = line.split(" ", 1)
-            report["config"][key] = value
-        elif section == "trials":
-            parts = line.split()
-            report["trials"].append(
-                {
-                    "trial": int(parts[0]),
-                    "status": parts[1],
-                    "accuracy": float(parts[2]),
-                    "support_count": int(parts[3]),
-                    "oracle_queries": int(parts[4]),
-                    "shots": int(parts[5]),
-                    "classical_evaluations": int(parts[6]),
-                }
-            )
-        elif section == "summary":
-            key, value = line.split(" ", 1)
-            report["summary"][key] = value
-        elif section is None:
-            key, value = line.split(" ", 1)
-            report[key] = value
+    """Parse a run report, rejecting unknown schema versions and malformed lines."""
+    sections = _read_sections(path, REPORT_SCHEMA)
+    report = {
+        "schema": REPORT_SCHEMA,
+        "config": _key_values(sections.get("config", [])),
+        "trials": [_parse_trial(line) for line in sections.get("trials", [])],
+        "summary": _key_values(sections.get("summary", [])),
+    }
+    report.update(_key_values(sections[None]))
     return report
 
 
@@ -409,11 +422,8 @@ def cmd_run(resolved: ResolvedConfig, out_path: str | None) -> int:
     if resolved.problem != "indicator":
         raise ConfigError("run supports problem=indicator; use pattern-demo for texts")
     records = _run_trials(resolved)
-    report = format_run_report(resolved, records)
-    sys.stdout.write(report)
+    _emit(format_run_report(resolved, records), out_path)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(report)
         with open(out_path + ".csv", "w", encoding="utf-8") as handle:
             handle.write(format_run_csv(records))
     if not any(rec["status"] == "ok" for rec in records):
@@ -422,9 +432,7 @@ def cmd_run(resolved: ResolvedConfig, out_path: str | None) -> int:
 
 
 def format_dataset_indicator(resolved: ResolvedConfig, concept: Concept, dataset) -> str:
-    lines = [
-        f"schema {DATASET_SCHEMA}",
-        f"artifact_version {__version__}",
+    lines = _header(DATASET_SCHEMA) + [
         "problem indicator",
         f"domain_size {resolved.domain_size}",
         f"concept_start {concept.start}",
@@ -438,9 +446,7 @@ def format_dataset_indicator(resolved: ResolvedConfig, concept: Concept, dataset
 
 
 def format_dataset_pattern(resolved: ResolvedConfig, start: int, instances, labels) -> str:
-    lines = [
-        f"schema {DATASET_SCHEMA}",
-        f"artifact_version {__version__}",
+    lines = _header(DATASET_SCHEMA) + [
         "problem pattern",
         f"domain_size {resolved.domain_size}",
         f"pattern {resolved.pattern}",
@@ -457,39 +463,15 @@ def format_dataset_pattern(resolved: ResolvedConfig, start: int, instances, labe
 
 
 def read_dataset(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith("schema "):
-        raise StructuralError("missing schema line")
-    schema = lines[0].split(" ", 1)[1]
-    if schema != DATASET_SCHEMA:
-        raise StructuralError(f"unsupported dataset schema {schema!r}")
-    header: dict = {"schema": schema}
-    rows = []
-    in_data = False
-    for line in lines[1:]:
-        if line == "[data]":
-            in_data = True
-            continue
-        if not line or line.startswith("#"):
-            continue
-        if in_data:
-            rows.append(line.split())
-        else:
-            key, value = line.split(" ", 1)
-            header[key] = value
-    header["rows"] = rows
+    sections = _read_sections(path, DATASET_SCHEMA)
+    header = {"schema": DATASET_SCHEMA, **_key_values(sections[None])}
+    header["rows"] = [line.split() for line in sections.get("data", [])]
     return header
 
 
 def cmd_gen_data(resolved: ResolvedConfig, out_path: str | None) -> int:
-    if resolved.concept_start == "random":
-        rng = np.random.default_rng(_derived_seed(resolved.seed, 0, 11))
-        start = int(rng.integers(0, resolved.domain_size // 2))
-    else:
-        start = int(resolved.concept_start)
+    concept = _concept_for_trial(resolved, 0)
     if resolved.problem == "indicator":
-        concept = Concept(start, resolved.domain_size)
         dataset = generate_dataset(
             concept, resolved.train_size, _derived_seed(resolved.seed, 0, 23)
         )
@@ -504,17 +486,14 @@ def cmd_gen_data(resolved: ResolvedConfig, out_path: str | None) -> int:
             location = int(rng.integers(0, N))
             inst = random_instance(N, resolved.pattern, location, rng)
             instances.append(inst)
-            labels.append(pattern_label(start, inst.location, N, resolved.label_rule))
-        payload = format_dataset_pattern(resolved, start, instances, labels)
-    sys.stdout.write(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            labels.append(pattern_label(concept.start, inst.location, N, resolved.label_rule))
+        payload = format_dataset_pattern(resolved, concept.start, instances, labels)
+    _emit(payload, out_path)
     return EXIT_OK
 
 
 def format_sweep(rows_by_learner: dict, slopes: dict) -> str:
-    lines = [f"schema {SWEEP_SCHEMA}", f"artifact_version {__version__}", "[rows]"]
+    lines = _header(SWEEP_SCHEMA) + ["[rows]"]
     lines.append("learner,domain_size,mean_queries_per_classification,mean_support_count")
     for learner in sorted(rows_by_learner):
         for row in rows_by_learner[learner]:
@@ -532,6 +511,8 @@ def format_sweep(rows_by_learner: dict, slopes: dict) -> str:
 
 def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str | None,
               trials: int, learner: str | None) -> int:
+    if trials < 1:
+        raise ConfigError("sweep trials must be at least 1")
     if len(domain_sizes) < 4:
         raise ConfigError("sweep needs at least 4 domain sizes")
     learners = [learner] if learner else list(LEARNER_KINDS)
@@ -545,12 +526,16 @@ def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str |
             [row.mean_queries_per_classification for row in rows],
         )
         slopes[kind] = (slope, err)
-    payload = format_sweep(rows_by_learner, slopes)
-    sys.stdout.write(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+    _emit(format_sweep(rows_by_learner, slopes), out_path)
     return EXIT_OK
+
+
+def _demo_row(*cells) -> str:
+    """One pattern-demo line: None shows as ``none``, a float with six decimals."""
+    return " ".join(
+        "none" if cell is None else f"{cell:.6f}" if isinstance(cell, float) else str(cell)
+        for cell in cells
+    )
 
 
 def cmd_pattern_demo(
@@ -576,11 +561,10 @@ def cmd_pattern_demo(
             instance = TextInstance(text, pattern)
         except StructuralError:
             any_failure = True
-            loc = "none" if kmp_loc is None else str(kmp_loc)
-            lines.append(
-                f"{i} no-unique-match {loc} nan 0 0 0 {loc} "
-                f"{kmp_ledger.classical_char_comparisons}"
-            )
+            bad_length = len(text) < 2 or not _is_power_of_two(len(text))
+            status = "bad-length" if bad_length else "no-unique-match"
+            comparisons = kmp_ledger.classical_char_comparisons
+            lines.append(_demo_row(i, status, kmp_loc, math.nan, 0, 0, 0, kmp_loc, comparisons))
             continue
         config = GroverConfig(backend=backend if instance.total_qubits <= sim.QUBIT_CAP else "ideal")
         # Measure, verify the candidate classically, retry on a miss.
@@ -593,23 +577,13 @@ def cmd_pattern_demo(
             if np.array_equal(window, instance.pattern):
                 found = candidate
                 break
-        if found is None:
-            any_failure = True
-            lines.append(
-                f"{i} measure-failure none {prob:.6f} {repetitions} "
-                f"{ledger.amplification_rounds} {ledger.gate_steps} "
-                f"{kmp_loc} {kmp_ledger.classical_char_comparisons}"
-            )
-            continue
-        lines.append(
-            f"{i} ok {found} {prob:.6f} {repetitions} {ledger.amplification_rounds} "
-            f"{ledger.gate_steps} {kmp_loc} {kmp_ledger.classical_char_comparisons}"
-        )
-    payload = "\n".join(lines) + "\n"
-    sys.stdout.write(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        any_failure |= found is None
+        lines.append(_demo_row(
+            i, "ok" if found is not None else "measure-failure", found, prob, repetitions,
+            ledger.amplification_rounds, ledger.gate_steps, kmp_loc,
+            kmp_ledger.classical_char_comparisons,
+        ))
+    _emit("\n".join(lines) + "\n", out_path)
     return EXIT_DOMAIN if any_failure else EXIT_OK
 
 
@@ -759,8 +733,8 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest()
         if args.command == "pattern-demo":
-            return cmd_pattern_demo(args.text_file, args.pattern, args.backend,
-                                    args.seed, args.out)
+            seed = _coerce("seed", str(args.seed))
+            return cmd_pattern_demo(args.text_file, args.pattern, args.backend, seed, args.out)
         if args.command == "gen-data":
             resolved = resolve_config(_config_from_args(args))
             return cmd_gen_data(resolved, args.out)
@@ -770,16 +744,11 @@ def main(argv=None) -> int:
             )
             return cmd_run(resolve_config(config), args.out)
         if args.command == "sweep":
-            config = _config_from_args(args, {"learner": None})
-            resolved_sizes = args.domain_sizes
-            if resolved_sizes is None:
-                resolved_sizes = build_config(
-                    parse_config_file(args.config) if args.config else {}, args.set, {}
-                ).domain_sizes
-            if not resolved_sizes:
+            config = _config_from_args(args, {"domain_sizes": args.domain_sizes})
+            if not config.domain_sizes:
                 raise ConfigError("sweep requires --domain-sizes or the domain_sizes key")
-            sizes = [int(part) for part in str(resolved_sizes).split(",") if part.strip()]
-            return cmd_sweep(resolve_config(config), sizes, args.out, args.trials, args.learner)
+            return cmd_sweep(resolve_config(config), list(config.domain_sizes), args.out,
+                             args.trials, args.learner)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,6 +260,27 @@ def grover_block_gates(
     return search_gates(oracle, iterations, register)
 
 
+def _check_interval_width(interval_width: int, domain_size: int) -> int:
+    """The interval width M as an int; it must be a power of two in [1, N)."""
+    M = int(interval_width)
+    if not _is_power_of_two(M) or not 1 <= M < domain_size:
+        raise InvalidIntervalError(
+            f"interval width must be a power of two in [1, {domain_size}), got {M}"
+        )
+    return M
+
+
+def interval_map_gates(register, ancilla, block: list[Gate], interval_width: int) -> list[Gate]:
+    """Interval map around a search ``block`` that writes |t> on ``ancilla``.
+
+    H on the low log2 M register qubits, the block, the adder, then the block
+    reversed to uncompute the ancilla (every gate kind is an involution).
+    """
+    M = _check_interval_width(interval_width, 1 << len(register))
+    hadamards = [sim.hadamard(q) for q in register[: M.bit_length() - 1]]
+    return hadamards + block + adder_gates(register, ancilla) + block[::-1]
+
+
 def feature_map_circuit(
     oracle: IndicatorOracle, interval_width: int, config: GroverConfig | None = None
 ) -> Circuit:
@@ -272,21 +293,10 @@ def feature_map_circuit(
     """
     config = config or GroverConfig()
     n = oracle.num_qubits
-    N = oracle.domain_size
-    M = int(interval_width)
-    if not _is_power_of_two(M) or not 1 <= M < N:
-        raise InvalidIntervalError(
-            f"interval width must be a power of two in [1, {N}), got {M}"
-        )
-    mu = M.bit_length() - 1
-    k = resolve_iterations(N, config)
-    register = tuple(range(n))
     ancilla = tuple(range(n, 2 * n))
-    gates: list[Gate] = [sim.hadamard(q) for q in register[:mu]]
+    k = resolve_iterations(oracle.domain_size, config)
     block = grover_block_gates(oracle, k, ancilla, config.backend)
-    gates.extend(block)
-    gates.extend(adder_gates(register, ancilla))
-    gates.extend(reversed(block))  # all gate kinds are involutions
+    gates = interval_map_gates(tuple(range(n)), ancilla, block, interval_width)
     return Circuit(2 * n, tuple(gates))
 
 
@@ -342,10 +352,7 @@ def multi_marked_ancilla_fidelity(oracle: MultiMarkedOracle, interval_width: int
     """
     N = oracle.domain_size
     n = oracle.num_qubits
-    M = int(interval_width)
-    if not _is_power_of_two(M) or not 1 <= M < N:
-        raise InvalidIntervalError(f"interval width must be a power of two in [1, {N})")
-    mu = M.bit_length() - 1
+    mu = _check_interval_width(interval_width, N).bit_length() - 1
     register = tuple(range(n))
     ancilla = tuple(range(n, 2 * n))
 

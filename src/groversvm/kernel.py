@@ -99,6 +99,13 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     return np.where(d < M, (M - d) / M, 0.0)
 
 
+def _overlap(forward, backward, num_qubits: int, register) -> float:
+    """sqrt(P(register all zero)) after ``forward`` then ``backward`` reversed, from |0...0>."""
+    circuit = sim.Circuit(num_qubits, tuple(forward) + tuple(reversed(backward)))
+    state = sim.run_from_zero(circuit)
+    return math.sqrt(max(0.0, sim.prob_all_zero(state, register)))
+
+
 def kernel_circuit(
     oracle_i: IndicatorOracle,
     oracle_j: IndicatorOracle,
@@ -114,16 +121,13 @@ def kernel_circuit(
     config = config or GroverConfig()
     if oracle_i.domain_size != oracle_j.domain_size:
         raise StructuralError("oracles must share a domain size")
-    n = oracle_i.num_qubits
     _check_interval(int(interval_width), oracle_i.domain_size)
     before = oracle_i.query_count + oracle_j.query_count
     forward = feature_map_circuit(oracle_i, interval_width, config)
-    backward = feature_map_circuit(oracle_j, interval_width, config).inverse()
-    state = sim.run_from_zero(forward)
-    state = sim.run(backward, state)
-    p = max(0.0, sim.prob_all_zero(state, range(n)))
+    backward = feature_map_circuit(oracle_j, interval_width, config)
+    value = _overlap(forward.gates, backward.gates, forward.num_qubits, range(oracle_i.num_qubits))
     queries = (oracle_i.query_count + oracle_j.query_count) - before
-    return math.sqrt(p), QueryLedger(oracle_queries=queries)
+    return value, QueryLedger(oracle_queries=queries)
 
 
 def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:

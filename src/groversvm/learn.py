@@ -32,7 +32,7 @@ from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, grover_search, resolve_iterations
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled
 from .ledger import QueryLedger
-from .sim import StateVector, as_rng
+from .sim import StateVector, as_rng, seed32
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -301,7 +301,7 @@ def quantum_kernel_learner(
     rows[:, support] = kernel_exact_many(
         test_marked[:, None], train_marked[support][None, :], interval_width, N
     )
-    stream_seed = int(rng_seed) & 0xFFFFFFFF
+    stream_seed = seed32(rng_seed)
     for t_idx, sv in zip(*np.nonzero(rows)):
         stream = np.random.SeedSequence([stream_seed, _TEST_STREAM_TAG, int(t_idx), int(sv)])
         rows[t_idx, sv] = kernel_sampled(rows[t_idx, sv], shots, np.random.default_rng(stream))
@@ -332,7 +332,7 @@ def preprocessing_learner(
     config = config or GroverConfig()
     N = train.concept.domain_size
     m = train.size
-    seeds = np.random.SeedSequence(int(rng_seed) & 0xFFFFFFFF).spawn(m + len(test_oracles))
+    seeds = np.random.SeedSequence(seed32(rng_seed)).spawn(m + len(test_oracles))
 
     train_ledger = QueryLedger()
     recovered = np.empty(m, dtype=np.int64)
@@ -357,7 +357,7 @@ def classical_learner(
     concept: Concept, test_oracles, budget: int, rng_seed
 ) -> LearnerResult:
     """Brute-force baseline applied to every test oracle (threshold known for free)."""
-    seeds = np.random.SeedSequence(int(rng_seed) & 0xFFFFFFFF).spawn(len(test_oracles))
+    seeds = np.random.SeedSequence(seed32(rng_seed)).spawn(len(test_oracles))
     infer_ledger = QueryLedger()
     predictions = np.empty(len(test_oracles), dtype=np.int64)
     for t_idx, oracle in enumerate(test_oracles):
@@ -413,6 +413,7 @@ def complexity_sweep(
     for N in domain_sizes:
         if not _is_power_of_two(N) or N < 8:
             raise StructuralError("sweep domain sizes must be powers of two, at least 8")
+    seed = seed32(rng_seed)
     config = config or GroverConfig(backend="ideal")
     rows = []
     for N in domain_sizes:
@@ -421,16 +422,12 @@ def complexity_sweep(
         queries = []
         supports = []
         for trial in range(trials):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([int(rng_seed) & 0xFFFFFFFF, N, trial])
-            )
+            rng = np.random.default_rng(np.random.SeedSequence([seed, N, trial]))
             test_marked = rng.integers(0, N, size=test_points)
             test_oracles = [IndicatorOracle(N, int(v)) for v in test_marked]
             # Learner streams depend on (seed, trial) but not N, so sampled
             # Gram noise is identical across domain sizes at a matched trial.
-            learner_seed = int(
-                np.random.SeedSequence([int(rng_seed) & 0xFFFFFFFF, trial]).generate_state(1)[0]
-            )
+            learner_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
             if learner == "quantum_kernel":
                 result = quantum_kernel_learner(
                     dataset, test_oracles, interval, shots, box_bound, config,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIntervalError, StructuralError
-from .grover import GroverConfig, adder_gates, interval_state_analytic
-from .kernel import kernel_exact
+from .errors import StructuralError
+from .grover import GroverConfig, _is_power_of_two, interval_map_gates, interval_state_analytic
+from .kernel import _overlap, kernel_exact
 from . import sim
 from .sim import Circuit, Gate, StateVector
 
@@ -86,7 +86,7 @@ class TextInstance:
     def __post_init__(self):
         text = _as_bits(self.text)
         pattern = _as_bits(self.pattern)
-        if text.size < 2 or (text.size & (text.size - 1)) != 0:
+        if text.size < 2 or not _is_power_of_two(text.size):
             raise StructuralError("text length must be a power of two, at least 2")
         if not 1 <= pattern.size <= text.size:
             raise StructuralError("pattern length must lie in [1, len(text)]")
@@ -188,7 +188,7 @@ def cyclic_shift_gates(index_qubits, text_qubits) -> list[Gate]:
 def cyclic_shift_circuit(text_length: int) -> Circuit:
     """Index-controlled cyclic shift on n + N qubits (index first, then text)."""
     N = int(text_length)
-    if N < 2 or (N & (N - 1)) != 0:
+    if N < 2 or not _is_power_of_two(N):
         raise StructuralError("text length must be a power of two, at least 2")
     n = N.bit_length() - 1
     index = tuple(range(n))
@@ -215,6 +215,16 @@ def pattern_symbolic_steps(text_length: int, pattern_length: int) -> int:
     zero_flip = max(1, math.ceil(math.log2(n + N + L))) + 1
     rounds = amplification_rounds_for(N)
     return prep + rounds * (good_flip + 2 * prep + zero_flip)
+
+
+def _ledger(instance: TextInstance, config: GroverConfig) -> PatternLedger:
+    """Cost of one matcher run: the override or the default round count, and its steps."""
+    N = instance.text_length
+    rounds = config.iterations if config.iterations is not None else amplification_rounds_for(N)
+    return PatternLedger(
+        gate_steps=pattern_symbolic_steps(N, instance.pattern_length),
+        amplification_rounds=rounds,
+    )
 
 
 def _prep_gates(instance: TextInstance, offset: int = 0) -> list[Gate]:
@@ -264,16 +274,10 @@ def pattern_match(
     circuit would achieve.
     """
     config = config or GroverConfig()
-    N = instance.text_length
-    rounds = (
-        config.iterations if config.iterations is not None else amplification_rounds_for(N)
-    )
-    ledger = PatternLedger(
-        gate_steps=pattern_symbolic_steps(N, instance.pattern_length),
-        amplification_rounds=rounds,
-    )
-    theta = math.asin(math.sqrt(1.0 / N))
+    ledger = _ledger(instance, config)
+    rounds = ledger.amplification_rounds
     if config.backend == "ideal":
+        theta = math.asin(math.sqrt(1.0 / instance.text_length))
         success = math.sin((2 * rounds + 1) * theta) ** 2
         return instance.location, success, ledger
     state = sim.run_from_zero(match_circuit(instance, rounds))
@@ -318,23 +322,10 @@ def feature_map_gates(
     """
     config = config or GroverConfig()
     n = instance.index_qubits
-    N = instance.text_length
-    M = int(interval_width)
-    if M < 1 or (M & (M - 1)) != 0 or M >= N:
-        raise InvalidIntervalError(f"interval width must be a power of two in [1, {N})")
-    total = n + instance.total_qubits
-    mu = M.bit_length() - 1
-    rounds = (
-        config.iterations if config.iterations is not None else amplification_rounds_for(N)
-    )
-    upper = tuple(range(n))
-    ancilla_index = tuple(range(n, 2 * n))
+    rounds = _ledger(instance, config).amplification_rounds
     block = _pattern_block_gates(instance, rounds, config.backend, offset=n)
-    gates: list[Gate] = [sim.hadamard(q) for q in upper[:mu]]
-    gates.extend(block)
-    gates.extend(adder_gates(upper, ancilla_index))
-    gates.extend(reversed(block))
-    return gates, total
+    gates = interval_map_gates(tuple(range(n)), tuple(range(n, 2 * n)), block, interval_width)
+    return gates, n + instance.total_qubits
 
 
 def pattern_feature_map(
@@ -351,17 +342,10 @@ def pattern_feature_map(
     the symbolic step count the circuit would have used.
     """
     config = config or GroverConfig()
-    N = instance.text_length
-    L = instance.pattern_length
     n = instance.index_qubits
-    rounds = (
-        config.iterations if config.iterations is not None else amplification_rounds_for(N)
-    )
-    ledger = PatternLedger(
-        gate_steps=pattern_symbolic_steps(N, L), amplification_rounds=rounds
-    )
+    ledger = _ledger(instance, config)
     if mode == "analytic":
-        register = interval_state_analytic(instance.location, interval_width, N)
+        register = interval_state_analytic(instance.location, interval_width, instance.text_length)
         return FeatureMapOutcome(register, 1.0, ledger)
     if mode != "circuit":
         raise StructuralError("mode must be 'circuit' or 'analytic'")
@@ -403,11 +387,7 @@ def pattern_kernel(
     backward, total_b = feature_map_gates(b, interval_width, config)
     if total != total_b:
         raise StructuralError("instances disagree on circuit width")
-    circuit = Circuit(total, tuple(forward) + tuple(reversed(backward)))
-    state = sim.run_from_zero(circuit)
-    n = a.index_qubits
-    p = max(0.0, sim.prob_all_zero(state, range(n)))
-    return math.sqrt(p)
+    return _overlap(forward, backward, total, range(a.index_qubits))
 
 
 def kmp_search(text, pattern) -> tuple[int | None, PatternLedger]:

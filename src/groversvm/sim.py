@@ -59,6 +59,14 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def seed32(seed) -> int:
+    """A non-negative integer seed reduced to its low 32 bits, for SeedSequence entropy."""
+    value = int(seed)
+    if value < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
+    return value & 0xFFFFFFFF
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over ``2**num_qubits`` basis states."""

@@ -194,6 +194,26 @@ class TestSweepCommand:
         capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
 
+    def test_non_integer_size_invalid(self, capsys):
+        code = cli.main(["sweep", "--seed", "1", "--domain-sizes", "16,32,64,abc"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "domain_sizes must be comma-separated integers" in captured.err
+
+    def test_flag_sizes_beat_config_key(self, capsys):
+        code = cli.main(["sweep", "--seed", "1", "--set", "domain_sizes=16,32",
+                         "--domain-sizes", "16,32,64,128", "--learner", "classical"])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+
+    def test_zero_trials_invalid(self, capsys):
+        code = cli.main(
+            ["sweep", "--seed", "1", "--domain-sizes", "16,32,64,128", "--trials", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert captured.out == ""
+
 
 class TestPatternDemo:
     def test_match_report(self, tmp_path, capsys):
@@ -215,6 +235,14 @@ class TestPatternDemo:
         code = cli.main(["pattern-demo", texts, "--pattern", "11"])
         capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
+
+    def test_length_not_power_of_two(self, tmp_path, capsys):
+        texts = write(tmp_path / "texts.txt", "1011001\n10110010\n")
+        code = cli.main(["pattern-demo", texts, "--pattern", "110"])
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert code == cli.EXIT_DOMAIN
+        assert rows[0] == "0 bad-length 2 nan 0 0 0 2 9"
+        assert rows[1].split()[1] == "ok"
 
     def test_pattern_equals_text(self, tmp_path, capsys):
         texts = write(tmp_path / "texts.txt", "10110010\n")
@@ -240,6 +268,48 @@ class TestSchemas:
         path = write(tmp_path / "d.txt", "schema other/1\n")
         with pytest.raises(StructuralError):
             cli.read_dataset(path)
+
+    @pytest.mark.parametrize("row", ["0 ok 0.5", "0 ok 0.5 1 2 3 4 5", "0 ok high 1 2 3 4"])
+    def test_malformed_trial_row_rejected(self, tmp_path, row):
+        path = write(tmp_path / "r.rpt", f"schema {cli.REPORT_SCHEMA}\n[trials]\n{row}\n")
+        with pytest.raises(StructuralError):
+            cli.read_report(path)
+
+    def test_config_line_without_value_rejected(self, tmp_path):
+        path = write(tmp_path / "r.rpt", f"schema {cli.REPORT_SCHEMA}\n[config]\nseed\n")
+        with pytest.raises(StructuralError):
+            cli.read_report(path)
+
+    def test_dataset_header_without_value_rejected(self, tmp_path):
+        path = write(tmp_path / "d.txt", f"schema {cli.DATASET_SCHEMA}\nproblem\n[data]\n")
+        with pytest.raises(StructuralError):
+            cli.read_dataset(path)
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        RUN_ARGS[:1] + ["--seed", "-1"] + RUN_ARGS[3:],
+        RUN_ARGS[:1] + RUN_ARGS[3:] + ["--set", "seed=-1"],
+        ["gen-data", "--seed", "-1", "--set", "domain_size=16"],
+        ["sweep", "--seed", "-1", "--domain-sizes", "16,32,64,128"],
+    ])
+    def test_config_commands_reject_before_work(self, tmp_path, capsys, argv):
+        out = tmp_path / "artifact"
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("backend", ["ideal", "faithful"])
+    def test_pattern_demo_rejects_before_work(self, tmp_path, capsys, backend):
+        texts = write(tmp_path / "texts.txt", "10110010\n")
+        code = cli.main(["pattern-demo", texts, "--pattern", "110", "--backend", backend,
+                         "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
 
 
 class TestSelftest:

@@ -222,6 +222,29 @@ class TestNegativeSeeds:
         with pytest.raises(StructuralError, match="non-negative"):
             generate_balanced_test(Concept(0, 64), 8, np.int64(-5))
 
+    def test_preprocessing_learner_before_any_search(self):
+        dataset = generate_dataset(Concept(0, 64), 8, rng_seed=1)
+        test_oracle = IndicatorOracle(64, 5)
+        with pytest.raises(StructuralError, match="non-negative"):
+            preprocessing_learner(dataset, [test_oracle], 4, 10.0, rng_seed=-1)
+        assert [o.query_count for o in dataset.oracles + [test_oracle]] == [0] * 9
+
+    def test_classical_learner_before_any_probe(self):
+        test_oracle = IndicatorOracle(64, 5)
+        with pytest.raises(StructuralError, match="non-negative"):
+            classical_learner(Concept(0, 64), [test_oracle], 32, np.int64(-1))
+        assert test_oracle.query_count == 0
+
+    def test_complexity_sweep(self):
+        with pytest.raises(StructuralError, match="non-negative"):
+            complexity_sweep("classical", [16, 32, 64, 128], 1, rng_seed=-1)
+
+    @pytest.mark.parametrize("learner", ["classical", "preprocessing"])
+    def test_seeds_reduce_to_32_bits(self, learner):
+        sizes = [16, 32, 64, 128]
+        low, high = (complexity_sweep(learner, sizes, 2, seed) for seed in (7, 7 + 2**32))
+        assert low == high
+
 
 class TestQuantumKernelLearner:
     def test_per_test_point_query_cost(self):
