@@ -45,6 +45,8 @@ EXIT_INVALID_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 
+SWEEP_TRIALS = 3  # sweep's trials per size when neither --trials nor the trials key is given
+
 REPORT_SCHEMA = "groversvm-report/1"
 DATASET_SCHEMA = "groversvm-dataset/1"
 SWEEP_SCHEMA = "groversvm-sweep/1"
@@ -129,8 +131,12 @@ def parse_config_file(path: str) -> dict:
     return pairs
 
 
-def build_config(file_pairs: dict, set_pairs: list[str], flag_overrides: dict) -> ExperimentConfig:
-    config = ExperimentConfig()
+def build_config(
+    file_pairs: dict, set_pairs: list[str], flag_overrides: dict,
+    config: ExperimentConfig | None = None,
+) -> ExperimentConfig:
+    """Apply file pairs, then ``--set`` pairs, then flags to ``config`` (the defaults if None)."""
+    config = config or ExperimentConfig()
     merged: dict[str, str] = dict(file_pairs)
     for item in set_pairs or []:
         if "=" not in item:
@@ -431,6 +437,43 @@ def cmd_run(resolved: ResolvedConfig, out_path: str | None) -> int:
     return EXIT_OK
 
 
+def _index_cell(cell: str, N: int) -> bool:
+    return 0 <= int(cell) < N
+
+
+def _label_cell(cell: str, N: int) -> bool:
+    return cell in ("+1", "-1")
+
+
+# Dataset data columns per problem, each with the check read_dataset applies
+# to its cell given the domain size N; a check may also raise ValueError.
+_DATASET_COLUMNS = {
+    "indicator": (("marked_index", _index_cell), ("label", _label_cell)),
+    "pattern": (
+        ("text", lambda cell, N: set(cell) <= {"0", "1"}),
+        ("location", _index_cell),
+        ("label", _label_cell),
+    ),
+}
+
+
+def _dataset_comment(problem: str) -> str:
+    return "# " + " ".join(name for name, _ in _DATASET_COLUMNS[problem])
+
+
+def _check_data_row(line: str, columns, domain_size: int) -> list[str]:
+    cells = line.split()
+    if len(cells) != len(columns):
+        raise StructuralError(f"data row needs {len(columns)} columns: {line!r}")
+    try:
+        ok = all(check(cell, domain_size) for (_, check), cell in zip(columns, cells))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise StructuralError(f"malformed data row {line!r}")
+    return cells
+
+
 def format_dataset_indicator(resolved: ResolvedConfig, concept: Concept, dataset) -> str:
     lines = _header(DATASET_SCHEMA) + [
         "problem indicator",
@@ -438,7 +481,7 @@ def format_dataset_indicator(resolved: ResolvedConfig, concept: Concept, dataset
         f"concept_start {concept.start}",
         f"size {dataset.size}",
         "[data]",
-        "# marked_index label",
+        _dataset_comment("indicator"),
     ]
     for oracle, label in zip(dataset.oracles, dataset.labels):
         lines.append(f"{oracle.marked} {'+1' if label > 0 else '-1'}")
@@ -454,7 +497,7 @@ def format_dataset_pattern(resolved: ResolvedConfig, start: int, instances, labe
         f"concept_start {start}",
         f"size {len(instances)}",
         "[data]",
-        "# text location label",
+        _dataset_comment("pattern"),
     ]
     for inst, label in zip(instances, labels):
         text = "".join(str(b) for b in inst.text)
@@ -465,7 +508,16 @@ def format_dataset_pattern(resolved: ResolvedConfig, start: int, instances, labe
 def read_dataset(path: str) -> dict:
     sections = _read_sections(path, DATASET_SCHEMA)
     header = {"schema": DATASET_SCHEMA, **_key_values(sections[None])}
-    header["rows"] = [line.split() for line in sections.get("data", [])]
+    columns = _DATASET_COLUMNS.get(header.get("problem"))
+    if columns is None:
+        raise StructuralError(f"unknown dataset problem {header.get('problem')!r}")
+    try:
+        domain_size = int(header.get("domain_size"))
+    except (TypeError, ValueError) as exc:
+        raise StructuralError("dataset domain_size must be an integer") from exc
+    header["rows"] = [
+        _check_data_row(line, columns, domain_size) for line in sections.get("data", [])
+    ]
     return header
 
 
@@ -510,16 +562,14 @@ def format_sweep(rows_by_learner: dict, slopes: dict) -> str:
 
 
 def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str | None,
-              trials: int, learner: str | None) -> int:
-    if trials < 1:
-        raise ConfigError("sweep trials must be at least 1")
+              learner: str | None) -> int:
     if len(domain_sizes) < 4:
         raise ConfigError("sweep needs at least 4 domain sizes")
     learners = [learner] if learner else list(LEARNER_KINDS)
     rows_by_learner: dict = {}
     slopes: dict = {}
     for kind in learners:
-        rows = complexity_sweep(kind, domain_sizes, trials, resolved.seed)
+        rows = complexity_sweep(kind, domain_sizes, resolved.trials, resolved.seed)
         rows_by_learner[kind] = rows
         slope, err = loglog_slope(
             [row.domain_size for row in rows],
@@ -551,22 +601,27 @@ def cmd_pattern_demo(
         "# line status location success_prob repetitions rounds gate_steps "
         "kmp_location kmp_comparisons"
     ]
-    any_failure = False
+    any_failure = any_resource_cap = False
     max_repetitions = 32
     for i, text in enumerate(texts):
         if any(ch not in "01" for ch in text):
             raise ConfigError(f"line {i}: texts must be binary strings")
         kmp_loc, kmp_ledger = kmp_search(text, pattern)
+        comparisons = kmp_ledger.classical_char_comparisons
         try:
             instance = TextInstance(text, pattern)
         except StructuralError:
             any_failure = True
             bad_length = len(text) < 2 or not _is_power_of_two(len(text))
             status = "bad-length" if bad_length else "no-unique-match"
-            comparisons = kmp_ledger.classical_char_comparisons
             lines.append(_demo_row(i, status, kmp_loc, math.nan, 0, 0, 0, kmp_loc, comparisons))
             continue
-        config = GroverConfig(backend=backend if instance.total_qubits <= sim.QUBIT_CAP else "ideal")
+        if backend == "faithful" and instance.total_qubits > sim.QUBIT_CAP:
+            any_resource_cap = True
+            row = _demo_row(i, "resource-cap", None, math.nan, 0, 0, 0, kmp_loc, comparisons)
+            lines.append(row)
+            continue
+        config = GroverConfig(backend=backend)
         # Measure, verify the candidate classically, retry on a miss.
         N, L = instance.text_length, instance.pattern_length
         found, prob, ledger, repetitions = None, 0.0, None, 0
@@ -580,10 +635,11 @@ def cmd_pattern_demo(
         any_failure |= found is None
         lines.append(_demo_row(
             i, "ok" if found is not None else "measure-failure", found, prob, repetitions,
-            ledger.amplification_rounds, ledger.gate_steps, kmp_loc,
-            kmp_ledger.classical_char_comparisons,
+            ledger.amplification_rounds, ledger.gate_steps, kmp_loc, comparisons,
         ))
     _emit("\n".join(lines) + "\n", out_path)
+    if any_resource_cap:
+        return EXIT_RESOURCE
     return EXIT_DOMAIN if any_failure else EXIT_OK
 
 
@@ -703,7 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="query-complexity scaling across domain sizes")
     _add_common_flags(sweep)
     sweep.add_argument("--learner", choices=LEARNER_KINDS)
-    sweep.add_argument("--trials", type=int, default=3)
+    sweep.add_argument(
+        "--trials", type=int, help=f"overrides the trials key (default {SWEEP_TRIALS})"
+    )
     sweep.add_argument(
         "--domain-sizes",
         help="comma-separated powers of two (overrides the config key)",
@@ -720,11 +778,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, extra: dict | None = None) -> ExperimentConfig:
+def _config_from_args(
+    args, extra: dict | None = None, config: ExperimentConfig | None = None
+) -> ExperimentConfig:
     file_pairs = parse_config_file(args.config) if args.config else {}
     overrides = {"seed": getattr(args, "seed", None)}
     overrides.update(extra or {})
-    return build_config(file_pairs, args.set, overrides)
+    return build_config(file_pairs, args.set, overrides, config)
 
 
 def main(argv=None) -> int:
@@ -744,11 +804,14 @@ def main(argv=None) -> int:
             )
             return cmd_run(resolve_config(config), args.out)
         if args.command == "sweep":
-            config = _config_from_args(args, {"domain_sizes": args.domain_sizes})
+            config = _config_from_args(
+                args, {"domain_sizes": args.domain_sizes, "trials": args.trials},
+                ExperimentConfig(trials=SWEEP_TRIALS),
+            )
             if not config.domain_sizes:
                 raise ConfigError("sweep requires --domain-sizes or the domain_sizes key")
             return cmd_sweep(resolve_config(config), list(config.domain_sizes), args.out,
-                             args.trials, args.learner)
+                             args.learner)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

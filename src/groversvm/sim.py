@@ -10,21 +10,34 @@ Conventions used by every module in this package:
   by reversing its gate list.
 
 Public states are immutable.  :func:`run` copies its initial amplitudes once
-into a private buffer, updates that buffer in place gate by gate, and wraps
-the result in one new state at the end.  Each gate shape (qubit count, kind,
-targets, controls) gets an in-place kernel planned once and kept in a bounded
-cache, so a repeated gate costs only its array work.  Kernels view the buffer
-in the ``(2,)*n`` layout (axis ``a`` holds qubit ``n-1-a``) or in a coarser
-reshape of it that gives the same bits.  :func:`run` calls each phase
-oracle's predicate exactly once per application, with one shared read-only
-array of register values per width; query accounting relies on this.  All
-randomness is injected through explicit seeds or generators; a negative
-integer seed is a :class:`StructuralError`.
+into a private buffer (:func:`run_from_zero` writes |0...0> there instead),
+updates that buffer gate by gate, and hands it to the returned state without
+a copy; the norm is checked once, with ``np.vdot``.  Each gate shape (qubit
+count, kind, targets, controls) gets an in-place kernel planned once and kept
+in a bounded cache, so a repeated gate costs only its array work.  Kernels
+view the buffer in the ``(2,)*n`` layout (axis ``a`` holds qubit ``n-1-a``)
+or in a coarser reshape of it that gives the same bits.
+
+Permutation gates are fused: each maximal run of consecutive X gates is one
+strided copy of the ``(2,)*n`` view, reversed on every axis flipped an odd
+number of times, and each run of two or more CNOT/MCX gates is one gather
+through an int32 index array built by applying the run to an ``arange``.
+The arrays are kept in a least-recently-used cache keyed by the run's gate
+shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same run reversed is
+the inverse permutation, a scatter through the same array.  A run whose
+array would not fit is applied gate by gate.  Either way the amplitudes are
+bit for bit those of the per-gate kernels.  Phase oracles, diffusion and
+Hadamards are never fused: :func:`run` calls each phase oracle's predicate
+exactly once per application, with one shared read-only array of register
+values per width; query accounting relies on this.  All randomness is
+injected through explicit seeds or generators; a negative integer seed is a
+:class:`StructuralError`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -39,6 +52,10 @@ QUBIT_CAP = 24  # dense complex128 beyond this is not a desk-scale simulation
 _NORM_ATOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _CACHE_ROW = 1 << 16  # amplitudes in a Hadamard row: 1 MiB of complex128
+# Worst-case bytes of fused-run index arrays held at once: four int32 arrays
+# at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
+# by gate.
+_PERMUTATION_CACHE_BYTES = 16 << 20
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -67,6 +84,12 @@ def seed32(seed) -> int:
     return value & 0xFFFFFFFF
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    norm_sq = np.vdot(amps, amps).real
+    if abs(norm_sq - 1.0) > _NORM_ATOL:
+        raise ContractViolationError(f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized complex amplitudes over ``2**num_qubits`` basis states."""
@@ -86,12 +109,20 @@ class StateVector:
             raise StructuralError(
                 f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ContractViolationError(f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
+        _check_norm(amps)
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _adopt(cls, num_qubits: int, amps: np.ndarray) -> "StateVector":
+        """Wrap a private buffer without copying it; the caller must not write to it again."""
+        _check_norm(amps)
+        amps.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @classmethod
     def zero(cls, num_qubits: int) -> "StateVector":
@@ -420,27 +451,106 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         raise StructuralError(
             f"gate on qubit {gate.max_qubit()} out of range for {state.num_qubits} qubits"
         )
-    return StateVector(state.num_qubits, _apply_raw(state.amplitudes, state.num_qubits, gate))
+    amps = _apply_raw(state.amplitudes, state.num_qubits, gate)
+    return StateVector._adopt(state.num_qubits, amps)
+
+
+class _PermutationCache:
+    """Gather indices of fused CNOT/MCX runs, least recently used evicted first.
+
+    An entry is keyed by the qubit count and the run's ``(target, controls)``
+    shapes.  Its int32 array ``perm`` satisfies ``out = psi[perm]`` for the run
+    applied gate by gate.  The run reversed is the inverse permutation, since
+    every gate is an involution, so it is the scatter ``out[perm] = psi`` with
+    the same entry.  The arrays never hold more than ``max_bytes`` in total.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def lookup(self, num_qubits: int, gates: list[Gate]):
+        """``(perm, inverse)`` for the run, or None if an array would exceed the bound."""
+        shapes = tuple((gate.targets[0], gate.controls) for gate in gates)
+        for key, inverse in (((num_qubits, shapes), False), ((num_qubits, shapes[::-1]), True)):
+            perm = self._entries.get(key)
+            if perm is not None:
+                self._entries.move_to_end(key)
+                return perm, inverse
+        nbytes = 4 << num_qubits
+        if nbytes > self.max_bytes:
+            return None
+        perm = np.arange(1 << num_qubits, dtype=np.int32)
+        for gate in gates:
+            _apply_inplace(perm, num_qubits, gate)
+        perm.flags.writeable = False
+        while self.nbytes + nbytes > self.max_bytes:
+            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        self._entries[num_qubits, shapes] = perm
+        self.nbytes += nbytes
+        return perm, False
+
+
+_PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
+_FUSED = {PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}  # run kind of each permutation gate kind
+_FROM_ZERO = object()  # ``run``'s initial state from ``run_from_zero``: |0...0>, never built
+
+
+def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None:
+    """Write ``psi`` with the X gates applied into ``out``: one strided copy."""
+    flipped = [False] * num_qubits
+    for gate in gates:
+        axis = num_qubits - 1 - gate.targets[0]
+        flipped[axis] = not flipped[axis]
+    shape = (2,) * num_qubits
+    index = tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
+    np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
     """Apply every gate of ``circuit`` in order to a private copy of ``initial``.
 
+    Each run of consecutive X gates is one strided copy, and each run of two
+    or more CNOT/MCX gates is one gather (or scatter) through a cached index
+    array; the amplitudes are those of applying the gates one at a time.
     Each phase oracle's predicate is called exactly once per application, and
-    the norm is checked once, on the returned state.
+    the norm is checked once, on the returned state, which takes over the
+    buffer without a copy.
     """
-    if circuit.num_qubits != initial.num_qubits:
-        raise StructuralError(
-            f"circuit width {circuit.num_qubits} != state width {initial.num_qubits}"
-        )
-    psi = initial.amplitudes.copy()
-    for gate in circuit.gates:
-        _apply_inplace(psi, circuit.num_qubits, gate)
-    return StateVector(circuit.num_qubits, psi)
+    n = circuit.num_qubits
+    if initial is _FROM_ZERO:
+        psi = np.zeros(1 << n, dtype=np.complex128)
+        psi[0] = 1.0
+    elif n != initial.num_qubits:
+        raise StructuralError(f"circuit width {n} != state width {initial.num_qubits}")
+    else:
+        psi = initial.amplitudes.copy()
+    spare = None
+    for kind, gates in groupby(circuit.gates, key=lambda gate: _FUSED.get(gate.kind)):
+        gates = list(gates)
+        found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
+        if kind != PAULI_X and found is None:
+            for gate in gates:
+                _apply_inplace(psi, n, gate)
+            continue
+        if spare is None:
+            spare = np.empty_like(psi)
+        if kind == PAULI_X:
+            _flip_into(spare, psi, n, gates)
+        else:
+            perm, inverse = found
+            if inverse:
+                spare[perm] = psi
+            else:
+                np.take(psi, perm, out=spare, mode="clip")  # "clip" takes no whole-output buffer
+        psi, spare = spare, psi
+    return StateVector._adopt(n, psi)
 
 
 def run_from_zero(circuit: Circuit) -> StateVector:
-    return run(circuit, StateVector.zero(circuit.num_qubits))
+    """``run`` from |0...0>, written straight into ``run``'s buffer."""
+    return run(circuit, _FROM_ZERO)
 
 
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:

@@ -189,6 +189,20 @@ class TestSweepCommand:
         assert slopes["quantum_kernel"] == pytest.approx(0.5, abs=0.08)
         assert captured.out.startswith("schema")
 
+    def test_trials_key_honoured_and_flag_wins(self, capsys):
+        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128",
+                "--learner", "quantum_kernel"]
+        outputs = {}
+        for extra in ([], ["--set", "trials=3"], ["--set", "trials=1"],
+                      ["--set", "trials=1", "--trials", "3"], ["--trials", "1"]):
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            outputs[" ".join(extra)] = capsys.readouterr().out
+        default = outputs[""]
+        assert outputs["--set trials=3"] == default
+        assert outputs["--set trials=1"] != default
+        assert outputs["--set trials=1 --trials 3"] == default
+        assert outputs["--trials 1"] == outputs["--set trials=1"]
+
     def test_too_few_sizes_invalid(self, capsys):
         code = cli.main(["sweep", "--seed", "1", "--domain-sizes", "16,32"])
         capsys.readouterr()
@@ -244,6 +258,22 @@ class TestPatternDemo:
         assert rows[0] == "0 bad-length 2 nan 0 0 0 2 9"
         assert rows[1].split()[1] == "ok"
 
+    def test_faithful_above_the_cap_is_a_resource_cap_row(self, tmp_path, capsys):
+        text = "0" * 13 + "110" + "0" * 16  # 5 + 32 + 3 = 40 qubits
+        texts = write(tmp_path / "texts.txt", text + "\n")
+        kmp_location, kmp_ledger = cli.kmp_search(text, "110")
+        code = cli.main(["pattern-demo", texts, "--pattern", "110", "--backend", "faithful"])
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert code == cli.EXIT_RESOURCE
+        assert rows == [
+            f"0 resource-cap none nan 0 0 0 {kmp_location} "
+            f"{kmp_ledger.classical_char_comparisons}"
+        ]
+        code = cli.main(["pattern-demo", texts, "--pattern", "110", "--backend", "ideal"])
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert code == cli.EXIT_OK
+        assert rows[0].split()[1:3] == ["ok", "13"]
+
     def test_pattern_equals_text(self, tmp_path, capsys):
         texts = write(tmp_path / "texts.txt", "10110010\n")
         code = cli.main(["pattern-demo", texts, "--pattern", "10110010", "--backend", "ideal"])
@@ -279,6 +309,29 @@ class TestSchemas:
         path = write(tmp_path / "r.rpt", f"schema {cli.REPORT_SCHEMA}\n[config]\nseed\n")
         with pytest.raises(StructuralError):
             cli.read_report(path)
+
+    @pytest.mark.parametrize("header, row", [
+        ("problem indicator\ndomain_size 16", "5"),
+        ("problem indicator\ndomain_size 16", "abc +1 extra"),
+        ("problem indicator\ndomain_size 16", "abc +1"),
+        ("problem indicator\ndomain_size 16", "16 +1"),
+        ("problem indicator\ndomain_size 16", "3 1"),
+        ("problem pattern\ndomain_size 8", "1011a010 2 +1"),
+        ("problem pattern\ndomain_size 8", "10110010 two +1"),
+        ("problem pattern\ndomain_size 8", "10110010 8 +1"),
+        ("problem pattern\ndomain_size 8", "10110010 2"),
+        ("domain_size 16", "3 +1"),
+        ("problem indicator", "3 +1"),
+    ])
+    def test_malformed_dataset_row_rejected(self, tmp_path, header, row):
+        path = write(tmp_path / "d.txt", f"schema {cli.DATASET_SCHEMA}\n{header}\n[data]\n{row}\n")
+        with pytest.raises(StructuralError):
+            cli.read_dataset(path)
+
+    def test_dataset_rows_that_parse_come_back_as_strings(self, tmp_path):
+        path = write(tmp_path / "d.txt", f"schema {cli.DATASET_SCHEMA}\nproblem pattern\n"
+                     "domain_size 8\n[data]\n# text location label\n10110010 2 -1\n")
+        assert cli.read_dataset(path)["rows"] == [["10110010", "2", "-1"]]
 
     def test_dataset_header_without_value_rejected(self, tmp_path):
         path = write(tmp_path / "d.txt", f"schema {cli.DATASET_SCHEMA}\nproblem\n[data]\n")

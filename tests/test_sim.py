@@ -291,6 +291,177 @@ class TestRunBuffer:
         assert len(calls) == 6
 
 
+def per_gate(state: StateVector, gates) -> np.ndarray:
+    """Reference: the gates applied one at a time through the per-gate kernels."""
+    amps = state.amplitudes
+    for gate in gates:
+        amps = sim._apply_raw(amps, state.num_qubits, gate)
+    return amps
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def random_run(num_qubits: int, rng, kinds, length: int) -> list:
+    """X/CNOT/MCX gates drawn from ``kinds``; X may repeat a qubit."""
+    gates = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        qubits = [int(q) for q in rng.permutation(num_qubits)]
+        if kind == "x":
+            gates.append(sim.pauli_x(qubits[0]))
+        elif kind == "cnot":
+            gates.append(sim.cnot(qubits[1], qubits[0]))
+        elif kind == "mcx" and num_qubits >= 3:
+            count = int(rng.integers(2, num_qubits))  # up to every other qubit
+            gates.append(sim.mcx(qubits[1:count + 1], qubits[0]))
+    return gates
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    cache = sim._PermutationCache(sim._PERMUTATION_CACHE_BYTES)
+    monkeypatch.setattr(sim, "_PERMUTATIONS", cache)
+    return cache
+
+
+class TestFusedRuns:
+    """Runs of X and of CNOT/MCX gates are one pass each, with the per-gate bits."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_runs_match_per_gate_application(self, seed, fresh_cache):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 12  # 3 .. 14 qubits
+        state = random_state(n, seed=100 + seed)
+        kinds = [("x",), ("cnot", "mcx"), ("x", "cnot", "mcx")][seed % 3]
+        gates = random_run(n, rng, kinds, int(rng.integers(1, 12)))
+        gates += [sim.hadamard(0)] + random_run(n, rng, ("cnot", "mcx"), 4)
+        circuit = Circuit(n, tuple(gates))
+        expected = per_gate(state, gates)
+        assert same_bits(sim.run(circuit, state).amplitudes, expected)
+        assert same_bits(sim.run(circuit, state).amplitudes, expected)  # from the cache
+        middle = StateVector(n, expected)
+        back = sim.run(circuit.inverse(), middle)
+        assert same_bits(back.amplitudes, per_gate(middle, circuit.inverse().gates))
+
+    @pytest.mark.parametrize("n", [3, 9, 14])
+    def test_edge_shapes(self, n, fresh_cache):
+        state = random_state(n, seed=n)
+        every_other = sim.mcx(range(1, n), 0)
+        runs = [
+            [sim.pauli_x(1), sim.pauli_x(1)],  # cancels: no pass at all
+            [sim.pauli_x(0), sim.pauli_x(n - 1), sim.pauli_x(0), sim.pauli_x(1)],
+            [every_other, sim.cnot(0, n - 1), every_other],
+            [sim.pauli_x(2), sim.cnot(0, 1), sim.mcx([0, 1], 2), sim.pauli_x(2), sim.pauli_x(0)],
+            [sim.cnot(0, 1)],  # a single controlled gate keeps its own kernel
+        ]
+        for gates in runs:
+            out = sim.run(Circuit(n, tuple(gates)), state)
+            assert same_bits(out.amplitudes, per_gate(state, gates)), gates
+        assert same_bits(sim.run(Circuit(n, tuple(runs[0])), state).amplitudes, state.amplitudes)
+
+    def test_reversed_run_is_the_inverse_through_one_entry(self, fresh_cache):
+        from groversvm.grover import adder_gates
+
+        n = 8
+        adder = adder_gates(range(4), range(4, 8))
+        state = random_state(n, seed=61)
+        forward = sim.run(Circuit(n, tuple(adder)), state)
+        assert len(fresh_cache._entries) == 1
+        back = sim.run(Circuit(n, tuple(reversed(adder))), forward)
+        assert len(fresh_cache._entries) == 1  # the scatter reuses the forward entry
+        assert same_bits(back.amplitudes, state.amplitudes)
+        perm = next(iter(fresh_cache._entries.values()))
+        assert perm.dtype == np.int32 and not perm.flags.writeable
+        assert sorted(perm.tolist()) == list(range(1 << n))
+        # |i>|j> -> |i+j mod 16>|j>: the amplitude at the sum came from (i, j).
+        for i, j in [(3, 5), (15, 1), (0, 0), (9, 12)]:
+            assert perm[((i + j) % 16) | (j << 4)] == i | (j << 4)
+
+    def test_cache_evicts_oldest_within_its_bound(self):
+        n = 6
+        cache = sim._PermutationCache(3 * (4 << n))
+        pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        runs = [[sim.cnot(a, b), sim.cnot(b, a)] for a, b in pairs]
+        for gates in runs:
+            assert cache.lookup(n, gates) is not None
+            assert cache.nbytes <= cache.max_bytes
+        assert cache.nbytes == cache.max_bytes
+        assert len(cache._entries) == 3
+        kept = [shapes for _, shapes in cache._entries]
+        assert kept == [tuple((g.targets[0], g.controls) for g in gates) for gates in runs[2:]]
+        assert cache.lookup(n + 2, runs[0]) is None  # one array over the bound: not held
+        assert cache.nbytes == 3 * (4 << n)
+        perm, _ = cache.lookup(n + 1, runs[4])  # the same shapes on a wider state
+        assert perm.size == 1 << (n + 1)
+        assert sim._PERMUTATIONS.max_bytes == sim._PERMUTATION_CACHE_BYTES
+
+    def test_runs_the_cache_cannot_hold_fall_back_per_gate(self, monkeypatch):
+        n = 7
+        monkeypatch.setattr(sim, "_PERMUTATIONS", sim._PermutationCache(4 << (n - 1)))
+        state = random_state(n, seed=67)
+        gates = [sim.cnot(0, 1), sim.mcx([1, 2, 6], 0), sim.cnot(5, 3)]
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert sim._PERMUTATIONS.nbytes == 0
+
+    def test_phase_oracle_between_runs_bills_each_application(self, fresh_cache):
+        from groversvm.grover import IndicatorOracle
+
+        oracle = IndicatorOracle(16, 6)
+        phase = oracle.phase_gate(range(4))
+        run = [sim.pauli_x(4), sim.cnot(4, 0), sim.mcx([0, 4], 1)]
+        circuit = Circuit(5, tuple(run + [phase] + run[::-1] + [phase] + run))
+        out = sim.run_from_zero(circuit)
+        assert oracle.query_count == 2
+        sim.run(circuit.inverse(), out)
+        assert oracle.query_count == 4
+
+    def test_outputs_are_read_only_and_never_rewritten(self, fresh_cache):
+        n = 10
+        state = random_state(n, seed=71)
+        before = state.amplitudes.copy()
+        gates = (sim.pauli_x(3), sim.pauli_x(7), sim.cnot(0, 9), sim.mcx([1, 2], 8))
+        first = sim.run(Circuit(n, gates), state)
+        kept = first.amplitudes.copy()
+        assert not first.amplitudes.flags.writeable
+        assert not np.shares_memory(first.amplitudes, state.amplitudes)
+        second = sim.run(Circuit(n, gates), first)
+        sim.run(Circuit(n, gates[::-1]), second)
+        sim.run_from_zero(Circuit(n, gates))
+        assert same_bits(first.amplitudes, kept)
+        assert same_bits(state.amplitudes, before)
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+
+    def test_run_from_zero_equals_run_on_zero_state(self, fresh_cache):
+        from groversvm.grover import adder_gates
+
+        gates = [sim.hadamard(0), sim.hadamard(5), sim.pauli_x(2), sim.pauli_x(4)]
+        gates += adder_gates(range(3), range(3, 6)) + [sim.diffusion([0, 1, 2])]
+        circuit = Circuit(6, tuple(gates))
+        assert same_bits(
+            sim.run_from_zero(circuit).amplitudes, sim.run(circuit, StateVector.zero(6)).amplitudes
+        )
+
+    def test_run_from_zero_goes_through_run(self, monkeypatch):
+        import inspect
+
+        assert list(inspect.signature(sim.run).parameters) == ["circuit", "initial"]
+        seen = []
+        original = sim.run
+
+        def wrapped(circuit, initial):
+            seen.append(circuit)
+            return original(circuit, initial)
+
+        monkeypatch.setattr(sim, "run", wrapped)
+        circuit = Circuit(2, (sim.pauli_x(1),))
+        out = sim.run_from_zero(circuit)
+        assert seen == [circuit]
+        npt.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
+
+
 class TestNormAndUnitarity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
