@@ -220,6 +220,8 @@ def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
         raise ConfigError("box_bound must be positive")
     if config.trials < 1 or config.test_size < 2 or config.test_size % 2:
         raise ConfigError("trials must be >= 1 and test_size an even number >= 2")
+    if config.learner == "quantum_kernel" and config.backend != "ideal":
+        raise ConfigError("learner quantum_kernel samples the ideal kernel only; use backend=ideal")
     if any(ch not in "01" for ch in config.pattern) or not config.pattern:
         raise ConfigError("pattern must be a nonempty binary string")
     resolved = dict(domain_size=N, interval_width=M, train_size=m, shots=R, budget=X,
@@ -805,7 +807,8 @@ def main(argv=None) -> int:
             return cmd_run(resolve_config(config), args.out)
         if args.command == "sweep":
             config = _config_from_args(
-                args, {"domain_sizes": args.domain_sizes, "trials": args.trials},
+                args, {"domain_sizes": args.domain_sizes, "trials": args.trials,
+                       "learner": args.learner},
                 ExperimentConfig(trials=SWEEP_TRIALS),
             )
             if not config.domain_sizes:

@@ -272,9 +272,12 @@ def quantum_kernel_learner(
 
     Every kernel value costs ``shots`` circuit executions at 4k oracle queries
     each; classifying one test point therefore costs d * shots * 4k queries
-    for d support vectors.
+    for d support vectors.  Kernel values are drawn from the ideal closed form,
+    so a faithful ``config`` is a :class:`StructuralError`.
     """
     config = config or GroverConfig()
+    if config.backend != "ideal":
+        raise StructuralError("the quantum-kernel learner samples the ideal kernel only")
     if shots < 1:
         raise StructuralError("shots must be at least 1")
     N = train.concept.domain_size

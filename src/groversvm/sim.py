@@ -26,10 +26,23 @@ The arrays are kept in a least-recently-used cache keyed by the run's gate
 shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same run reversed is
 the inverse permutation, a scatter through the same array.  A run whose
 array would not fit is applied gate by gate.  Either way the amplitudes are
-bit for bit those of the per-gate kernels.  Phase oracles, diffusion and
-Hadamards are never fused: :func:`run` calls each phase oracle's predicate
-exactly once per application, with one shared read-only array of register
-values per width; query accounting relies on this.  All randomness is
+bit for bit those of the per-gate kernels.
+
+On a state of many tiles of ``_CACHE_ROW`` amplitudes, a run of consecutive
+Hadamard, phase-oracle and diffusion gates (a search block) goes tile by
+tile: when every gate acts on qubits ``lo`` and up, each block of columns of
+the ``(2**(n-lo), 2**lo)`` view is copied into a cache-sized tile, every gate
+of the run is applied to it with the per-gate kernels, and it is copied
+back, so the run streams the state through memory twice rather than once
+per gate.  Gates on low qubits split a run and go one at a time, as do
+diffusions whose register is not the top block of qubits and runs too short
+to repay the copies (see ``_TILE_MIN_SWEEPS`` and its neighbours).  Each
+amplitude gets the same operations in the same order, so the bits are those
+of the per-gate path.
+:func:`run` calls each phase oracle's predicate exactly once per
+application, in gate order (for a tiled run, before its first tile), with
+one shared read-only array of register values per width; query accounting
+relies on this.  All randomness is
 injected through explicit seeds or generators; a negative integer seed is a
 :class:`StructuralError`.
 """
@@ -51,7 +64,16 @@ QUBIT_CAP = 24  # dense complex128 beyond this is not a desk-scale simulation
 
 _NORM_ATOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_CACHE_ROW = 1 << 16  # amplitudes in a Hadamard row: 1 MiB of complex128
+_CACHE_ROW = 1 << 16  # amplitudes in a Hadamard row and in a tile: 1 MiB of complex128
+_TILE_BITS = _CACHE_ROW.bit_length() - 1  # a tile is a state of this many qubits
+# Where tiling beat gate-by-gate runs in measurements at 18 to 22 qubits: on a
+# state of at least 2**_TILE_MIN_DROP tiles, with tile rows of at least
+# 2**_TILE_MIN_ROW_BITS amplitudes (at least 1, or a diffusion's register
+# would be summed in another order), for runs of at least _TILE_MIN_SWEEPS
+# Hadamard or diffusion gates.
+_TILE_MIN_DROP = 4
+_TILE_MIN_ROW_BITS = 5
+_TILE_MIN_SWEEPS = 8
 # Worst-case bytes of fused-run index arrays held at once: four int32 arrays
 # at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
 # by gate.
@@ -322,7 +344,7 @@ def _hadamard_plan(num_qubits: int, q: int):
     row = min(1 << num_qubits, max(2 * run, _CACHE_ROW))
     columns = range(run) if run <= 4 else (slice(None),)
 
-    def apply_row(block, gate=None):
+    def apply_row(block, marked=None):
         a = block.reshape(-1, 2, run)
         for r in columns:
             a0, a1 = a[:, 0, r], a[:, 1, r]
@@ -334,7 +356,7 @@ def _hadamard_plan(num_qubits: int, q: int):
     if row == 1 << num_qubits:
         return apply_row
 
-    def apply(psi, gate):
+    def apply(psi, marked):
         for block in psi.reshape(-1, row):
             apply_row(block)
 
@@ -360,16 +382,25 @@ def _swap_plan(num_qubits: int, target: int, controls: tuple[int, ...]):
     lower = tuple(lower) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
     upper = tuple(upper) + (Ellipsis,)
 
-    def apply(psi, gate):
+    def apply(psi, marked):
         view = psi.reshape(shape)
         view[lower], view[upper] = view[upper], view[lower].copy()
 
     return apply
 
 
+def _marked_values(gate: Gate) -> list[int]:
+    """Call a phase oracle's predicate once; the register values it marks."""
+    width = len(gate.targets)
+    table = np.asarray(gate.oracle_predicate(_register_arange(width)))
+    if table.shape != (1 << width,):
+        raise ContractViolationError(
+            f"oracle predicate returned shape {table.shape}, expected ({1 << width},)"
+        )
+    return table.nonzero()[0].tolist()
+
+
 def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
-    width = len(targets)
-    values = _register_arange(width)
     if targets == tuple(range(num_qubits)):
         def negate(psi, value):
             psi[value] = -psi[value]  # the register value is the basis index
@@ -381,15 +412,10 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
             index = _fixed(num_qubits, ((q, (value >> p) & 1) for p, q in enumerate(targets)))
             view[index] = -view[index]
 
-    def apply(psi, gate):
-        table = np.asarray(gate.oracle_predicate(values))
-        if table.shape != (1 << width,):
-            raise ContractViolationError(
-                f"oracle predicate returned shape {table.shape}, expected ({1 << width},)"
-            )
+    def apply(psi, marked):
         # Negate the sub-view of each marked register value: the cost grows
         # with the marked amplitudes, and an all-false table touches none.
-        for value in table.nonzero()[0].tolist():
+        for value in marked:
             negate(psi, value)
 
     return apply
@@ -410,7 +436,7 @@ def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
         shape, axis = (2,) * num_qubits, tuple(num_qubits - 1 - q for q in targets)
     count = 1 << width
 
-    def apply(psi, gate):
+    def apply(psi, marked):
         view = psi.reshape(shape)
         mean = np.add.reduce(view, axis=axis, keepdims=True)
         np.true_divide(mean, count, out=mean)
@@ -421,7 +447,11 @@ def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
 
 @lru_cache(maxsize=4096)
 def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[int, ...]):
-    """The in-place kernel ``apply(psi, gate)`` for one gate shape on ``num_qubits``."""
+    """The in-place kernel ``apply(psi, marked)`` for one gate shape on ``num_qubits``.
+
+    ``marked`` is a phase oracle's list from :func:`_marked_values`; the other
+    kinds ignore it.
+    """
     if kind == HADAMARD:
         return _hadamard_plan(num_qubits, targets[0])
     if kind in (PAULI_X, CNOT, MCX):
@@ -435,7 +465,8 @@ def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[
 
 def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
     """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
-    _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, gate)
+    marked = _marked_values(gate) if gate.kind == PHASE_ORACLE else None
+    _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, marked)
 
 
 def _apply_raw(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
@@ -495,6 +526,67 @@ class _PermutationCache:
 _PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
 _FUSED = {PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}  # run kind of each permutation gate kind
 _FROM_ZERO = object()  # ``run``'s initial state from ``run_from_zero``: |0...0>, never built
+_TILED = "tiled"  # run kind of a gate that can be applied tile by tile
+
+
+def _run_key(num_qubits: int):
+    """The run kind ``run`` groups each gate by: a ``_FUSED`` kind, ``_TILED`` or None.
+
+    A Hadamard, phase oracle or diffusion is ``_TILED`` when the state holds
+    at least ``2**_TILE_MIN_DROP`` tiles and every qubit the gate acts on
+    lies far enough above ``drop`` that a tile row holds at least
+    ``2**_TILE_MIN_ROW_BITS`` amplitudes (see :func:`_apply_tiled`).  A
+    diffusion must also act on the top block of qubits: its register mean is
+    then a reduction over the leading axis, summed in the same order in a
+    tile as in the whole state.
+    """
+    drop = num_qubits - _TILE_BITS
+    if drop < _TILE_MIN_DROP:
+        return lambda gate: _FUSED.get(gate.kind)
+
+    def key(gate):
+        kind = _FUSED.get(gate.kind)
+        if kind is not None:
+            return kind
+        low = min(gate.targets)
+        if low < drop + _TILE_MIN_ROW_BITS or (
+            gate.kind == DIFFUSION and low != num_qubits - len(gate.targets)
+        ):
+            return None
+        return _TILED
+
+    return key
+
+
+def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> None:
+    """Apply ``_TILED`` gates to ``psi`` one tile of ``_CACHE_ROW`` amplitudes at a time.
+
+    Every gate acts on qubits ``lo`` and up only, so it acts on each column of
+    the ``(2**(n-lo), 2**lo)`` view of the state alone.  A block of columns
+    copied into ``tile`` is a state of ``_TILE_BITS`` qubits in which qubit
+    ``q`` is qubit ``q - drop``; every gate runs on it with the per-gate
+    kernel of that width, which computes each amplitude with the same
+    operations, and the block is copied back.  Each predicate is called
+    once, in gate order, before the first tile.
+    """
+    drop = num_qubits - _TILE_BITS
+    steps = [
+        (
+            _plan(_TILE_BITS, gate.kind, tuple(q - drop for q in gate.targets), ()),
+            _marked_values(gate) if gate.kind == PHASE_ORACLE else None,
+        )
+        for gate in gates
+    ]
+    lo = min(min(gate.targets) for gate in gates)
+    width = 1 << (lo - drop)
+    view = psi.reshape(-1, 1 << lo)
+    block = tile.reshape(-1, width)
+    for start in range(0, 1 << lo, width):
+        columns = view[:, start : start + width]
+        np.copyto(block, columns)
+        for plan, marked in steps:
+            plan(tile, marked)
+        np.copyto(columns, block)
 
 
 def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None:
@@ -511,9 +603,11 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
     """Apply every gate of ``circuit`` in order to a private copy of ``initial``.
 
-    Each run of consecutive X gates is one strided copy, and each run of two
-    or more CNOT/MCX gates is one gather (or scatter) through a cached index
-    array; the amplitudes are those of applying the gates one at a time.
+    Each run of consecutive X gates is one strided copy, each run of two or
+    more CNOT/MCX gates is one gather (or scatter) through a cached index
+    array, and each ``_TILED`` run with at least ``_TILE_MIN_SWEEPS``
+    Hadamard or diffusion gates is applied tile by tile; the amplitudes are
+    those of applying the gates one at a time.
     Each phase oracle's predicate is called exactly once per application, and
     the norm is checked once, on the returned state, which takes over the
     buffer without a copy.
@@ -527,14 +621,20 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
     else:
         psi = initial.amplitudes.copy()
     spare = None
-    for kind, gates in groupby(circuit.gates, key=lambda gate: _FUSED.get(gate.kind)):
+    for kind, gates in groupby(circuit.gates, key=_run_key(n)):
         gates = list(gates)
+        if kind == _TILED and sum(gate.kind != PHASE_ORACLE for gate in gates) >= _TILE_MIN_SWEEPS:
+            if spare is None:
+                spare = np.empty(_CACHE_ROW, dtype=np.complex128)
+            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW])
+            continue
         found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
         if kind != PAULI_X and found is None:
             for gate in gates:
                 _apply_inplace(psi, n, gate)
             continue
-        if spare is None:
+        if spare is None or spare.size < psi.size:
+            spare = None  # free a tile-sized buffer before making a state-sized one
             spare = np.empty_like(psi)
         if kind == PAULI_X:
             _flip_into(spare, psi, n, gates)
@@ -564,6 +664,8 @@ def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
 def register_probabilities(state: StateVector, register: Sequence[int]) -> np.ndarray:
     """Born distribution over the values of ``register`` (length ``2**len(register)``)."""
     register = _check_register(state.num_qubits, register)
+    if register == tuple(range(state.num_qubits)):
+        return state.probabilities()  # the value is the basis index: one weight per bin
     values = _register_values(state.num_qubits, register)
     return np.bincount(values, weights=np.abs(state.amplitudes) ** 2, minlength=1 << len(register))
 

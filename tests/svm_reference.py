@@ -1,11 +1,13 @@
 """Reference solvers for the SVM dual, used only by tests.
 
-``brute_force_qp`` solves the dual by dense projected gradient; it is slow and
-independent of the pairwise solver, so it cross-checks ``svm.train``.
+``brute_force_qp`` solves the dual exactly by enumerating which alphas sit at
+0, at C or in between; it is independent of the pairwise solver, so it
+cross-checks ``svm.train``.
 ``train_reference`` is the pairwise loop of ``svm.train`` as it was before
 the loop was made allocation-free; ``svm.train`` must match it bit for bit.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -17,37 +19,31 @@ from groversvm.svm import (
     _as_matrix,
     _check_labels,
     _compute_bias,
-    kkt_gap,
 )
 
 
-def _project_box_hyperplane(beta: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
-    """Project onto {0 <= a <= C, y . a = 0} by bisection on the multiplier."""
-    span = float(np.max(np.abs(beta))) + C + 1.0
-
-    def constraint(nu):
-        return float(y @ np.clip(beta - nu * y, 0.0, C))
-
-    lo, hi = -span, span
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(beta - ((lo + hi) / 2.0) * y, 0.0, C)
+_KKT_TOL = 1e-12
 
 
-def brute_force_qp(
-    gram,
-    labels,
-    box_bound: float,
-    tol: float = 1e-10,
-    max_iterations: int = 500_000,
-) -> SvmModel:
-    """Dense projected-gradient solution of the same dual; validation oracle only.
+def _partitions(m: int) -> np.ndarray:
+    """Every split of m indices into alpha = 0 (0), free (1) and alpha = C (2): 3**m rows."""
+    return np.array(list(itertools.product((0, 1, 2), repeat=m)), dtype=np.int8).reshape(-1, m)
 
-    Deliberately slow and refused above m = 8.
+
+def brute_force_qp(gram, labels, box_bound: float) -> SvmModel:
+    """Exact solution of the same dual by active-set enumeration; validation oracle only.
+
+    Each alpha_i is at 0, free, or at C.  For every one of the 3**m partitions,
+    one bordered linear system gives beta = y * alpha and the bias b:
+
+        K_i . beta + b = y_i  (i free),   beta_i = 0 or C y_i  (i at a bound),
+        sum_i beta_i = 0,
+
+    all solved in one batched call.  A candidate is accepted when its free
+    alphas lie in [0, C] and every KKT condition holds to 1e-12 (checked here,
+    independently of ``svm.kkt_gap``); among accepted candidates the one
+    with the largest dual objective is returned.  With no free alpha the bias
+    is ``svm._compute_bias``'s midpoint.  Refused above m = 8.
     """
     K = _as_matrix(gram)
     m = K.shape[0]
@@ -62,24 +58,43 @@ def brute_force_qp(
         alpha = np.zeros(m)
         return SvmModel(alpha, y, 0.0, np.flatnonzero(alpha > 0), C)
 
-    Q = np.outer(y, y) * K
-    step = 1.0 / max(float(np.max(np.abs(np.linalg.eigvalsh(Q)))), 1e-12)
-    alpha = np.zeros(m)
-    for _ in range(max_iterations):
-        grad = 1.0 - Q @ alpha
-        alpha_new = _project_box_hyperplane(alpha + step * grad, y, C)
-        alpha = alpha_new
-        if kkt_gap(K, y, alpha, C) <= tol:
-            break
-    else:
-        warnings.warn("projected gradient hit the iteration cap before reaching tol")
+    parts = _partitions(m)
+    free, at_zero, at_c = parts == 1, parts == 0, parts == 2
+    has_free = free.any(axis=1)
+    system = np.zeros((len(parts), m + 1, m + 1))
+    system[:, :m, :m] = np.where(free[:, :, None], K[None], np.eye(m)[None])
+    system[:, :m, m] = free  # the bias enters the free rows only
+    system[:, m, :m] = has_free[:, None]  # sum_i beta_i = 0; checked below when nothing is free
+    system[~has_free, m, m] = 1.0  # b = 0 stands in for an interval
+    rhs = np.concatenate([np.where(free, y, C * y * at_c), np.zeros((len(parts), 1))], axis=1)
+    solution = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    alpha = np.where(free, y * solution[:, :m], C * at_c)
 
-    alpha = alpha.copy()
-    alpha[alpha < _ALPHA_SNAP] = 0.0
-    alpha[alpha > C - _ALPHA_SNAP] = C
-    u = K @ (alpha * y)
-    bias = _compute_bias(alpha, y, u, C)
-    return SvmModel(alpha, y, bias, np.flatnonzero(alpha > 0.0), C)
+    a = np.clip(alpha, 0.0, C)
+    u = (a * y) @ K
+    g = y - u
+    # With nothing free the bias is an interval: max g over I_up to min g over I_low.
+    up = (y > 0) & (a < C) | (y < 0) & (a > 0)
+    low = (y > 0) & (a > 0) | (y < 0) & (a < C)
+    lower = np.where(up, g, -np.inf).max(axis=1)
+    upper = np.where(low, g, np.inf).min(axis=1)
+    bias = np.where(has_free, solution[:, m], (lower + upper) / 2.0)
+    margin = y * (u + bias[:, None])
+    ok = (
+        np.all((alpha >= -_KKT_TOL) & (alpha <= C + _KKT_TOL), axis=1)
+        & (np.abs(a @ y) <= _KKT_TOL)
+        & np.all(~free | (np.abs(margin - 1.0) <= _KKT_TOL), axis=1)
+        & np.all(~at_zero | (margin >= 1.0 - _KKT_TOL), axis=1)
+        & np.all(~at_c | (margin <= 1.0 + _KKT_TOL), axis=1)
+    )
+    if not ok.any():
+        raise StructuralError("no partition satisfies the KKT conditions to 1e-12")
+    value = np.where(ok, a.sum(axis=1) - 0.5 * np.einsum("pi,pi->p", a * y, u), -np.inf)
+    best = int(np.argmax(value))
+    a, b = a[best], float(bias[best])
+    if not np.any((a > 0.0) & (a < C)):
+        b = _compute_bias(a, y, u[best], C)
+    return SvmModel(a, y, b, np.flatnonzero(a > 0.0), C)
 
 
 def train_reference(

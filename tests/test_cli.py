@@ -62,6 +62,11 @@ class TestResolution:
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(self.base(domain_size=100))
 
+    def test_faithful_quantum_kernel_rejected(self):
+        with pytest.raises(cli.ConfigError):
+            cli.resolve_config(self.base(learner="quantum_kernel", backend="faithful"))
+        assert cli.resolve_config(self.base(learner="preprocessing", backend="faithful"))
+
     def test_explicit_interval_width_validated(self):
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(self.base(domain_size=64, interval_width="32"))
@@ -158,6 +163,22 @@ class TestRun:
         report = cli.read_report(str(out))
         assert float(report["summary"]["mean_accuracy"]) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("backend", [["--backend", "faithful"], ["--set", "backend=faithful"]])
+    def test_faithful_quantum_kernel_rejected_before_work(self, backend, tmp_path, capsys):
+        out = tmp_path / "q.rpt"
+        code = cli.main(RUN_ARGS + ["--learner", "quantum_kernel", "--out", str(out)] + backend)
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "backend=ideal" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "q.rpt.csv").exists()
+
+    def test_faithful_backend_still_runs_preprocessing(self, tmp_path, capsys):
+        out = tmp_path / "p.rpt"
+        code = cli.main(RUN_ARGS + ["--learner", "preprocessing", "--backend", "faithful",
+                                    "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert cli.read_report(str(out))["config"]["backend"] == "faithful"
+
     def test_pattern_problem_rejected_for_run(self, capsys):
         code = cli.main(RUN_ARGS + ["--set", "problem=pattern"])
         capsys.readouterr()
@@ -188,6 +209,14 @@ class TestSweepCommand:
         assert slopes["preprocessing"] == pytest.approx(0.5, abs=0.08)
         assert slopes["quantum_kernel"] == pytest.approx(0.5, abs=0.08)
         assert captured.out.startswith("schema")
+
+    def test_faithful_backend_rejected_only_with_the_quantum_kernel(self, capsys):
+        base = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
+                "--set", "backend=faithful"]
+        assert cli.main(base) == cli.EXIT_INVALID_CONFIG  # every learner, quantum_kernel too
+        assert cli.main(base + ["--learner", "quantum_kernel"]) == cli.EXIT_INVALID_CONFIG
+        assert "quantum_kernel" in capsys.readouterr().err
+        assert cli.main(base + ["--learner", "preprocessing"]) == 0
 
     def test_trials_key_honoured_and_flag_wins(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128",

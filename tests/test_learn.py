@@ -258,6 +258,19 @@ class TestQuantumKernelLearner:
         assert result.infer_ledger.oracle_queries == d * 10 * 12
         assert result.infer_ledger.shots == d * 10
 
+    def test_faithful_config_is_a_structural_error(self):
+        # Kernel values come from the ideal closed form; a faithful run would be
+        # the ideal one under another name.
+        dataset = generate_dataset(Concept(0, 16), 8, rng_seed=1)
+        oracle = IndicatorOracle(16, 5)
+        with pytest.raises(StructuralError):
+            quantum_kernel_learner(
+                dataset, [oracle], 2, shots=10, box_bound=10.0,
+                config=GroverConfig(backend="faithful"), rng_seed=3,
+            )
+        assert oracle.query_count == 0
+        assert all(o.query_count == 0 for o in dataset.oracles)
+
     def test_spec_example_cost_with_four_support_vectors(self):
         # Four well-separated points at N=16 keep all four as support vectors.
         concept = Concept(0, 16)

@@ -462,6 +462,222 @@ class TestFusedRuns:
         npt.assert_array_equal(out.amplitudes, [0, 0, 1, 0])
 
 
+def random_search_run(num_qubits: int, register, rng, length: int) -> list:
+    """Hadamards, phase oracles and diffusion on ``register``, in random order."""
+    gates = []
+    for _ in range(length):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            gates.append(sim.hadamard(int(rng.choice(register))))
+        elif kind == 1:
+            picks = [int(v) for v in rng.integers(0, 1 << len(register), size=2)]
+            gates.append(sim.phase_oracle(register, lambda v, picks=picks: np.isin(v, picks)))
+        else:
+            gates.append(sim.diffusion(register))
+    return gates
+
+
+@pytest.fixture
+def tiled_calls(monkeypatch):
+    """The gate lists ``run`` hands to the tiled path."""
+    calls = []
+    original = sim._apply_tiled
+
+    def spy(psi, num_qubits, gates, tile):
+        calls.append(list(gates))
+        assert tile.size == sim._CACHE_ROW
+        return original(psi, num_qubits, gates, tile)
+
+    monkeypatch.setattr(sim, "_apply_tiled", spy)
+    return calls
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Tiles of 2**8 amplitudes with every size rule at its least, so 9-12 qubit states tile.
+
+    The tiled path is the same code at any tile size; the real sizes are
+    exercised at 20 qubits below.
+    """
+    plans = sim._plan
+    plans.cache_clear()  # Hadamard plans read _CACHE_ROW when planned
+    for name, value in [("_CACHE_ROW", 1 << 8), ("_TILE_BITS", 8), ("_TILE_MIN_DROP", 1),
+                        ("_TILE_MIN_ROW_BITS", 1), ("_TILE_MIN_SWEEPS", 2)]:
+        monkeypatch.setattr(sim, name, value)
+    yield
+    plans.cache_clear()
+
+
+class TestTiledRuns:
+    """Runs of H, oracle and diffusion gates on high qubits go tile by tile, same bits."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_runs_match_per_gate_application(self, seed, small_tiles, tiled_calls):
+        rng = np.random.default_rng(seed)
+        n = 9 + seed % 4  # 2 .. 16 tiles
+        state = random_state(n, seed=200 + seed)
+        width = int(rng.integers(2, n - 5))
+        top = tuple(range(n - width, n))[:: 1 if seed % 2 else -1]
+        middle = tuple(range(n - width - 2, n - 2))  # H and oracles only: diffusion reduces 2 axes
+        low = [sim.hadamard(0), sim.phase_oracle([0, 1], lambda v: v == 2)]
+        gates = random_search_run(n, top, rng, 12) + low[: 1 + seed % 2]
+        gates += [g for g in random_search_run(n, middle, rng, 12) if g.kind != sim.DIFFUSION]
+        gates += [sim.hadamard(n - 1), sim.diffusion(top)] + low + random_search_run(n, top, rng, 6)
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert len(tiled_calls) >= 2  # the low gates split the run
+
+    def test_search_block_at_20_qubits(self, tiled_calls):
+        from groversvm.grover import IndicatorOracle, search_gates
+
+        n, k = 20, 2  # 10 Hadamards and 2 diffusions per block
+        oracle = IndicatorOracle(1 << 10, 300)
+        block = search_gates(oracle, k, range(10, 20))
+        gates = [sim.hadamard(0), sim.hadamard(3)] + block + [sim.pauli_x(12)] + block[::-1]
+        state = random_state(n, seed=20)
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert tiled_calls == [block, block[::-1]]
+        assert oracle.query_count == 2 * k
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+
+    def test_size_rules_at_the_real_tile(self, tiled_calls):
+        from groversvm.grover import IndicatorOracle, search_gates
+
+        def tiles(n, register, k):
+            """Whether k oracle and diffusion rounds on ``register`` go tile by tile."""
+            tiled_calls.clear()
+            oracle = IndicatorOracle(1 << len(register), 1)
+            rounds = search_gates(oracle, k, register)[len(register) :]
+            sim.run_from_zero(Circuit(n, tuple(rounds)))
+            return len(tiled_calls) == 1
+
+        assert tiles(20, range(10, 20), 8)  # 16 tiles, rows of 64 amplitudes, 8 diffusions
+        assert tiles(20, range(9, 20), 8)  # rows of 32 amplitudes
+        assert not tiles(20, range(8, 20), 8)  # rows of 16 amplitudes
+        assert not tiles(20, range(10, 20), 7)  # too few diffusions to repay the copies
+        assert not tiles(19, range(9, 19), 8)  # 8 tiles
+
+    def test_middle_block_diffusion_falls_back_with_the_same_bits(self, small_tiles, tiled_calls):
+        n = 11
+        state = random_state(n, seed=211)
+        middle = tuple(range(4, 8))
+        top = tuple(range(8, 11))
+        gates = [sim.hadamard(q) for q in middle] + [sim.diffusion(middle), sim.hadamard(9)]
+        gates += [sim.diffusion(top), sim.diffusion(middle[::-1]), sim.hadamard(5)]
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert tiled_calls == [gates[:4], gates[5:7]]  # a lone H after the last diffusion is not
+
+    def test_shared_oracle_gates_bill_once_per_application(self, small_tiles, tiled_calls):
+        from groversvm.grover import IndicatorOracle, search_gates
+
+        n, k = 12, 7
+        oracle = IndicatorOracle(1 << 5, 21)
+        gates = search_gates(oracle, k, range(n - 5, n))
+        state = sim.run(Circuit(n, tuple(gates)), StateVector.zero(n))
+        assert oracle.query_count == k  # over 16 tiles
+        assert len(tiled_calls) == 1
+        assert same_bits(state.amplitudes, per_gate(StateVector.zero(n), gates))
+        assert oracle.query_count == 2 * k
+
+    def test_predicates_are_called_in_gate_order_before_the_first_tile(
+        self, small_tiles, monkeypatch
+    ):
+        n = 9
+        register = tuple(range(4, 9))
+        seen = []
+        original = sim._plan
+
+        def plan(num_qubits, kind, targets, controls):
+            apply = original(num_qubits, kind, targets, controls)
+
+            def traced(psi, marked):
+                seen.append(kind)
+                return apply(psi, marked)
+
+            return traced
+
+        def oracle(name):
+            def predicate(values):
+                seen.append(name)
+                return values == 3
+
+            return sim.phase_oracle(register, predicate)
+
+        monkeypatch.setattr(sim, "_plan", plan)
+        a, b = oracle("a"), oracle("b")
+        gates = (sim.hadamard(4), a, sim.diffusion(register), b, sim.diffusion(register), a)
+        sim.run(Circuit(n, gates), random_state(n, seed=5))
+        assert seen[:3] == ["a", "b", "a"]
+        assert seen.count("a") == 2 and seen.count("b") == 1
+        assert seen.count(sim.DIFFUSION) == 2 * 2  # every gate on each of the 2 tiles
+
+    def test_wrong_predicate_shape_is_a_contract_violation(self, small_tiles, tiled_calls):
+        n = 10
+        register = tuple(range(4, 10))
+        bad = sim.phase_oracle(register, lambda v: np.zeros(3, dtype=bool))
+        gates = (sim.hadamard(4), sim.diffusion(register), bad, sim.diffusion(register))
+        with pytest.raises(ContractViolationError):
+            sim.run(Circuit(n, gates), StateVector.zero(n))
+        assert len(tiled_calls) == 1
+
+    def test_billing_only_runs_are_not_tiled(self, small_tiles, tiled_calls):
+        from groversvm.grover import IndicatorOracle
+
+        n = 11
+        oracle = IndicatorOracle(1 << 6, 17)
+        register = tuple(range(5, 11))
+        billing = [oracle.billing_gate(register)] * 25
+        one_sweep = [sim.hadamard(7)] + [oracle.phase_gate(register)] * 3
+        state = random_state(n, seed=7)
+        for gates in (billing, one_sweep):
+            out = sim.run(Circuit(n, tuple(gates)), state)
+            assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert tiled_calls == []
+        assert oracle.query_count == 2 * (25 + 3)
+
+    @pytest.mark.parametrize("n", [8, 9, 11])
+    def test_runs_that_do_not_fit_a_tile_fall_back(self, n, small_tiles, tiled_calls):
+        # Gates on qubit n - 8 or below leave one column per tile, and a state
+        # of 8 qubits is one tile.
+        low = max(0, n - 8)
+        state = random_state(n, seed=n)
+        register = tuple(range(low, n))
+        gates = [sim.hadamard(low), sim.diffusion(register)] * 2 + [sim.hadamard(n - 1)]
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert tiled_calls == []
+
+    def test_tile_buffer_is_freed_before_a_state_sized_one(self):
+        import tracemalloc
+
+        n = 20
+        rounds = [sim.diffusion(range(10, 20))] * 8
+        state = StateVector.zero(n)
+        state_bytes, tile_bytes = 16 << n, 16 * sim._CACHE_ROW
+        for extra, bound in [([], state_bytes + 2 * tile_bytes),
+                             ([sim.pauli_x(0)], 2 * state_bytes + tile_bytes // 2)]:
+            circuit = Circuit(n, tuple(rounds + extra))
+            tracemalloc.start()
+            try:
+                sim.run(circuit, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+
+    def test_a_tile_then_a_permutation_run(self, small_tiles, tiled_calls):
+        # The tile-sized buffer gives way to a state-sized one for the X run.
+        n = 10
+        register = tuple(range(6, 10))
+        gates = (sim.hadamard(6), sim.diffusion(register), sim.pauli_x(0), sim.pauli_x(3))
+        gates += (sim.hadamard(7), sim.diffusion(register), sim.cnot(0, 1), sim.mcx([1, 2], 4))
+        state = random_state(n, seed=9)
+        out = sim.run(Circuit(n, gates), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+        assert len(tiled_calls) == 2
+
+
 class TestNormAndUnitarity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -545,6 +761,27 @@ class TestProbabilities:
     def test_empty_register_rejected(self):
         with pytest.raises(StructuralError):
             sim.prob_all_zero(StateVector.zero(2), [])
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_whole_register_skips_the_index_map_with_the_same_bits(self, n, monkeypatch):
+        state = random_state(n, seed=40 + n)
+        expected = np.bincount(
+            sim._register_values(n, tuple(range(n))),
+            weights=np.abs(state.amplitudes) ** 2,
+            minlength=1 << n,
+        )
+        monkeypatch.setattr(sim, "_register_values", None)  # not called for range(n)
+        probs = sim.register_probabilities(state, range(n))
+        assert probs.dtype == expected.dtype and probs.shape == expected.shape
+        assert np.array_equal(probs.view(np.uint8), expected.view(np.uint8))
+        assert probs.flags.writeable
+        assert sum(sim.sample_measurement(state, range(n), 50, 3).values()) == 50
+        monkeypatch.undo()
+        reverse = tuple(range(n))[::-1]  # every qubit, another order: the index map
+        expected = np.bincount(
+            sim._register_values(n, reverse), weights=np.abs(state.amplitudes) ** 2, minlength=1 << n
+        )
+        assert same_bits(sim.register_probabilities(state, reverse), expected)
 
 
 class TestSampling:
