@@ -567,11 +567,18 @@ def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str |
               learner: str | None) -> int:
     if len(domain_sizes) < 4:
         raise ConfigError("sweep needs at least 4 domain sizes")
+    if resolved.backend != "ideal":
+        raise ConfigError("sweep runs the ideal backend only; use backend=ideal")
+    if resolved.train_size > min(domain_sizes):
+        raise ConfigError("train_size must not exceed the smallest domain size")
     learners = [learner] if learner else list(LEARNER_KINDS)
     rows_by_learner: dict = {}
     slopes: dict = {}
     for kind in learners:
-        rows = complexity_sweep(kind, domain_sizes, resolved.trials, resolved.seed)
+        rows = complexity_sweep(
+            kind, domain_sizes, resolved.trials, resolved.seed, train_size=resolved.train_size,
+            shots=resolved.shots, box_bound=resolved.box_bound,
+        )
         rows_by_learner[kind] = rows
         slope, err = loglog_slope(
             [row.domain_size for row in rows],
@@ -809,7 +816,8 @@ def main(argv=None) -> int:
             config = _config_from_args(
                 args, {"domain_sizes": args.domain_sizes, "trials": args.trials,
                        "learner": args.learner},
-                ExperimentConfig(trials=SWEEP_TRIALS),
+                # complexity_sweep's own train_size, shots and box_bound
+                ExperimentConfig(trials=SWEEP_TRIALS, train_size=8, shots="16", box_bound=10.0),
             )
             if not config.domain_sizes:
                 raise ConfigError("sweep requires --domain-sizes or the domain_sizes key")

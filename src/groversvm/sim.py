@@ -39,6 +39,20 @@ diffusions whose register is not the top block of qubits and runs too short
 to repay the copies (see ``_TILE_MIN_SWEEPS`` and its neighbours).  Each
 amplitude gets the same operations in the same order, so the bits are those
 of the per-gate path.
+
+From |0...0> (:func:`run_from_zero`), on a state of at least
+``_PREFIX_MIN_QUBITS`` qubits, the longest run of leading gates that leaves
+at least two qubits untouched runs on only the qubits it touches, renumbered
+in order, and is written into a full-width buffer once (see
+:func:`_from_zero`).  The run stops before a diffusion on a middle block of
+qubits, whose mean would be summed in another order on the smaller state.
+Each block of the full state fixes the untouched qubits and gets the same
+operations, so the block where they are all 0 is the small result.  Every
+other block starts at +0, and an oracle turns its marked entries into -0;
+so when any oracle in the run marked a value, the run is applied once more
+to an all +0 state, replaying the recorded marked values without calling a
+predicate, and that result fills those blocks.  Signed zeros included, the
+bits are those of the full-width run.
 :func:`run` calls each phase oracle's predicate exactly once per
 application, in gate order (for a tiled run, before its first tile), with
 one shared read-only array of register values per width; query accounting
@@ -51,7 +65,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, Sequence
@@ -74,6 +88,11 @@ _TILE_BITS = _CACHE_ROW.bit_length() - 1  # a tile is a state of this many qubit
 _TILE_MIN_DROP = 4
 _TILE_MIN_ROW_BITS = 5
 _TILE_MIN_SWEEPS = 8
+# From-zero runs start on fewer qubits only from this width up: below it, in
+# measurements at 10 to 20 qubits, the added calls cost more than the smaller
+# sweeps save (kernel circuits ran 1.2-1.5x slower at 10-12 qubits, 0.86-0.93x
+# at 14 and 0.68-0.82x at 16-20).
+_PREFIX_MIN_QUBITS = 16
 # Worst-case bytes of fused-run index arrays held at once: four int32 arrays
 # at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
 # by gate.
@@ -266,7 +285,7 @@ class Circuit:
             raise ResourceCapError(
                 f"{self.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
             )
-        for gate in self.gates:
+        for gate in {id(gate): gate for gate in self.gates}.values():  # each object once
             if gate.max_qubit() >= self.num_qubits:
                 raise StructuralError(
                     f"gate on qubit {gate.max_qubit()} exceeds circuit width {self.num_qubits}"
@@ -463,9 +482,12 @@ def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[
     raise StructuralError(f"unhandled gate kind {kind!r}")
 
 
-def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
-    """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
-    marked = _marked_values(gate) if gate.kind == PHASE_ORACLE else None
+def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate, marks=_marked_values) -> None:
+    """Apply ``gate`` to the contiguous buffer ``psi`` in place.
+
+    ``marks(gate)`` gives a phase oracle's marked values for this application.
+    """
+    marked = marks(gate) if gate.kind == PHASE_ORACLE else None
     _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, marked)
 
 
@@ -558,7 +580,7 @@ def _run_key(num_qubits: int):
     return key
 
 
-def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> None:
+def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray, marks) -> None:
     """Apply ``_TILED`` gates to ``psi`` one tile of ``_CACHE_ROW`` amplitudes at a time.
 
     Every gate acts on qubits ``lo`` and up only, so it acts on each column of
@@ -566,14 +588,14 @@ def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> N
     copied into ``tile`` is a state of ``_TILE_BITS`` qubits in which qubit
     ``q`` is qubit ``q - drop``; every gate runs on it with the per-gate
     kernel of that width, which computes each amplitude with the same
-    operations, and the block is copied back.  Each predicate is called
-    once, in gate order, before the first tile.
+    operations, and the block is copied back.  ``marks`` is called once per
+    phase oracle, in gate order, before the first tile.
     """
     drop = num_qubits - _TILE_BITS
     steps = [
         (
             _plan(_TILE_BITS, gate.kind, tuple(q - drop for q in gate.targets), ()),
-            _marked_values(gate) if gate.kind == PHASE_ORACLE else None,
+            marks(gate) if gate.kind == PHASE_ORACLE else None,
         )
         for gate in gates
     ]
@@ -600,38 +622,29 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
-def run(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply every gate of ``circuit`` in order to a private copy of ``initial``.
+def _evolve(psi: np.ndarray, num_qubits: int, gates, marks) -> np.ndarray:
+    """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
     Each run of consecutive X gates is one strided copy, each run of two or
     more CNOT/MCX gates is one gather (or scatter) through a cached index
     array, and each ``_TILED`` run with at least ``_TILE_MIN_SWEEPS``
     Hadamard or diffusion gates is applied tile by tile; the amplitudes are
-    those of applying the gates one at a time.
-    Each phase oracle's predicate is called exactly once per application, and
-    the norm is checked once, on the returned state, which takes over the
-    buffer without a copy.
+    those of applying the gates one at a time.  ``marks(gate)`` is called
+    once per phase-oracle application, in gate order.
     """
-    n = circuit.num_qubits
-    if initial is _FROM_ZERO:
-        psi = np.zeros(1 << n, dtype=np.complex128)
-        psi[0] = 1.0
-    elif n != initial.num_qubits:
-        raise StructuralError(f"circuit width {n} != state width {initial.num_qubits}")
-    else:
-        psi = initial.amplitudes.copy()
+    n = num_qubits
     spare = None
-    for kind, gates in groupby(circuit.gates, key=_run_key(n)):
+    for kind, gates in groupby(gates, key=_run_key(n)):
         gates = list(gates)
         if kind == _TILED and sum(gate.kind != PHASE_ORACLE for gate in gates) >= _TILE_MIN_SWEEPS:
             if spare is None:
                 spare = np.empty(_CACHE_ROW, dtype=np.complex128)
-            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW])
+            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW], marks)
             continue
         found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
         if kind != PAULI_X and found is None:
             for gate in gates:
-                _apply_inplace(psi, n, gate)
+                _apply_inplace(psi, n, gate, marks)
             continue
         if spare is None or spare.size < psi.size:
             spare = None  # free a tile-sized buffer before making a state-sized one
@@ -645,7 +658,115 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
             else:
                 np.take(psi, perm, out=spare, mode="clip")  # "clip" takes no whole-output buffer
         psi, spare = spare, psi
-    return StateVector._adopt(n, psi)
+    return psi
+
+
+def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
+    """Length and qubit mask of the leading gates ``run`` applies to fewer qubits.
+
+    On a state of at least ``_PREFIX_MIN_QUBITS`` qubits, the prefix is the
+    longest run of leading gates that leaves at least two qubits untouched
+    and holds no diffusion on a middle block of qubits.  A top-block register
+    that would be the whole smaller state gets the untouched qubit below it,
+    so that its mean is still summed down columns, in the order of the full
+    width.
+    """
+    n = num_qubits
+    touched = length = 0
+    if n < _PREFIX_MIN_QUBITS:
+        return length, touched
+    top_low = n  # lowest qubit of a top-block diffusion in the prefix
+    for gate in gates:
+        mask = 0
+        for q in gate.targets + gate.controls:
+            mask |= 1 << q
+        if (touched | mask).bit_count() > n - 2:
+            break
+        if gate.kind == DIFFUSION and mask & (mask + 1):  # not the bottom block
+            if mask >> (n - len(gate.targets)) != (1 << len(gate.targets)) - 1:
+                break  # a middle block
+            top_low = min(top_low, n - len(gate.targets))
+        touched |= mask
+        length += 1
+    if touched & -touched == 1 << top_low:
+        touched |= 1 << (top_low - 1)
+    return length, touched
+
+
+def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
+    """|0...0> with the gates of its ``_zero_prefix`` applied, and the gates left.
+
+    The prefix runs on a state of only the qubits it touches, renumbered in
+    order, and is written into one block of a new full-width buffer.  Every
+    other block, where some untouched qubit is 1, starts at +0 and gets the
+    same operations, which can turn marked entries into -0: if any oracle
+    marked a value, the prefix runs once more on all +0 with the recorded
+    marked lists, and that result fills those blocks.
+    """
+    n = num_qubits
+    length, touched = _zero_prefix(n, gates)
+    if not length:
+        psi = np.zeros(1 << n, dtype=np.complex128)
+        psi[0] = 1.0
+        return psi, gates
+    position = {q: p for p, q in enumerate(q for q in range(n) if touched >> q & 1)}
+    small = {}
+    for gate in gates[:length]:
+        if id(gate) not in small:
+            small[id(gate)] = replace(
+                gate,
+                targets=tuple(position[q] for q in gate.targets),
+                controls=tuple(position[q] for q in gate.controls),
+            )
+    prefix = [small[id(gate)] for gate in gates[:length]]
+    width = len(position)
+    marked = []
+
+    def record(gate):
+        marked.append(_marked_values(gate))
+        return marked[-1]
+
+    block = np.zeros(1 << width, dtype=np.complex128)
+    block[0] = 1.0
+    block = _evolve(block, width, prefix, record)
+    # Each run of adjacent qubits, touched or not, is one axis of the view.
+    runs = [
+        (inside, 1 << len(list(qubits)))
+        for inside, qubits in groupby(range(n - 1, -1, -1), key=lambda q: touched >> q & 1)
+    ]
+    shape = [size for _, size in runs]
+    kept = [size if inside else 1 for inside, size in runs]  # 1 on untouched axes
+    if any(marked):
+        replay = iter(marked)
+        rest = np.zeros(1 << width, dtype=np.complex128)
+        rest = _evolve(rest, width, prefix, lambda gate: next(replay))
+        psi = np.empty(1 << n, dtype=np.complex128)
+        np.copyto(psi.reshape(shape), rest.reshape(kept))
+    else:
+        psi = np.zeros(1 << n, dtype=np.complex128)
+    psi.reshape(shape)[tuple(slice(size) for size in kept)] = block.reshape(kept)
+    return psi, gates[length:]
+
+
+def run(circuit: Circuit, initial: StateVector) -> StateVector:
+    """Apply every gate of ``circuit`` in order to a private copy of ``initial``.
+
+    The gates go through :func:`_evolve`; from |0...0> (``run_from_zero``)
+    the leading gates that touch few qubits go through :func:`_from_zero`
+    first.  Either way the amplitudes are those of applying the gates one at
+    a time to the whole state.  Each phase oracle's predicate is called
+    exactly once per application, and the norm is checked once, on the
+    returned state, which takes over the buffer without a copy.
+    """
+    n = circuit.num_qubits
+    gates = circuit.gates
+    if initial is _FROM_ZERO:
+        psi, gates = _from_zero(n, gates)
+    elif n != initial.num_qubits:
+        raise StructuralError(f"circuit width {n} != state width {initial.num_qubits}")
+    else:
+        psi = initial.amplitudes.copy()
+    return StateVector._adopt(n, _evolve(psi, n, gates, _marked_values))
 
 
 def run_from_zero(circuit: Circuit) -> StateVector:

@@ -210,13 +210,39 @@ class TestSweepCommand:
         assert slopes["quantum_kernel"] == pytest.approx(0.5, abs=0.08)
         assert captured.out.startswith("schema")
 
-    def test_faithful_backend_rejected_only_with_the_quantum_kernel(self, capsys):
+    def test_faithful_backend_rejected_for_every_learner(self, capsys):
+        # The sweep runs the analytic (ideal) path only, so a faithful sweep
+        # would be an ideal one under another name.
         base = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
                 "--set", "backend=faithful"]
         assert cli.main(base) == cli.EXIT_INVALID_CONFIG  # every learner, quantum_kernel too
         assert cli.main(base + ["--learner", "quantum_kernel"]) == cli.EXIT_INVALID_CONFIG
         assert "quantum_kernel" in capsys.readouterr().err
-        assert cli.main(base + ["--learner", "preprocessing"]) == 0
+        for learner in ("preprocessing", "classical"):
+            assert cli.main(base + ["--learner", learner]) == cli.EXIT_INVALID_CONFIG
+            err = capsys.readouterr()
+            assert "ideal backend only" in err.err and err.out == ""
+
+    def test_learner_keys_reach_the_sweep(self, capsys):
+        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
+                "--learner", "quantum_kernel"]
+        outputs = {}
+        for extra in ([], ["--set", "train_size=8", "--set", "shots=16", "--set", "box_bound=10"],
+                      ["--set", "shots=4"], ["--set", "train_size=4"], ["--set", "box_bound=1"]):
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            outputs[" ".join(extra)] = capsys.readouterr().out
+        default = outputs[""]
+        assert outputs["--set train_size=8 --set shots=16 --set box_bound=10"] == default
+        for extra in ("--set shots=4", "--set train_size=4", "--set box_bound=1"):
+            assert outputs[extra] != default, extra
+
+    def test_train_size_above_the_smallest_domain_size_invalid(self, capsys):
+        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--learner", "classical"]
+        assert cli.main(argv + ["--set", "train_size=16"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(argv + ["--set", "train_size=32"]) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert "smallest domain size" in captured.err and captured.out == ""
 
     def test_trials_key_honoured_and_flag_wins(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128",

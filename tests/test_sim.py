@@ -483,10 +483,10 @@ def tiled_calls(monkeypatch):
     calls = []
     original = sim._apply_tiled
 
-    def spy(psi, num_qubits, gates, tile):
+    def spy(psi, num_qubits, gates, tile, marks):
         calls.append(list(gates))
         assert tile.size == sim._CACHE_ROW
-        return original(psi, num_qubits, gates, tile)
+        return original(psi, num_qubits, gates, tile, marks)
 
     monkeypatch.setattr(sim, "_apply_tiled", spy)
     return calls
@@ -547,9 +547,11 @@ class TestTiledRuns:
             """Whether k oracle and diffusion rounds on ``register`` go tile by tile."""
             tiled_calls.clear()
             oracle = IndicatorOracle(1 << len(register), 1)
-            rounds = search_gates(oracle, k, register)[len(register) :]
-            sim.run_from_zero(Circuit(n, tuple(rounds)))
-            return len(tiled_calls) == 1
+            circuit = Circuit(n, tuple(search_gates(oracle, k, register)[len(register) :]))
+            out = sim.run(circuit, StateVector.zero(n))  # run_from_zero would run it on fewer qubits
+            tiled = len(tiled_calls) == 1
+            assert same_bits(sim.run_from_zero(circuit).amplitudes, out.amplitudes)
+            return tiled
 
         assert tiles(20, range(10, 20), 8)  # 16 tiles, rows of 64 amplitudes, 8 diffusions
         assert tiles(20, range(9, 20), 8)  # rows of 32 amplitudes
@@ -678,6 +680,203 @@ class TestTiledRuns:
         assert len(tiled_calls) == 2
 
 
+@pytest.fixture
+def low_prefix(monkeypatch):
+    """Prefixes taken from 3 qubits up, so small from-zero circuits take them.
+
+    The prefix path is the same code at any width; the real width rule is
+    exercised by the kernel circuits below.
+    """
+    monkeypatch.setattr(sim, "_PREFIX_MIN_QUBITS", 3)
+
+
+def random_prefix_circuit(num_qubits: int, rng) -> Circuit:
+    """Gates on a random subset of qubits (oracles marking values), then some on all of them.
+
+    Diffusions act on the top block, the bottom block, or, after the subset's
+    gates, any register.
+    """
+    n = num_qubits
+    subset = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, n - 1)), replace=False))
+
+    def gate(qubits, any_register):
+        qubits = [int(q) for q in rng.permutation(qubits)]
+        kind = int(rng.integers(6))
+        if kind == 0:
+            return sim.hadamard(qubits[0])
+        if kind == 1:
+            return sim.pauli_x(qubits[0])
+        if kind == 2 and len(qubits) >= 2:
+            return sim.cnot(qubits[0], qubits[1])
+        if kind == 3 and len(qubits) >= 3:
+            return sim.mcx(qubits[:2], qubits[2])
+        if kind == 4:
+            register = qubits[: max(1, len(qubits) // 2)]
+            picks = [int(v) for v in rng.integers(0, 1 << len(register), size=2)]
+            return sim.phase_oracle(register, lambda v, picks=picks: np.isin(v, picks))
+        width = int(rng.integers(1, len(qubits) + 1))
+        shape = int(rng.integers(3 if any_register else 2))
+        register = [range(n - width, n), range(width), qubits[:width]][shape]
+        return sim.diffusion(list(register)[:: 1 if kind % 2 else -1])
+
+    gates = [gate(subset, False) for _ in range(int(rng.integers(2, 24)))]
+    gates += [gate(range(n), True) for _ in range(int(rng.integers(0, 6)))]
+    return Circuit(n, tuple(gates))
+
+
+class TestZeroPrefix:
+    """From |0...0>, the leading gates that touch few qubits run on those qubits only."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_circuits_keep_every_bit(self, seed, low_prefix):
+        rng = np.random.default_rng(300 + seed)
+        n = 3 + seed % 8  # 3 .. 10 qubits
+        for _ in range(10):
+            circuit = random_prefix_circuit(n, rng)
+            expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+            assert same_bits(sim.run_from_zero(circuit).amplitudes, expected), circuit.gates
+
+    def test_signed_zeros_of_marked_untouched_blocks(self, low_prefix):
+        # Qubits 3 and 4 stay |0>, so the blocks where either is 1 hold zeros,
+        # which the last oracle turns into -0.
+        n = 5
+        register = (0, 1, 2)
+        gates = [sim.hadamard(q) for q in register]
+        gates += [sim.phase_oracle(register, lambda v: v == 5), sim.diffusion(register)] * 2
+        gates += [sim.phase_oracle(register, lambda v: v % 3 == 1)]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates) == (len(gates), 0b00111)
+        expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+        assert np.signbit(expected[8:].real).any()
+        assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+
+    def test_each_predicate_is_called_once_per_application(self, low_prefix):
+        n = 6
+        calls = {"a": 0, "b": 0}
+
+        def oracle(name, value):
+            def predicate(values):
+                calls[name] += 1
+                return values == value
+
+            return sim.phase_oracle((3, 4, 5), predicate)
+
+        a, b = oracle("a", 6), oracle("b", 0)
+        gates = [sim.hadamard(q) for q in (3, 4, 5)] + [a, sim.diffusion((3, 4, 5)), b] * 3
+        gates += [sim.hadamard(0), a, sim.cnot(5, 1), b, sim.hadamard(2), a]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates)[0] == 14  # the CNOT would touch a fifth qubit
+        out = sim.run_from_zero(circuit)
+        assert calls == {"a": 5, "b": 4}
+        assert same_bits(out.amplitudes, sim.run(circuit, StateVector.zero(n)).amplitudes)
+        assert calls == {"a": 10, "b": 8}
+
+    def test_a_middle_block_diffusion_ends_the_prefix(self, low_prefix):
+        n = 8
+        middle = (2, 3, 4, 5)
+        gates = [sim.hadamard(q) for q in middle] + [sim.phase_oracle(middle, lambda v: v == 9)]
+        gates += [sim.diffusion(middle), sim.hadamard(3), sim.diffusion((5, 6, 7))]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates) == (5, 0b00111100)
+        top = Circuit(n, tuple(gates[:5] + gates[6:]))
+        assert sim._zero_prefix(n, top.gates) == (7, 0b11111100)
+        for c in (circuit, top):
+            expected = sim.run(c, StateVector.zero(n)).amplitudes
+            assert same_bits(sim.run_from_zero(c).amplitudes, expected)
+
+    def test_a_prefix_that_leaves_one_qubit_untouched_is_not_taken(self, low_prefix):
+        n = 6
+        gates = [sim.hadamard(q) for q in range(5)] + [sim.diffusion(range(5)), sim.hadamard(5)]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates) == (4, 0b01111)  # not the fifth Hadamard
+        for c in (circuit, Circuit(n, circuit.gates[5:])):  # the diffusion on 5 qubits first
+            expected = sim.run(c, StateVector.zero(n)).amplitudes
+            assert same_bits(sim.run_from_zero(c).amplitudes, expected)
+        assert sim._zero_prefix(n, circuit.gates[5:]) == (0, 0)
+
+    def test_a_top_block_register_keeps_a_column_below_it(self, low_prefix):
+        # Alone, the register would be the whole smaller state and its mean a
+        # contiguous (pairwise) sum; the qubit below keeps the column sum.
+        n = 9
+        register = tuple(range(4, 9))
+        gates = [sim.hadamard(q) for q in register]
+        for value in (3, 17, 30):
+            gates += [sim.phase_oracle(register, lambda v, value=value: v == value),
+                      sim.diffusion(register), sim.hadamard(5 + value % 4)]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates) == (len(gates), 0b111111000)
+        expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+        assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+
+    def test_small_states_start_at_full_width(self):
+        n = sim._PREFIX_MIN_QUBITS - 1
+        circuit = Circuit(n, (sim.hadamard(0), sim.hadamard(1)))
+        assert sim._zero_prefix(n, circuit.gates) == (0, 0)
+        assert sim._zero_prefix(n + 1, circuit.gates) == (2, 0b11)
+
+    @pytest.mark.parametrize("backend", ["ideal", "faithful"])
+    @pytest.mark.parametrize("N", [16, 64, 256, 1024])
+    def test_kernel_circuits(self, N, backend, monkeypatch):
+        from groversvm.grover import (
+            GroverConfig, IndicatorOracle, feature_map_circuit, optimal_iterations,
+        )
+        from groversvm.kernel import kernel_circuit
+
+        config = GroverConfig(backend=backend)
+        k = optimal_iterations(N)
+        a, b = IndicatorOracle(N, 3), IndicatorOracle(N, 5)
+        forward, backward = feature_map_circuit(a, 4, config), feature_map_circuit(b, 4, config)
+        n = forward.num_qubits
+        circuit = Circuit(n, forward.gates + backward.gates[::-1])
+        length, touched = sim._zero_prefix(n, circuit.gates)
+        if n >= sim._PREFIX_MIN_QUBITS:  # the Hadamards on qubits 0 and 1, and the first block
+            assert touched == 0b11 | (N - 1) << (n // 2)
+            writes = bin(3).count("1")  # the ideal block's X gates write the marked value
+            assert length == 2 + (n // 2 + 2 * k if backend == "faithful" else k + writes)
+        else:
+            assert length == 0
+        expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+        assert (a.query_count, b.query_count) == (2 * k, 2 * k)
+        seen = []
+        original = sim.run
+
+        def wrapped(circuit, initial):
+            seen.append(circuit.num_qubits)
+            return original(circuit, initial)
+
+        monkeypatch.setattr(sim, "run", wrapped)
+        assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+        assert (a.query_count, b.query_count) == (4 * k, 4 * k)
+        value, ledger = kernel_circuit(a, b, 4, config)
+        assert seen == [n, n]  # one call per run_from_zero, at full width
+        assert ledger.oracle_queries == 4 * k
+        assert value == pytest.approx(0.5, abs=0.05)
+
+    def test_no_state_sized_buffer_beyond_two(self):
+        import tracemalloc
+
+        from groversvm.grover import GroverConfig, IndicatorOracle, feature_map_circuit
+
+        config = GroverConfig(backend="faithful")
+        maps = [feature_map_circuit(IndicatorOracle(1024, v), 4, config) for v in (3, 5)]
+        kernel = Circuit(20, maps[0].gates + maps[1].gates[::-1])
+        prefix = Circuit(20, maps[0].gates[:62])  # the Hadamards and the first search block
+        assert sim._zero_prefix(20, prefix.gates)[0] == len(prefix)
+        state_bytes = 16 << 20
+        # The kernel circuit's peak is the buffer, its spare, and the int64
+        # index copy the adder's gather makes of its int32 array.
+        for circuit, bound in [(prefix, state_bytes + state_bytes // 8),
+                               (kernel, 2 * state_bytes + state_bytes // 2 + (1 << 20))]:
+            sim.run_from_zero(circuit)  # fills the permutation cache
+            tracemalloc.start()
+            try:
+                sim.run_from_zero(circuit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
+
+
 class TestNormAndUnitarity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -722,6 +921,23 @@ class TestCircuit:
     def test_gate_outside_width_rejected(self):
         with pytest.raises(StructuralError):
             Circuit(2, (sim.hadamard(2),))
+
+    def test_repeated_gates_are_checked_once_in_first_occurrence_order(self, monkeypatch):
+        checked = []
+        original = sim.Gate.max_qubit
+
+        def max_qubit(gate):
+            checked.append(gate)
+            return original(gate)
+
+        monkeypatch.setattr(sim.Gate, "max_qubit", max_qubit)
+        ok, wide, wider = sim.hadamard(0), sim.pauli_x(4), sim.pauli_x(5)
+        Circuit(3, (ok, sim.diffusion([0, 1]), ok) * 50)
+        assert len(checked) == 2
+        checked.clear()
+        with pytest.raises(StructuralError, match="qubit 4"):
+            Circuit(3, (ok, wide, ok, wider, wide))
+        assert checked[:2] == [ok, wide] and wider not in checked  # the first bad gate raises
 
     def test_qubit_cap_checked_at_construction(self):
         Circuit(sim.QUBIT_CAP, ())
