@@ -19,6 +19,7 @@ from .sim import (
     register_probabilities,
     run,
     run_from_zero,
+    run_many,
     sample_measurement,
     subsystem_fidelity,
 )
@@ -29,6 +30,7 @@ from .grover import (
     adder_circuit,
     feature_map_circuit,
     grover_search,
+    grover_search_many,
     grover_success_probability,
     interval_state_analytic,
     multi_marked_ancilla_fidelity,

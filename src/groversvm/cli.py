@@ -46,6 +46,9 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 
 SWEEP_TRIALS = 3  # sweep's trials per size when neither --trials nor the trials key is given
+# complexity_sweep fixes these itself (the indicator problem, M = N/4, 4 test
+# points, a budget of N/2), so sweep rejects them rather than ignore them.
+SWEEP_FIXED_KEYS = ("problem", "interval_width", "test_size", "budget")
 
 REPORT_SCHEMA = "groversvm-report/1"
 DATASET_SCHEMA = "groversvm-dataset/1"
@@ -788,9 +791,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(
-    args, extra: dict | None = None, config: ExperimentConfig | None = None
+    args, extra: dict | None = None, config: ExperimentConfig | None = None, fixed=()
 ) -> ExperimentConfig:
+    """The config from the file, ``--set`` and flags; a key in ``fixed`` may not be given."""
     file_pairs = parse_config_file(args.config) if args.config else {}
+    given = set(file_pairs) | {item.split("=", 1)[0].strip() for item in args.set or []}
+    for key in fixed:
+        if key in given:
+            raise ConfigError(f"{args.command} fixes {key} itself; remove the {key} key")
     overrides = {"seed": getattr(args, "seed", None)}
     overrides.update(extra or {})
     return build_config(file_pairs, args.set, overrides, config)
@@ -818,6 +826,7 @@ def main(argv=None) -> int:
                        "learner": args.learner},
                 # complexity_sweep's own train_size, shots and box_bound
                 ExperimentConfig(trials=SWEEP_TRIALS, train_size=8, shots="16", box_bound=10.0),
+                fixed=SWEEP_FIXED_KEYS,
             )
             if not config.domain_sizes:
                 raise ConfigError("sweep requires --domain-sizes or the domain_sizes key")

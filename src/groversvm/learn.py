@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, grover_search, resolve_iterations
+from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
+from .grover import grover_search, grover_search_many  # noqa: F401 - tracing wraps grover_search
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled
 from .ledger import QueryLedger
 from .sim import StateVector, as_rng, seed32
@@ -338,18 +339,18 @@ def preprocessing_learner(
     seeds = np.random.SeedSequence(seed32(rng_seed)).spawn(m + len(test_oracles))
 
     train_ledger = QueryLedger()
-    recovered = np.empty(m, dtype=np.int64)
-    for i, oracle in enumerate(train.oracles):
-        recovered[i], ledger = grover_search(oracle, config, seeds[i])
+    searches = grover_search_many(train.oracles, config, seeds[:m])
+    recovered = np.array([value for value, _ in searches], dtype=np.int64)
+    for _, ledger in searches:
         train_ledger.add(ledger)
 
     entries = kernel_exact_many(recovered[:, None], recovered[None, :], interval_width, N)
     model = svm.train(entries, train.labels, box_bound=box_bound)
 
     infer_ledger = QueryLedger()
-    found = np.empty(len(test_oracles), dtype=np.int64)
-    for t_idx, oracle in enumerate(test_oracles):
-        found[t_idx], ledger = grover_search(oracle, config, seeds[m + t_idx])
+    searches = grover_search_many(test_oracles, config, seeds[m:])
+    found = np.array([value for value, _ in searches], dtype=np.int64)
+    for _, ledger in searches:
         infer_ledger.add(ledger)
     rows = kernel_exact_many(found[:, None], recovered[None, :], interval_width, N)
     predictions = np.array([svm.decide(model, row)[1] for row in rows], dtype=np.int64)

@@ -236,6 +236,19 @@ class TestSweepCommand:
         for extra in ("--set shots=4", "--set train_size=4", "--set box_bound=1"):
             assert outputs[extra] != default, extra
 
+    @pytest.mark.parametrize(
+        "pair", ["test_size=10", "problem=pattern", "budget=3", "interval_width=2"]
+    )
+    def test_keys_the_sweep_fixes_rejected(self, pair, tmp_path, capsys):
+        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
+                "--learner", "quantum_kernel"]
+        key = pair.split("=")[0]
+        config = write(tmp_path / "sweep.cfg", pair.replace("=", " = ") + "\n")
+        for extra in (["--set", pair], ["--config", config]):
+            assert cli.main(argv + extra) == cli.EXIT_INVALID_CONFIG
+            captured = capsys.readouterr()
+            assert f"fixes {key} itself" in captured.err and captured.out == ""
+
     def test_train_size_above_the_smallest_domain_size_invalid(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--learner", "classical"]
         assert cli.main(argv + ["--set", "train_size=16"]) == cli.EXIT_OK

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from groversvm import sim
+from groversvm import grover, sim
 from groversvm.errors import InvalidIntervalError, StructuralError, UnsupportedSizeError
 from groversvm.grover import (
     GroverConfig,
@@ -16,6 +16,7 @@ from groversvm.grover import (
     adder_gates,
     feature_map_circuit,
     grover_search,
+    grover_search_many,
     grover_success_probability,
     interval_state_analytic,
     multi_marked_ancilla_fidelity,
@@ -24,6 +25,7 @@ from groversvm.grover import (
     theoretical_success_probability,
 )
 from groversvm.sim import StateVector
+from search_reference import reference_search
 
 
 def classical_permutation(gates, num_qubits: int) -> np.ndarray:
@@ -151,6 +153,47 @@ class TestGroverSearch:
         oracle = IndicatorOracle(16, 3)
         _, ledger = grover_search(oracle, GroverConfig("ideal", iterations=7), 0)
         assert ledger.oracle_queries == 7
+
+
+class TestGroverSearchMany:
+    @pytest.mark.parametrize("backend", ["ideal", "faithful"])
+    @pytest.mark.parametrize("N, count", [(4, 3), (8, 150), (64, 40), (1024, 9)])
+    def test_matches_a_loop_of_single_searches(self, N, count, backend):
+        config = GroverConfig(backend)
+        marks = np.random.default_rng(N).integers(0, N, size=count)
+        seeds = np.random.SeedSequence(N).spawn(count)
+        oracles = [IndicatorOracle(N, int(v)) for v in marks]
+        results = grover_search_many(oracles, config, seeds)
+        if N == 8:  # several faithful batches, the last one partial
+            assert count > 2 * grover._BATCH_SEARCHES and count % grover._BATCH_SEARCHES
+        ref_oracles = [IndicatorOracle(N, int(v)) for v in marks]
+        expected = [reference_search(o, config, s) for o, s in zip(ref_oracles, seeds)]
+        assert results == expected
+        assert [o.query_count for o in oracles] == [o.query_count for o in ref_oracles]
+
+    def test_single_search_is_a_batch_of_one(self):
+        oracle, ref = IndicatorOracle(256, 77), IndicatorOracle(256, 77)
+        config = GroverConfig("faithful", iterations=5)
+        for seed in range(6):
+            assert grover_search(oracle, config, seed) == reference_search(ref, config, seed)
+        assert oracle.query_count == ref.query_count == 30
+
+    def test_an_oracle_listed_twice_bills_each_search(self):
+        for backend in ("ideal", "faithful"):
+            oracle = IndicatorOracle(16, 6)
+            results = grover_search_many([oracle, IndicatorOracle(16, 2), oracle],
+                                         GroverConfig(backend), [1, 2, 3])
+            assert [ledger.oracle_queries for _, ledger in results] == [3, 3, 3]
+            assert oracle.query_count == 6
+
+    def test_input_errors_before_any_query(self):
+        oracles = [IndicatorOracle(16, 3), IndicatorOracle(32, 3)]
+        with pytest.raises(StructuralError, match="one domain size"):
+            grover_search_many(oracles, GroverConfig("faithful"), [0, 1])
+        with pytest.raises(StructuralError, match="seeds"):
+            grover_search_many(oracles[:1], GroverConfig("ideal"), [0, 1])
+        assert [o.query_count for o in oracles] == [0, 0]
+        assert grover_search_many([], GroverConfig("faithful"), []) == []
 
 
 class TestAdder:

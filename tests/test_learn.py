@@ -10,12 +10,11 @@ from groversvm.errors import StructuralError
 from groversvm.grover import (
     GroverConfig,
     IndicatorOracle,
-    grover_search,
     interval_state_analytic,
     resolve_iterations,
 )
 from groversvm.kernel import GramMatrix, KernelMode, gram_matrix, kernel_exact, kernel_sampled
-from groversvm.ledger import QueryLedger
+from groversvm.ledger import QueryLedger, merge_ledgers
 from groversvm.learn import (
     Concept,
     Dataset,
@@ -37,6 +36,7 @@ from groversvm.learn import (
     reference_hyperplane_classify,
 )
 from groversvm import svm
+from search_reference import reference_search
 
 
 class TestConcept:
@@ -377,23 +377,26 @@ def _reference_quantum_kernel_learner(train, test_oracles, M, shots, box_bound, 
     return predictions, model, train_ledger, infer_ledger
 
 
-def _reference_preprocessing_learner(train, test_oracles, M, box_bound, seed):
-    """Per-pair Gram loop and one scalar kernel row per test point."""
+def _reference_preprocessing_learner(train, test_oracles, M, box_bound, seed, config):
+    """A search per datum in a loop, a per-pair Gram loop, a scalar kernel row per test point."""
     N = train.concept.domain_size
     m = train.size
     seeds = np.random.SeedSequence(seed & 0xFFFFFFFF).spawn(m + len(test_oracles))
-    recovered = [grover_search(o, GroverConfig(), seeds[i])[0] for i, o in enumerate(train.oracles)]
+    searches = [reference_search(o, config, seeds[i]) for i, o in enumerate(train.oracles)]
+    recovered = [found for found, _ in searches]
     entries = np.eye(m)
     for i in range(m):
         for j in range(i + 1, m):
             entries[i, j] = entries[j, i] = kernel_exact(recovered[i], recovered[j], M, N)
     model = svm.train(entries, train.labels, box_bound=box_bound)
     predictions = []
+    infer = []
     for t_idx, oracle in enumerate(test_oracles):
-        found, _ = grover_search(oracle, GroverConfig(), seeds[m + t_idx])
+        found, ledger = reference_search(oracle, config, seeds[m + t_idx])
+        infer.append(ledger)
         row = np.array([kernel_exact(int(found), int(r), M, N) for r in recovered])
         predictions.append(svm.decide(model, row)[1])
-    return predictions, model
+    return predictions, model, merge_ledgers(l for _, l in searches), merge_ledgers(infer)
 
 
 def _learner_inputs(N, m, data_seed):
@@ -424,13 +427,29 @@ class TestLearnersMatchPerPairLoops:
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_preprocessing_learner_bit_identical(self, seed):
+        self.check_preprocessing_learner(seed, GroverConfig())
+
+    # One round at N = 64 finds the marked value with probability 0.14, so the
+    # results depend on which seed each search draws from.
+    @pytest.mark.parametrize("iterations", [None, 1])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_faithful_preprocessing_learner_bit_identical(self, seed, iterations):
+        self.check_preprocessing_learner(seed, GroverConfig("faithful", iterations))
+
+    @staticmethod
+    def check_preprocessing_learner(seed, config):
         train, tests = _learner_inputs(64, 12, seed)
-        result = preprocessing_learner(train, tests, 8, 10.0, rng_seed=seed)
+        result = preprocessing_learner(train, tests, 8, 10.0, config, rng_seed=seed)
         ref_train, ref_tests = _learner_inputs(64, 12, seed)
-        predictions, model = _reference_preprocessing_learner(ref_train, ref_tests, 8, 10.0, seed)
+        predictions, model, train_ledger, infer_ledger = _reference_preprocessing_learner(
+            ref_train, ref_tests, 8, 10.0, seed, config
+        )
         npt.assert_array_equal(result.predictions, predictions)
         assert np.array_equal(result.model.dual_coeffs, model.dual_coeffs)
         assert result.model.bias == model.bias
+        assert (result.train_ledger, result.infer_ledger) == (train_ledger, infer_ledger)
+        counts = [o.query_count for o in train.oracles + tests]
+        assert counts == [o.query_count for o in ref_train.oracles + ref_tests]
 
 
 class TestLedgerMatchesOracleCounters:

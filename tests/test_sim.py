@@ -863,8 +863,8 @@ class TestZeroPrefix:
         prefix = Circuit(20, maps[0].gates[:62])  # the Hadamards and the first search block
         assert sim._zero_prefix(20, prefix.gates)[0] == len(prefix)
         state_bytes = 16 << 20
-        # The kernel circuit's peak is the buffer, its spare, and the int64
-        # index copy the adder's gather makes of its int32 array.
+        # The kernel circuit's peak is the buffer and its spare, with room for
+        # an int64 copy of the adder's int32 gather indices.
         for circuit, bound in [(prefix, state_bytes + state_bytes // 8),
                                (kernel, 2 * state_bytes + state_bytes // 2 + (1 << 20))]:
             sim.run_from_zero(circuit)  # fills the permutation cache
@@ -875,6 +875,212 @@ class TestZeroPrefix:
             finally:
                 tracemalloc.stop()
             assert peak < bound
+
+
+    def test_the_gather_adds_at_most_a_cache_row(self):
+        # The adder's gather goes one cache row of indices at a time, so the
+        # int64 copy numpy makes of the int32 indices is 512 KiB, not 8 MiB.
+        import tracemalloc
+
+        from groversvm.grover import GroverConfig, IndicatorOracle, feature_map_circuit
+
+        config = GroverConfig(backend="faithful")
+        maps = [feature_map_circuit(IndicatorOracle(1024, v), 4, config) for v in (3, 5)]
+        kernel = Circuit(20, maps[0].gates + maps[1].gates[::-1])
+        expected = sim.run(kernel, StateVector.zero(20)).amplitudes  # fills the cache
+        tracemalloc.start()
+        try:
+            out = sim.run_from_zero(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (16 << 20) + (1 << 20)
+        assert same_bits(out.amplitudes, expected)
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Set how many states of ``num_qubits`` qubits one ``run_many`` chunk holds."""
+
+    def set_rows(num_qubits: int, rows: int) -> None:
+        monkeypatch.setattr(sim, "_BATCH_AMPLITUDES", rows << num_qubits)
+
+    return set_rows
+
+
+def counted_oracle(register, marked, log, name):
+    """A phase oracle marking ``marked`` that appends ``name`` to ``log`` per call."""
+
+    def predicate(values):
+        log.append(name)
+        return np.isin(values, marked)
+
+    return sim.phase_oracle(register, predicate)
+
+
+def shape_equal_circuits(num_qubits: int, count: int, rng, log=None) -> list:
+    """Random circuits sharing one gate-shape list, each with its own oracle marks.
+
+    The shapes cover X, CNOT, MCX and Hadamard gates, diffusions on bottom,
+    top and middle blocks and on scattered registers, and phase oracles on
+    any register.
+    """
+    n = num_qubits
+    log = [] if log is None else log
+    shapes = []
+    for _ in range(int(rng.integers(4, 30))):
+        qubits = [int(q) for q in rng.permutation(n)]
+        kind = int(rng.integers(7))
+        width = int(rng.integers(1, n + 1))
+        low = int(rng.integers(0, n - width + 1))
+        if kind == 0:
+            shapes.append(sim.hadamard(qubits[0]))
+        elif kind == 1:
+            shapes.append(sim.pauli_x(qubits[0]))
+        elif kind == 2 and n >= 2:
+            shapes.append(sim.cnot(qubits[0], qubits[1]))
+        elif kind == 3 and n >= 3:
+            shapes.append(sim.mcx(qubits[1:3], qubits[0]))
+        elif kind == 4:
+            register = [range(width), range(n - width, n), range(low, low + width), qubits[:width]]
+            register = list(register[int(rng.integers(4))])[:: int(rng.choice([1, -1]))]
+            shapes.append(sim.diffusion(register))
+        else:
+            shapes.append(("oracle", tuple(qubits[:width])))
+    circuits = []
+    for c in range(count):
+        gates = []
+        for p, shape in enumerate(shapes):
+            if isinstance(shape, tuple):
+                marked = [int(v) for v in rng.integers(0, 1 << len(shape[1]), size=2)]
+                shape = counted_oracle(shape[1], marked, log, (c, p))
+            gates.append(shape)
+        circuits.append(Circuit(n, tuple(gates)))
+    return circuits
+
+
+def search_circuits(domain_size: int, marks) -> list:
+    from groversvm.grover import IndicatorOracle, search_circuit
+
+    return [search_circuit(IndicatorOracle(domain_size, int(v))) for v in marks]
+
+
+class TestRunMany:
+    """A batch of shape-equal circuits gives each circuit's ``run_from_zero`` bits."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_search_circuits(self, n):
+        rng = np.random.default_rng(n)
+        circuits = search_circuits(1 << n, rng.integers(0, 1 << n, size=5))
+        states = list(sim.run_many(circuits))
+        assert len(states) == len(circuits)
+        for state, circuit in zip(states, circuits):
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_shape_equal_circuits(self, seed, chunk_rows):
+        rng = np.random.default_rng(700 + seed)
+        n = 2 + seed % 9  # 2 .. 10 qubits
+        chunk_rows(n, int(rng.integers(2, 6)))
+        circuits = shape_equal_circuits(n, int(rng.integers(1, 12)), rng)
+        for state, circuit in zip(sim.run_many(circuits), circuits, strict=True):
+            expected = sim.run_from_zero(circuit).amplitudes
+            assert same_bits(state.amplitudes, expected), circuit.gates
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
+    def test_chunk_boundaries(self, count, chunk_rows):
+        n = 6
+        chunk_rows(n, 4)
+        circuits = search_circuits(1 << n, range(3, 3 + 5 * count, 5))
+        states = list(sim.run_many(circuits))
+        assert len(states) == count
+        for state, circuit in zip(states, circuits):
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
+    def test_predicates_called_once_per_application_in_row_order(self, chunk_rows):
+        n = 5
+        chunk_rows(n, 2)
+        register = tuple(range(n))
+        log = []
+        hadamards = [sim.hadamard(q) for q in register]
+        circuits = []
+        for c in range(5):
+            gates = hadamards + [sim.pauli_x(0)]
+            for p in (6, 8):
+                gates += [counted_oracle(register, [c + p], log, (c, p)), sim.diffusion(register)]
+            circuits.append(Circuit(n, tuple(gates)))
+        # The second oracle gate object is applied again at position 10.
+        circuits = [Circuit(n, c.gates + (c.gates[8],)) for c in circuits]
+        states = sim.run_many(circuits)
+        assert log == []  # a generator: nothing runs before the first state is asked for
+        list(states)
+        expected = []
+        for chunk in ([0, 1], [2, 3], [4]):
+            for p in (6, 8, 8):
+                expected += [(c, p) for c in chunk]
+        assert log == expected
+
+    def test_one_state_at_a_time_above_half_a_chunk(self, chunk_rows):
+        n = 6
+        chunk_rows(n, 1)
+        log = []
+        circuits = shape_equal_circuits(n, 3, np.random.default_rng(5), log)
+        states = list(sim.run_many(circuits))
+        positions = sorted({p for _, p in log})
+        assert log == [(c, p) for c in range(3) for p in positions]
+        for state, circuit in zip(states, circuits):
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
+    def test_shape_mismatch_raises_before_any_predicate(self):
+        n = 4
+        register = (0, 1, 2, 3)
+        log = []
+
+        def circuit(width=n, last=sim.diffusion(register), extra=()):
+            gates = (sim.hadamard(0), counted_oracle(register, [3], log, "o"), last) + extra
+            return Circuit(width, gates)
+
+        for other in (circuit(width=5), circuit(last=sim.diffusion((0, 1, 2))),
+                      circuit(last=sim.hadamard(1)), circuit(extra=(sim.hadamard(0),)),
+                      circuit(last=counted_oracle(register, [1], log, "p"))):
+            with pytest.raises(StructuralError, match="same width and gate shapes"):
+                list(sim.run_many([circuit(), circuit(), other]))
+        assert log == []
+
+    def test_wrong_predicate_shape_is_a_contract_violation(self):
+        register = (0, 1, 2)
+        gates = [sim.hadamard(q) for q in register]
+        circuits = [
+            Circuit(3, tuple(gates + [sim.phase_oracle(register, lambda v, r=r: v[: 8 - r] == 1)]))
+            for r in (0, 1)
+        ]
+        with pytest.raises(ContractViolationError, match="shape"):
+            list(sim.run_many(circuits))
+
+    def test_yielded_states_are_read_only_and_kept(self, chunk_rows):
+        n = 5
+        chunk_rows(n, 2)
+        circuits = search_circuits(1 << n, range(7))
+        seen = []
+        for state in sim.run_many(circuits):
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+            seen.append((state, state.amplitudes.tobytes()))
+        for (state, first), circuit in zip(seen, circuits):
+            assert state.amplitudes.tobytes() == first
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
+    def test_no_circuits_no_states(self):
+        assert list(sim.run_many([])) == []
+
+    def test_circuits_without_an_oracle(self, chunk_rows):
+        chunk_rows(3, 2)
+        gates = (sim.hadamard(0), sim.cnot(0, 2), sim.diffusion((1, 2)))
+        states = list(sim.run_many([Circuit(3, gates)] * 3))
+        expected = sim.run_from_zero(Circuit(3, gates)).amplitudes
+        assert all(same_bits(state.amplitudes, expected) for state in states)
+        assert len({id(state.amplitudes) for state in states}) == 3
 
 
 class TestNormAndUnitarity:
