@@ -1,10 +1,11 @@
 """Grover search over indicator oracles, the modular adder, and interval feature maps.
 
 Query accounting: an :class:`IndicatorOracle` bumps its counter once per
-classical evaluation and once per quantum oracle-gate application.  The
-``ideal`` backend writes the marked basis state exactly (the perfect-search
-idealization) but still bills the same number of queries a real run would
-consume, via identity-action billing gates tied to circuit execution.
+classical evaluation.  Its phase and billing gates carry the oracle, and the
+simulator bills it one query per time such a gate is listed in a circuit it
+runs.  The ``ideal`` backend writes the marked basis state exactly (the
+perfect-search idealization) but still bills the same number of queries a
+real run would consume, via identity-action billing gates.
 """
 
 from __future__ import annotations
@@ -85,21 +86,11 @@ class IndicatorOracle:
 
     def phase_gate(self, register) -> Gate:
         """Sign flip on the marked value; one query per circuit application."""
-
-        def predicate(values: np.ndarray) -> np.ndarray:
-            self.query_count += 1
-            return values == self.marked
-
-        return sim.phase_oracle(register, predicate)
+        return sim.phase_oracle(register, (self.marked,), self)
 
     def billing_gate(self, register) -> Gate:
         """Identity action that still bills one query per application (ideal backend)."""
-
-        def predicate(values: np.ndarray) -> np.ndarray:
-            self.query_count += 1
-            return np.zeros(values.shape, dtype=bool)
-
-        return sim.phase_oracle(register, predicate)
+        return sim.phase_oracle(register, (), self)
 
 
 class MultiMarkedOracle:
@@ -174,7 +165,7 @@ def search_gates(oracle: IndicatorOracle, iterations: int, register) -> list[Gat
     """Uniform superposition followed by ``iterations`` oracle+diffusion rounds."""
     register = tuple(register)
     # One gate object per role, listed ``iterations`` times: the simulator
-    # calls the oracle's predicate once per application, so k queries are billed.
+    # bills the oracle once per listed gate, so k queries are billed.
     rounds = [oracle.phase_gate(register), sim.diffusion(register)] * iterations
     return [sim.hadamard(q) for q in register] + rounds
 

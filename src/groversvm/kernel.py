@@ -134,6 +134,11 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     """Binomial shot estimate of a kernel value: Binomial(R, K)/R.
 
     Mean K, variance K(1-K)/R; the endpoints 0 and 1 are reproduced exactly.
+    Each shot is modelled as a Bernoulli(K) trial.  The circuit of
+    :func:`kernel_circuit` does not give that: the frequency of its all-zero
+    outcome estimates P = K**2, and K is the square root of P.  This model is
+    kept, since every sampled Gram matrix and report depends on its draws;
+    which of the two the paper's shot-noise claim should use is open.
     """
     if shots < 1:
         raise StructuralError("shots must be at least 1")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
-from .grover import grover_search, grover_search_many  # noqa: F401 - tracing wraps grover_search
+from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled
 from .ledger import QueryLedger
 from .sim import StateVector, as_rng, seed32
@@ -274,7 +274,8 @@ def quantum_kernel_learner(
     Every kernel value costs ``shots`` circuit executions at 4k oracle queries
     each; classifying one test point therefore costs d * shots * 4k queries
     for d support vectors.  Kernel values are drawn from the ideal closed form,
-    so a faithful ``config`` is a :class:`StructuralError`.
+    so a faithful ``config`` is a :class:`StructuralError`.  Each ledger bills
+    the change in the oracles' counters over its phase.
     """
     config = config or GroverConfig()
     if config.backend != "ideal":
@@ -283,8 +284,9 @@ def quantum_kernel_learner(
         raise StructuralError("shots must be at least 1")
     N = train.concept.domain_size
     k = resolve_iterations(N, config)
-    per_shot = 4 * k
     m = train.size
+    oracles = list({id(o): o for o in [*train.oracles, *test_oracles]}.values())
+    start = sum(o.query_count for o in oracles)
 
     gram = gram_matrix(
         train.oracles, interval_width, KernelMode.sampled(shots), rng_seed=rng_seed
@@ -292,7 +294,8 @@ def quantum_kernel_learner(
     n_pairs = m * (m - 1) // 2
     for oracle in train.oracles:
         oracle.charge_queries(2 * k * shots * (m - 1))
-    train_ledger = QueryLedger(oracle_queries=n_pairs * shots * per_shot, shots=n_pairs * shots)
+    trained = sum(o.query_count for o in oracles)
+    train_ledger = QueryLedger(oracle_queries=trained - start, shots=n_pairs * shots)
 
     model = svm.train(gram, train.labels, box_bound=box_bound)
     support = model.support_indices
@@ -315,7 +318,9 @@ def quantum_kernel_learner(
         train.oracles[sv].charge_queries(2 * k * shots * len(test_oracles))
     predictions = np.array([svm.decide(model, row)[1] for row in rows], dtype=np.int64)
     n_entries = len(test_oracles) * support.size
-    infer_ledger = QueryLedger(oracle_queries=n_entries * shots * per_shot, shots=n_entries * shots)
+    infer_ledger = QueryLedger(
+        oracle_queries=sum(o.query_count for o in oracles) - trained, shots=n_entries * shots
+    )
     return LearnerResult(predictions, train_ledger, infer_ledger, model.support_count, model)
 
 

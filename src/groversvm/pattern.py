@@ -242,8 +242,8 @@ def _amplification_gates(
 ) -> list[Gate]:
     index_q, text_q, pattern_q = _registers(instance, offset)
     block = tuple(index_q) + tuple(text_q) + tuple(pattern_q)
-    flip_good = sim.phase_oracle(pattern_q, lambda v: v == 0)
-    flip_zero = sim.phase_oracle(block, lambda v: v == 0)
+    flip_good = sim.phase_oracle(pattern_q, (0,))
+    flip_zero = sim.phase_oracle(block, (0,))
     gates: list[Gate] = []
     for _ in range(rounds):
         gates.append(flip_good)

@@ -49,35 +49,35 @@ qubits, whose mean would be summed in another order on the smaller state.
 Each block of the full state fixes the untouched qubits and gets the same
 operations, so the block where they are all 0 is the small result.  Every
 other block starts at +0, and an oracle turns its marked entries into -0;
-so when any oracle in the run marked a value, the run is applied once more
-to an all +0 state, replaying the recorded marked values without calling a
-predicate, and that result fills those blocks.  Signed zeros included, the
-bits are those of the full-width run.
+so when any oracle in the run marks a value, the run is applied once more
+to an all +0 state, and that result fills those blocks.  Signed zeros
+included, the bits are those of the full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) runs as rows of one buffer, a chunk at
 a time.  The gates before the first phase oracle run once and are copied
 into every row.  After that, a Hadamard or a bottom-block diffusion is one
 kernel call over the whole chunk, since its kernel never mixes amplitudes
-of two rows; each phase oracle calls every row's predicate, in row order;
+of two rows; each phase oracle negates each row's own marked entries;
 other gates go row by row.  So numpy calls are paid once per chunk rather
 than once per circuit, and each row keeps the bits of its own run.
 
-:func:`run` and :func:`run_many` call each phase oracle's predicate exactly
-once per application, in gate order (for a tiled run, before its first
-tile), with one shared read-only array of register values per width; query
-accounting relies on this.  All randomness is injected through explicit
-seeds or generators; a negative integer seed is a :class:`StructuralError`.
+A phase-oracle gate carries the register values it marks and the oracle it
+bills.  :func:`apply`, :func:`run` and :func:`run_many` bill each oracle one
+query per time its gate is listed, counted from the gate list by
+:func:`_bill`; no code that applies gates bills, so no path can change a
+query count.  All randomness is injected through explicit seeds or
+generators; a negative integer seed is a :class:`StructuralError`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -209,19 +209,17 @@ class StateVector:
 class Gate:
     """One gate instance.
 
-    ``oracle_predicate`` (phase oracles only) is called once per application
-    with the array of all register values ``0 .. 2**len(targets)-1`` and must
-    return a boolean array; basis states whose target-register value maps to
-    True get their sign flipped.  Instrumented predicates may use the
-    one-call-per-application guarantee for query accounting.
+    A phase oracle flips the sign of the basis states whose target-register
+    value is in ``marked``, and bills ``oracle`` (an object with
+    ``charge_queries``, or None) one query per application.  Neither field
+    is part of the gate's shape, so gates that differ only there compare equal.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    oracle_predicate: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
+    marked: tuple[int, ...] = field(default=(), compare=False)
+    oracle: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -244,11 +242,17 @@ class Gate:
             raise StructuralError("cnot takes one control and one target")
         if self.kind == MCX and (len(targets) != 1 or not controls):
             raise StructuralError("mcx takes one target and at least one control")
+        marked = tuple(int(v) for v in self.marked)
+        object.__setattr__(self, "marked", marked)
         if self.kind == PHASE_ORACLE:
             if not targets or controls:
                 raise StructuralError("phase oracle acts on a nonempty uncontrolled register")
-            if self.oracle_predicate is None:
-                raise StructuralError("phase oracle requires a predicate")
+            if any(not 0 <= v < 1 << len(targets) for v in marked):
+                raise StructuralError(f"marked value out of range for {len(targets)} qubits")
+            if len(set(marked)) != len(marked):
+                raise StructuralError("repeated marked value")
+        elif marked or self.oracle is not None:
+            raise StructuralError(f"{self.kind} marks no values and bills no oracle")
         if self.kind == DIFFUSION and (not targets or controls):
             raise StructuralError("diffusion acts on a nonempty uncontrolled register")
 
@@ -277,8 +281,8 @@ def mcx(controls: Sequence[int], target: int) -> Gate:
     return Gate(MCX, (target,), tuple(controls))
 
 
-def phase_oracle(register: Sequence[int], predicate) -> Gate:
-    return Gate(PHASE_ORACLE, tuple(register), (), predicate)
+def phase_oracle(register: Sequence[int], marked: Sequence[int], oracle=None) -> Gate:
+    return Gate(PHASE_ORACLE, tuple(register), (), tuple(marked), oracle)
 
 
 def diffusion(register: Sequence[int]) -> Gate:
@@ -359,14 +363,6 @@ def _fixed(num_qubits: int, bits) -> tuple:
     return tuple(index) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
 
 
-@lru_cache(maxsize=None)  # at most QUBIT_CAP widths
-def _register_arange(width: int) -> np.ndarray:
-    """The read-only predicate input ``0 .. 2**width - 1``, one array per width."""
-    values = np.arange(1 << width, dtype=np.int64)
-    values.flags.writeable = False
-    return values
-
-
 def _hadamard_plan(num_qubits: int, q: int):
     # The butterfly pairs the two halves of every block of 2**(q+1) amplitudes.
     # A state larger than _CACHE_ROW amplitudes is done one row at a time, so
@@ -423,17 +419,6 @@ def _swap_plan(num_qubits: int, target: int, controls: tuple[int, ...]):
     return apply
 
 
-def _marked_values(gate: Gate) -> list[int]:
-    """Call a phase oracle's predicate once; the register values it marks."""
-    width = len(gate.targets)
-    table = np.asarray(gate.oracle_predicate(_register_arange(width)))
-    if table.shape != (1 << width,):
-        raise ContractViolationError(
-            f"oracle predicate returned shape {table.shape}, expected ({1 << width},)"
-        )
-    return table.nonzero()[0].tolist()
-
-
 def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
     if targets == tuple(range(num_qubits)):
         def negate(psi, value):
@@ -448,7 +433,7 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
 
     def apply(psi, marked):
         # Negate the sub-view of each marked register value: the cost grows
-        # with the marked amplitudes, and an all-false table touches none.
+        # with the marked amplitudes, and an oracle marking no value touches none.
         for value in marked:
             negate(psi, value)
 
@@ -483,8 +468,7 @@ def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
 def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[int, ...]):
     """The in-place kernel ``apply(psi, marked)`` for one gate shape on ``num_qubits``.
 
-    ``marked`` is a phase oracle's list from :func:`_marked_values`; the other
-    kinds ignore it.
+    ``marked`` is a phase oracle's ``Gate.marked``; the other kinds ignore it.
     """
     if kind == HADAMARD:
         return _hadamard_plan(num_qubits, targets[0])
@@ -497,17 +481,19 @@ def _plan(num_qubits: int, kind: str, targets: tuple[int, ...], controls: tuple[
     raise StructuralError(f"unhandled gate kind {kind!r}")
 
 
-def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate, marks=_marked_values) -> None:
-    """Apply ``gate`` to the contiguous buffer ``psi`` in place.
+def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
+    """Apply ``gate`` to the contiguous buffer ``psi`` in place."""
+    _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, gate.marked)
 
-    ``marks(gate)`` gives a phase oracle's marked values for this application.
-    """
-    marked = marks(gate) if gate.kind == PHASE_ORACLE else None
-    _plan(num_qubits, gate.kind, gate.targets, gate.controls)(psi, marked)
+
+def _bill(gates) -> None:
+    """Charge each phase oracle's ``oracle`` one query per time its gate is in ``gates``."""
+    for oracle, count in Counter(g.oracle for g in gates if g.oracle is not None).items():
+        oracle.charge_queries(count)
 
 
 def _apply_raw(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
-    """Return a new amplitude array: a copy of ``amps`` with ``gate`` applied."""
+    """Return a new amplitude array: a copy of ``amps`` with ``gate`` applied; bills nothing."""
     psi = np.array(amps, dtype=np.complex128)
     _apply_inplace(psi, num_qubits, gate)
     return psi
@@ -519,6 +505,7 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         raise StructuralError(
             f"gate on qubit {gate.max_qubit()} out of range for {state.num_qubits} qubits"
         )
+    _bill((gate,))
     amps = _apply_raw(state.amplitudes, state.num_qubits, gate)
     return StateVector._adopt(state.num_qubits, amps)
 
@@ -595,7 +582,7 @@ def _run_key(num_qubits: int):
     return key
 
 
-def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray, marks) -> None:
+def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> None:
     """Apply ``_TILED`` gates to ``psi`` one tile of ``_CACHE_ROW`` amplitudes at a time.
 
     Every gate acts on qubits ``lo`` and up only, so it acts on each column of
@@ -603,15 +590,11 @@ def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray, mark
     copied into ``tile`` is a state of ``_TILE_BITS`` qubits in which qubit
     ``q`` is qubit ``q - drop``; every gate runs on it with the per-gate
     kernel of that width, which computes each amplitude with the same
-    operations, and the block is copied back.  ``marks`` is called once per
-    phase oracle, in gate order, before the first tile.
+    operations, and the block is copied back.
     """
     drop = num_qubits - _TILE_BITS
     steps = [
-        (
-            _plan(_TILE_BITS, gate.kind, tuple(q - drop for q in gate.targets), ()),
-            marks(gate) if gate.kind == PHASE_ORACLE else None,
-        )
+        (_plan(_TILE_BITS, gate.kind, tuple(q - drop for q in gate.targets), ()), gate.marked)
         for gate in gates
     ]
     lo = min(min(gate.targets) for gate in gates)
@@ -637,15 +620,14 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
-def _evolve(psi: np.ndarray, num_qubits: int, gates, marks) -> np.ndarray:
+def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
     """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
     Each run of consecutive X gates is one strided copy, each run of two or
     more CNOT/MCX gates is one gather (or scatter) through a cached index
     array, and each ``_TILED`` run with at least ``_TILE_MIN_SWEEPS``
     Hadamard or diffusion gates is applied tile by tile; the amplitudes are
-    those of applying the gates one at a time.  ``marks(gate)`` is called
-    once per phase-oracle application, in gate order.
+    those of applying the gates one at a time.
     """
     n = num_qubits
     spare = None
@@ -654,12 +636,12 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates, marks) -> np.ndarray:
         if kind == _TILED and sum(gate.kind != PHASE_ORACLE for gate in gates) >= _TILE_MIN_SWEEPS:
             if spare is None:
                 spare = np.empty(_CACHE_ROW, dtype=np.complex128)
-            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW], marks)
+            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW])
             continue
         found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
         if kind != PAULI_X and found is None:
             for gate in gates:
-                _apply_inplace(psi, n, gate, marks)
+                _apply_inplace(psi, n, gate)
             continue
         if spare is None or spare.size < psi.size:
             spare = None  # free a tile-sized buffer before making a state-sized one
@@ -719,8 +701,8 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
     order, and is written into one block of a new full-width buffer.  Every
     other block, where some untouched qubit is 1, starts at +0 and gets the
     same operations, which can turn marked entries into -0: if any oracle
-    marked a value, the prefix runs once more on all +0 with the recorded
-    marked lists, and that result fills those blocks.
+    marks a value, the prefix runs once more on all +0, and that result
+    fills those blocks.
     """
     n = num_qubits
     length, touched = _zero_prefix(n, gates)
@@ -739,15 +721,9 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
             )
     prefix = [small[id(gate)] for gate in gates[:length]]
     width = len(position)
-    marked = []
-
-    def record(gate):
-        marked.append(_marked_values(gate))
-        return marked[-1]
-
     block = np.zeros(1 << width, dtype=np.complex128)
     block[0] = 1.0
-    block = _evolve(block, width, prefix, record)
+    block = _evolve(block, width, prefix)
     # Each run of adjacent qubits, touched or not, is one axis of the view.
     runs = [
         (inside, 1 << len(list(qubits)))
@@ -755,10 +731,8 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
     ]
     shape = [size for _, size in runs]
     kept = [size if inside else 1 for inside, size in runs]  # 1 on untouched axes
-    if any(marked):
-        replay = iter(marked)
-        rest = np.zeros(1 << width, dtype=np.complex128)
-        rest = _evolve(rest, width, prefix, lambda gate: next(replay))
+    if any(gate.marked for gate in prefix):
+        rest = _evolve(np.zeros(1 << width, dtype=np.complex128), width, prefix)
         psi = np.empty(1 << n, dtype=np.complex128)
         np.copyto(psi.reshape(shape), rest.reshape(kept))
     else:
@@ -773,9 +747,9 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
     The gates go through :func:`_evolve`; from |0...0> (``run_from_zero``)
     the leading gates that touch few qubits go through :func:`_from_zero`
     first.  Either way the amplitudes are those of applying the gates one at
-    a time to the whole state.  Each phase oracle's predicate is called
-    exactly once per application, and the norm is checked once, on the
-    returned state, which takes over the buffer without a copy.
+    a time to the whole state.  The oracles are billed from the circuit's gate
+    list, and the norm is checked once, on the returned state, which takes
+    over the buffer without a copy.
     """
     n = circuit.num_qubits
     gates = circuit.gates
@@ -785,7 +759,8 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
         raise StructuralError(f"circuit width {n} != state width {initial.num_qubits}")
     else:
         psi = initial.amplitudes.copy()
-    return StateVector._adopt(n, _evolve(psi, n, gates, _marked_values))
+    _bill(circuit.gates)
+    return StateVector._adopt(n, _evolve(psi, n, gates))
 
 
 def run_from_zero(circuit: Circuit) -> StateVector:
@@ -809,17 +784,17 @@ def run_many(circuits: Sequence[Circuit]):
 
     Every circuit must have the same width and, at each position, a gate of
     the same kind on the same targets and controls; otherwise a
-    :class:`StructuralError` is raised before any predicate is called.  The
+    :class:`StructuralError` is raised before any oracle is billed.  Every
+    circuit's oracles are billed when the first state is asked for.  The
     gates before the first phase oracle run once, from |0...0>, and that
     state is copied into every row of one buffer of ``_BATCH_AMPLITUDES``
     amplitudes, a chunk of rows at a time.  From there each gate runs over
-    the chunk: a phase oracle calls each row's predicate once, in row order,
-    and negates that row's marked entries; a gate whose kernel keeps rows
-    apart (see :func:`_rows_apart`) runs once over the chunk, and any other
-    gate row by row.  States of half the buffer or more run one at a time,
-    as in ``run``.  Every amplitude has the bits ``run_from_zero`` gives it,
-    the norm of each state is checked, and each yielded state owns a copy of
-    its row.
+    the chunk: a phase oracle negates each row's own marked entries; a gate
+    whose kernel keeps rows apart (see :func:`_rows_apart`) runs once over
+    the chunk, and any other gate row by row.  States of half the buffer or
+    more run one at a time, as in ``run``.  Every amplitude has the bits
+    ``run_from_zero`` gives it, the norm of each state is checked, and each
+    yielded state owns a copy of its row.
     """
     circuits = list(circuits)
     if not circuits:
@@ -830,15 +805,17 @@ def run_many(circuits: Sequence[Circuit]):
         # Circuits built from shared gate objects compare most positions by identity.
         if circuit.num_qubits != n or circuit.gates != gates:
             raise StructuralError("batched circuits must have the same width and gate shapes")
-    split = next((p for p, gate in enumerate(gates) if gate.kind == PHASE_ORACLE), len(gates))
+    positions = [p for p, gate in enumerate(gates) if gate.kind == PHASE_ORACLE]
+    _bill(circuit.gates[p] for circuit in circuits for p in positions)
+    split = positions[0] if positions else len(gates)
     rows = _BATCH_AMPLITUDES >> n
     if rows < 2:  # fewer than two states fit the buffer: one at a time, as ``run`` does
         for circuit in circuits:
             psi, rest = _from_zero(n, circuit.gates)
-            yield StateVector._adopt(n, _evolve(psi, n, rest, _marked_values))
+            yield StateVector._adopt(n, _evolve(psi, n, rest))
         return
     shared, rest = _from_zero(n, gates[:split])
-    shared = _evolve(shared, n, rest, _marked_values)  # holds no phase oracle
+    shared = _evolve(shared, n, rest)  # holds no phase oracle
     chunk = np.empty((min(rows, len(circuits)), 1 << n), dtype=np.complex128)
     steps = [(p, gate.kind, _plan(n, gate.kind, gate.targets, gate.controls), _rows_apart(gate))
              for p, gate in enumerate(gates[split:], split)]
@@ -849,7 +826,7 @@ def run_many(circuits: Sequence[Circuit]):
         for p, kind, plan, apart in steps:
             if kind == PHASE_ORACLE:
                 for row, circuit in zip(block, batch):
-                    plan(row, _marked_values(circuit.gates[p]))
+                    plan(row, circuit.gates[p].marked)
             elif apart:
                 plan(block.reshape(-1), None)
             else:
