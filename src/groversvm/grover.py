@@ -79,6 +79,14 @@ class IndicatorOracle:
         self.query_count += int(values.size)
         return (values == self.marked).astype(np.int64)
 
+    def evaluate_range(self, lo: int, hi: int) -> bool:
+        """Classical queries on every value in ``[lo, hi)``: charges ``hi - lo``
+        queries and answers whether the marked element is among them."""
+        if not 0 <= lo <= hi <= self.domain_size:
+            raise StructuralError(f"query range [{lo}, {hi}) outside [0, {self.domain_size}]")
+        self.query_count += hi - lo
+        return lo <= self.marked < hi
+
     def charge_queries(self, count: int) -> None:
         if count < 0:
             raise StructuralError("cannot charge a negative query count")

@@ -10,6 +10,7 @@ interval states is exactly the triangular value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,17 +117,20 @@ def kernel_circuit(
 
     Returns the state-overlap magnitude, i.e. the square root of the all-zero
     probability on the first register, matching :func:`kernel_exact`.  One
-    evaluation charges 4k oracle queries, 2k on each oracle.
+    evaluation charges 4k oracle queries, 2k on each oracle (all 4k on it
+    when one oracle is passed as both), and the ledger bills that change.
     """
     config = config or GroverConfig()
     if oracle_i.domain_size != oracle_j.domain_size:
         raise StructuralError("oracles must share a domain size")
     _check_interval(int(interval_width), oracle_i.domain_size)
-    before = oracle_i.query_count + oracle_j.query_count
+    # One oracle passed as both arguments is billed once, not twice.
+    oracles = (oracle_i,) if oracle_i is oracle_j else (oracle_i, oracle_j)
+    before = sum(o.query_count for o in oracles)
     forward = feature_map_circuit(oracle_i, interval_width, config)
     backward = feature_map_circuit(oracle_j, interval_width, config)
     value = _overlap(forward.gates, backward.gates, forward.num_qubits, range(oracle_i.num_qubits))
-    queries = (oracle_i.query_count + oracle_j.query_count) - before
+    queries = sum(o.query_count for o in oracles) - before
     return value, QueryLedger(oracle_queries=queries)
 
 
@@ -148,9 +152,126 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     return float(rng.binomial(shots, true_value)) / shots
 
 
-def _pair_rng(seed, i: int, j: int) -> np.random.Generator:
-    # Stream depends only on (seed, i, j), never on evaluation order.
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(i), int(j)]))
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe hash; stable under NEP 19).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(value: int) -> list[int]:
+    """SeedSequence's coercion of one non-negative integer: 32-bit words, low first."""
+    value = int(value)
+    if value < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {value}")
+    words = []
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words or [0]
+
+
+def _wrap32(value):
+    """Reduce a Python integer to 32 bits; uint32 arrays wrap by themselves."""
+    return value & _MASK32 if isinstance(value, int) else value
+
+
+def _seed_states(key_prefix, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence([*key_prefix, *key]).generate_state(4, uint64)`` for every row of ``keys``.
+
+    The entropy-pool mixing and the output hash run once per step over all
+    keys, in uint32 arithmetic that wraps exactly as the reference does.
+    Words shared by every key stay Python integers until mixed with a column.
+    """
+    entropy = [w for p in key_prefix for w in _entropy_words(p)]
+    entropy += list(np.ascontiguousarray(keys.T, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = _wrap32(value * hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _wrap32(_wrap32(_MIX_MULT_L * x) - _wrap32(_MIX_MULT_R * y))
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((keys.shape[0], 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = _wrap32(value * hash_const)
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_seed_type():
+    # Built on first use: importing numpy.random here would add to every
+    # ``import groversvm``, and numpy loads it lazily.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        """Hands a bit generator four precomputed uint64 seed words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ContractViolationError(
+                    f"fixed seed holds 4 uint64 words, not {n_words} of {dtype}"
+                )
+            return self.words
+
+    return FixedSeed
+
+
+def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray:
+    """:func:`kernel_sampled` for many entries, each on its own keyed stream.
+
+    Entry ``n`` has the bits of ``kernel_sampled(true_values[n], shots,
+    default_rng(SeedSequence([*key_prefix, *keys[n]])))``: the seed words of
+    every stream are computed in one vectorised pass and each entry's PCG64
+    is seeded from its words directly.  ``key_prefix`` holds non-negative
+    integers shared by all entries; ``keys`` is an (entries, columns) array
+    of values below 2**32.
+    """
+    if shots < 1:
+        raise StructuralError("shots must be at least 1")
+    values = np.asarray(true_values, dtype=np.float64).ravel()
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ContractViolationError("kernel values outside [0, 1]")
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 2 or keys.shape[0] != values.size:
+        raise StructuralError("keys must hold one row per kernel value")
+    if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
+        raise StructuralError("stream keys must lie in [0, 2**32)")
+    if not values.size:
+        return values
+    from numpy.random import PCG64, Generator
+
+    fixed_seed = _fixed_seed_type()
+    counts = [
+        Generator(PCG64(fixed_seed(words))).binomial(shots, value)
+        for words, value in zip(_seed_states(key_prefix, keys), values.tolist())
+    ]
+    return np.array(counts, dtype=np.int64) / shots
 
 
 @dataclass(frozen=True)
@@ -198,10 +319,12 @@ def gram_matrix(
 
     Each unordered off-diagonal pair is evaluated once and mirrored; the
     diagonal is 1 a priori for a pure-state kernel, so sampled mode never
-    spends shots on it.  Sampled entries use a per-pair RNG stream derived
-    from (seed, i, j), making the result independent of evaluation order.
-    Pairs whose true kernel is 0 take no draw, since Binomial(R, 0) is 0;
-    every other pair draws from its own stream, so a skipped pair changes no
+    spends shots on it.  Sampled entries use a per-pair RNG stream keyed by
+    (seed, i, j), as ``default_rng(SeedSequence([seed, i, j]))`` would be,
+    making the result independent of evaluation order; the streams of all
+    pairs are seeded in one batch by :func:`kernel_sampled_many`.  Pairs
+    whose true kernel is 0 take no draw, since Binomial(R, 0) is 0; every
+    other pair draws from its own stream, so a skipped pair changes no
     other entry.  Sampled matrices may be indefinite; they are passed
     through unchanged unless ``clip_psd`` is set.
     """
@@ -213,8 +336,8 @@ def gram_matrix(
         raise StructuralError("all oracles must share a domain size")
     _check_interval(int(interval_width), N)
     if mode.tag == "sampled" and int(rng_seed) < 0:
-        # Checked up front: SeedSequence would raise a bare ValueError, and
-        # only once some pair with a nonzero kernel reached its draw.
+        # Checked up front: the draws check the seed only when some pair
+        # has a nonzero kernel.
         raise StructuralError(f"rng seed must be non-negative (got {rng_seed})")
     if mode.tag in ("circuit_ideal", "circuit_faithful"):
         m = len(oracles)
@@ -228,9 +351,11 @@ def gram_matrix(
         marked = np.array([o.marked for o in oracles], dtype=np.int64)
         entries = kernel_exact_many(marked[:, None], marked[None, :], interval_width, N)
         if mode.tag == "sampled":
-            for i, j in zip(*np.nonzero(np.triu(entries, 1))):
-                value = kernel_sampled(entries[i, j], mode.shots, _pair_rng(rng_seed, i, j))
-                entries[i, j] = entries[j, i] = value
+            i, j = np.nonzero(np.triu(entries, 1))
+            values = kernel_sampled_many(
+                entries[i, j], mode.shots, (int(rng_seed),), np.stack([i, j], axis=1)
+            )
+            entries[i, j] = entries[j, i] = values
     if clip_psd:
         entries = clip_to_psd(entries)
         entries = (entries + entries.T) / 2.0

@@ -18,7 +18,10 @@ consumed (4k oracle queries per kernel shot, k per preprocessing search).
 Closed-form kernel values are computed for whole rows at once; a sampled
 entry whose true value is 0 takes no draw (Binomial(R, 0) is 0), and every
 other entry draws from its own per-pair stream, so results do not depend on
-which entries were skipped or on evaluation order.
+which entries were skipped or on evaluation order.  The streams are keyed as
+``default_rng(SeedSequence(key))`` would key them, but the seeds of all of
+a matrix's or a test set's entries are computed in one batch
+(``kernel.kernel_sampled_many``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
-from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled
+from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger
 from .sim import StateVector, as_rng, seed32
 from . import svm
@@ -206,20 +209,23 @@ def classical_learner_classify(
     The concept threshold is assumed known; the budget buys oracle probes
     only.  Probes are distinct indices drawn uniformly from the +1 region
     (capped at its size), each charged as one classical evaluation.  A budget
-    that covers the region probes all of it, and then nothing is drawn.
+    that covers the region probes all of it as one range query
+    (:meth:`IndicatorOracle.evaluate_range`, charged per index), and then
+    nothing is drawn.
     """
     N = oracle.domain_size
     if not 0 <= budget <= N:
         raise StructuralError("budget must lie in [0, N]")
-    region = np.arange(concept_start, concept_start + N // 2)
-    n_probes = min(budget, region.size)
-    found = False
-    if n_probes > 0:
-        if n_probes == region.size:
-            probes = region
-        else:
-            probes = as_rng(rng_seed).choice(region, size=n_probes, replace=False)
+    half = N // 2
+    n_probes = min(budget, half)
+    if n_probes == half:
+        found = oracle.evaluate_range(concept_start, concept_start + half)
+    elif n_probes > 0:
+        region = np.arange(concept_start, concept_start + half)
+        probes = as_rng(rng_seed).choice(region, size=n_probes, replace=False)
         found = bool(oracle.evaluate_batch(probes).any())
+    else:
+        found = False
     ledger = QueryLedger(classical_evaluations=n_probes)
     return (1 if found else -1), ledger
 
@@ -275,7 +281,10 @@ def quantum_kernel_learner(
     each; classifying one test point therefore costs d * shots * 4k queries
     for d support vectors.  Kernel values are drawn from the ideal closed form,
     so a faithful ``config`` is a :class:`StructuralError`.  Each ledger bills
-    the change in the oracles' counters over its phase.
+    the change in the oracles' counters over its phase.  The Gram entries
+    draw from streams keyed by (seed, i, j) and test point t against support
+    vector sv from (seed32(seed), 0x7E57, t, sv); every stream of a phase is
+    seeded in one batch by :func:`kernel_sampled_many`.
     """
     config = config or GroverConfig()
     if config.backend != "ideal":
@@ -303,15 +312,16 @@ def quantum_kernel_learner(
     test_marked = np.array([o.marked for o in test_oracles], dtype=np.int64)
 
     # Test point t against support vector sv draws from the stream keyed by
-    # (seed, tag, t, sv); entries whose true kernel is 0 take no draw.
+    # (seed32(seed), tag, t, sv); entries whose true kernel is 0 take no draw.
     rows = np.zeros((test_marked.size, m))
     rows[:, support] = kernel_exact_many(
         test_marked[:, None], train_marked[support][None, :], interval_width, N
     )
-    stream_seed = seed32(rng_seed)
-    for t_idx, sv in zip(*np.nonzero(rows)):
-        stream = np.random.SeedSequence([stream_seed, _TEST_STREAM_TAG, int(t_idx), int(sv)])
-        rows[t_idx, sv] = kernel_sampled(rows[t_idx, sv], shots, np.random.default_rng(stream))
+    t_idx, sv_idx = np.nonzero(rows)
+    rows[t_idx, sv_idx] = kernel_sampled_many(
+        rows[t_idx, sv_idx], shots, (seed32(rng_seed), _TEST_STREAM_TAG),
+        np.stack([t_idx, sv_idx], axis=1),
+    )
     for oracle in test_oracles:
         oracle.charge_queries(2 * k * shots * support.size)
     for sv in support:

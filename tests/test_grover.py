@@ -55,6 +55,19 @@ class TestIndicatorOracle:
         npt.assert_array_equal(hits, [0, 1, 0])
         assert oracle.query_count == 3
 
+    @pytest.mark.parametrize("lo, hi, hit", [(0, 16, True), (5, 6, True), (6, 16, False), (4, 4, False)])
+    def test_range_query_charges_per_index(self, lo, hi, hit):
+        oracle = IndicatorOracle(16, 5)
+        assert oracle.evaluate_range(lo, hi) is hit
+        assert oracle.query_count == hi - lo
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 4), (3, 17), (9, 8), (17, 17)])
+    def test_range_outside_the_domain_rejected(self, lo, hi):
+        oracle = IndicatorOracle(16, 5)
+        with pytest.raises(StructuralError):
+            oracle.evaluate_range(lo, hi)
+        assert oracle.query_count == 0
+
     def test_phase_gate_charges_per_application(self):
         oracle = IndicatorOracle(8, 3)
         gate = oracle.phase_gate(range(3))

@@ -25,7 +25,9 @@ from groversvm.kernel import (
     kernel_exact,
     kernel_exact_many,
     kernel_sampled,
+    kernel_sampled_many,
 )
+from groversvm.kernel import _fixed_seed_type, _seed_states
 
 
 def overlap_oracle(i: int, j: int, M: int, N: int) -> float:
@@ -104,6 +106,12 @@ class TestKernelCircuit:
         assert oracle_j.query_count == 6
         assert value == pytest.approx(0.0, abs=1e-10)
 
+    def test_one_oracle_passed_twice_is_billed_once(self):
+        oracle = IndicatorOracle(16, 3)
+        value, ledger = kernel_circuit(oracle, oracle, 4)
+        assert ledger.oracle_queries == oracle.query_count == 12  # k = 3
+        assert abs(value - 1.0) < 1e-10
+
     def test_mismatched_domains_rejected(self):
         with pytest.raises(StructuralError):
             kernel_circuit(IndicatorOracle(16, 3), IndicatorOracle(32, 3), 4)
@@ -170,6 +178,80 @@ class TestKernelSampled:
             kernel_sampled(1.5, 10, 0)
         with pytest.raises(StructuralError):
             kernel_sampled(0.5, 0, 0)
+
+
+def _per_entry_draws(values, shots, prefix, keys):
+    """One generator per entry, seeded from its SeedSequence, then one binomial draw."""
+    return np.array(
+        [
+            np.random.default_rng(np.random.SeedSequence([*prefix, *map(int, key)])).binomial(
+                shots, value
+            )
+            / shots
+            for value, key in zip(values, keys)
+        ]
+    )
+
+
+class TestKernelSampledMany:
+    # Seed 0 and 7 give 3 entropy words with a (seed, i, j) key, 2**32 + 5
+    # gives 4 and 2**64 + 3 gives 5, which runs the pool's extra mixing loop.
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 3])
+    def test_matches_per_entry_generators(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        keys = rng.integers(0, 2**32, size=(300, 2))
+        keys[:3] = [[0, 0], [0, 1], [2**32 - 1, 2**32 - 1]]
+        values = rng.random(300)
+        values[:4] = [0.0, 1.0, 0.0, 1.0]
+        draws = kernel_sampled_many(values, 37, (seed,), keys)
+        assert np.array_equal(draws, _per_entry_draws(values, 37, (seed,), keys))
+        assert draws.dtype == np.float64
+        assert list(draws[:4]) == [0.0, 1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("prefix", [(5, 0x7E57), (2**32 + 5, 0x7E57), (), (1, 2, 3, 4, 5)])
+    def test_other_key_shapes_match(self, prefix):
+        rng = np.random.default_rng(len(prefix))
+        keys = rng.integers(0, 2**32, size=(50, 2))
+        values = rng.random(50)
+        draws = kernel_sampled_many(values, 256, prefix, keys)
+        assert np.array_equal(draws, _per_entry_draws(values, 256, prefix, keys))
+
+    @pytest.mark.parametrize("words", range(1, 10))
+    def test_seed_words_match_seed_sequence(self, words):
+        keys = np.random.default_rng(words).integers(0, 2**32, size=(40, words))
+        expected = [
+            np.random.SeedSequence([int(v) for v in key]).generate_state(4, np.uint64)
+            for key in keys
+        ]
+        assert np.array_equal(_seed_states((), keys), expected)
+
+    def test_empty_key_set(self):
+        draws = kernel_sampled_many([], 8, (3,), np.empty((0, 2), dtype=np.int64))
+        assert draws.shape == (0,) and draws.dtype == np.float64
+
+    def test_contract_violations(self):
+        keys = np.zeros((1, 2), dtype=np.int64)
+        for bad in (1.5, -0.25, float("nan")):
+            with pytest.raises(ContractViolationError):
+                kernel_sampled_many([bad], 10, (0,), keys)
+        with pytest.raises(StructuralError):
+            kernel_sampled_many([0.5], 0, (0,), keys)
+
+    def test_key_validation(self):
+        with pytest.raises(StructuralError):
+            kernel_sampled_many([0.5], 4, (-1,), np.zeros((1, 2), dtype=np.int64))
+        with pytest.raises(StructuralError):
+            kernel_sampled_many([0.5], 4, (0,), [[0, 2**32]])
+        with pytest.raises(StructuralError):
+            kernel_sampled_many([0.5, 0.5], 4, (0,), [[0, 1]])
+
+    def test_fixed_seed_serves_only_four_uint64_words(self):
+        words = np.arange(4, dtype=np.uint64)
+        fixed = _fixed_seed_type()(words)
+        assert fixed.generate_state(4, np.uint64) is words
+        for n_words, dtype in [(4, np.uint32), (8, np.uint64), (2, np.uint32)]:
+            with pytest.raises(ContractViolationError):
+                fixed.generate_state(n_words, dtype)
 
 
 class TestKernelExactMany:

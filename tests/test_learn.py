@@ -198,6 +198,24 @@ class TestClassicalBound:
                 assert ledger.classical_evaluations == oracle.query_count == N // 2
                 assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
+    def test_whole_region_range_query_matches_the_probe_array(self):
+        # The old whole-region path probed np.arange over the region.
+        N = 64
+        for start in range(N // 2):
+            for marked in range(N):
+                oracle, probed = IndicatorOracle(N, marked), IndicatorOracle(N, marked)
+                label, ledger = classical_learner_classify(oracle, start, N // 2, rng_seed=0)
+                found = probed.evaluate_batch(np.arange(start, start + N // 2)).any()
+                assert label == (1 if found else -1)
+                assert ledger == QueryLedger(classical_evaluations=N // 2)
+                assert oracle.query_count == probed.query_count == N // 2
+
+    def test_region_past_the_domain_rejected(self):
+        oracle = IndicatorOracle(16, 3)
+        with pytest.raises(StructuralError):
+            classical_learner_classify(oracle, 9, 8, rng_seed=0)
+        assert oracle.query_count == 0
+
     def test_monte_carlo_respects_bound(self):
         N, trials = 256, 4000
         concept = Concept(0, N)
