@@ -236,7 +236,7 @@ def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
 
 
 def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence([sim.seed32(p) for p in parts]).generate_state(1)[0])
+    return int(np.random.SeedSequence([sim.check_seed(p) for p in parts]).generate_state(1)[0])
 
 
 def _concept_for_trial(resolved: ResolvedConfig, trial: int) -> Concept:

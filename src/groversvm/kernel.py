@@ -358,5 +358,4 @@ def gram_matrix(
             entries[i, j] = entries[j, i] = values
     if clip_psd:
         entries = clip_to_psd(entries)
-        entries = (entries + entries.T) / 2.0
     return GramMatrix(entries, mode)

@@ -36,7 +36,7 @@ from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_ite
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger
-from .sim import StateVector, as_rng, seed32
+from .sim import StateVector, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -283,7 +283,7 @@ def quantum_kernel_learner(
     so a faithful ``config`` is a :class:`StructuralError`.  Each ledger bills
     the change in the oracles' counters over its phase.  The Gram entries
     draw from streams keyed by (seed, i, j) and test point t against support
-    vector sv from (seed32(seed), 0x7E57, t, sv); every stream of a phase is
+    vector sv from (seed, 0x7E57, t, sv); every stream of a phase is
     seeded in one batch by :func:`kernel_sampled_many`.
     """
     config = config or GroverConfig()
@@ -312,14 +312,14 @@ def quantum_kernel_learner(
     test_marked = np.array([o.marked for o in test_oracles], dtype=np.int64)
 
     # Test point t against support vector sv draws from the stream keyed by
-    # (seed32(seed), tag, t, sv); entries whose true kernel is 0 take no draw.
+    # (seed, tag, t, sv); entries whose true kernel is 0 take no draw.
     rows = np.zeros((test_marked.size, m))
     rows[:, support] = kernel_exact_many(
         test_marked[:, None], train_marked[support][None, :], interval_width, N
     )
     t_idx, sv_idx = np.nonzero(rows)
     rows[t_idx, sv_idx] = kernel_sampled_many(
-        rows[t_idx, sv_idx], shots, (seed32(rng_seed), _TEST_STREAM_TAG),
+        rows[t_idx, sv_idx], shots, (check_seed(rng_seed), _TEST_STREAM_TAG),
         np.stack([t_idx, sv_idx], axis=1),
     )
     for oracle in test_oracles:
@@ -351,7 +351,7 @@ def preprocessing_learner(
     config = config or GroverConfig()
     N = train.concept.domain_size
     m = train.size
-    seeds = np.random.SeedSequence(seed32(rng_seed)).spawn(m + len(test_oracles))
+    seeds = np.random.SeedSequence(check_seed(rng_seed)).spawn(m + len(test_oracles))
 
     train_ledger = QueryLedger()
     searches = grover_search_many(train.oracles, config, seeds[:m])
@@ -376,7 +376,7 @@ def classical_learner(
     concept: Concept, test_oracles, budget: int, rng_seed
 ) -> LearnerResult:
     """Brute-force baseline applied to every test oracle (threshold known for free)."""
-    seeds = np.random.SeedSequence(seed32(rng_seed)).spawn(len(test_oracles))
+    seeds = np.random.SeedSequence(check_seed(rng_seed)).spawn(len(test_oracles))
     infer_ledger = QueryLedger()
     predictions = np.empty(len(test_oracles), dtype=np.int64)
     for t_idx, oracle in enumerate(test_oracles):
@@ -432,7 +432,7 @@ def complexity_sweep(
     for N in domain_sizes:
         if not _is_power_of_two(N) or N < 8:
             raise StructuralError("sweep domain sizes must be powers of two, at least 8")
-    seed = seed32(rng_seed)
+    seed = check_seed(rng_seed)
     config = config or GroverConfig(backend="ideal")
     rows = []
     for N in domain_sizes:

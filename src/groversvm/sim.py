@@ -56,11 +56,13 @@ included, the bits are those of the full-width run.
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) runs as rows of one buffer, a chunk at
 a time.  The gates before the first phase oracle run once and are copied
-into every row.  After that, a Hadamard or a bottom-block diffusion is one
-kernel call over the whole chunk, since its kernel never mixes amplitudes
-of two rows; each phase oracle negates each row's own marked entries;
-other gates go row by row.  So numpy calls are paid once per chunk rather
-than once per circuit, and each row keeps the bits of its own run.
+into every row.  A chunk of ``2**b`` rows of ``n`` qubits is a state of
+``n + b`` qubits whose top ``b`` qubits number the row.  No gate of the
+circuits acts on those qubits, so every gate acts on each row alone, and
+the rest of the gates go through :func:`_evolve`, as in ``run``, with each
+phase oracle widened to the row qubits to mark every row's own values.  So
+numpy calls are paid once per chunk rather than once per circuit, and each
+row keeps the bits of its own run.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run` and :func:`run_many` bill each oracle one
@@ -107,7 +109,7 @@ _PREFIX_MIN_QUBITS = 16
 # by gate.
 _PERMUTATION_CACHE_BYTES = 16 << 20
 # Amplitudes in the buffer ``run_many`` runs a chunk of states in (256 KiB);
-# states of half of it or more run one at a time.  On 200 12-qubit searches,
+# a state of half of it or more is a chunk of one.  On 200 12-qubit searches,
 # chunks of 4, 8 and 16 states took 0.68, 0.65 and 0.63 of the time of one at
 # a time; in a faithful preprocessing run, 8 states raised peak RSS by 0.3 MB
 # more than 4 did, and 16 states by 0.7 MB more.
@@ -132,12 +134,12 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def seed32(seed) -> int:
-    """A non-negative integer seed reduced to its low 32 bits, for SeedSequence entropy."""
+def check_seed(seed) -> int:
+    """A non-negative integer seed as a Python int, whole, for SeedSequence entropy."""
     value = int(seed)
     if value < 0:
         raise StructuralError(f"seed must be a non-negative integer, got {seed}")
-    return value & 0xFFFFFFFF
+    return value
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -768,17 +770,6 @@ def run_from_zero(circuit: Circuit) -> StateVector:
     return run(circuit, _FROM_ZERO)
 
 
-def _rows_apart(gate: Gate) -> bool:
-    """Whether the gate's kernel, run over several states laid end to end, acts on each alone.
-
-    A Hadamard pairs amplitudes within blocks of at most one state, and a
-    diffusion on the bottom block of qubits sums contiguous runs of one state.
-    """
-    return gate.kind == HADAMARD or (
-        gate.kind == DIFFUSION and set(gate.targets) == set(range(len(gate.targets)))
-    )
-
-
 def run_many(circuits: Sequence[Circuit]):
     """Yield ``run_from_zero(c)`` for each circuit, in order, running them as one batch.
 
@@ -788,13 +779,14 @@ def run_many(circuits: Sequence[Circuit]):
     circuit's oracles are billed when the first state is asked for.  The
     gates before the first phase oracle run once, from |0...0>, and that
     state is copied into every row of one buffer of ``_BATCH_AMPLITUDES``
-    amplitudes, a chunk of rows at a time.  From there each gate runs over
-    the chunk: a phase oracle negates each row's own marked entries; a gate
-    whose kernel keeps rows apart (see :func:`_rows_apart`) runs once over
-    the chunk, and any other gate row by row.  States of half the buffer or
-    more run one at a time, as in ``run``.  Every amplitude has the bits
-    ``run_from_zero`` gives it, the norm of each state is checked, and each
-    yielded state owns a copy of its row.
+    amplitudes, a chunk of ``2**b`` rows at a time.  A chunk is a state of
+    ``n + b`` qubits whose top ``b`` qubits number the row, so the rest of
+    the gates run over it through :func:`_evolve`, as in ``run``: each phase
+    oracle is widened to the row qubits, marking ``v | r << w`` for each
+    value ``v`` row ``r`` marks on its ``w``-qubit register.  A short last
+    chunk is padded to a power of two with rows that mark nothing.  Every
+    amplitude has the bits ``run_from_zero`` gives it, the norm of each
+    state is checked, and each yielded state owns a copy of its row.
     """
     circuits = list(circuits)
     if not circuits:
@@ -808,31 +800,28 @@ def run_many(circuits: Sequence[Circuit]):
     positions = [p for p, gate in enumerate(gates) if gate.kind == PHASE_ORACLE]
     _bill(circuit.gates[p] for circuit in circuits for p in positions)
     split = positions[0] if positions else len(gates)
-    rows = _BATCH_AMPLITUDES >> n
-    if rows < 2:  # fewer than two states fit the buffer: one at a time, as ``run`` does
-        for circuit in circuits:
-            psi, rest = _from_zero(n, circuit.gates)
-            yield StateVector._adopt(n, _evolve(psi, n, rest))
-        return
     shared, rest = _from_zero(n, gates[:split])
     shared = _evolve(shared, n, rest)  # holds no phase oracle
-    chunk = np.empty((min(rows, len(circuits)), 1 << n), dtype=np.complex128)
-    steps = [(p, gate.kind, _plan(n, gate.kind, gate.targets, gate.controls), _rows_apart(gate))
-             for p, gate in enumerate(gates[split:], split)]
+    rows = 1 << max(0, _BATCH_AMPLITUDES.bit_length() - 1 - n)  # a power of two
+    size = 1 << (min(rows, len(circuits)) - 1).bit_length()
+    chunk = np.empty((size, 1 << n), dtype=np.complex128)
     for start in range(0, len(circuits), rows):
         batch = circuits[start : start + rows]
-        block = chunk[: len(batch)]
+        bits = (len(batch) - 1).bit_length()
+        block = chunk[: 1 << bits]
         block[...] = shared
-        for p, kind, plan, apart in steps:
-            if kind == PHASE_ORACLE:
-                for row, circuit in zip(block, batch):
-                    plan(row, circuit.gates[p].marked)
-            elif apart:
-                plan(block.reshape(-1), None)
-            else:
-                for row in block:
-                    plan(row, None)
-        for row in block:
+        wide, widened = list(gates[split:]), {}  # one oracle per distinct tuple of row gates
+        for p in positions:
+            row_gates = tuple(circuit.gates[p] for circuit in batch)
+            key = tuple(map(id, row_gates))
+            if key not in widened:
+                w = len(gates[p].targets)
+                marked = [v | r << w for r, gate in enumerate(row_gates) for v in gate.marked]
+                targets = gates[p].targets + tuple(range(n, n + bits))
+                widened[key] = Gate(PHASE_ORACLE, targets, (), marked)
+            wide[p - split] = widened[key]
+        psi = _evolve(block.reshape(-1), n + bits, wide)
+        for row in psi.reshape(-1, 1 << n)[: len(batch)]:
             yield StateVector._adopt(n, row.copy())
 
 
@@ -866,7 +855,6 @@ def sample_measurement(
     if shots < 1:
         raise StructuralError("shots must be at least 1")
     probs = register_probabilities(state, register)
-    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     rng = as_rng(rng_seed)
     counts = rng.multinomial(shots, probs)

@@ -179,6 +179,18 @@ class TestRun:
         assert code == 0
         assert cli.read_report(str(out))["config"]["backend"] == "faithful"
 
+    def test_seeds_above_32_bits_do_not_alias(self, tmp_path, capsys):
+        # 4294967299 is 2**32 + 3: reduced to 32 bits, it wrote the trial rows of seed 3.
+        trials = []
+        for seed in ("3", "4294967299"):
+            out = tmp_path / f"{seed}.rpt"
+            argv = ["run", "--seed", seed, "--set", "domain_size=256", "--trials", "2"]
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            trials.append(cli.read_report(str(out))["trials"])
+        capsys.readouterr()
+        assert len(trials[0]) == len(trials[1]) == 2
+        assert trials[0] != trials[1]
+
     def test_pattern_problem_rejected_for_run(self, capsys):
         code = cli.main(RUN_ARGS + ["--set", "problem=pattern"])
         capsys.readouterr()

@@ -258,10 +258,28 @@ class TestNegativeSeeds:
             complexity_sweep("classical", [16, 32, 64, 128], 1, rng_seed=-1)
 
     @pytest.mark.parametrize("learner", ["classical", "preprocessing"])
-    def test_seeds_reduce_to_32_bits(self, learner):
-        sizes = [16, 32, 64, 128]
-        low, high = (complexity_sweep(learner, sizes, 2, seed) for seed in (7, 7 + 2**32))
-        assert low == high
+    def test_seeds_use_every_bit(self, learner, monkeypatch):
+        # 7 + 2**32 has the low 32 bits of 7; reduced to them, it would replay
+        # 7's test points and learner seeds.
+        import groversvm.learn as learn
+
+        name = f"{learner}_learner"
+        original = getattr(learn, name)
+
+        def sweep(seed):
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(([o.marked for o in args[1]], kwargs.get("rng_seed", args[-1])))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(learn, name, spy)
+            return complexity_sweep(learner, [16, 32, 64, 128], 2, seed), calls
+
+        (low, low_calls), (high, high_calls) = sweep(7), sweep(7 + 2**32)
+        assert low == high  # the sweep's query counts do not depend on the seed
+        assert len(low_calls) == 8
+        assert all(a != b for a, b in zip(low_calls, high_calls, strict=True))
 
 
 class TestQuantumKernelLearner:
@@ -383,7 +401,7 @@ def _reference_quantum_kernel_learner(train, test_oracles, M, shots, box_bound, 
         row = np.zeros(m)
         for sv in model.support_indices:
             true = kernel_exact(oracle.marked, train.oracles[sv].marked, M, N)
-            stream = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x7E57, t_idx, int(sv)])
+            stream = np.random.SeedSequence([seed, 0x7E57, t_idx, int(sv)])
             row[sv] = kernel_sampled(true, shots, np.random.default_rng(stream))
             oracle.charge_queries(2 * k * shots)
             train.oracles[sv].charge_queries(2 * k * shots)
@@ -399,7 +417,7 @@ def _reference_preprocessing_learner(train, test_oracles, M, box_bound, seed, co
     """A search per datum in a loop, a per-pair Gram loop, a scalar kernel row per test point."""
     N = train.concept.domain_size
     m = train.size
-    seeds = np.random.SeedSequence(seed & 0xFFFFFFFF).spawn(m + len(test_oracles))
+    seeds = np.random.SeedSequence(seed).spawn(m + len(test_oracles))
     searches = [reference_search(o, config, seeds[i]) for i, o in enumerate(train.oracles)]
     recovered = [found for found, _ in searches]
     entries = np.eye(m)

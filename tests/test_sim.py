@@ -927,6 +927,31 @@ class TestRunMany:
         for state, circuit in zip(states, circuits):
             assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
 
+    def test_chunks_reach_the_fused_and_tiled_paths(
+        self, chunk_rows, small_tiles, tiled_calls, fresh_cache
+    ):
+        # Chunks of 4 and 2 rows of 8 qubits are states of 10 and 9 qubits,
+        # wide enough for 2**8-amplitude tiles; a lone 8-qubit state is not.
+        n = 8
+        chunk_rows(n, 4)
+        register = tuple(range(4, 8))
+        permutation = [sim.cnot(0, 1), sim.mcx([1, 2], 3)]
+        circuits = []
+        for c in range(6):
+            oracle = sim.phase_oracle(register, [c, 15 - c])
+            low = sim.phase_oracle((0, 1, 2), [c % 8])
+            gates = [sim.hadamard(q) for q in range(n)] + [low] + permutation
+            gates += [sim.hadamard(4), oracle, sim.hadamard(5), oracle, sim.hadamard(6)]
+            circuits.append(Circuit(n, tuple(gates + permutation[::-1])))
+        states = list(sim.run_many(circuits))
+        assert [len(call) for call in tiled_calls] == [5, 5]
+        for call, rows in zip(tiled_calls, (4, 2)):
+            assert call[1].targets == register + tuple(range(n, n + rows.bit_length() - 1))
+            assert call[1] is call[3] and call[1].oracle is None
+        assert {width for width, _ in fresh_cache._entries} == {9, 10}
+        for state, circuit in zip(states, circuits, strict=True):
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
     def test_shape_mismatch_raises_before_any_predicate(self):
         # No oracle is billed either.
         n = 4
@@ -976,7 +1001,7 @@ class TestBilling:
     @pytest.mark.parametrize(
         "path",
         ["apply", "gate_by_gate", "fused", "tiled", "prefix", "run_many", "run_many_one_at_a_time",
-         "run_many_shape_mismatch"],
+         "run_many_padded", "run_many_shape_mismatch"],
     )
     def test_one_query_per_listed_gate(self, path, request, chunk_rows):
         oracles = [Billed() for _ in range(7)]
@@ -1014,7 +1039,7 @@ class TestBilling:
             sim.run_from_zero(Circuit(6, tuple(gates)))
         else:
             n = 5
-            chunk_rows(n, 1 if path == "run_many_one_at_a_time" else 2)
+            chunk_rows(n, {"run_many_one_at_a_time": 1, "run_many_padded": 4}.get(path, 2))
             register = tuple(range(n))
             shared = sim.phase_oracle(register, [7], a)
             hadamards = [sim.hadamard(q) for q in register]
@@ -1023,6 +1048,8 @@ class TestBilling:
                                               sim.phase_oracle(register, [c], row), shared]))
                 for c, row in enumerate(oracles[2:])
             ]
+            if path == "run_many_padded":  # one chunk: three rows and a row that marks nothing
+                circuits = circuits[:3]
             gates = [gate for circuit in circuits for gate in circuit.gates]
             if path == "run_many_shape_mismatch":
                 circuits[-1] = Circuit(n, circuits[-1].gates[:-1])
