@@ -18,6 +18,12 @@ in a bounded cache, so a repeated gate costs only its array work.  Kernels
 view the buffer in the ``(2,)*n`` layout (axis ``a`` holds qubit ``n-1-a``)
 or in a coarser reshape of it that gives the same bits.
 
+A diffusion is the one reduction: it views the buffer with one axis per
+maximal run of adjacent qubits, in its register or not, and sums over the
+register's axes.  numpy sums the last axis pairwise and every other axis in
+index order, so the bits of a register's mean depend only on whether the
+register holds qubit 0.  The tile and prefix rules below keep that fact.
+
 Permutation gates are fused: each maximal run of consecutive X gates is one
 strided copy of the ``(2,)*n`` view, reversed on every axis flipped an odd
 number of times, and each run of two or more CNOT/MCX gates is one gather
@@ -34,24 +40,26 @@ tile: when every gate acts on qubits ``lo`` and up, each block of columns of
 the ``(2**(n-lo), 2**lo)`` view is copied into a cache-sized tile, every gate
 of the run is applied to it with the per-gate kernels, and it is copied
 back, so the run streams the state through memory twice rather than once
-per gate.  Gates on low qubits split a run and go one at a time, as do
-diffusions whose register is not the top block of qubits and runs too short
-to repay the copies (see ``_TILE_MIN_SWEEPS`` and its neighbours).  Each
-amplitude gets the same operations in the same order, so the bits are those
-of the per-gate path.
+per gate.  Gates on low qubits split a run and go one at a time, as do runs
+too short to repay the copies (see ``_TILE_MIN_SWEEPS`` and its neighbours).
+A tile row holds at least two amplitudes, so no register of a tiled run
+holds qubit 0 of the tile or of the state; each amplitude gets the same
+operations in the same order, and the bits are those of the per-gate path.
 
 From |0...0> (:func:`run_from_zero`), on a state of at least
 ``_PREFIX_MIN_QUBITS`` qubits, the longest run of leading gates that leaves
 at least two qubits untouched runs on only the qubits it touches, renumbered
 in order, and is written into a full-width buffer once (see
-:func:`_from_zero`).  The run stops before a diffusion on a middle block of
-qubits, whose mean would be summed in another order on the smaller state.
-Each block of the full state fixes the untouched qubits and gets the same
-operations, so the block where they are all 0 is the small result.  Every
-other block starts at +0, and an oracle turns its marked entries into -0;
-so when any oracle in the run marks a value, the run is applied once more
-to an all +0 state, and that result fills those blocks.  Signed zeros
-included, the bits are those of the full-width run.
+:func:`_from_zero`).  The run stops before a diffusion on non-adjacent
+qubits, and a register above qubit 0 with no touched qubit below it gets the
+qubit just below it, so a register holds qubit 0 of the smaller state only
+if it holds qubit 0 of the full one.  Each block of the full state fixes the
+untouched qubits and gets the same operations, so the block where they are
+all 0 is the small result.  Every other block starts at +0, and an oracle
+turns its marked entries into -0; so when any oracle in the run marks a
+value, the run is applied once more to an all +0 state, and that result
+fills those blocks.  Signed zeros included, the bits are those of the
+full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) runs as rows of one buffer, a chunk at
@@ -142,6 +150,13 @@ def check_seed(seed) -> int:
     return value
 
 
+def _check_width(num_qubits: int) -> None:
+    if num_qubits < 1:
+        raise StructuralError("num_qubits must be at least 1")
+    if num_qubits > QUBIT_CAP:
+        raise ResourceCapError(f"{num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}")
+
+
 def _check_norm(amps: np.ndarray) -> None:
     norm_sq = np.vdot(amps, amps).real
     if abs(norm_sq - 1.0) > _NORM_ATOL:
@@ -156,12 +171,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise StructuralError("num_qubits must be at least 1")
-        if self.num_qubits > QUBIT_CAP:
-            raise ResourceCapError(
-                f"{self.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
-            )
+        _check_width(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.num_qubits,):
             raise StructuralError(
@@ -188,6 +198,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
+        _check_width(num_qubits)  # before allocating 2**num_qubits amplitudes
         if not 0 <= index < (1 << num_qubits):
             raise StructuralError(f"basis index {index} out of range for {num_qubits} qubits")
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -200,11 +211,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def fidelity(self, other: "StateVector") -> float:
-        if other.num_qubits != self.num_qubits:
-            raise StructuralError("qubit counts differ")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -300,12 +306,7 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.num_qubits < 1:
-            raise StructuralError("num_qubits must be at least 1")
-        if self.num_qubits > QUBIT_CAP:
-            raise ResourceCapError(
-                f"{self.num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}"
-            )
+        _check_width(self.num_qubits)
         for gate in {id(gate): gate for gate in self.gates}.values():  # each object once
             if gate.max_qubit() >= self.num_qubits:
                 raise StructuralError(
@@ -318,17 +319,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-
-@lru_cache(maxsize=128)
-def _register_values(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
-    """Integer value of ``register`` for every basis index; position p is bit p."""
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    values = np.zeros_like(idx)
-    for p, q in enumerate(register):
-        values |= ((idx >> q) & 1) << p
-    values.flags.writeable = False
-    return values
 
 
 def _register_matrix(amps: np.ndarray, num_qubits: int, register: tuple[int, ...]):
@@ -442,20 +432,29 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
     return apply
 
 
+def _runs(num_qubits: int, qubits) -> list[tuple[bool, int]]:
+    """``(inside, 2**length)`` for each maximal run of adjacent qubits in or out of ``qubits``.
+
+    Runs are listed from the top qubit down, so their sizes are the shape of a
+    view of the state with one axis per run.
+    """
+    inside = set(qubits).__contains__
+    return [
+        (key, 1 << len(list(run)))
+        for key, run in groupby(range(num_qubits - 1, -1, -1), key=inside)
+    ]
+
+
 def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
     # 2 * mean - psi, the mean taken over the register for each value of the
-    # other qubits.  A register that is the bottom (or top) block of qubits is
-    # the trailing (or leading) axis of a 2-D view; numpy sums both in the
-    # same order as over the matching axes of the (2,)*n view.
-    width = len(targets)
-    register = set(targets)
-    if register == set(range(width)):
-        shape, axis = (-1, 1 << width), 1
-    elif register == set(range(num_qubits - width, num_qubits)):
-        shape, axis = (1 << width, -1), 0
-    else:
-        shape, axis = (2,) * num_qubits, tuple(num_qubits - 1 - q for q in targets)
-    count = 1 << width
+    # other qubits: a reduction over the register's axes of the merged-run
+    # view, summed as the module docstring states.
+    runs = _runs(num_qubits, targets)
+    shape = tuple(size for _, size in runs)
+    axis = tuple(a for a, (inside, _) in enumerate(runs) if inside)
+    if len(axis) == 1:
+        axis = axis[0]  # an int axis is cheaper per call than a tuple
+    count = 1 << len(targets)
 
     def apply(psi, marked):
         view = psi.reshape(shape)
@@ -561,10 +560,7 @@ def _run_key(num_qubits: int):
     A Hadamard, phase oracle or diffusion is ``_TILED`` when the state holds
     at least ``2**_TILE_MIN_DROP`` tiles and every qubit the gate acts on
     lies far enough above ``drop`` that a tile row holds at least
-    ``2**_TILE_MIN_ROW_BITS`` amplitudes (see :func:`_apply_tiled`).  A
-    diffusion must also act on the top block of qubits: its register mean is
-    then a reduction over the leading axis, summed in the same order in a
-    tile as in the whole state.
+    ``2**_TILE_MIN_ROW_BITS`` amplitudes (see :func:`_apply_tiled`).
     """
     drop = num_qubits - _TILE_BITS
     if drop < _TILE_MIN_DROP:
@@ -574,12 +570,7 @@ def _run_key(num_qubits: int):
         kind = _FUSED.get(gate.kind)
         if kind is not None:
             return kind
-        low = min(gate.targets)
-        if low < drop + _TILE_MIN_ROW_BITS or (
-            gate.kind == DIFFUSION and low != num_qubits - len(gate.targets)
-        ):
-            return None
-        return _TILED
+        return _TILED if min(gate.targets) >= drop + _TILE_MIN_ROW_BITS else None
 
     return key
 
@@ -669,30 +660,32 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
 
     On a state of at least ``_PREFIX_MIN_QUBITS`` qubits, the prefix is the
     longest run of leading gates that leaves at least two qubits untouched
-    and holds no diffusion on a middle block of qubits.  A top-block register
-    that would be the whole smaller state gets the untouched qubit below it,
-    so that its mean is still summed down columns, in the order of the full
-    width.
+    and holds no diffusion on non-adjacent qubits.  If no touched qubit lies
+    below the lowest diffusion register above qubit 0, the qubit just below
+    that register is touched too, so that the register does not hold qubit 0
+    of the smaller state.
     """
     n = num_qubits
     touched = length = 0
     if n < _PREFIX_MIN_QUBITS:
         return length, touched
-    top_low = n  # lowest qubit of a top-block diffusion in the prefix
+    low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
     for gate in gates:
         mask = 0
         for q in gate.targets + gate.controls:
             mask |= 1 << q
         if (touched | mask).bit_count() > n - 2:
             break
-        if gate.kind == DIFFUSION and mask & (mask + 1):  # not the bottom block
-            if mask >> (n - len(gate.targets)) != (1 << len(gate.targets)) - 1:
-                break  # a middle block
-            top_low = min(top_low, n - len(gate.targets))
+        if gate.kind == DIFFUSION:
+            bottom = mask & -mask
+            if (mask + bottom) & mask:  # not one run of adjacent qubits
+                break
+            if bottom > 1:
+                low = min(low, bottom.bit_length() - 1)
         touched |= mask
         length += 1
-    if touched & -touched == 1 << top_low:
-        touched |= 1 << (top_low - 1)
+    if touched & -touched == 1 << low:  # no touched qubit below the register
+        touched |= 1 << (low - 1)
     return length, touched
 
 
@@ -726,11 +719,7 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
     block = np.zeros(1 << width, dtype=np.complex128)
     block[0] = 1.0
     block = _evolve(block, width, prefix)
-    # Each run of adjacent qubits, touched or not, is one axis of the view.
-    runs = [
-        (inside, 1 << len(list(qubits)))
-        for inside, qubits in groupby(range(n - 1, -1, -1), key=lambda q: touched >> q & 1)
-    ]
+    runs = _runs(n, position)  # one axis per run of adjacent qubits, touched or not
     shape = [size for _, size in runs]
     kept = [size if inside else 1 for inside, size in runs]  # 1 on untouched axes
     if any(gate.marked for gate in prefix):
@@ -838,8 +827,10 @@ def register_probabilities(state: StateVector, register: Sequence[int]) -> np.nd
     register = _check_register(state.num_qubits, register)
     if register == tuple(range(state.num_qubits)):
         return state.probabilities()  # the value is the basis index: one weight per bin
-    values = _register_values(state.num_qubits, register)
-    return np.bincount(values, weights=np.abs(state.amplitudes) ** 2, minlength=1 << len(register))
+    # Down the rows of a C-ordered matrix numpy adds the weights of each value
+    # in basis-index order; a strided view could be summed pairwise instead.
+    mat, _ = _register_matrix(state.probabilities(), state.num_qubits, register)
+    return np.add.reduce(np.ascontiguousarray(mat), axis=0)
 
 
 def sample_measurement(

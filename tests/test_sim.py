@@ -90,8 +90,21 @@ class TestStateVector:
             StateVector(1, np.array([1.0, 1.0]))
 
     def test_rejects_above_cap(self):
-        with pytest.raises(ResourceCapError):
-            StateVector.zero(sim.QUBIT_CAP + 1)
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                StateVector.zero(sim.QUBIT_CAP + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # checked before the amplitudes are allocated
+
+    @pytest.mark.parametrize("num_qubits", [0, -1])
+    def test_rejects_widths_below_one(self, num_qubits):
+        with pytest.raises(StructuralError, match="at least 1"):
+            StateVector.zero(num_qubits)
 
     def test_amplitudes_immutable(self):
         state = StateVector.zero(1)
@@ -213,11 +226,11 @@ def swap_gates(num_qubits: int, max_controls: int = 3):
 
 
 def block_registers(num_qubits: int):
-    """The bottom and top blocks of every width, in ascending and descending order."""
+    """Every block of adjacent qubits, in ascending and descending order."""
     for width in range(1, num_qubits + 1):
-        for block in (range(width), range(num_qubits - width, num_qubits)):
-            yield tuple(block)
-            yield tuple(reversed(block))
+        for low in range(num_qubits - width + 1):
+            yield tuple(range(low, low + width))
+            yield tuple(reversed(range(low, low + width)))
 
 
 class TestGatePlans:
@@ -239,12 +252,16 @@ class TestGatePlans:
             expected = dense_operator(gate, 6) @ state.amplitudes
             npt.assert_allclose(sim.apply(state, gate).amplitudes, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("num_qubits", [6, 12, 14])
+    @pytest.mark.parametrize("num_qubits", range(2, 17))
     def test_block_diffusion_matches_mean_over_view_axes(self, num_qubits):
-        # The 2-D reshape sums in the same order as the mean over the (2,)*n axes.
+        # One axis per run of adjacent qubits sums in the same order as the
+        # mean over the (2,)*n axes, for blocks and for scattered registers.
         psi = random_state(num_qubits, seed=num_qubits).amplitudes
         view = psi.reshape((2,) * num_qubits)
-        for register in block_registers(num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        widths = rng.integers(1, num_qubits + 1, size=8)
+        scattered = [tuple(int(q) for q in rng.permutation(num_qubits)[:w]) for w in widths]
+        for register in [*block_registers(num_qubits), *scattered]:
             axes = tuple(num_qubits - 1 - q for q in register)
             expected = 2.0 * view.mean(axis=axes, keepdims=True) - view
             circuit = Circuit(num_qubits, (sim.diffusion(register),))
@@ -512,10 +529,10 @@ class TestTiledRuns:
         state = random_state(n, seed=200 + seed)
         width = int(rng.integers(2, n - 5))
         top = tuple(range(n - width, n))[:: 1 if seed % 2 else -1]
-        middle = tuple(range(n - width - 2, n - 2))  # H and oracles only: diffusion reduces 2 axes
+        middle = tuple(range(n - width - 2, n - 2))
         low = [sim.hadamard(0), sim.phase_oracle([0, 1], [2])]
         gates = random_search_run(n, top, rng, 12) + low[: 1 + seed % 2]
-        gates += [g for g in random_search_run(n, middle, rng, 12) if g.kind != sim.DIFFUSION]
+        gates += random_search_run(n, middle, rng, 12)
         gates += [sim.hadamard(n - 1), sim.diffusion(top)] + low + random_search_run(n, top, rng, 6)
         out = sim.run(Circuit(n, tuple(gates)), state)
         assert same_bits(out.amplitudes, per_gate(state, gates))
@@ -553,16 +570,19 @@ class TestTiledRuns:
         assert not tiles(20, range(10, 20), 7)  # too few diffusions to repay the copies
         assert not tiles(19, range(9, 19), 8)  # 8 tiles
 
-    def test_middle_block_diffusion_falls_back_with_the_same_bits(self, small_tiles, tiled_calls):
+    def test_middle_block_diffusion_is_tiled_with_the_same_bits(self, small_tiles, tiled_calls):
+        # Registers above a tile's qubit 0 are summed in index order in a tile
+        # and in the whole state alike, blocks and scattered registers both.
         n = 11
         state = random_state(n, seed=211)
         middle = tuple(range(4, 8))
         top = tuple(range(8, 11))
         gates = [sim.hadamard(q) for q in middle] + [sim.diffusion(middle), sim.hadamard(9)]
         gates += [sim.diffusion(top), sim.diffusion(middle[::-1]), sim.hadamard(5)]
+        gates += [sim.diffusion((9, 4, 6))]
         out = sim.run(Circuit(n, tuple(gates)), state)
         assert same_bits(out.amplitudes, per_gate(state, gates))
-        assert tiled_calls == [gates[:4], gates[5:7]]  # a lone H after the last diffusion is not
+        assert tiled_calls == [gates]
 
     def test_shared_oracle_gates_bill_once_per_application(self, small_tiles, tiled_calls):
         from groversvm.grover import IndicatorOracle, search_gates
@@ -646,8 +666,8 @@ def low_prefix(monkeypatch):
 def random_prefix_circuit(num_qubits: int, rng) -> Circuit:
     """Gates on a random subset of qubits (oracles marking values), then some on all of them.
 
-    Diffusions act on the top block, the bottom block, or, after the subset's
-    gates, any register.
+    Diffusions act on the top block, the bottom block, a middle block, or,
+    after the subset's gates, any register.
     """
     n = num_qubits
     subset = sorted(int(q) for q in rng.choice(n, size=int(rng.integers(1, n - 1)), replace=False))
@@ -668,8 +688,10 @@ def random_prefix_circuit(num_qubits: int, rng) -> Circuit:
             picks = sorted({int(v) for v in rng.integers(0, 1 << len(register), size=2)})
             return sim.phase_oracle(register, picks)
         width = int(rng.integers(1, len(qubits) + 1))
-        shape = int(rng.integers(3 if any_register else 2))
-        register = [range(n - width, n), range(width), qubits[:width]][shape]
+        shape = int(rng.integers(4 if any_register else 3))
+        low = int(rng.integers(0, n - width + 1)) if shape == 2 else 0
+        blocks = [range(n - width, n), range(width), range(low, low + width), qubits[:width]]
+        register = blocks[shape]
         return sim.diffusion(list(register)[:: 1 if kind % 2 else -1])
 
     gates = [gate(subset, False) for _ in range(int(rng.integers(2, 24)))]
@@ -703,16 +725,18 @@ class TestZeroPrefix:
         assert np.signbit(expected[8:].real).any()
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
 
-    def test_a_middle_block_diffusion_ends_the_prefix(self, low_prefix):
+    def test_a_middle_block_register_keeps_a_touched_qubit_below_it(self, low_prefix):
         n = 8
         middle = (2, 3, 4, 5)
         gates = [sim.hadamard(q) for q in middle] + [sim.phase_oracle(middle, [9])]
         gates += [sim.diffusion(middle), sim.hadamard(3), sim.diffusion((5, 6, 7))]
-        circuit = Circuit(n, tuple(gates))
-        assert sim._zero_prefix(n, circuit.gates) == (5, 0b00111100)
-        top = Circuit(n, tuple(gates[:5] + gates[6:]))
-        assert sim._zero_prefix(n, top.gates) == (7, 0b11111100)
-        for c in (circuit, top):
+        below = Circuit(n, (sim.hadamard(0),) + tuple(gates[:-1]))
+        assert sim._zero_prefix(n, below.gates) == (8, 0b00111101)  # qubit 0 is below already
+        added = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, added.gates) == (8, 0b11111110)  # qubit 1 is added
+        scattered = Circuit(n, tuple(gates[:5] + [sim.diffusion((2, 4, 5))] + gates[5:]))
+        assert sim._zero_prefix(n, scattered.gates) == (5, 0b00111100)  # it ends the prefix
+        for c in (below, added, scattered):
             expected = sim.run(c, StateVector.zero(n)).amplitudes
             assert same_bits(sim.run_from_zero(c).amplitudes, expected)
 
@@ -1140,6 +1164,15 @@ class TestCircuit:
         npt.assert_allclose(round_trip.amplitudes, state.amplitudes, atol=1e-11)
 
 
+def register_values(num_qubits: int, register: tuple[int, ...]) -> np.ndarray:
+    """Reference index map: the value of ``register`` at every basis index."""
+    idx = np.arange(1 << num_qubits, dtype=np.int64)
+    values = np.zeros_like(idx)
+    for p, q in enumerate(register):
+        values |= ((idx >> q) & 1) << p
+    return values
+
+
 class TestProbabilities:
     def test_all_zero_on_zero_state(self):
         assert sim.prob_all_zero(StateVector.zero(4), range(4)) == 1.0
@@ -1169,22 +1202,26 @@ class TestProbabilities:
     def test_whole_register_skips_the_index_map_with_the_same_bits(self, n, monkeypatch):
         state = random_state(n, seed=40 + n)
         expected = np.bincount(
-            sim._register_values(n, tuple(range(n))),
+            register_values(n, tuple(range(n))),
             weights=np.abs(state.amplitudes) ** 2,
             minlength=1 << n,
         )
-        monkeypatch.setattr(sim, "_register_values", None)  # not called for range(n)
+        monkeypatch.setattr(sim, "_register_matrix", None)  # not called for range(n)
         probs = sim.register_probabilities(state, range(n))
         assert probs.dtype == expected.dtype and probs.shape == expected.shape
         assert np.array_equal(probs.view(np.uint8), expected.view(np.uint8))
         assert probs.flags.writeable
         assert sum(sim.sample_measurement(state, range(n), 50, 3).values()) == 50
         monkeypatch.undo()
-        reverse = tuple(range(n))[::-1]  # every qubit, another order: the index map
-        expected = np.bincount(
-            sim._register_values(n, reverse), weights=np.abs(state.amplitudes) ** 2, minlength=1 << n
-        )
-        assert same_bits(sim.register_probabilities(state, reverse), expected)
+        # Every qubit in another order, the top qubit, and every other qubit:
+        # the matrix sum, in bincount's order even where the matrix is a strided view.
+        for register in (tuple(range(n))[::-1], (n - 1,), tuple(range(0, n, 2))[::-1]):
+            expected = np.bincount(
+                register_values(n, register),
+                weights=np.abs(state.amplitudes) ** 2,
+                minlength=1 << len(register),
+            )
+            assert same_bits(sim.register_probabilities(state, register), expected), register
 
 
 class TestSampling:
