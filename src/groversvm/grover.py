@@ -299,15 +299,6 @@ def _ideal_write_gates(oracle: IndicatorOracle, iterations: int, register) -> li
     return gates
 
 
-def grover_block_gates(
-    oracle: IndicatorOracle, iterations: int, register, backend: str
-) -> list[Gate]:
-    """The search subroutine as used inside feature maps (|0..0> -> |marked>)."""
-    if backend == "ideal":
-        return _ideal_write_gates(oracle, iterations, register)
-    return search_gates(oracle, iterations, register)
-
-
 def _check_interval_width(interval_width: int, domain_size: int) -> int:
     """The interval width M as an int; it must be a power of two in [1, N)."""
     M = int(interval_width)
@@ -343,7 +334,10 @@ def feature_map_circuit(
     n = oracle.num_qubits
     ancilla = tuple(range(n, 2 * n))
     k = resolve_iterations(oracle.domain_size, config)
-    block = grover_block_gates(oracle, k, ancilla, config.backend)
+    if config.backend == "ideal":
+        block = _ideal_write_gates(oracle, k, ancilla)
+    else:
+        block = search_gates(oracle, k, ancilla)
     gates = interval_map_gates(tuple(range(n)), ancilla, block, interval_width)
     return Circuit(2 * n, tuple(gates))
 
@@ -362,58 +356,28 @@ def interval_state_analytic(start: int, interval_width: int, domain_size: int) -
     return StateVector(n, amps)
 
 
-def _superposition_write(amps: np.ndarray, num_qubits: int, register, target_vec, inverse=False):
-    """Unitary on the register factor rotating |0..0> onto ``target_vec``.
-
-    Acts as the identity on the orthogonal complement of span{|0..0>, target}.
-    This is the exact idealization of amplitude amplification for an
-    arbitrary marked superposition; for a basis-state target it reduces to
-    the plain write used by the ideal backend.
-    """
-    target = np.asarray(target_vec, dtype=np.complex128)
-    mat, order = sim._register_matrix(amps, num_qubits, tuple(register))
-    mat = mat.copy()
-    c = float(target[0].real)
-    w = target.copy()
-    w[0] -= c
-    s = float(np.linalg.norm(w))
-    if s < 1e-12:
-        return amps.copy()
-    e2 = w / s
-    if inverse:
-        s = -s
-    a1 = mat[:, 0].copy()
-    a2 = mat @ e2.conj()
-    mat[:, 0] += (c - 1.0) * a1 - s * a2
-    mat += np.outer(s * a1 + (c - 1.0) * a2, e2)
-    return sim._register_unmatrix(mat, num_qubits, order)
-
-
 def multi_marked_ancilla_fidelity(oracle: MultiMarkedOracle, interval_width: int) -> float:
     """Ancilla all-zero fidelity after the feature-map pipeline.
 
-    The search block is idealized as an exact rotation onto the even
-    superposition of the marked elements, so any deviation from fidelity 1 is
-    structural: the adder entangles the registers and uncomputation cannot
-    disentangle them.  A singleton marked set degenerates to the single-element
-    feature map and returns 1.
+    The search block is idealized as a unitary R that rotates the ancilla from
+    |0..0> onto the even superposition |S> of the marked elements.  So the
+    pipeline starts from |0..0>|S>, and since <0..0| R^-1 = <S| the all-zero
+    probability after uncomputing is sum_x |<S|a_x>|^2, where a_x is the
+    ancilla's amplitude vector when the register holds x: the ancilla's
+    fidelity with |S> after the Hadamards and the adder.  Any deviation from
+    1 is structural: the adder entangles the registers and uncomputation
+    cannot disentangle them.  A singleton marked set degenerates to the
+    single-element feature map and returns 1.
     """
     N = oracle.domain_size
     n = oracle.num_qubits
-    mu = _check_interval_width(interval_width, N).bit_length() - 1
-    register = tuple(range(n))
     ancilla = tuple(range(n, 2 * n))
+    # R and R^-1 live in the initial state and the fidelity target: no block.
+    gates = interval_map_gates(tuple(range(n)), ancilla, [], interval_width)
 
     target = np.zeros(N, dtype=np.complex128)
     target[sorted(oracle.marked_set)] = 1.0 / math.sqrt(len(oracle.marked_set))
-
-    amps = np.zeros(1 << (2 * n), dtype=np.complex128)
-    amps[0] = 1.0
-    for q in register[:mu]:
-        amps = sim._apply_raw(amps, 2 * n, sim.hadamard(q))
-    amps = _superposition_write(amps, 2 * n, ancilla, target)
-    for gate in adder_gates(register, ancilla):
-        amps = sim._apply_raw(amps, 2 * n, gate)
-    amps = _superposition_write(amps, 2 * n, ancilla, target, inverse=True)
-    state = StateVector(2 * n, amps)
-    return sim.prob_all_zero(state, ancilla)
+    initial = np.zeros(N * N, dtype=np.complex128)
+    initial[::N] = target  # register |0..0>, ancilla |S>
+    state = sim.run(Circuit(2 * n, tuple(gates)), StateVector(2 * n, initial))
+    return sim.subsystem_fidelity(state, ancilla, target)

@@ -152,6 +152,17 @@ def margin_gap(interval_width: int, domain_size: int) -> float:
     return 2.0 * interval_width / domain_size
 
 
+def _check_halfspace(start: int, interval_width: int, domain_size: int) -> tuple[int, int]:
+    """``(N, M)`` as ints; the halfspace start must lie in [0, N/2) and 1 <= M < N/2."""
+    N = int(domain_size)
+    M = int(interval_width)
+    if not 0 <= start < N // 2:
+        raise StructuralError("halfspace start out of range")
+    if not 1 <= M < N // 2:
+        raise StructuralError("interval width must satisfy 1 <= M < N/2")
+    return N, M
+
+
 def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size: int) -> float:
     """Squared overlap of the halfspace state with the interval state at ``marked``.
 
@@ -160,14 +171,9 @@ def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size:
     interior -1-class points give exactly 0, and boundary straddlers fall in
     between.
     """
-    N = int(domain_size)
-    M = int(interval_width)
-    if not 0 <= start < N // 2:
-        raise StructuralError("halfspace start out of range")
+    N, M = _check_halfspace(start, interval_width, domain_size)
     if not 0 <= marked < N:
         raise StructuralError("marked index out of range")
-    if not 1 <= M < N // 2:
-        raise StructuralError("interval width must satisfy 1 <= M < N/2")
     lo, hi = start, start + N // 2 - 1
     indices = (marked + np.arange(M)) % N
     count = int(np.count_nonzero((indices >= lo) & (indices <= hi)))
@@ -176,8 +182,7 @@ def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size:
 
 def halfspace_overlap_profile(start: int, interval_width: int, domain_size: int) -> np.ndarray:
     """``halfspace_overlap`` for every marked index at once (vectorized)."""
-    N = int(domain_size)
-    M = int(interval_width)
+    N, M = _check_halfspace(start, interval_width, domain_size)
     inside = np.zeros(N, dtype=np.int64)
     inside[start : start + N // 2] = 1
     counts = np.zeros(N, dtype=np.int64)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .grover import GroverConfig, _is_power_of_two, interval_map_gates, interval_state_analytic
+from .grover import theoretical_success_probability
 from .kernel import _overlap, kernel_exact
 from . import sim
 from .sim import Circuit, Gate, StateVector
@@ -37,11 +38,6 @@ class PatternLedger:
         for name in ("gate_steps", "amplification_rounds", "classical_char_comparisons"):
             if getattr(self, name) < 0:
                 raise StructuralError(f"{name} must be non-negative")
-
-    def add(self, other: "PatternLedger") -> None:
-        self.gate_steps += other.gate_steps
-        self.amplification_rounds += other.amplification_rounds
-        self.classical_char_comparisons += other.classical_char_comparisons
 
 
 def _as_bits(value) -> np.ndarray:
@@ -277,8 +273,7 @@ def pattern_match(
     ledger = _ledger(instance, config)
     rounds = ledger.amplification_rounds
     if config.backend == "ideal":
-        theta = math.asin(math.sqrt(1.0 / instance.text_length))
-        success = math.sin((2 * rounds + 1) * theta) ** 2
+        success = theoretical_success_probability(instance.text_length, 1, rounds)
         return instance.location, success, ledger
     state = sim.run_from_zero(match_circuit(instance, rounds))
     index_q = _registers(instance)[0]
@@ -296,7 +291,6 @@ class FeatureMapOutcome:
     register_state: StateVector
     ancilla_zero_fidelity: float
     ledger: PatternLedger
-    full_state: StateVector | None = None
 
 
 def _pattern_block_gates(instance: TextInstance, rounds: int, backend: str, offset: int):
@@ -360,7 +354,7 @@ def pattern_feature_map(
     if norm < 1e-9:
         raise StructuralError("feature map produced no ancilla-zero component")
     register = StateVector(n, register_amps / norm)
-    return FeatureMapOutcome(register, fidelity, ledger, state)
+    return FeatureMapOutcome(register, fidelity, ledger)
 
 
 def pattern_kernel(

@@ -326,13 +326,7 @@ def _register_matrix(amps: np.ndarray, num_qubits: int, register: tuple[int, ...
     reg_axes = {num_qubits - 1 - q for q in register}
     rest = [a for a in range(num_qubits) if a not in reg_axes]
     order = rest + [num_qubits - 1 - q for q in reversed(register)]
-    mat = amps.reshape((2,) * num_qubits).transpose(order).reshape(-1, 1 << len(register))
-    return mat, order
-
-
-def _register_unmatrix(mat: np.ndarray, num_qubits: int, order: list[int]) -> np.ndarray:
-    inv = np.argsort(order)
-    return mat.reshape((2,) * num_qubits).transpose(inv).reshape(-1)
+    return amps.reshape((2,) * num_qubits).transpose(order).reshape(-1, 1 << len(register))
 
 
 def _check_register(num_qubits: int, register: Sequence[int]):
@@ -829,7 +823,7 @@ def register_probabilities(state: StateVector, register: Sequence[int]) -> np.nd
         return state.probabilities()  # the value is the basis index: one weight per bin
     # Down the rows of a C-ordered matrix numpy adds the weights of each value
     # in basis-index order; a strided view could be summed pairwise instead.
-    mat, _ = _register_matrix(state.probabilities(), state.num_qubits, register)
+    mat = _register_matrix(state.probabilities(), state.num_qubits, register)
     return np.add.reduce(np.ascontiguousarray(mat), axis=0)
 
 
@@ -856,11 +850,12 @@ def sample_measurement(
 def subsystem_fidelity(
     state: StateVector, register: Sequence[int], target_amplitudes: np.ndarray
 ) -> float:
-    """Fidelity of the reduced state on ``register`` with a pure target state."""
+    """Fidelity of the reduced state on ``register`` with a normalized pure target state."""
     register = _check_register(state.num_qubits, register)
     target = np.asarray(target_amplitudes, dtype=np.complex128)
     if target.shape != (1 << len(register),):
         raise StructuralError("target state has the wrong dimension for the register")
-    mat, _ = _register_matrix(state.amplitudes, state.num_qubits, register)
+    _check_norm(target)
+    mat = _register_matrix(state.amplitudes, state.num_qubits, register)
     overlaps = mat @ target.conj()
     return float(np.sum(np.abs(overlaps) ** 2))

@@ -1,5 +1,6 @@
 """Search correctness, query accounting, the adder, and the interval feature map."""
 
+import itertools
 import math
 
 import numpy as np
@@ -370,6 +371,27 @@ class TestMultiMarkedFailure:
             a, b = rng.choice(16, size=2, replace=False)
             fid = multi_marked_ancilla_fidelity(MultiMarkedOracle(16, {int(a), int(b)}), 4)
             assert fid < 0.99
+
+    def test_matches_closed_form(self):
+        # Independent oracle: the fidelity is sum_x c_x^2 / (t^2 M), where
+        # c_x = #{s in S : (x - s) mod N < M} and t = |S|.  Every marked set
+        # at N in {4, 8}, and 20 random sets per width at N in {16, 32}.
+        rng = np.random.default_rng(0)
+        cases = []
+        for N in (4, 8, 16, 32):
+            for M in (1 << b for b in range(N.bit_length() - 1)):
+                if N <= 8:
+                    sets = [s for t in range(1, N + 1) for s in itertools.combinations(range(N), t)]
+                else:
+                    sizes = rng.integers(1, N + 1, size=20)
+                    sets = [rng.choice(N, int(t), replace=False) for t in sizes]
+                cases += [(N, M, np.asarray(s)) for s in sets]
+        assert len(cases) == 975
+        for N, M, marked in cases:
+            counts = np.sum((np.arange(N)[:, None] - marked[None, :]) % N < M, axis=1)
+            expected = np.sum(counts**2) / (len(marked) ** 2 * M)
+            fid = multi_marked_ancilla_fidelity(MultiMarkedOracle(N, marked.tolist()), M)
+            assert abs(fid - expected) < 1e-12, (N, M, marked)
 
     def test_all_marked_recorded(self):
         # Degenerate everything-marked case: value recorded, not asserted.

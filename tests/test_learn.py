@@ -128,6 +128,13 @@ class TestHalfspaceOverlap:
         for t in range(64):
             assert profile[t] == pytest.approx(halfspace_overlap(3, t, 4, 64), abs=1e-12)
 
+    @pytest.mark.parametrize("start, M, N", [(10, 2, 16), (-1, 2, 16), (0, 0, 16), (0, 8, 16)])
+    def test_profile_rejects_what_the_scalar_rejects(self, start, M, N):
+        with pytest.raises(StructuralError):
+            halfspace_overlap(start, 0, M, N)
+        with pytest.raises(StructuralError):
+            halfspace_overlap_profile(start, M, N)
+
     def test_class_fractions(self):
         # At least a 1 - Delta fraction of each class sits at Delta (resp. zero);
         # the sharp count is N/2 - M + 1 (one boundary-exact index beyond the

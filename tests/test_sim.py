@@ -1284,3 +1284,7 @@ class TestSubsystemFidelity:
     def test_orthogonal_target(self):
         state = StateVector.zero(2)
         assert sim.subsystem_fidelity(state, [0], np.array([0.0, 1.0])) < 1e-12
+
+    def test_rejects_unnormalized_target(self):
+        with pytest.raises(ContractViolationError):
+            sim.subsystem_fidelity(StateVector.zero(2), [0], np.array([2.0, 0.0]))
