@@ -2,7 +2,8 @@
 
 Configuration is a key-value text file (``key = value`` lines, ``#``
 comments) overridden by repeatable ``--set key=value`` flags and finally by
-dedicated flags; flags win.  Every emitted artifact starts with a schema
+the flags named after a key (``--seed``, ``--learner``, ``--domain-sizes``
+...); flags win.  Every emitted artifact starts with a schema
 line and is byte-identical for identical (config, seed) pairs: no
 timestamps, no wall-clock entropy, deterministic ordering throughout.
 
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,9 +47,13 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 
 SWEEP_TRIALS = 3  # sweep's trials per size when neither --trials nor the trials key is given
-# complexity_sweep fixes these itself (the indicator problem, M = N/4, 4 test
-# points, a budget of N/2), so sweep rejects them rather than ignore them.
-SWEEP_FIXED_KEYS = ("problem", "interval_width", "test_size", "budget")
+# complexity_sweep fixes these itself (the indicator problem with its concept
+# at start 0, M = N/4, 4 test points, a budget of N/2, and domain_sizes in
+# place of domain_size), so sweep rejects them rather than ignore them.
+SWEEP_FIXED_KEYS = (
+    "problem", "interval_width", "test_size", "budget",
+    "concept_start", "domain_size", "pattern", "label_rule",
+)
 
 REPORT_SCHEMA = "groversvm-report/1"
 DATASET_SCHEMA = "groversvm-dataset/1"
@@ -87,6 +92,8 @@ def _key(default, parser=_TEXT, choices=None):
 
 @dataclass
 class ExperimentConfig:
+    """Every config key; ``resolve_config`` returns a copy with each 'auto' filled in."""
+
     problem: str = _key("indicator", choices=("indicator", "pattern"))
     domain_size: int = _key(1024, _INT)
     interval_width: str = _key("auto")
@@ -94,7 +101,7 @@ class ExperimentConfig:
     shots: str = _key("auto")
     box_bound: float = _key(100.0, _FLOAT)
     backend: str = _key("ideal", choices=("ideal", "faithful"))
-    learner: str = _key("quantum_kernel", choices=LEARNER_KINDS)
+    learner: str | None = _key("quantum_kernel", choices=LEARNER_KINDS)  # None: every learner
     trials: int = _key(10, _INT)
     seed: int | None = _key(None, _SEED)
     concept_start: str = _key("random")
@@ -105,11 +112,11 @@ class ExperimentConfig:
     label_rule: str = _key("halfspace", choices=("halfspace", "log_width"))
 
 
-_CONFIG_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, value: str):
-    meta = _CONFIG_KEYS[key]
+    meta = _CONFIG_KEYS[key].metadata
     parse, description = meta["parser"]
     try:
         parsed = parse(value)
@@ -160,35 +167,12 @@ def _as_int(key: str, value) -> int:
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be an integer or 'auto', got {value!r}") from exc
+        word = _CONFIG_KEYS[key].default
+        raise ConfigError(f"{key} must be an integer or {word!r}, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class ResolvedConfig:
-    """Config with every 'auto' materialized; echoed verbatim into reports."""
-
-    problem: str
-    domain_size: int
-    interval_width: int
-    train_size: int
-    shots: int
-    box_bound: float
-    backend: str
-    learner: str
-    trials: int
-    seed: int
-    concept_start: str
-    test_size: int
-    budget: int
-    pattern: str
-    label_rule: str
-
-    def as_pairs(self) -> list[tuple[str, str]]:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return [(key, f"{v:g}" if isinstance(v, float) else str(v)) for key, v in values]
-
-
-def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
+def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
+    """Check ``config`` and return a copy with every 'auto' filled in."""
     if config.seed is None:
         raise ConfigError("seed is mandatory; set it in the config file or with --seed")
     N = config.domain_size
@@ -227,19 +211,16 @@ def resolve_config(config: ExperimentConfig) -> ResolvedConfig:
         raise ConfigError("learner quantum_kernel samples the ideal kernel only; use backend=ideal")
     if any(ch not in "01" for ch in config.pattern) or not config.pattern:
         raise ConfigError("pattern must be a nonempty binary string")
-    resolved = dict(domain_size=N, interval_width=M, train_size=m, shots=R, budget=X,
-                    box_bound=float(config.box_bound), seed=_coerce("seed", str(config.seed)),
-                    concept_start=str(config.concept_start))
-    return ResolvedConfig(
-        **{f.name: resolved.get(f.name, getattr(config, f.name)) for f in fields(ResolvedConfig)}
-    )
+    return replace(config, interval_width=M, shots=R, budget=X,
+                   box_bound=float(config.box_bound), seed=_coerce("seed", str(config.seed)),
+                   concept_start=str(config.concept_start))
 
 
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([sim.check_seed(p) for p in parts]).generate_state(1)[0])
 
 
-def _concept_for_trial(resolved: ResolvedConfig, trial: int) -> Concept:
+def _concept_for_trial(resolved: ExperimentConfig, trial: int) -> Concept:
     N = resolved.domain_size
     if resolved.concept_start == "random":
         rng = np.random.default_rng(_derived_seed(resolved.seed, trial, 11))
@@ -249,7 +230,7 @@ def _concept_for_trial(resolved: ResolvedConfig, trial: int) -> Concept:
     return Concept(start, N)
 
 
-def run_single_trial(resolved: ResolvedConfig, trial: int) -> dict:
+def run_single_trial(resolved: ExperimentConfig, trial: int) -> dict:
     """Execute one seeded trial; returns a flat record for the report."""
     concept = _concept_for_trial(resolved, trial)
     config = GroverConfig(backend=resolved.backend)
@@ -306,7 +287,7 @@ def _worker_count(trials: int) -> int:
     return min(count, trials, os.cpu_count() or 1)
 
 
-def _run_trials(resolved: ResolvedConfig) -> list[dict]:
+def _run_trials(resolved: ExperimentConfig) -> list[dict]:
     workers = _worker_count(resolved.trials)
     indices = list(range(resolved.trials))
     if workers == 1:
@@ -389,9 +370,10 @@ def _emit(payload: str, out_path: str | None) -> None:
             handle.write(payload)
 
 
-def format_run_report(resolved: ResolvedConfig, records: list[dict]) -> str:
+def format_run_report(resolved: ExperimentConfig, records: list[dict]) -> str:
     lines = _header(REPORT_SCHEMA) + ["[config]"]
-    lines.extend(f"{key} {value}" for key, value in resolved.as_pairs())
+    echoed = ((key, getattr(resolved, key)) for key in _CONFIG_KEYS if key != "domain_sizes")
+    lines.extend(f"{key} {v:g}" if isinstance(v, float) else f"{key} {v}" for key, v in echoed)
     lines.append("[trials]")
     lines.append("# " + " ".join(name for name, _ in _TRIAL_COLUMNS))
     lines.extend(" ".join(_trial_cells(rec)) for rec in records)
@@ -429,7 +411,7 @@ def read_report(path: str) -> dict:
     return report
 
 
-def cmd_run(resolved: ResolvedConfig, out_path: str | None) -> int:
+def cmd_run(resolved: ExperimentConfig, out_path: str | None) -> int:
     if resolved.problem != "indicator":
         raise ConfigError("run supports problem=indicator; use pattern-demo for texts")
     records = _run_trials(resolved)
@@ -462,10 +444,6 @@ _DATASET_COLUMNS = {
 }
 
 
-def _dataset_comment(problem: str) -> str:
-    return "# " + " ".join(name for name, _ in _DATASET_COLUMNS[problem])
-
-
 def _check_data_row(line: str, columns, domain_size: int) -> list[str]:
     cells = line.split()
     if len(cells) != len(columns):
@@ -479,35 +457,18 @@ def _check_data_row(line: str, columns, domain_size: int) -> list[str]:
     return cells
 
 
-def format_dataset_indicator(resolved: ResolvedConfig, concept: Concept, dataset) -> str:
-    lines = _header(DATASET_SCHEMA) + [
-        "problem indicator",
-        f"domain_size {resolved.domain_size}",
-        f"concept_start {concept.start}",
-        f"size {dataset.size}",
-        "[data]",
-        _dataset_comment("indicator"),
-    ]
-    for oracle, label in zip(dataset.oracles, dataset.labels):
-        lines.append(f"{oracle.marked} {'+1' if label > 0 else '-1'}")
+def format_dataset(problem: str, header_pairs, rows: list) -> str:
+    """A dataset file: ``key value`` header lines, then rows of ``_DATASET_COLUMNS[problem]``."""
+    lines = _header(DATASET_SCHEMA) + [f"problem {problem}"]
+    lines.extend(f"{key} {value}" for key, value in header_pairs)
+    lines += [f"size {len(rows)}", "[data]"]
+    lines.append("# " + " ".join(name for name, _ in _DATASET_COLUMNS[problem]))
+    lines.extend(" ".join(str(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def format_dataset_pattern(resolved: ResolvedConfig, start: int, instances, labels) -> str:
-    lines = _header(DATASET_SCHEMA) + [
-        "problem pattern",
-        f"domain_size {resolved.domain_size}",
-        f"pattern {resolved.pattern}",
-        f"label_rule {resolved.label_rule}",
-        f"concept_start {start}",
-        f"size {len(instances)}",
-        "[data]",
-        _dataset_comment("pattern"),
-    ]
-    for inst, label in zip(instances, labels):
-        text = "".join(str(b) for b in inst.text)
-        lines.append(f"{text} {inst.location} {'+1' if label > 0 else '-1'}")
-    return "\n".join(lines) + "\n"
+def _sign(label) -> str:
+    return "+1" if label > 0 else "-1"
 
 
 def read_dataset(path: str) -> dict:
@@ -526,26 +487,28 @@ def read_dataset(path: str) -> dict:
     return header
 
 
-def cmd_gen_data(resolved: ResolvedConfig, out_path: str | None) -> int:
+def cmd_gen_data(resolved: ExperimentConfig, out_path: str | None) -> int:
     concept = _concept_for_trial(resolved, 0)
+    N = resolved.domain_size
+    header = [("domain_size", N)]
     if resolved.problem == "indicator":
         dataset = generate_dataset(
             concept, resolved.train_size, _derived_seed(resolved.seed, 0, 23)
         )
-        payload = format_dataset_indicator(resolved, concept, dataset)
+        rows = [(o.marked, _sign(label)) for o, label in zip(dataset.oracles, dataset.labels)]
     else:
-        N = resolved.domain_size
         if len(resolved.pattern) > N:
             raise ConfigError("pattern longer than the text length")
+        header += [("pattern", resolved.pattern), ("label_rule", resolved.label_rule)]
         rng = np.random.default_rng(_derived_seed(resolved.seed, 0, 29))
-        instances, labels = [], []
+        rows = []
         for _ in range(resolved.train_size):
             location = int(rng.integers(0, N))
             inst = random_instance(N, resolved.pattern, location, rng)
-            instances.append(inst)
-            labels.append(pattern_label(concept.start, inst.location, N, resolved.label_rule))
-        payload = format_dataset_pattern(resolved, concept.start, instances, labels)
-    _emit(payload, out_path)
+            label = pattern_label(concept.start, inst.location, N, resolved.label_rule)
+            rows.append(("".join(str(b) for b in inst.text), inst.location, _sign(label)))
+    header.append(("concept_start", concept.start))
+    _emit(format_dataset(resolved.problem, header, rows), out_path)
     return EXIT_OK
 
 
@@ -566,15 +529,19 @@ def format_sweep(rows_by_learner: dict, slopes: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str | None,
-              learner: str | None) -> int:
-    if len(domain_sizes) < 4:
-        raise ConfigError("sweep needs at least 4 domain sizes")
+def cmd_sweep(resolved: ExperimentConfig, out_path: str | None) -> int:
+    """The sweep of ``resolved.learner`` (every learner if None) over ``resolved.domain_sizes``."""
+    domain_sizes = resolved.domain_sizes
+    if len(domain_sizes) < 4 or len(set(domain_sizes)) < len(domain_sizes):
+        raise ConfigError(
+            "sweep needs at least 4 domain sizes, none repeated "
+            "(--domain-sizes or the domain_sizes key)"
+        )
     if resolved.backend != "ideal":
         raise ConfigError("sweep runs the ideal backend only; use backend=ideal")
     if resolved.train_size > min(domain_sizes):
         raise ConfigError("train_size must not exceed the smallest domain size")
-    learners = [learner] if learner else list(LEARNER_KINDS)
+    learners = [resolved.learner] if resolved.learner else list(LEARNER_KINDS)
     rows_by_learner: dict = {}
     slopes: dict = {}
     for kind in learners:
@@ -583,11 +550,10 @@ def cmd_sweep(resolved: ResolvedConfig, domain_sizes: list[int], out_path: str |
             shots=resolved.shots, box_bound=resolved.box_bound,
         )
         rows_by_learner[kind] = rows
-        slope, err = loglog_slope(
+        slopes[kind] = loglog_slope(
             [row.domain_size for row in rows],
             [row.mean_queries_per_classification for row in rows],
         )
-        slopes[kind] = (slope, err)
     _emit(format_sweep(rows_by_learner, slopes), out_path)
     return EXIT_OK
 
@@ -790,18 +756,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(
-    args, extra: dict | None = None, config: ExperimentConfig | None = None, fixed=()
-) -> ExperimentConfig:
-    """The config from the file, ``--set`` and flags; a key in ``fixed`` may not be given."""
+def _config_from_args(args, config: ExperimentConfig | None = None, fixed=()) -> ExperimentConfig:
+    """The config from the file, ``--set`` and every flag whose dest is a key.
+
+    A key in ``fixed`` may not be given in the file or by ``--set``.
+    """
     file_pairs = parse_config_file(args.config) if args.config else {}
     given = set(file_pairs) | {item.split("=", 1)[0].strip() for item in args.set or []}
     for key in fixed:
         if key in given:
             raise ConfigError(f"{args.command} fixes {key} itself; remove the {key} key")
-    overrides = {"seed": getattr(args, "seed", None)}
-    overrides.update(extra or {})
-    return build_config(file_pairs, args.set, overrides, config)
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    return build_config(file_pairs, args.set, flags, config)
 
 
 def main(argv=None) -> int:
@@ -813,25 +779,16 @@ def main(argv=None) -> int:
             seed = _coerce("seed", str(args.seed))
             return cmd_pattern_demo(args.text_file, args.pattern, args.backend, seed, args.out)
         if args.command == "gen-data":
-            resolved = resolve_config(_config_from_args(args))
-            return cmd_gen_data(resolved, args.out)
+            return cmd_gen_data(resolve_config(_config_from_args(args)), args.out)
         if args.command == "run":
-            config = _config_from_args(
-                args, {"learner": args.learner, "backend": args.backend, "trials": args.trials}
-            )
-            return cmd_run(resolve_config(config), args.out)
+            return cmd_run(resolve_config(_config_from_args(args)), args.out)
         if args.command == "sweep":
-            config = _config_from_args(
-                args, {"domain_sizes": args.domain_sizes, "trials": args.trials,
-                       "learner": args.learner},
-                # complexity_sweep's own train_size, shots and box_bound
-                ExperimentConfig(trials=SWEEP_TRIALS, train_size=8, shots="16", box_bound=10.0),
-                fixed=SWEEP_FIXED_KEYS,
+            # complexity_sweep's own train_size, shots and box_bound, and every learner
+            base = ExperimentConfig(
+                learner=None, trials=SWEEP_TRIALS, train_size=8, shots="16", box_bound=10.0
             )
-            if not config.domain_sizes:
-                raise ConfigError("sweep requires --domain-sizes or the domain_sizes key")
-            return cmd_sweep(resolve_config(config), list(config.domain_sizes), args.out,
-                             args.learner)
+            config = _config_from_args(args, base, fixed=SWEEP_FIXED_KEYS)
+            return cmd_sweep(resolve_config(config), args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

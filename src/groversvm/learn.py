@@ -35,11 +35,12 @@ from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
-from .ledger import QueryLedger
+from .ledger import QueryLedger, merge_ledgers
 from .sim import StateVector, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
+_SWEEP_TEST_POINTS = 4
 _TEST_STREAM_TAG = 0x7E57
 
 
@@ -358,20 +359,16 @@ def preprocessing_learner(
     m = train.size
     seeds = np.random.SeedSequence(check_seed(rng_seed)).spawn(m + len(test_oracles))
 
-    train_ledger = QueryLedger()
     searches = grover_search_many(train.oracles, config, seeds[:m])
     recovered = np.array([value for value, _ in searches], dtype=np.int64)
-    for _, ledger in searches:
-        train_ledger.add(ledger)
+    train_ledger = merge_ledgers(ledger for _, ledger in searches)
 
     entries = kernel_exact_many(recovered[:, None], recovered[None, :], interval_width, N)
     model = svm.train(entries, train.labels, box_bound=box_bound)
 
-    infer_ledger = QueryLedger()
     searches = grover_search_many(test_oracles, config, seeds[m:])
     found = np.array([value for value, _ in searches], dtype=np.int64)
-    for _, ledger in searches:
-        infer_ledger.add(ledger)
+    infer_ledger = merge_ledgers(ledger for _, ledger in searches)
     rows = kernel_exact_many(found[:, None], recovered[None, :], interval_width, N)
     predictions = np.array([svm.decide(model, row)[1] for row in rows], dtype=np.int64)
     return LearnerResult(predictions, train_ledger, infer_ledger, model.support_count, model)
@@ -382,13 +379,12 @@ def classical_learner(
 ) -> LearnerResult:
     """Brute-force baseline applied to every test oracle (threshold known for free)."""
     seeds = np.random.SeedSequence(check_seed(rng_seed)).spawn(len(test_oracles))
-    infer_ledger = QueryLedger()
-    predictions = np.empty(len(test_oracles), dtype=np.int64)
-    for t_idx, oracle in enumerate(test_oracles):
-        predictions[t_idx], ledger = classical_learner_classify(
-            oracle, concept.start, budget, seeds[t_idx]
-        )
-        infer_ledger.add(ledger)
+    outcomes = [
+        classical_learner_classify(oracle, concept.start, budget, seed)
+        for oracle, seed in zip(test_oracles, seeds)
+    ]
+    predictions = np.array([label for label, _ in outcomes], dtype=np.int64)
+    infer_ledger = merge_ledgers(ledger for _, ledger in outcomes)
     return LearnerResult(predictions, QueryLedger(), infer_ledger)
 
 
@@ -422,8 +418,6 @@ def complexity_sweep(
     train_size: int = 8,
     shots: int = 16,
     box_bound: float = 10.0,
-    test_points: int = 4,
-    config: GroverConfig | None = None,
 ) -> list[SweepRow]:
     """Mean inference queries per classification for each domain size.
 
@@ -438,7 +432,7 @@ def complexity_sweep(
         if not _is_power_of_two(N) or N < 8:
             raise StructuralError("sweep domain sizes must be powers of two, at least 8")
     seed = check_seed(rng_seed)
-    config = config or GroverConfig(backend="ideal")
+    config = GroverConfig(backend="ideal")
     rows = []
     for N in domain_sizes:
         interval = max(1, N // 4)
@@ -447,7 +441,7 @@ def complexity_sweep(
         supports = []
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([seed, N, trial]))
-            test_marked = rng.integers(0, N, size=test_points)
+            test_marked = rng.integers(0, N, size=_SWEEP_TEST_POINTS)
             test_oracles = [IndicatorOracle(N, int(v)) for v in test_marked]
             # Learner streams depend on (seed, trial) but not N, so sampled
             # Gram noise is identical across domain sizes at a matched trial.
@@ -463,7 +457,7 @@ def complexity_sweep(
                 )
             else:
                 result = classical_learner(dataset.concept, test_oracles, N // 2, learner_seed)
-            queries.append(result.infer_ledger.total_queries / test_points)
+            queries.append(result.infer_ledger.total_queries / _SWEEP_TEST_POINTS)
             supports.append(result.support_count)
         rows.append(SweepRow(learner, N, float(np.mean(queries)), float(np.mean(supports))))
     return rows
@@ -471,10 +465,15 @@ def complexity_sweep(
 
 def loglog_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope of log(y) against log(x) with its standard error."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
-    if lx.size < 2:
-        raise StructuralError("slope fit needs at least two points")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise StructuralError("slope fit needs one y per x")
+    if not (np.all(xs > 0) and np.all(ys > 0)):
+        raise StructuralError("slope fit needs positive x and y")
+    if np.unique(xs).size < 2:
+        raise StructuralError("slope fit needs at least two distinct x")
+    lx, ly = np.log(xs), np.log(ys)
     x_centered = lx - lx.mean()
     sxx = float(np.sum(x_centered**2))
     slope = float(np.sum(x_centered * ly) / sxx)

@@ -25,6 +25,8 @@ from .kernel import _overlap, kernel_exact
 from . import sim
 from .sim import Circuit, Gate, StateVector
 
+_INSTANCE_RETRIES = 200
+
 
 @dataclass
 class PatternLedger:
@@ -114,16 +116,14 @@ class TextInstance:
         return self.index_qubits + self.text_length + self.pattern_length
 
 
-def random_instance(
-    text_length: int, pattern, location: int, rng_seed, max_retries: int = 200
-) -> TextInstance:
+def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextInstance:
     """Random text containing ``pattern`` cyclically at exactly ``location``."""
     P = _as_bits(pattern)
     N = int(text_length)
     if not 0 <= location < N:
         raise StructuralError("location out of range")
     rng = sim.as_rng(rng_seed)
-    for _ in range(max_retries):
+    for _ in range(_INSTANCE_RETRIES):
         text = rng.integers(0, 2, size=N)
         text[(location + np.arange(P.size)) % N] = P
         if len(cyclic_match_locations(text, P)) == 1:

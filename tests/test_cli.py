@@ -49,6 +49,7 @@ class TestResolution:
 
     def test_auto_fields(self):
         resolved = cli.resolve_config(self.base(domain_size=1024, train_size=32))
+        assert isinstance(resolved, cli.ExperimentConfig)
         assert resolved.interval_width == 64
         assert resolved.shots == 32**4
         assert resolved.budget == 512
@@ -70,6 +71,15 @@ class TestResolution:
     def test_explicit_interval_width_validated(self):
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(self.base(domain_size=64, interval_width="32"))
+
+    @pytest.mark.parametrize(
+        "key, value, word",
+        [("concept_start", "auto", "random"), ("shots", "many", "auto"),
+         ("interval_width", "random", "auto"), ("budget", "x", "auto")],
+    )
+    def test_non_integer_names_the_keys_own_default_word(self, key, value, word):
+        with pytest.raises(cli.ConfigError, match=f"{key} must be an integer or '{word}', got"):
+            cli.resolve_config(self.base(**{key: value}))
 
 
 class TestGenData:
@@ -249,7 +259,9 @@ class TestSweepCommand:
             assert outputs[extra] != default, extra
 
     @pytest.mark.parametrize(
-        "pair", ["test_size=10", "problem=pattern", "budget=3", "interval_width=2"]
+        "pair",
+        ["test_size=10", "problem=pattern", "budget=3", "interval_width=2", "concept_start=3",
+         "domain_size=16", "pattern=0", "label_rule=log_width"],
     )
     def test_keys_the_sweep_fixes_rejected(self, pair, tmp_path, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
@@ -260,6 +272,20 @@ class TestSweepCommand:
             assert cli.main(argv + extra) == cli.EXIT_INVALID_CONFIG
             captured = capsys.readouterr()
             assert f"fixes {key} itself" in captured.err and captured.out == ""
+
+    def test_learner_key_picks_the_learner_and_flag_wins(self, capsys):
+        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1"]
+        outputs = {}
+        for extra in (["--learner", "classical"], ["--set", "learner=classical"],
+                      ["--learner", "preprocessing"],
+                      ["--set", "learner=classical", "--learner", "preprocessing"]):
+            assert cli.main(argv + extra) == cli.EXIT_OK
+            outputs[" ".join(extra)] = capsys.readouterr().out
+        assert outputs["--set learner=classical"] == outputs["--learner classical"]
+        assert "\nclassical," in outputs["--learner classical"]
+        assert "\npreprocessing," not in outputs["--learner classical"]
+        flag_wins = outputs["--set learner=classical --learner preprocessing"]
+        assert flag_wins == outputs["--learner preprocessing"]
 
     def test_train_size_above_the_smallest_domain_size_invalid(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--learner", "classical"]
@@ -287,6 +313,13 @@ class TestSweepCommand:
         code = cli.main(["sweep", "--seed", "1", "--domain-sizes", "16,32"])
         capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
+
+    @pytest.mark.parametrize("sizes", ["16,16,16,16", "16,16,16,32", "16,32,64,128,16"])
+    def test_repeated_sizes_invalid(self, sizes, capsys):
+        code = cli.main(["sweep", "--seed", "1", "--domain-sizes", sizes, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "none repeated" in captured.err and captured.out == ""
 
     def test_non_integer_size_invalid(self, capsys):
         code = cli.main(["sweep", "--seed", "1", "--domain-sizes", "16,32,64,abc"])

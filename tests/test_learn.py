@@ -591,6 +591,23 @@ class TestComplexitySweep:
             complexity_sweep("classical", [10, 16, 32, 64], 1, rng_seed=0)
 
 
+class TestLoglogSlope:
+    def test_exact_power_law(self):
+        slope, err = loglog_slope([16, 32, 64, 128], [4.0, 8.0, 16.0, 32.0])
+        assert slope == pytest.approx(1.0, abs=1e-12) and err == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([16, 32], [1]), ([16, 32, 64], [1, 2]), ([16, 32], [1, 0]), ([16, 32], [1, -2]),
+         ([0, 32], [1, 2]), ([16, 16, 16], [1, 2, 3]), ([16], [1]), ([16, 32], [1, np.nan])],
+        ids=["one-y-short", "ys-short", "zero-y", "negative-y", "zero-x", "one-distinct-x",
+             "one-point", "nan-y"],
+    )
+    def test_rejects_what_it_cannot_fit(self, xs, ys):
+        with pytest.raises(StructuralError):
+            loglog_slope(xs, ys)
+
+
 class TestDefaults:
     def test_interval_width_coverage_rule(self):
         assert default_interval_width(64, 1024) == 32
