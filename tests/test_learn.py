@@ -592,10 +592,6 @@ class TestComplexitySweep:
 
 
 class TestLoglogSlope:
-    def test_exact_power_law(self):
-        slope, err = loglog_slope([16, 32, 64, 128], [4.0, 8.0, 16.0, 32.0])
-        assert slope == pytest.approx(1.0, abs=1e-12) and err == pytest.approx(0.0, abs=1e-12)
-
     @pytest.mark.parametrize(
         "xs, ys",
         [([16, 32], [1]), ([16, 32, 64], [1, 2]), ([16, 32], [1, 0]), ([16, 32], [1, -2]),
