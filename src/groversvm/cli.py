@@ -203,8 +203,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         start = _as_int("concept_start", config.concept_start)
         if not 0 <= start < N // 2:
             raise ConfigError("concept_start must lie in [0, N/2) or be 'random'")
-    if config.box_bound <= 0:
-        raise ConfigError("box_bound must be positive")
+    if not 0 < config.box_bound < math.inf:
+        raise ConfigError("box_bound must be positive and finite")
     if config.trials < 1 or config.test_size < 2 or config.test_size % 2:
         raise ConfigError("trials must be >= 1 and test_size an even number >= 2")
     if config.learner == "quantum_kernel" and config.backend != "ideal":

@@ -410,6 +410,9 @@ def _sweep_training_layout(domain_size: int, train_size: int) -> Dataset:
     return Dataset(oracles, labels, concept)
 
 
+# The layout is scale-invariant and the learner streams do not depend on N,
+# so every domain size repeats the first one's fits: solve each of them once.
+@svm.solved_once()
 def complexity_sweep(
     learner: str,
     domain_sizes,

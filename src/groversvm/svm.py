@@ -10,12 +10,18 @@ index), which makes training deterministic.  Each step costs O(m) array
 work, done in preallocated buffers, plus scalar arithmetic on Python floats.
 Indefinite (shot-sampled) Gram inputs are accepted; convergence is then to a
 stationary KKT point.
+
+Inside a ``solved_once()`` scope, ``train`` solves each distinct problem once
+and hands later calls a copy of the stored solution.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,16 +30,26 @@ from .kernel import GramMatrix
 
 _ALPHA_SNAP = 1e-12
 
+# Solutions stored by the innermost open solved_once() scope; None outside any.
+_solved: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_solved", default=None)
+
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Trained dual solution: coefficients, labels, bias, and support set."""
+    """Trained dual solution: coefficients, labels, bias, and support set.
+
+    ``iterations`` counts the pair updates made.  ``stop_reason`` says why
+    the solver stopped: ``converged`` (every KKT violation within ``tol``),
+    ``iteration_cap``, or ``no_progress`` (a step too small to represent).
+    """
 
     dual_coeffs: np.ndarray
     labels: np.ndarray
     bias: float
     support_indices: np.ndarray
     box_bound: float
+    iterations: int = 0
+    stop_reason: str = "converged"
 
     @property
     def support_count(self) -> int:
@@ -82,6 +98,22 @@ def dual_objective(gram, labels, alpha: np.ndarray) -> float:
     return float(np.sum(alpha) - 0.5 * v @ K @ v)
 
 
+@contextlib.contextmanager
+def solved_once():
+    """Within this scope ``train`` solves each distinct problem once.
+
+    A problem is the exact bytes of the Gram matrix and labels plus the box
+    bound, ``tol`` and ``max_iterations``; a repeat gets fresh copies of the
+    stored solution.  Calls with ``objective_history`` always solve.  The
+    stored solutions are dropped when the scope exits, normally or not.
+    """
+    token = _solved.set({})
+    try:
+        yield
+    finally:
+        _solved.reset(token)
+
+
 def train(
     gram,
     labels,
@@ -92,19 +124,45 @@ def train(
 ) -> SvmModel:
     """Solve the soft-margin dual by deterministic pairwise optimization.
 
-    Terminates when every KKT violation is at most ``tol``.  If
-    ``objective_history`` is a list, the dual objective after every pair
-    update is appended to it (it is non-decreasing).
+    Terminates when every KKT violation is at most ``tol``; the box bound
+    must be positive and finite.  If ``objective_history`` is a list, the
+    dual objective after every pair update is appended to it (it is
+    non-decreasing).
     """
     K = _as_matrix(gram)
     m = K.shape[0]
     y = _check_labels(labels, m)
     C = float(box_bound)
-    if C <= 0.0:
-        raise StructuralError("box bound must be positive")
+    if not 0.0 < C < math.inf:
+        raise StructuralError(f"box bound must be positive and finite, got {C}")
     if max_iterations is None:
         max_iterations = max(2000, 400 * m)
 
+    solved = _solved.get()
+    if solved is None or objective_history is not None:
+        model = _solve(K, y, C, tol, max_iterations, objective_history)
+    else:
+        key = (K.tobytes(), y.tobytes(), C, tol, max_iterations)
+        if key not in solved:
+            solved[key] = _solve(K, y, C, tol, max_iterations, None)
+        stored = solved[key]
+        model = replace(
+            stored,
+            dual_coeffs=stored.dual_coeffs.copy(),
+            labels=y,
+            support_indices=stored.support_indices.copy(),
+        )
+    if model.stop_reason == "iteration_cap":
+        warnings.warn("pairwise solver hit the iteration cap before reaching tol")
+    return model
+
+
+def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
+    """The pairwise loop of ``train``, on checked inputs."""
+    m = K.shape[0]
+    # Row i of K.T is column i of K, bit for bit, even when K is symmetric
+    # only to within the tolerance _as_matrix allows.
+    columns = np.ascontiguousarray(K.T)
     alpha = np.zeros(m)
     u = np.zeros(m)  # u_i = sum_j alpha_j y_j K_ij, maintained incrementally
     # g = y - u.  y_up holds y_k where k may move up (I_up) and -inf elsewhere,
@@ -116,14 +174,16 @@ def train(
     y_up = np.where(y > 0, y, -np.inf)  # alpha = 0: I_up is y > 0, I_low is y < 0
     y_low = np.where(y < 0, y, np.inf)
     g_up, g_low, step_i, step_j = (np.empty(m) for _ in range(4))
-    for _ in range(max_iterations):
+    stop_reason = "iteration_cap"
+    for iterations in range(max_iterations):
         np.subtract(y_up, u, out=g_up)
         np.subtract(y_low, u, out=g_low)
         i = int(g_up.argmax())  # argmax/argmin take the lowest index on ties
         j = int(g_low.argmin())
         g_i, g_j = g_up.item(i), g_low.item(j)
         if g_i == -np.inf or g_j == np.inf or g_i - g_j <= tol:
-            break  # I_up or I_low is empty, or every KKT violation is within tol
+            stop_reason = "converged"  # I_up or I_low is empty, or every violation is within tol
+            break
 
         # Two-variable analytic step in (alpha_i, alpha_j), on Python floats.
         yi, yj = ys[i], ys[j]
@@ -143,21 +203,22 @@ def train(
         ai_new = ai + s * (aj - aj_new)
         di, dj = ai_new - ai, aj_new - aj
         if abs(dj) < 1e-14 * (abs(aj_new) + abs(aj) + 1.0):
-            break  # no representable progress on the worst pair
+            stop_reason = "no_progress"  # no representable progress on the worst pair
+            break
         alpha[i], alpha[j] = ai_new, aj_new
         for k, a in ((i, ai_new), (j, aj_new)):
             yk = ys[k]
             y_up[k] = yk if (yk > 0 and a < C) or (yk < 0 and a > 0) else -np.inf
             y_low[k] = yk if (yk > 0 and a > 0) or (yk < 0 and a < C) else np.inf
         # u += di y_i K[:, i] + dj y_j K[:, j], summed in that order.
-        np.multiply(K[:, i], di * yi, out=step_i)
-        np.multiply(K[:, j], dj * yj, out=step_j)
+        np.multiply(columns[i], di * yi, out=step_i)
+        np.multiply(columns[j], dj * yj, out=step_j)
         step_i += step_j
         u += step_i
         if objective_history is not None:
             objective_history.append(float(np.sum(alpha) - 0.5 * (alpha * y) @ u))
     else:
-        warnings.warn("pairwise solver hit the iteration cap before reaching tol")
+        iterations = max_iterations
 
     alpha[alpha < _ALPHA_SNAP] = 0.0
     alpha[alpha > C - _ALPHA_SNAP] = C
@@ -170,6 +231,8 @@ def train(
         bias=bias,
         support_indices=support,
         box_bound=C,
+        iterations=iterations,
+        stop_reason=stop_reason,
     )
 
 
@@ -209,7 +272,8 @@ def decide(model: SvmModel, kernel_row) -> tuple[float, int]:
     """Decision score and label for one datum given its kernel row.
 
     ``kernel_row[i]`` is the kernel of the datum with training point i; the
-    score is sum_i a_i y_i k_i + b and ties go to +1.
+    score is sum_i a_i y_i k_i + b and ties go to +1.  Every entry of the row
+    must be finite.
     """
     row = np.asarray(kernel_row, dtype=np.float64)
     if row.shape != model.dual_coeffs.shape:
@@ -217,5 +281,7 @@ def decide(model: SvmModel, kernel_row) -> tuple[float, int]:
             f"kernel row length {row.shape} does not match training size "
             f"{model.dual_coeffs.shape}"
         )
+    if not np.isfinite(row).all():
+        raise ContractViolationError("kernel row entries must be finite")
     score = float(np.dot(model.dual_coeffs * model.labels, row) + model.bias)
     return score, (1 if score >= 0.0 else -1)

@@ -68,6 +68,15 @@ class TestResolution:
             cli.resolve_config(self.base(learner="quantum_kernel", backend="faithful"))
         assert cli.resolve_config(self.base(learner="preprocessing", backend="faithful"))
 
+    @pytest.mark.parametrize("bound", ["0", "-1", "nan", "inf", "-inf"])
+    def test_box_bound_must_be_positive_and_finite(self, bound, capsys):
+        code = cli.main(["run", "--seed", "1", "--trials", "1", "--learner", "classical",
+                         "--set", "domain_size=16", "--set", "train_size=4",
+                         "--set", "test_size=2", "--set", f"box_bound={bound}"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "box_bound" in err and out == ""
+
     def test_explicit_interval_width_validated(self):
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(self.base(domain_size=64, interval_width="32"))

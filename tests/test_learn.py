@@ -289,6 +289,56 @@ class TestNegativeSeeds:
         assert all(a != b for a, b in zip(low_calls, high_calls, strict=True))
 
 
+class TestSweepSolvesOnce:
+    SIZES = [16, 32, 64, 128]
+
+    def spy(self, monkeypatch):
+        """Record every ``svm.train`` call with its model, and count the solves."""
+        calls, solves = [], []
+        train, solve = svm.train, svm._solve
+        monkeypatch.setattr(svm, "_solve", lambda *args: solves.append(1) or solve(*args))
+
+        def spy_train(gram, labels, **kwargs):
+            model = train(gram, labels, **kwargs)
+            calls.append((np.array(gram.entries if isinstance(gram, GramMatrix) else gram),
+                          np.array(labels), kwargs, model))
+            return model
+
+        monkeypatch.setattr(svm, "train", spy_train)
+        return calls, solves, train
+
+    @pytest.mark.parametrize("learner, distinct", [("quantum_kernel", 3), ("preprocessing", 1)])
+    def test_one_solve_per_distinct_problem(self, learner, distinct, monkeypatch):
+        # The layout is scale-invariant and the learner seed depends on the
+        # trial only: one quantum-kernel problem per trial, one preprocessing
+        # problem in all.
+        calls, solves, train = self.spy(monkeypatch)
+        complexity_sweep(learner, self.SIZES, 3, rng_seed=4)
+        assert len(calls) == 12
+        assert len(solves) == distinct
+        for gram, labels, kwargs, model in calls:
+            fresh = train(gram, labels, **kwargs)  # outside the sweep: a new solve
+            assert np.array_equal(model.dual_coeffs, fresh.dual_coeffs)
+            assert np.array_equal(model.support_indices, fresh.support_indices)
+            assert (model.bias, model.iterations, model.stop_reason) == (
+                fresh.bias, fresh.iterations, fresh.stop_reason)
+        assert len(solves) == distinct + 12
+        assert len({id(model.dual_coeffs) for *_, model in calls}) == 12
+
+    def test_solves_afresh_after_the_sweep_raises(self, monkeypatch):
+        calls, solves, train = self.spy(monkeypatch)
+
+        def fail(*args):
+            raise RuntimeError("decide failed")
+
+        monkeypatch.setattr(svm, "decide", fail)
+        with pytest.raises(RuntimeError, match="decide failed"):
+            complexity_sweep("preprocessing", self.SIZES, 1, rng_seed=4)
+        gram, labels, kwargs, _ = calls[0]
+        train(gram, labels, **kwargs)
+        assert len(solves) == 2
+
+
 class TestQuantumKernelLearner:
     def test_per_test_point_query_cost(self):
         # One classification costs d * R * 4k oracle queries (k = 3 at N = 16).

@@ -32,6 +32,7 @@ class TestTwoPointCases:
         model = train(np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1], box_bound=10.0, tol=1e-8)
         npt.assert_allclose(model.dual_coeffs, [2.0, 2.0], atol=1e-8)
         assert abs(model.bias) < 1e-8
+        assert model.stop_reason == "converged" and model.iterations >= 1
         for row, expected in [([1.0, 0.5], 1.0), ([0.5, 1.0], -1.0)]:
             score, label = decide(model, row)
             assert score == pytest.approx(expected, abs=1e-8)
@@ -189,6 +190,14 @@ class TestDecide:
         with pytest.raises(StructuralError):
             decide(model, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        model = train(np.eye(2), [1, -1], box_bound=1.0)
+        with pytest.raises(ContractViolationError, match="finite"):
+            decide(model, [bad, bad])
+        with pytest.raises(ContractViolationError, match="finite"):
+            decide(model, [0.5, bad])
+
 
 class TestValidation:
     def test_single_class_rejected(self):
@@ -202,6 +211,15 @@ class TestValidation:
     def test_nonpositive_box_bound_rejected(self):
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, -1], box_bound=0.0)
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box_bound_rejected(self, bound):
+        # Four points whose C = 100 solution is 0.4 each; NaN used to give
+        # [0.519, 0.222, 0.519, 0.222] and inf to act as a large C.
+        K = np.array([[1.0, 0.5, 0.5, 0.0], [0.5, 1.0, 0.0, 0.5],
+                      [0.5, 0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0]])
+        with pytest.raises(StructuralError, match="finite"):
+            train(K, [1, -1, 1, -1], box_bound=bound)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(StructuralError):
@@ -230,6 +248,7 @@ def assert_same_run(K, y, C, **kwargs):
     assert np.array_equal(model.support_indices, reference.support_indices)
     assert model.bias == reference.bias
     assert history == reference_history
+    assert model.iterations == len(history)
     return len(history)
 
 
@@ -267,6 +286,7 @@ class TestMatchesReferenceLoop:
         assert history == reference_history
         assert np.array_equal(model.dual_coeffs, reference.dual_coeffs)
         assert model.bias == reference.bias
+        assert (model.iterations, model.stop_reason) == (7, "iteration_cap")
 
     def test_no_progress_stop(self):
         # Concept(5, 256), m=32, R=4, C=100, seed 12 stops on the no-progress
@@ -279,3 +299,67 @@ class TestMatchesReferenceLoop:
         model = train(K, data.labels, 100.0)
         assert steps < 400 * 32
         assert kkt_gap(K, data.labels, model.dual_coeffs, 100.0) > 1e-3
+        assert (model.iterations, model.stop_reason) == (steps, "no_progress")
+
+    def test_nearly_symmetric_ndarray_gram(self):
+        # Symmetric to 1e-13 but not bit for bit: the update must read
+        # columns of K, as the reference does, and not rows.
+        for kind in ("psd", "sampled"):
+            K, y = gram_case(kind, 64, seed=21)
+            skew = 1e-13 * np.triu(np.random.default_rng(4).uniform(-1.0, 1.0, K.shape), 1)
+            K = K + skew
+            assert not np.array_equal(K, K.T)
+            assert assert_same_run(K, y, 100.0) > 0
+
+
+class TestSolvedOnce:
+    def counting_solve(self, monkeypatch):
+        calls = []
+        solve = svm._solve
+        monkeypatch.setattr(svm, "_solve", lambda *args: calls.append(1) or solve(*args))
+        return calls
+
+    def test_repeat_reuses_solution_with_fresh_arrays(self, monkeypatch):
+        K, y = gram_case("sampled", 16, seed=2)
+        fresh = train(K, y, 10.0)
+        calls = self.counting_solve(monkeypatch)
+        with svm.solved_once():
+            first = train(K, y, 10.0)
+            first.dual_coeffs[:] = -1.0  # a caller's edit must not reach the stored solution
+            first.support_indices[:] = -1
+            second = train(K.copy(), y.copy(), 10.0)
+            train(K, y, 10.0, tol=1e-6)  # another tolerance is another problem
+            train(K, y, 10.0, objective_history=[])  # a history always solves
+        assert len(calls) == 3
+        assert np.array_equal(second.dual_coeffs, fresh.dual_coeffs)
+        assert np.array_equal(second.support_indices, fresh.support_indices)
+        assert (second.bias, second.iterations, second.stop_reason) == (
+            fresh.bias, fresh.iterations, fresh.stop_reason)
+
+    def test_checks_run_on_every_call(self):
+        with svm.solved_once():
+            train(np.eye(2), [1, -1], box_bound=1.0)
+            with pytest.raises(StructuralError):
+                train(np.eye(2), [1, -1], box_bound=np.nan)
+            with pytest.raises(DegenerateProblemError):
+                train(np.eye(2), [1, 1], box_bound=1.0)
+
+    def test_reused_capped_fit_warns_again(self, monkeypatch):
+        K, y = gram_case("exact", 32, seed=5)
+        calls = self.counting_solve(monkeypatch)
+        with svm.solved_once():
+            for _ in range(2):
+                with pytest.warns(UserWarning, match="iteration cap"):
+                    model = train(K, y, 1.0, max_iterations=3)
+                assert (model.iterations, model.stop_reason) == (3, "iteration_cap")
+        assert len(calls) == 1
+
+    def test_nothing_survives_the_scope(self, monkeypatch):
+        K, y = gram_case("psd", 8, seed=1)
+        calls = self.counting_solve(monkeypatch)
+        with pytest.raises(RuntimeError):
+            with svm.solved_once():
+                train(K, y, 1.0)
+                raise RuntimeError
+        train(K, y, 1.0)
+        assert len(calls) == 2
