@@ -68,7 +68,7 @@ def _as_matrix(gram) -> np.ndarray:
 
 
 def _check_labels(labels, size: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.float64)
+    labels = np.array(labels, dtype=np.float64)  # a copy: models never alias the caller's labels
     if labels.shape != (size,):
         raise StructuralError(f"expected {size} labels, got shape {labels.shape}")
     if not np.all(np.isin(labels, (-1.0, 1.0))):

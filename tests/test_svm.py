@@ -323,11 +323,14 @@ class TestSolvedOnce:
         K, y = gram_case("sampled", 16, seed=2)
         fresh = train(K, y, 10.0)
         calls = self.counting_solve(monkeypatch)
+        labels = y.astype(np.float64)
         with svm.solved_once():
-            first = train(K, y, 10.0)
+            first = train(K, labels, 10.0)
             first.dual_coeffs[:] = -1.0  # a caller's edit must not reach the stored solution
             first.support_indices[:] = -1
-            second = train(K.copy(), y.copy(), 10.0)
+            second = train(K.copy(), labels, 10.0)
+            labels[0] = -labels[0]
+            assert np.array_equal(first.labels, y) and np.array_equal(second.labels, y)
             train(K, y, 10.0, tol=1e-6)  # another tolerance is another problem
             train(K, y, 10.0, objective_history=[])  # a history always solves
         assert len(calls) == 3
