@@ -47,13 +47,6 @@ EXIT_RESOURCE = 3
 EXIT_DOMAIN = 4
 
 SWEEP_TRIALS = 3  # sweep's trials per size when neither --trials nor the trials key is given
-# complexity_sweep fixes these itself (the indicator problem with its concept
-# at start 0, M = N/4, 4 test points, a budget of N/2, and domain_sizes in
-# place of domain_size), so sweep rejects them rather than ignore them.
-SWEEP_FIXED_KEYS = (
-    "problem", "interval_width", "test_size", "budget",
-    "concept_start", "domain_size", "pattern", "label_rule",
-)
 
 REPORT_SCHEMA = "groversvm-report/1"
 DATASET_SCHEMA = "groversvm-dataset/1"
@@ -85,31 +78,35 @@ _SEED = (_non_negative_int, "a non-negative integer")
 _INT_LIST = (_int_list, "comma-separated integers")
 
 
-def _key(default, parser=_TEXT, choices=None):
-    """A config key: its default, its parser and, when restricted, its allowed values."""
-    return field(default=default, metadata={"parser": parser, "choices": choices})
+def _key(default, read_by: str, parser=_TEXT, choices=None):
+    """A config key: its default, the commands that read it, its parser and any allowed values."""
+    meta = {"read_by": tuple(read_by.split()), "parser": parser, "choices": choices}
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class ExperimentConfig:
-    """Every config key; ``resolve_config`` returns a copy with each 'auto' filled in."""
+    """Every config key; ``resolve_config`` returns a copy with each 'auto' filled in.
 
-    problem: str = _key("indicator", choices=("indicator", "pattern"))
-    domain_size: int = _key(1024, _INT)
-    interval_width: str = _key("auto")
-    train_size: int = _key(16, _INT)
-    shots: str = _key("auto")
-    box_bound: float = _key(100.0, _FLOAT)
-    backend: str = _key("ideal", choices=("ideal", "faithful"))
-    learner: str | None = _key("quantum_kernel", choices=LEARNER_KINDS)  # None: every learner
-    trials: int = _key(10, _INT)
-    seed: int | None = _key(None, _SEED)
-    concept_start: str = _key("random")
-    test_size: int = _key(200, _INT)
-    budget: str = _key("auto")
-    domain_sizes: tuple[int, ...] = _key((), _INT_LIST)
-    pattern: str = _key("110")
-    label_rule: str = _key("halfspace", choices=("halfspace", "log_width"))
+    A command rejects a key given in the file or by ``--set`` that it does not read.
+    """
+
+    problem: str = _key("indicator", "gen-data run", choices=("indicator", "pattern"))
+    domain_size: int = _key(1024, "gen-data run", _INT)
+    interval_width: str = _key("auto", "run")
+    train_size: int = _key(16, "gen-data run sweep", _INT)
+    shots: str = _key("auto", "run sweep")
+    box_bound: float = _key(100.0, "run sweep", _FLOAT)
+    backend: str = _key("ideal", "run", choices=("ideal", "faithful"))
+    learner: str | None = _key("quantum_kernel", "run sweep", choices=LEARNER_KINDS)  # None: all
+    trials: int = _key(10, "run sweep", _INT)
+    seed: int | None = _key(None, "gen-data run sweep", _SEED)
+    concept_start: str = _key("random", "gen-data run")
+    test_size: int = _key(200, "run", _INT)
+    budget: str = _key("auto", "run")
+    domain_sizes: tuple[int, ...] = _key((), "sweep", _INT_LIST)
+    pattern: str = _key("110", "gen-data")
+    label_rule: str = _key("halfspace", "gen-data", choices=("halfspace", "log_width"))
 
 
 _CONFIG_KEYS = {f.name: f for f in fields(ExperimentConfig)}
@@ -179,8 +176,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if not _is_power_of_two(N) or N < 8:
         raise ConfigError("domain_size must be a power of two, at least 8")
     m = config.train_size
-    if not 2 <= m <= N:
-        raise ConfigError("train_size must lie in [2, domain_size]")
+    sizes = config.domain_sizes
+    if not 2 <= m <= (min(sizes) if sizes else N):
+        bound = "the smallest domain size" if sizes else "domain_size"
+        raise ConfigError(f"train_size must lie in [2, {bound}]")
     if str(config.interval_width) == "auto":
         M = default_interval_width(m, N)
     else:
@@ -537,10 +536,6 @@ def cmd_sweep(resolved: ExperimentConfig, out_path: str | None) -> int:
             "sweep needs at least 4 domain sizes, none repeated "
             "(--domain-sizes or the domain_sizes key)"
         )
-    if resolved.backend != "ideal":
-        raise ConfigError("sweep runs the ideal backend only; use backend=ideal")
-    if resolved.train_size > min(domain_sizes):
-        raise ConfigError("train_size must not exceed the smallest domain size")
     learners = [resolved.learner] if resolved.learner else list(LEARNER_KINDS)
     rows_by_learner: dict = {}
     slopes: dict = {}
@@ -756,16 +751,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, config: ExperimentConfig | None = None, fixed=()) -> ExperimentConfig:
+def _config_from_args(args, config: ExperimentConfig | None = None) -> ExperimentConfig:
     """The config from the file, ``--set`` and every flag whose dest is a key.
 
-    A key in ``fixed`` may not be given in the file or by ``--set``.
+    A known key that the command does not read may not be given in the file or by ``--set``.
     """
     file_pairs = parse_config_file(args.config) if args.config else {}
-    given = set(file_pairs) | {item.split("=", 1)[0].strip() for item in args.set or []}
-    for key in fixed:
-        if key in given:
-            raise ConfigError(f"{args.command} fixes {key} itself; remove the {key} key")
+    for key in [*file_pairs, *(item.split("=", 1)[0].strip() for item in args.set)]:
+        if key in _CONFIG_KEYS and args.command not in _CONFIG_KEYS[key].metadata["read_by"]:
+            raise ConfigError(f"{args.command} does not read the {key} key; remove it")
     flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     return build_config(file_pairs, args.set, flags, config)
 
@@ -787,8 +781,7 @@ def main(argv=None) -> int:
             base = ExperimentConfig(
                 learner=None, trials=SWEEP_TRIALS, train_size=8, shots="16", box_bound=10.0
             )
-            config = _config_from_args(args, base, fixed=SWEEP_FIXED_KEYS)
-            return cmd_sweep(resolve_config(config), args.out)
+            return cmd_sweep(resolve_config(_config_from_args(args, base)), args.out)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, FileNotFoundError, StructuralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

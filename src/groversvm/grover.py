@@ -32,8 +32,12 @@ BACKENDS = ("ideal", "faithful")
 _BATCH_SEARCHES = 64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
+    return _is_int(value) and value >= 1 and (value & (value - 1)) == 0
 
 
 def num_qubits_for(domain_size: int) -> int:
@@ -139,16 +143,20 @@ class GroverConfig:
             raise StructuralError("iterations must be non-negative")
 
 
-def optimal_iterations(domain_size: int, marked_count: int = 1) -> int:
-    """Iteration count k = round(pi / (4 asin(sqrt(t/N))) - 1/2)."""
+def _check_search(domain_size: int, marked_count: int) -> None:
     if not _is_power_of_two(domain_size):
         raise StructuralError(f"domain size {domain_size} is not a power of two")
+    if not _is_int(marked_count) or not 1 <= marked_count <= domain_size:
+        raise StructuralError("marked count out of range")
+
+
+def optimal_iterations(domain_size: int, marked_count: int = 1) -> int:
+    """Iteration count k = round(pi / (4 asin(sqrt(t/N))) - 1/2)."""
+    _check_search(domain_size, marked_count)
     if domain_size < 4:
         raise UnsupportedSizeError(
             "domain sizes below 4 are rejected: the rotation angle is degenerate"
         )
-    if not 1 <= marked_count <= domain_size:
-        raise StructuralError("marked count out of range")
     theta = math.asin(math.sqrt(marked_count / domain_size))
     return max(0, round(math.pi / (4.0 * theta) - 0.5))
 
@@ -162,9 +170,15 @@ def resolve_iterations(domain_size: int, config: GroverConfig, marked_count: int
 def theoretical_success_probability(
     domain_size: int, marked_count: int = 1, iterations: int | None = None
 ) -> float:
-    """Closed form sin^2((2k+1) asin(sqrt(t/N))) for k amplification rounds."""
+    """Closed form sin^2((2k+1) asin(sqrt(t/N))) for k amplification rounds.
+
+    An explicit k must be a non-negative integer; it also serves N = 2, the matcher's shortest text.
+    """
+    _check_search(domain_size, marked_count)
     if iterations is None:
         iterations = optimal_iterations(domain_size, marked_count)
+    elif not _is_int(iterations) or iterations < 0:
+        raise StructuralError(f"iterations must be a non-negative integer, got {iterations!r}")
     theta = math.asin(math.sqrt(marked_count / domain_size))
     return math.sin((2 * iterations + 1) * theta) ** 2
 

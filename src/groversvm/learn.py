@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
+from .grover import GroverConfig, IndicatorOracle, _is_int, _is_power_of_two, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
@@ -149,12 +149,17 @@ class HalfspaceState:
 
 
 def margin_gap(interval_width: int, domain_size: int) -> float:
-    """The separation scale Delta = 2M/N."""
-    return 2.0 * interval_width / domain_size
+    """The separation scale Delta = 2M/N, for a ``Concept`` domain size N and 1 <= M < N/2."""
+    if not _is_power_of_two(domain_size) or domain_size < 8:
+        raise StructuralError("domain size must be a power of two, at least 8")
+    N, M = _check_halfspace(0, interval_width, domain_size)
+    return 2.0 * M / N
 
 
 def _check_halfspace(start: int, interval_width: int, domain_size: int) -> tuple[int, int]:
     """``(N, M)`` as ints; the halfspace start must lie in [0, N/2) and 1 <= M < N/2."""
+    if not (_is_int(interval_width) and _is_int(domain_size)):
+        raise StructuralError("interval width and domain size must be integers")
     N = int(domain_size)
     M = int(interval_width)
     if not 0 <= start < N // 2:

@@ -1,5 +1,7 @@
 """CLI: config precedence, artifact formats, exit codes, reproducibility."""
 
+import argparse
+import hashlib
 import os
 
 import pytest
@@ -246,13 +248,11 @@ class TestSweepCommand:
         # would be an ideal one under another name.
         base = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
                 "--set", "backend=faithful"]
-        assert cli.main(base) == cli.EXIT_INVALID_CONFIG  # every learner, quantum_kernel too
-        assert cli.main(base + ["--learner", "quantum_kernel"]) == cli.EXIT_INVALID_CONFIG
-        assert "quantum_kernel" in capsys.readouterr().err
-        for learner in ("preprocessing", "classical"):
-            assert cli.main(base + ["--learner", learner]) == cli.EXIT_INVALID_CONFIG
+        for learner in ([], ["--learner", "quantum_kernel"], ["--learner", "preprocessing"],
+                        ["--learner", "classical"]):
+            assert cli.main(base + learner) == cli.EXIT_INVALID_CONFIG
             err = capsys.readouterr()
-            assert "ideal backend only" in err.err and err.out == ""
+            assert "sweep does not read the backend key" in err.err and err.out == ""
 
     def test_learner_keys_reach_the_sweep(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
@@ -266,21 +266,6 @@ class TestSweepCommand:
         assert outputs["--set train_size=8 --set shots=16 --set box_bound=10"] == default
         for extra in ("--set shots=4", "--set train_size=4", "--set box_bound=1"):
             assert outputs[extra] != default, extra
-
-    @pytest.mark.parametrize(
-        "pair",
-        ["test_size=10", "problem=pattern", "budget=3", "interval_width=2", "concept_start=3",
-         "domain_size=16", "pattern=0", "label_rule=log_width"],
-    )
-    def test_keys_the_sweep_fixes_rejected(self, pair, tmp_path, capsys):
-        argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
-                "--learner", "quantum_kernel"]
-        key = pair.split("=")[0]
-        config = write(tmp_path / "sweep.cfg", pair.replace("=", " = ") + "\n")
-        for extra in (["--set", pair], ["--config", config]):
-            assert cli.main(argv + extra) == cli.EXIT_INVALID_CONFIG
-            captured = capsys.readouterr()
-            assert f"fixes {key} itself" in captured.err and captured.out == ""
 
     def test_learner_key_picks_the_learner_and_flag_wins(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1"]
@@ -303,6 +288,11 @@ class TestSweepCommand:
         assert cli.main(argv + ["--set", "train_size=32"]) == cli.EXIT_INVALID_CONFIG
         captured = capsys.readouterr()
         assert "smallest domain size" in captured.err and captured.out == ""
+        # The bound is the smallest swept size, not the unread domain_size default (1024).
+        argv = ["sweep", "--seed", "1", "--learner", "classical", "--set", "train_size=2048",
+                "--domain-sizes", "2048,4096,8192,16384", "--trials", "1"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "\nclassical,1.0000," in capsys.readouterr().out
 
     def test_trials_key_honoured_and_flag_wins(self, capsys):
         argv = ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128",
@@ -349,6 +339,71 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
         assert captured.out == ""
+
+
+# Every (command, key) pair that the command does not read, with a value the key parses.
+UNREAD = {
+    "gen-data": {"shots": "4", "box_bound": "3", "backend": "faithful", "learner": "classical",
+                 "trials": "3", "test_size": "10", "budget": "3", "interval_width": "2",
+                 "domain_sizes": "16,32,64,128"},
+    "run": {"domain_sizes": "16,32", "pattern": "0", "label_rule": "log_width"},
+    "sweep": {"problem": "indicator", "domain_size": "16", "interval_width": "2",
+              "backend": "ideal", "concept_start": "3", "test_size": "10", "budget": "3",
+              "pattern": "0", "label_rule": "log_width"},
+}
+ACCEPTING = {
+    "gen-data": ["gen-data", "--seed", "7", "--set", "domain_size=16", "--set", "train_size=8"],
+    "run": ["run", "--seed", "1", "--set", "domain_size=64", "--set", "train_size=8",
+            "--set", "test_size=20", "--trials", "2", "--learner", "classical"],
+    "sweep": ["sweep", "--seed", "5", "--domain-sizes", "16,32,64,128", "--trials", "1",
+              "--learner", "quantum_kernel"],
+}
+
+
+class TestUnreadKeys:
+    def test_the_table_covers_every_pair(self):
+        for command, unread in UNREAD.items():
+            read = {key for key, f in cli._CONFIG_KEYS.items() if command in f.metadata["read_by"]}
+            assert read | set(unread) == set(cli._CONFIG_KEYS) and not read & set(unread)
+
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command in UNREAD for key in UNREAD[command]]
+    )
+    def test_unread_key_rejected(self, command, key, tmp_path, capsys):
+        value = UNREAD[command][key]
+        config = write(tmp_path / "c.cfg", f"{key} = {value}\n")
+        out = tmp_path / "artifact"
+        for extra in (["--set", f"{key}={value}"], ["--config", config]):
+            code = cli.main(ACCEPTING[command] + extra + ["--out", str(out)])
+            assert code == cli.EXIT_INVALID_CONFIG
+            captured = capsys.readouterr()
+            assert f"{command} does not read the {key} key" in captured.err
+            assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, extra, digest", [
+        # gen-data rejected backend=faithful as a quantum_kernel run would, and took
+        # the rest without a change to its bytes; run ignored domain_sizes.
+        pytest.param("gen-data", ["--set", "backend=faithful"], "9a932453", id="gen-data-backend"),
+        pytest.param("gen-data", ["--set", "shots=4", "--set", "trials=3", "--set", "box_bound=3",
+                                  "--set", "interval_width=2"], "9a932453", id="gen-data-shots"),
+        pytest.param("run", ["--set", "domain_sizes=16,32"], "726e66e6", id="run-domain_sizes"),
+    ])
+    def test_keys_once_taken_and_ignored(self, command, extra, digest, capsys):
+        assert cli.main(ACCEPTING[command]) == cli.EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest().startswith(digest)
+        assert cli.main(ACCEPTING[command] + extra) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        key = extra[1].split("=")[0]
+        assert f"{command} does not read the {key} key" in captured.err and captured.out == ""
+
+    def test_every_key_flag_is_read_by_its_command(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in UNREAD:
+            dests = {a.dest for a in commands.choices[command]._actions} & set(cli._CONFIG_KEYS)
+            assert "seed" in dests
+            for key in dests:
+                assert command in cli._CONFIG_KEYS[key].metadata["read_by"], (command, key)
 
 
 class TestPatternDemo:

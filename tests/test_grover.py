@@ -124,6 +124,20 @@ class TestIterationCount:
         with pytest.raises(UnsupportedSizeError):
             optimal_iterations(2)
 
+    @pytest.mark.parametrize("args", [
+        (16, 1, math.nan), (16, 1, -1), (16, 1, 2.5),  # iterations
+        (15, 1, 2), (16.0, 1, 2), (16, 0, 2), (16, 17, 2), (16, 1.5, 2), (16, 0),
+    ])
+    def test_closed_form_checks_every_argument(self, args):
+        # An explicit iteration count used to skip every check.
+        with pytest.raises(StructuralError):
+            theoretical_success_probability(*args)
+
+    def test_closed_form_with_explicit_rounds_holds_below_four(self):
+        # The pattern matcher searches texts of length 2: sin^2((2k+1) pi/4) = 1/2.
+        assert theoretical_success_probability(2, 1, 1) == pytest.approx(0.5, abs=1e-15)
+        assert theoretical_success_probability(16, 1, np.int64(2)) == 0.908447265625
+
 
 class TestGroverSearch:
     def test_n4_success_is_exact(self):

@@ -153,6 +153,19 @@ class TestHalfspaceOverlap:
             assert at_zero >= (1 - delta) * N / 2
 
 
+class TestMarginGap:
+    def test_value(self):
+        assert margin_gap(4, 16) == 0.5
+
+    @pytest.mark.parametrize("M, N", [
+        (4, 16.5), (4, math.nan), (4, 0), (4, 12), (1, 4),  # N as Concept takes it
+        (-4, 16), (0, 16), (8, 16), (2.5, 16), (math.nan, 16),  # 1 <= M < N/2, an integer
+    ])
+    def test_rejects_what_concept_and_the_halfspace_reject(self, M, N):
+        with pytest.raises(StructuralError):
+            margin_gap(M, N)
+
+
 class TestReferenceHyperplane:
     def test_interior_points(self):
         assert reference_hyperplane_classify(0, 3, 2, 16) == 1
