@@ -177,6 +177,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("domain_size must be a power of two, at least 8")
     m = config.train_size
     sizes = config.domain_sizes
+    if any(not _is_power_of_two(size) or size < 8 for size in sizes):
+        raise ConfigError("domain_sizes must be powers of two, at least 8")
     if not 2 <= m <= (min(sizes) if sizes else N):
         bound = "the smallest domain size" if sizes else "domain_size"
         raise ConfigError(f"train_size must lie in [2, {bound}]")

@@ -139,8 +139,10 @@ class GroverConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise StructuralError(f"backend must be one of {BACKENDS}")
-        if self.iterations is not None and self.iterations < 0:
-            raise StructuralError("iterations must be non-negative")
+        if self.iterations is not None and (not _is_int(self.iterations) or self.iterations < 0):
+            raise StructuralError(
+                f"iterations must be a non-negative integer, got {self.iterations!r}"
+            )
 
 
 def _check_search(domain_size: int, marked_count: int) -> None:

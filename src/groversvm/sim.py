@@ -72,6 +72,21 @@ phase oracle widened to the row qubits to mark every row's own values.  So
 numpy calls are paid once per chunk rather than once per circuit, and each
 row keeps the bits of its own run.
 
+numpy (2.3 and later) runs a ufunc on a multi-dimensional view whose
+contiguous inner run is shorter than the ufunc buffer (8192 elements by
+default) by copying operands through that buffer.  So on a state of at least
+``_SCOPE_MIN_AMPLITUDES`` amplitudes the Hadamard butterfly and the
+diffusion's broadcast subtract run under a buffer planned from their shape
+(see :func:`_scoped`): the butterfly under one run of its ``(rows, run)``
+views, the subtract under its last axis, or ``_SHORT_RUN_BUFFER`` elements
+when that axis is too short to repay one inner loop per row.  The buffer is
+set with ``np.setbufsize`` around those calls only, and the caller's size is
+restored after each, also on error.  Buffering only copies elementwise
+operands, so every amplitude keeps its bits, signed zeros included.
+Reductions, such as the diffusion's sum, run at the caller's buffer: a short
+buffer slowed a tile's axis-0 sum, and numpy's pairwise summation may cut its
+blocks at buffer boundaries.
+
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run` and :func:`run_many` bill each oracle one
 query per time its gate is listed, counted from the gate list by
@@ -122,6 +137,21 @@ _PERMUTATION_CACHE_BYTES = 16 << 20
 # a time; in a faithful preprocessing run, 8 states raised peak RSS by 0.3 MB
 # more than 4 did, and 16 states by 0.7 MB more.
 _BATCH_AMPLITUDES = _CACHE_ROW >> 2
+# numpy's default ufunc buffer, in elements.  Kernels whose contiguous inner
+# run is this long or longer run at the caller's buffer (see _scoped).
+_UFUNC_BUFFER = 8192
+# States below this many amplitudes run at the caller's buffer: at 12 and 13
+# qubits, setting and restoring it (about 4 us) cost more than the copies it
+# saves in most diffusions.
+_SCOPE_MIN_AMPLITUDES = 1 << 14
+# A diffusion whose inner run is shorter than _SHORT_RUN runs under a buffer of
+# _SHORT_RUN_BUFFER elements instead.  On a 2**16-amplitude tile, the (1024,
+# 64) subtract of a top-block diffusion took 108 us at the default buffer,
+# 131 us under a buffer of its run (one inner loop per row) and 78 us under
+# 1024 elements (the broadcast mean is copied into a buffer that stays in L1);
+# a (256, 256) bottom block took 118, 70 and 116 us.
+_SHORT_RUN = 256
+_SHORT_RUN_BUFFER = 1024
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -349,24 +379,54 @@ def _fixed(num_qubits: int, bits) -> tuple:
     return tuple(index) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
 
 
+def _scoped(kernel, size: int | None):
+    """``kernel`` run under a ufunc buffer of ``size`` elements; ``kernel`` itself if None.
+
+    The caller's buffer size is restored after every call, also when the
+    kernel raises.
+    """
+    if size is None:
+        return kernel
+
+    def scoped(*args):
+        previous = np.setbufsize(size)
+        try:
+            kernel(*args)
+        finally:
+            np.setbufsize(previous)
+
+    return scoped
+
+
 def _hadamard_plan(num_qubits: int, q: int):
     # The butterfly pairs the two halves of every block of 2**(q+1) amplitudes.
     # A state larger than _CACHE_ROW amplitudes is done one row at a time, so
     # that a row stays in cache from the butterfly to its scaling.  When a
     # contiguous run of 2**q amplitudes fits in one 64-byte cache line, numpy's
     # inner loops over it would be that short, so the butterfly runs over the
-    # 2**q interleaved strided slices of the row instead.
+    # 2**q interleaved strided slices of the row instead.  Otherwise its
+    # operands are (rows, run) views, which run under a buffer of one run when
+    # the buffer would copy them: from 32 amplitudes (a 16-element buffer cost
+    # more than its copies save) up to half the default buffer (a buffer of
+    # two runs copies nothing).
     run = 1 << q
     row = min(1 << num_qubits, max(2 * run, _CACHE_ROW))
     columns = range(run) if run <= 4 else (slice(None),)
+    size = None
+    if 1 << num_qubits >= _SCOPE_MIN_AMPLITUDES and 32 <= run < _UFUNC_BUFFER // 2:
+        size = run
 
-    def apply_row(block, marked=None):
-        a = block.reshape(-1, 2, run)
+    def butterfly(a):
         for r in columns:
             a0, a1 = a[:, 0, r], a[:, 1, r]
             total = a0 + a1
             np.subtract(a0, a1, out=a1)
             a0[...] = total
+
+    butterfly = _scoped(butterfly, size)
+
+    def apply_row(block, marked=None):
+        butterfly(block.reshape(-1, 2, run))
         block *= _INV_SQRT2
 
     if row == 1 << num_qubits:
@@ -449,12 +509,19 @@ def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
     if len(axis) == 1:
         axis = axis[0]  # an int axis is cheaper per call than a tuple
     count = 1 << len(targets)
+    # The broadcast subtract's inner run is the last axis; the reduction keeps
+    # the caller's buffer (see the module docstring).
+    run = shape[-1]
+    size = None
+    if len(shape) > 1 and 1 << num_qubits >= _SCOPE_MIN_AMPLITUDES and run < _UFUNC_BUFFER:
+        size = run if run >= _SHORT_RUN else _SHORT_RUN_BUFFER
+    reflect = _scoped(np.subtract, size)
 
     def apply(psi, marked):
         view = psi.reshape(shape)
         mean = np.add.reduce(view, axis=axis, keepdims=True)
         np.true_divide(mean, count, out=mean)
-        np.subtract(2.0 * mean, view, out=view)
+        reflect(2.0 * mean, view, view)
 
     return apply
 

@@ -320,6 +320,15 @@ class TestSweepCommand:
         assert code == cli.EXIT_INVALID_CONFIG
         assert "none repeated" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("sizes", ["4,8,16,32", "16,24,32,64"])
+    def test_sizes_are_checked_before_train_size(self, sizes, capsys):
+        # The default train_size 8 exceeds 4; the message used to name train_size.
+        code = cli.main(["sweep", "--seed", "1", "--domain-sizes", sizes, "--learner", "classical"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "domain_sizes must be powers of two, at least 8" in captured.err
+        assert "train_size" not in captured.err and captured.out == ""
+
     def test_non_integer_size_invalid(self, capsys):
         code = cli.main(["sweep", "--seed", "1", "--domain-sizes", "16,32,64,abc"])
         captured = capsys.readouterr()

@@ -181,6 +181,14 @@ class TestGroverSearch:
         oracle = IndicatorOracle(16, 3)
         _, ledger = grover_search(oracle, GroverConfig("ideal", iterations=7), 0)
         assert ledger.oracle_queries == 7
+        _, ledger = grover_search(oracle, GroverConfig("faithful", iterations=np.int64(2)), 0)
+        assert ledger.oracle_queries == 2
+
+    @pytest.mark.parametrize("iterations", [2.5, math.nan, -1, 3.0, "3"])
+    def test_iteration_override_must_be_a_non_negative_integer(self, iterations):
+        # 2.5 and NaN used to pass the config and fail untyped in search_gates.
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            GroverConfig("faithful", iterations=iterations)
 
 
 class TestGroverSearchMany:

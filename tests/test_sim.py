@@ -1019,6 +1019,125 @@ class TestRunMany:
         assert len({id(state.amplitudes) for state in states}) == 3
 
 
+@pytest.fixture
+def buffer_sizes(monkeypatch):
+    """Every ufunc buffer size set through ``np.setbufsize``, in call order."""
+    sizes = []
+    original = np.setbufsize
+
+    def spy(size):
+        sizes.append(size)
+        return original(size)
+
+    monkeypatch.setattr(np, "setbufsize", spy)
+    return sizes
+
+
+def at_default_buffer(compute):
+    """``compute()`` under numpy's default ufunc buffer of 8192 elements."""
+    previous = np.setbufsize(8192)
+    try:
+        return compute()
+    finally:
+        np.setbufsize(previous)
+
+
+class TestUfuncBuffer:
+    """Strided elementwise kernels run under a short buffer, with the same bits."""
+
+    def test_hadamard_on_every_qubit_of_a_tile(self, buffer_sizes):
+        state = random_state(16, seed=61)
+        scoped = []
+        for q in range(16):
+            a = state.amplitudes.reshape(-1, 2, 1 << q)
+
+            def butterfly():
+                return np.stack([a[:, 0] + a[:, 1], a[:, 0] - a[:, 1]], axis=1) * (1 / math.sqrt(2))
+
+            expected = at_default_buffer(butterfly)
+            buffer_sizes.clear()
+            out = sim.apply(state, sim.hadamard(q)).amplitudes
+            assert out.tobytes() == expected.reshape(-1).tobytes(), q
+            if buffer_sizes:
+                assert buffer_sizes == [1 << q, 8192], q
+                scoped.append(q)
+        assert scoped == list(range(5, 12))  # runs of 32 to 2048 amplitudes
+
+    @pytest.mark.parametrize("register, size", [
+        (range(6, 16), 1024),  # a tile's top block: a (1024, 64) view
+        (range(8, 16), 256),  # (256, 256): a buffer of the run
+        (range(0, 9), 512),  # a bottom block: (128, 512)
+        (range(0, 4), 1024),  # (4096, 16): a short run gets 1024
+        (range(4, 12), 1024),  # a middle block: (16, 256, 16)
+    ])
+    def test_diffusion_blocks_of_a_tile(self, register, size, buffer_sizes):
+        state = random_state(16, seed=67)
+        view = state.amplitudes.reshape((2,) * 16)
+        axes = tuple(15 - q for q in register)
+        expected = at_default_buffer(lambda: 2.0 * view.mean(axis=axes, keepdims=True) - view)
+        buffer_sizes.clear()
+        out = sim.apply(state, sim.diffusion(register)).amplitudes
+        assert out.tobytes() == expected.reshape(-1).tobytes()
+        assert buffer_sizes == [size, 8192]
+
+    def test_a_chunk_of_four_searches(self, buffer_sizes):
+        circuits = search_circuits(1 << 12, [5, 1000, 2049, 4095])
+        expected = at_default_buffer(lambda: [sim.run_from_zero(c).amplitudes for c in circuits])
+        assert buffer_sizes == [8192, 8192]  # set and restored here: no 12-qubit scope
+        states = list(sim.run_many(circuits))
+        assert sim._BATCH_AMPLITUDES >> 12 == len(circuits)  # one chunk of four rows
+        assert 4096 in buffer_sizes  # the chunk's diffusions: (4, 4096) views
+        for state, amps in zip(states, expected):
+            assert same_bits(state.amplitudes, amps)
+
+    @pytest.mark.parametrize("caller", [8192, 4096, 1 << 14])
+    def test_the_callers_buffer_is_restored(self, caller, buffer_sizes):
+        state = random_state(16, seed=71)
+        circuit = Circuit(16, (sim.hadamard(7), sim.diffusion(range(8, 16)), sim.hadamard(3)))
+        previous = np.setbufsize(caller)
+        try:
+            sim.apply(state, sim.hadamard(9))
+            assert np.getbufsize() == caller
+            sim.run(circuit, state)
+            assert np.getbufsize() == caller
+            list(sim.run_many(search_circuits(1 << 12, [1, 2, 3, 4])))
+            assert np.getbufsize() == caller
+        finally:
+            np.setbufsize(previous)
+        assert buffer_sizes[1:3] == [512, caller]  # the scope ran and gave back the caller's
+
+    def test_the_callers_buffer_is_restored_when_a_kernel_raises(self, monkeypatch):
+        seen = []
+        original = np.subtract
+
+        def failing_subtract(*args, **kwargs):
+            if np.getbufsize() == 2048:  # the caller's: outside every scope
+                return original(*args, **kwargs)
+            seen.append(np.getbufsize())
+            raise FloatingPointError("inside the scope")
+
+        sim._plan.cache_clear()  # the diffusion plan takes np.subtract when planned
+        monkeypatch.setattr(np, "subtract", failing_subtract)
+        state = random_state(16, seed=73)
+        circuit = Circuit(16, (sim.diffusion(range(6, 16)),))
+        calls = [
+            lambda: sim.apply(state, sim.hadamard(8)),
+            lambda: sim.run(circuit, state),
+            lambda: list(sim.run_many(search_circuits(1 << 12, [1, 2, 3, 4]))),
+        ]
+        previous = np.setbufsize(2048)
+        try:
+            for call in calls:
+                with pytest.raises(FloatingPointError):
+                    call()
+                assert np.getbufsize() == 2048
+        finally:
+            np.setbufsize(previous)
+            monkeypatch.undo()
+            sim._plan.cache_clear()
+        assert seen == [256, 1024, 4096]
+
+
 class TestBilling:
     """Each sim call bills each oracle once: one query per time its gate is listed."""
 
