@@ -72,20 +72,20 @@ phase oracle widened to the row qubits to mark every row's own values.  So
 numpy calls are paid once per chunk rather than once per circuit, and each
 row keeps the bits of its own run.
 
-numpy (2.3 and later) runs a ufunc on a multi-dimensional view whose
-contiguous inner run is shorter than the ufunc buffer (8192 elements by
-default) by copying operands through that buffer.  So on a state of at least
-``_SCOPE_MIN_AMPLITUDES`` amplitudes the Hadamard butterfly and the
-diffusion's broadcast subtract run under a buffer planned from their shape
-(see :func:`_scoped`): the butterfly under one run of its ``(rows, run)``
-views, the subtract under its last axis, or ``_SHORT_RUN_BUFFER`` elements
-when that axis is too short to repay one inner loop per row.  The buffer is
-set with ``np.setbufsize`` around those calls only, and the caller's size is
-restored after each, also on error.  Buffering only copies elementwise
-operands, so every amplitude keeps its bits, signed zeros included.
-Reductions, such as the diffusion's sum, run at the caller's buffer: a short
-buffer slowed a tile's axis-0 sum, and numpy's pairwise summation may cut its
-blocks at buffer boundaries.
+numpy's buffered iterator (measured with numpy 2.4) runs a ufunc on a
+multi-dimensional view whose contiguous inner run is shorter than the ufunc
+buffer (8192 elements by default) by copying operands through that buffer.
+So on a state of at least ``_SCOPE_MIN_AMPLITUDES`` amplitudes the Hadamard
+butterfly and the diffusion's broadcast subtract run under a buffer planned
+from their shape (see :func:`_scoped`): the butterfly under one run of its
+``(rows, run)`` views, the subtract under its last axis, or
+``_SHORT_RUN_BUFFER`` elements when that axis is too short to repay one
+inner loop per row.  The buffer is set with ``np.setbufsize`` around those
+calls only, and the caller's size is restored after each, also on error.
+Buffering only copies elementwise operands, so every amplitude keeps its
+bits, signed zeros included.  Reductions, such as the diffusion's sum, run
+at the caller's buffer: a short buffer slowed a tile's axis-0 sum, and
+numpy's pairwise summation may cut its blocks at buffer boundaries.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run` and :func:`run_many` bill each oracle one
@@ -145,11 +145,11 @@ _UFUNC_BUFFER = 8192
 # saves in most diffusions.
 _SCOPE_MIN_AMPLITUDES = 1 << 14
 # A diffusion whose inner run is shorter than _SHORT_RUN runs under a buffer of
-# _SHORT_RUN_BUFFER elements instead.  On a 2**16-amplitude tile, the (1024,
-# 64) subtract of a top-block diffusion took 108 us at the default buffer,
-# 131 us under a buffer of its run (one inner loop per row) and 78 us under
-# 1024 elements (the broadcast mean is copied into a buffer that stays in L1);
-# a (256, 256) bottom block took 118, 70 and 116 us.
+# _SHORT_RUN_BUFFER elements instead.  On a 2**16-amplitude tile, the
+# (1024, 64) subtract of a top-block diffusion took 108 us at the default
+# buffer, 131 us under a buffer of its run (one inner loop per row) and 78 us
+# under 1024 elements (the broadcast mean is copied into a buffer that stays
+# in L1); a (256, 256) bottom block took 118, 70 and 116 us.
 _SHORT_RUN = 256
 _SHORT_RUN_BUFFER = 1024
 
