@@ -22,6 +22,7 @@ from .sim import (
     run_many,
     sample_measurement,
     subsystem_fidelity,
+    zero_probability,
 )
 from .grover import (
     GroverConfig,

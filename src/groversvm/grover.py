@@ -33,7 +33,8 @@ _BATCH_SEARCHES = 64
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -316,13 +317,12 @@ def _ideal_write_gates(oracle: IndicatorOracle, iterations: int, register) -> li
 
 
 def _check_interval_width(interval_width: int, domain_size: int) -> int:
-    """The interval width M as an int; it must be a power of two in [1, N)."""
-    M = int(interval_width)
-    if not _is_power_of_two(M) or not 1 <= M < domain_size:
+    """The interval width M as an int; it must be an integer power of two in [1, N)."""
+    if not _is_power_of_two(interval_width) or not interval_width < domain_size:
         raise InvalidIntervalError(
-            f"interval width must be a power of two in [1, {domain_size}), got {M}"
+            f"interval width must be a power of two in [1, {domain_size}), got {interval_width!r}"
         )
-    return M
+    return int(interval_width)
 
 
 def interval_map_gates(register, ancilla, block: list[Gate], interval_width: int) -> list[Gate]:
@@ -347,6 +347,7 @@ def feature_map_circuit(
     charges the oracle exactly 2k queries (k per search block).
     """
     config = config or GroverConfig()
+    M = _check_interval_width(interval_width, oracle.domain_size)  # before any gate is built
     n = oracle.num_qubits
     ancilla = tuple(range(n, 2 * n))
     k = resolve_iterations(oracle.domain_size, config)
@@ -354,7 +355,7 @@ def feature_map_circuit(
         block = _ideal_write_gates(oracle, k, ancilla)
     else:
         block = search_gates(oracle, k, ancilla)
-    gates = interval_map_gates(tuple(range(n)), ancilla, block, interval_width)
+    gates = interval_map_gates(tuple(range(n)), ancilla, block, M)
     return Circuit(2 * n, tuple(gates))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidIntervalError, StructuralError
-from .grover import GroverConfig, IndicatorOracle, feature_map_circuit
+from .grover import GroverConfig, IndicatorOracle, _is_int, feature_map_circuit
 from .ledger import QueryLedger
 from . import sim
 
@@ -60,21 +60,22 @@ def cyclic_distance(i: int, j: int, domain_size: int) -> int:
     return min(d, domain_size - d)
 
 
-def _check_interval(interval_width: int, domain_size: int) -> None:
-    if interval_width < 1 or 2 * interval_width >= domain_size:
+def _check_interval(interval_width: int, domain_size: int) -> int:
+    """The interval width M as an int; it must be an integer with 1 <= M < N/2."""
+    if not _is_int(interval_width) or interval_width < 1 or 2 * interval_width >= domain_size:
         raise InvalidIntervalError(
-            "interval width must satisfy 1 <= M < N/2 so the two kernel branches "
-            f"cannot overlap under cyclic distance (got M={interval_width}, N={domain_size})"
+            "interval width must be an integer with 1 <= M < N/2 so the two kernel branches "
+            f"cannot overlap under cyclic distance (got M={interval_width!r}, N={domain_size})"
         )
+    return int(interval_width)
 
 
 def kernel_exact(i: int, j: int, interval_width: int, domain_size: int) -> float:
     """Closed-form interval kernel (M - d)/M with cyclic distance d, 0 past M."""
     N = int(domain_size)
-    M = int(interval_width)
-    _check_interval(M, N)
-    if not (0 <= i < N and 0 <= j < N):
-        raise StructuralError("kernel indices out of range")
+    M = _check_interval(interval_width, N)
+    if not (_is_int(i) and _is_int(j) and 0 <= i < N and 0 <= j < N):
+        raise StructuralError(f"kernel indices must be integers in [0, {N}), got {i!r}, {j!r}")
     d = cyclic_distance(i, j, N)
     if d >= M:
         return 0.0
@@ -88,13 +89,13 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     int64 values is the same IEEE division numpy and Python both perform.
     """
     N = int(domain_size)
-    M = int(interval_width)
-    _check_interval(M, N)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    M = _check_interval(interval_width, N)
+    a, b = np.asarray(a), np.asarray(b)
     for idx in (a, b):
-        if idx.size and (idx.min() < 0 or idx.max() >= N):
-            raise StructuralError("kernel indices out of range")
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= N):
+            raise StructuralError(f"kernel indices must be integers in [0, {N})")
+    a = a.astype(np.int64, copy=False)
+    b = b.astype(np.int64, copy=False)
     d = np.abs(a - b) % N
     d = np.minimum(d, N - d)
     return np.where(d < M, (M - d) / M, 0.0)
@@ -103,8 +104,7 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
 def _overlap(forward, backward, num_qubits: int, register) -> float:
     """sqrt(P(register all zero)) after ``forward`` then ``backward`` reversed, from |0...0>."""
     circuit = sim.Circuit(num_qubits, tuple(forward) + tuple(reversed(backward)))
-    state = sim.run_from_zero(circuit)
-    return math.sqrt(max(0.0, sim.prob_all_zero(state, register)))
+    return math.sqrt(max(0.0, sim.zero_probability(circuit, register)))
 
 
 def kernel_circuit(
@@ -123,7 +123,7 @@ def kernel_circuit(
     config = config or GroverConfig()
     if oracle_i.domain_size != oracle_j.domain_size:
         raise StructuralError("oracles must share a domain size")
-    _check_interval(int(interval_width), oracle_i.domain_size)
+    _check_interval(interval_width, oracle_i.domain_size)
     # One oracle passed as both arguments is billed once, not twice.
     oracles = (oracle_i,) if oracle_i is oracle_j else (oracle_i, oracle_j)
     before = sum(o.query_count for o in oracles)
@@ -334,7 +334,7 @@ def gram_matrix(
     N = oracles[0].domain_size
     if any(o.domain_size != N for o in oracles):
         raise StructuralError("all oracles must share a domain size")
-    _check_interval(int(interval_width), N)
+    _check_interval(interval_width, N)
     if mode.tag == "sampled" and int(rng_seed) < 0:
         # Checked up front: the draws check the seed only when some pair
         # has a nonzero kernel.

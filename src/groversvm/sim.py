@@ -87,12 +87,23 @@ bits, signed zeros included.  Reductions, such as the diffusion's sum, run
 at the caller's buffer: a short buffer slowed a tile's axis-0 sum, and
 numpy's pairwise summation may cut its blocks at buffer boundaries.
 
+:func:`zero_probability` reads one register of a circuit run from |0...0>,
+so it runs only the register's backward light cone.  Walking the gates
+backward from a live set that starts as the register, a gate that shares no
+qubit with the set is dropped; any other gate is kept and adds its qubits to
+the set.  A dropped gate shares no qubit with any kept gate after it, so it
+commutes to the end of the circuit, where it acts on unmeasured qubits only
+and cannot change the register's distribution.  The kept gates run through
+``run_from_zero``, and the dropped gates are billed too, so every listed
+oracle gate is still billed once.
+
 A phase-oracle gate carries the register values it marks and the oracle it
-bills.  :func:`apply`, :func:`run` and :func:`run_many` bill each oracle one
-query per time its gate is listed, counted from the gate list by
-:func:`_bill`; no code that applies gates bills, so no path can change a
-query count.  All randomness is injected through explicit seeds or
-generators; a negative integer seed is a :class:`StructuralError`.
+bills.  :func:`apply`, :func:`run`, :func:`run_many` and
+:func:`zero_probability` bill each oracle one query per time its gate is
+listed, counted from the gate list by :func:`_bill`; no code that applies
+gates bills, so no path can change a query count.  All randomness is
+injected through explicit seeds or generators; a negative integer seed is a
+:class:`StructuralError`.
 """
 
 from __future__ import annotations
@@ -471,11 +482,15 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
             psi[value] = -psi[value]  # the register value is the basis index
     else:
         shape = (2,) * num_qubits
+        indices = {}  # sub-view index of each register value marked so far
 
         def negate(psi, value):
-            view = psi.reshape(shape)
-            index = _fixed(num_qubits, ((q, (value >> p) & 1) for p, q in enumerate(targets)))
-            view[index] = -view[index]
+            index = indices.get(value)
+            if index is None:
+                bits = ((q, (value >> p) & 1) for p, q in enumerate(targets))
+                index = indices[value] = _fixed(num_qubits, bits)
+            marked = psi.reshape(shape)[index]
+            np.negative(marked, out=marked)
 
     def apply(psi, marked):
         # Negate the sub-view of each marked register value: the cost grows
@@ -881,6 +896,26 @@ def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
     zero = state.amplitudes.reshape((2,) * state.num_qubits)
     zero = zero[_fixed(state.num_qubits, ((q, 0) for q in register))]
     return float(np.sum(np.abs(zero) ** 2))
+
+
+def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
+    """``prob_all_zero(run_from_zero(circuit), register)``, running only the register's light cone.
+
+    The gates outside it are billed but not run; see the module docstring.
+    """
+    register = _check_register(circuit.num_qubits, register)
+    live = set(register)
+    kept, dropped = [], []
+    for gate in reversed(circuit.gates):
+        qubits = gate.targets + gate.controls
+        if live.isdisjoint(qubits):
+            dropped.append(gate)
+        else:
+            live.update(qubits)
+            kept.append(gate)
+    _bill(dropped)
+    state = run_from_zero(Circuit(circuit.num_qubits, tuple(reversed(kept))))
+    return prob_all_zero(state, register)
 
 
 def register_probabilities(state: StateVector, register: Sequence[int]) -> np.ndarray:

@@ -184,7 +184,7 @@ class TestGroverSearch:
         _, ledger = grover_search(oracle, GroverConfig("faithful", iterations=np.int64(2)), 0)
         assert ledger.oracle_queries == 2
 
-    @pytest.mark.parametrize("iterations", [2.5, math.nan, -1, 3.0, "3"])
+    @pytest.mark.parametrize("iterations", [2.5, math.nan, -1, 3.0, "3", True])
     def test_iteration_override_must_be_a_non_negative_integer(self, iterations):
         # 2.5 and NaN used to pass the config and fail untyped in search_gates.
         with pytest.raises(StructuralError, match="non-negative integer"):
@@ -353,8 +353,9 @@ class TestFeatureMap:
             assert sim.subsystem_fidelity(state, range(n), target.amplitudes) >= 1 - 5 / N
 
     def test_invalid_widths_rejected(self):
+        # 2.9 and True used to build with M = 2 and M = 1; NaN raised a bare ValueError.
         oracle = IndicatorOracle(16, 2)
-        for M in (0, 3, 16, 32):
+        for M in (0, 3, 16, 32, 2.9, 2.0, True, math.nan):
             with pytest.raises(InvalidIntervalError):
                 feature_map_circuit(oracle, M)
 

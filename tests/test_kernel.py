@@ -14,7 +14,9 @@ from groversvm.errors import (
     ResourceCapError,
     StructuralError,
 )
-from groversvm.grover import GroverConfig, IndicatorOracle, interval_state_analytic
+from groversvm.grover import (
+    GroverConfig, IndicatorOracle, interval_state_analytic, optimal_iterations,
+)
 from groversvm.kernel import (
     GramMatrix,
     KernelMode,
@@ -62,6 +64,26 @@ class TestKernelExact:
     def test_wide_interval_rejected(self):
         with pytest.raises(InvalidIntervalError):
             kernel_exact(0, 1, 8, 16)
+
+    @pytest.mark.parametrize("M", [2.5, 4.0, True, math.nan])
+    def test_non_integer_width_rejected(self, M):
+        # 2.5 used to give 0.0 and True ran as M = 1; NaN raised a bare ValueError.
+        with pytest.raises(InvalidIntervalError):
+            kernel_exact(3, 5, M, 16)
+        with pytest.raises(InvalidIntervalError):
+            kernel_exact_many([3], [5], M, 16)
+
+    @pytest.mark.parametrize("i, j", [(3.7, 5), (3, 5.0), (True, 5), (np.float64(3), 5)])
+    def test_non_integer_index_rejected(self, i, j):
+        # (3.7, 5) used to give 0.5.
+        with pytest.raises(StructuralError):
+            kernel_exact(i, j, 4, 16)
+        with pytest.raises(StructuralError):
+            kernel_exact_many([i], [j], 4, 16)
+
+    def test_numpy_integers_accepted(self):
+        assert kernel_exact(np.int64(3), np.uint8(5), np.int32(4), 16) == 0.5
+        assert kernel_exact_many(np.uint16([3]), [5], np.int64(4), 16)[0] == 0.5
 
     @given(
         st.integers(min_value=0, max_value=63),
@@ -112,6 +134,19 @@ class TestKernelCircuit:
         assert ledger.oracle_queries == oracle.query_count == 12  # k = 3
         assert abs(value - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("M", [2.5, 2.0, True, math.nan])
+    def test_non_integer_width_rejected_before_any_gate(self, M, monkeypatch):
+        # 2.5 used to return (0.0, ...) billed as 12 queries at M = 2.
+        from groversvm import kernel
+
+        built = []
+        monkeypatch.setattr(kernel, "feature_map_circuit", lambda *args: built.append(args))
+        oracle_i, oracle_j = IndicatorOracle(16, 3), IndicatorOracle(16, 5)
+        with pytest.raises(InvalidIntervalError):
+            kernel_circuit(oracle_i, oracle_j, M)
+        assert built == []
+        assert oracle_i.query_count == oracle_j.query_count == 0
+
     def test_mismatched_domains_rejected(self):
         with pytest.raises(StructuralError):
             kernel_circuit(IndicatorOracle(16, 3), IndicatorOracle(32, 3), 4)
@@ -138,6 +173,60 @@ class TestKernelCircuit:
         freq = hist.get("0000", 0) / shots
         p = kernel_exact(3, 5, 4, 16) ** 2
         assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / shots)
+
+
+def _full_circuit_value(i: int, j: int, M: int, N: int, config: GroverConfig) -> float:
+    """The circuit kernel with every gate simulated: the reference for the light cone."""
+    from groversvm import sim
+    from groversvm.grover import feature_map_circuit
+
+    forward = feature_map_circuit(IndicatorOracle(N, i), M, config)
+    backward = feature_map_circuit(IndicatorOracle(N, j), M, config)
+    circuit = sim.Circuit(forward.num_qubits, forward.gates + backward.gates[::-1])
+    n = forward.num_qubits // 2
+    return math.sqrt(max(0.0, sim.prob_all_zero(sim.run_from_zero(circuit), range(n))))
+
+
+class TestLightCone:
+    """``kernel_circuit`` simulates only the first register's backward light cone."""
+
+    def test_ideal_values_keep_every_bit(self):
+        rng = np.random.default_rng(19)
+        grid = [
+            (N, M, i, j)
+            for N in (8, 16, 32)
+            for M in (1, 2, 4, 8)
+            if 2 * M < N
+            for i in range(N)
+            for j in range(i, N)
+        ]
+        for t in rng.choice(len(grid), size=60, replace=False):
+            N, M, i, j = grid[t]
+            value, _ = kernel_circuit(IndicatorOracle(N, i), IndicatorOracle(N, j), M)
+            assert value.hex() == _full_circuit_value(i, j, M, N, GroverConfig()).hex()
+
+    @pytest.mark.parametrize("N, pairs", [(16, 4), (64, 3), (256, 2), (1024, 1)])
+    def test_faithful_values_move_by_rounding_only(self, N, pairs, monkeypatch):
+        from groversvm import sim
+
+        config = GroverConfig("faithful")
+        k = optimal_iterations(N)
+        rng = np.random.default_rng(N)
+        ran = []
+        original = sim.run
+        monkeypatch.setattr(sim, "run", lambda c, initial: ran.append(len(c)) or original(c, initial))
+        for i, j in rng.integers(0, N, size=(pairs, 2)).tolist():
+            full = _full_circuit_value(i, j, 4, N, config)
+            ran.clear()
+            value, ledger = kernel_circuit(IndicatorOracle(N, i), IndicatorOracle(N, j), 4, config)
+            assert abs(value - full) <= 1e-12
+            assert ledger.oracle_queries == 4 * k
+            # The last search block (n Hadamards, k rounds) acts on the ancilla only.
+            n = N.bit_length() - 1
+            gates = 2 * (2 + 2 * (n + 2 * k) + n * (n + 1) // 2)
+            assert ran == [gates - (n + 2 * k)]
+        if N == 1024:
+            assert ran == [354 - 60] and ledger.oracle_queries == 100
 
 
 class TestKernelSampled:

@@ -1207,6 +1207,88 @@ class TestBilling:
         assert any(oracle.charges for oracle in oracles) == bool(gates)
 
 
+def random_light_cone_circuit(num_qubits: int, rng, oracles) -> Circuit:
+    """Gates of every kind on 1 to 3 random qubits, so that some miss a given register."""
+    gates = []
+    for _ in range(int(rng.integers(1, 30))):
+        kind = sim.GATE_KINDS[int(rng.integers(len(sim.GATE_KINDS)))]
+        width = {sim.HADAMARD: 1, sim.PAULI_X: 1, sim.CNOT: 2, sim.MCX: 3}.get(
+            kind, int(rng.integers(1, 4))
+        )
+        qubits = [int(q) for q in rng.choice(num_qubits, size=width, replace=False)]
+        if kind == sim.PHASE_ORACLE:
+            marked = sorted({int(v) for v in rng.integers(0, 1 << width, size=rng.integers(3))})
+            oracle = oracles[int(rng.integers(len(oracles)))]
+            gates.append(sim.phase_oracle(qubits, marked, oracle))
+        elif kind == sim.DIFFUSION:
+            gates.append(sim.diffusion(qubits))
+        else:
+            gates.append(sim.Gate(kind, qubits[:1], qubits[1:]))
+    return Circuit(num_qubits, tuple(gates))
+
+
+def spy_run(monkeypatch) -> list:
+    """Record the gate count of every circuit ``sim.run`` is given."""
+    ran = []
+    original = sim.run
+
+    def run(circuit, initial):
+        ran.append(len(circuit))
+        return original(circuit, initial)
+
+    monkeypatch.setattr(sim, "run", run)
+    return ran
+
+
+class TestZeroProbability:
+    """P(register all zero) from the gates in the register's backward light cone."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60)
+    def test_matches_the_full_circuit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 11))
+        oracles = [Billed(), Billed()]
+        circuit = random_light_cone_circuit(n, rng, oracles)
+        register = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        # A closing diffusion on every qubit puts every gate in the light cone.
+        whole = Circuit(n, circuit.gates + (sim.diffusion(range(n)),))
+        listed = [sum(gate.oracle is oracle for gate in circuit.gates) for oracle in oracles]
+        for c in (circuit, whole):
+            with pytest.MonkeyPatch.context() as patch:
+                ran = spy_run(patch)
+                value = sim.zero_probability(c, register)
+            assert [sum(oracle.charges) for oracle in oracles] == listed
+            full = sim.prob_all_zero(sim.run_from_zero(c), register)
+            assert [sum(oracle.charges) for oracle in oracles] == [2 * q for q in listed]
+            for oracle in oracles:
+                oracle.charges.clear()
+            assert abs(value - full) <= 1e-12
+            if ran == [len(c)]:  # no gate dropped
+                assert value == full
+        assert ran == [len(whole)]
+
+    def test_gates_outside_the_light_cone_are_billed_not_run(self, monkeypatch):
+        oracle = Billed()
+        gates = (
+            sim.hadamard(0), sim.hadamard(2), sim.phase_oracle((2, 3), [1], oracle),
+            sim.cnot(2, 0),  # the last gate on qubit 0: qubit 2 joins the light cone, then 3
+            sim.hadamard(3), sim.phase_oracle((2, 3), [2], oracle), sim.diffusion((1, 3)),
+        )
+        circuit = Circuit(4, gates)
+        full = sim.prob_all_zero(sim.run_from_zero(circuit), [0])
+        oracle.charges.clear()
+        ran = spy_run(monkeypatch)
+        assert sim.zero_probability(circuit, [0]) == pytest.approx(full, abs=1e-15)
+        assert ran == [4]
+        assert sum(oracle.charges) == 2
+        oracle.charges.clear()
+        for register in ([], [0, 0], [4]):
+            with pytest.raises(StructuralError):
+                sim.zero_probability(circuit, register)
+        assert ran == [4] and oracle.charges == []  # rejected before billing or running
+
+
 class TestNormAndUnitarity:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
