@@ -44,7 +44,7 @@ def _is_power_of_two(value: int) -> bool:
 def num_qubits_for(domain_size: int) -> int:
     if not _is_power_of_two(domain_size):
         raise StructuralError(f"domain size {domain_size} is not a power of two")
-    return domain_size.bit_length() - 1
+    return int(domain_size).bit_length() - 1
 
 
 class IndicatorOracle:
@@ -59,8 +59,8 @@ class IndicatorOracle:
             raise StructuralError(f"domain size {domain_size} is not a power of two")
         if domain_size < 4:
             raise UnsupportedSizeError("domain size below 4 is not supported")
-        if not 0 <= marked < domain_size:
-            raise StructuralError(f"marked index {marked} out of range")
+        if not _is_int(marked) or not 0 <= marked < domain_size:
+            raise StructuralError(f"marked index {marked!r} is not an integer in [0, {domain_size})")
         self.domain_size = int(domain_size)
         self.marked = int(marked)
         self.query_count = 0
@@ -112,6 +112,9 @@ class MultiMarkedOracle:
     def __init__(self, domain_size: int, marked_set):
         if not _is_power_of_two(domain_size) or domain_size < 4:
             raise UnsupportedSizeError("domain size must be a power of two, at least 4")
+        marked_set = tuple(marked_set)
+        if not all(_is_int(v) for v in marked_set):
+            raise StructuralError("marked elements must be integers")
         marked = frozenset(int(v) for v in marked_set)
         if not marked:
             raise StructuralError("marked set must be nonempty")
@@ -361,13 +364,13 @@ def feature_map_circuit(
 
 def interval_state_analytic(start: int, interval_width: int, domain_size: int) -> StateVector:
     """Uniform superposition over M consecutive indices (mod N) from ``start``."""
-    N = int(domain_size)
+    n = num_qubits_for(domain_size)
+    N = 1 << n
+    if not _is_int(start) or not 0 <= start < N:
+        raise StructuralError(f"start index {start!r} is not an integer in [0, {N})")
+    if not _is_int(interval_width) or not 1 <= interval_width <= N:
+        raise InvalidIntervalError(f"interval width {interval_width!r} is not an integer in [1, {N}]")
     M = int(interval_width)
-    n = num_qubits_for(N)
-    if not 0 <= start < N:
-        raise StructuralError(f"start index {start} out of range")
-    if not 1 <= M <= N:
-        raise InvalidIntervalError(f"interval width must lie in [1, {N}], got {M}")
     amps = np.zeros(N, dtype=np.complex128)
     amps[(start + np.arange(M)) % N] = 1.0 / math.sqrt(M)
     return StateVector(n, amps)

@@ -162,9 +162,7 @@ _MASK32 = 0xFFFFFFFF
 
 def _entropy_words(value: int) -> list[int]:
     """SeedSequence's coercion of one non-negative integer: 32-bit words, low first."""
-    value = int(value)
-    if value < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {value}")
+    value = sim.check_seed(value)
     words = []
     while value:
         words.append(value & _MASK32)
@@ -335,10 +333,10 @@ def gram_matrix(
     if any(o.domain_size != N for o in oracles):
         raise StructuralError("all oracles must share a domain size")
     _check_interval(interval_width, N)
-    if mode.tag == "sampled" and int(rng_seed) < 0:
+    if mode.tag == "sampled":
         # Checked up front: the draws check the seed only when some pair
         # has a nonzero kernel.
-        raise StructuralError(f"rng seed must be non-negative (got {rng_seed})")
+        rng_seed = sim.check_seed(rng_seed)
     if mode.tag in ("circuit_ideal", "circuit_faithful"):
         m = len(oracles)
         entries = np.eye(m, dtype=np.float64)
@@ -353,7 +351,7 @@ def gram_matrix(
         if mode.tag == "sampled":
             i, j = np.nonzero(np.triu(entries, 1))
             values = kernel_sampled_many(
-                entries[i, j], mode.shots, (int(rng_seed),), np.stack([i, j], axis=1)
+                entries[i, j], mode.shots, (rng_seed,), np.stack([i, j], axis=1)
             )
             entries[i, j] = entries[j, i] = values
     if clip_psd:

@@ -54,7 +54,7 @@ class Concept:
     def __post_init__(self):
         if not _is_power_of_two(self.domain_size) or self.domain_size < 8:
             raise StructuralError("domain size must be a power of two, at least 8")
-        if not 0 <= self.start < self.domain_size // 2:
+        if not _is_int(self.start) or not 0 <= self.start < self.domain_size // 2:
             # start >= N/2 duplicates start - N/2 with swapped labels
             raise StructuralError("concept start must lie in [0, N/2)")
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, _is_power_of_two, interval_map_gates, interval_state_analytic
-from .grover import theoretical_success_probability
+from .grover import GroverConfig, _is_int, _is_power_of_two, interval_map_gates
+from .grover import interval_state_analytic, theoretical_success_probability
 from .kernel import _overlap, kernel_exact
 from . import sim
 from .sim import Circuit, Gate, StateVector
@@ -120,8 +120,8 @@ def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextI
     """Random text containing ``pattern`` cyclically at exactly ``location``."""
     P = _as_bits(pattern)
     N = int(text_length)
-    if not 0 <= location < N:
-        raise StructuralError("location out of range")
+    if not _is_int(location) or not 0 <= location < N:
+        raise StructuralError(f"location {location!r} is not an integer in [0, {N})")
     rng = sim.as_rng(rng_seed)
     for _ in range(_INSTANCE_RETRIES):
         text = rng.integers(0, 2, size=N)
@@ -388,49 +388,39 @@ def kmp_search(text, pattern) -> tuple[int | None, PatternLedger]:
     """First cyclic occurrence via KMP over the doubled text, counting comparisons.
 
     Returns the smallest start position in [0, N) or None; every character
-    comparison is charged, and the total is at most 2(2N + L).
+    comparison is charged, and the total is at most 2(2N + L).  A match that
+    starts at s >= N repeats one at s - N, so the first match found starts below N.
     """
-    T = _as_bits(text)
-    P = _as_bits(pattern)
+    T = _as_bits(text).tolist()
+    P = _as_bits(pattern).tolist()
     ledger = PatternLedger()
-    N, L = T.size, P.size
+    N, L = len(T), len(P)
     if L == 0 or L > N:
         return None, ledger
-    doubled = np.concatenate([T, T])
-
+    prefix = [0] * L
     comparisons = 0
-    prefix = np.zeros(L, dtype=np.int64)
-    k = 0
-    for i in range(1, L):
-        while k > 0:
-            comparisons += 1
-            if P[k] == P[i]:
-                break
-            k = prefix[k - 1]
-        else:
-            comparisons += 1
-        if P[k] == P[i]:
-            k += 1
-        prefix[i] = k
 
+    def step(k, ch):
+        # The matched length after reading ``ch`` with ``k`` matched: one
+        # comparison per probe of P[k], following failure links down to 0.
+        nonlocal comparisons
+        while True:
+            comparisons += 1
+            if P[k] == ch:
+                return k + 1
+            if k == 0:
+                return 0
+            k = prefix[k - 1]
+
+    for i in range(1, L):
+        prefix[i] = step(prefix[i - 1], P[i])
     k = 0
     found = None
-    for i in range(doubled.size):
-        while k > 0:
-            comparisons += 1
-            if P[k] == doubled[i]:
-                break
-            k = prefix[k - 1]
-        else:
-            comparisons += 1
-        if P[k] == doubled[i]:
-            k += 1
+    for i, ch in enumerate(T + T):
+        k = step(k, ch)
         if k == L:
-            start = i - L + 1
-            if start < N:
-                found = start
-                break
-            k = prefix[k - 1]
+            found = i - L + 1
+            break
     ledger.classical_char_comparisons = comparisons
     return found, ledger
 

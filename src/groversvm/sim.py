@@ -14,25 +14,33 @@ into a private buffer (:func:`run_from_zero` writes |0...0> there instead),
 updates that buffer gate by gate, and hands it to the returned state without
 a copy; the norm is checked once, with ``np.vdot``.  Each gate shape (qubit
 count, kind, targets, controls) gets an in-place kernel planned once and kept
-in a bounded cache, so a repeated gate costs only its array work.  Kernels
-view the buffer in the ``(2,)*n`` layout (axis ``a`` holds qubit ``n-1-a``)
-or in a coarser reshape of it that gives the same bits.
+in a bounded cache, so a repeated gate costs only its array work.
 
-A diffusion is the one reduction: it views the buffer with one axis per
-maximal run of adjacent qubits, in its register or not, and sums over the
-register's axes.  numpy sums the last axis pairwise and every other axis in
-index order, so the bits of a register's mean depend only on whether the
-register holds qubit 0.  The tile and prefix rules below keep that fact.
+A kernel or reader that fixes, flips or sums a set of qubits views the
+buffer with one axis per maximal run of adjacent qubits inside or outside
+the set, from the top qubit down (see :func:`_view`).  An inside run is
+indexed by the integer its qubits' bits spell, the run's lowest qubit as
+bit 0: an X, CNOT or MCX swaps the slices with the target at 0 and at 1 and
+every control at 1, a phase oracle negates each marked value's slice (on
+the whole register in order, the value is the basis index), and
+:func:`prob_all_zero` sums the slice with the register at 0.  These only
+copy, negate or read amplitudes, so every amplitude keeps its bits.
+
+A diffusion is the one reduction: it sums over the register's axes of that
+view.  numpy sums the last axis pairwise and every other axis in index
+order, so the bits of a register's mean depend only on whether the register
+holds qubit 0.  The tile and prefix rules below keep that fact.
 
 Permutation gates are fused: each maximal run of consecutive X gates is one
-strided copy of the ``(2,)*n`` view, reversed on every axis flipped an odd
-number of times, and each run of two or more CNOT/MCX gates is one gather
-through an int32 index array built by applying the run to an ``arange``.
-The arrays are kept in a least-recently-used cache keyed by the run's gate
-shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same run reversed is
-the inverse permutation, a scatter through the same array.  A run whose
-array would not fit is applied gate by gate.  Either way the amplitudes are
-bit for bit those of the per-gate kernels.
+strided copy of the view of the qubits flipped an odd number of times,
+reversed on each of their axes, since reversing an axis of ``2**k`` entries
+flips all ``k`` of its qubits.  Each run of two or more CNOT/MCX gates is
+one gather through an int32 index array built by applying the run to an
+``arange``.  The arrays are kept in a least-recently-used cache keyed by
+the run's gate shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same
+run reversed is the inverse permutation, a scatter through the same array.
+A run whose array would not fit is applied gate by gate.  Either way the
+amplitudes are bit for bit those of the per-gate kernels.
 
 On a state of many tiles of ``_CACHE_ROW`` amplitudes, a run of consecutive
 Hadamard, phase-oracle and diffusion gates (a search block) goes tile by
@@ -102,8 +110,8 @@ bills.  :func:`apply`, :func:`run`, :func:`run_many` and
 :func:`zero_probability` bill each oracle one query per time its gate is
 listed, counted from the gate list by :func:`_bill`; no code that applies
 gates bills, so no path can change a query count.  All randomness is
-injected through explicit seeds or generators; a negative integer seed is a
-:class:`StructuralError`.
+injected through explicit seeds or generators; a seed that is not a
+non-negative Python or numpy integer is a :class:`StructuralError`.
 """
 
 from __future__ import annotations
@@ -178,17 +186,16 @@ def as_rng(seed) -> np.random.Generator:
     """Accept a non-negative integer seed, a SeedSequence, or a ready Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.default_rng(seed)
+    return np.random.default_rng(check_seed(seed))
 
 
 def check_seed(seed) -> int:
-    """A non-negative integer seed as a Python int, whole, for SeedSequence entropy."""
-    value = int(seed)
-    if value < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {seed}")
-    return value
+    """A non-negative Python or numpy integer seed (not a bool) as a Python int, whole."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise StructuralError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _check_width(num_qubits: int) -> None:
@@ -382,14 +389,6 @@ def _check_register(num_qubits: int, register: Sequence[int]):
     return register
 
 
-def _fixed(num_qubits: int, bits) -> tuple:
-    """Index into the ``(2,)*n`` view fixing qubit ``q`` to ``b`` for each ``(q, b)``."""
-    index = [slice(None)] * num_qubits
-    for q, b in bits:
-        index[num_qubits - 1 - q] = b
-    return tuple(index) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
-
-
 def _scoped(kernel, size: int | None):
     """``kernel`` run under a ufunc buffer of ``size`` elements; ``kernel`` itself if None.
 
@@ -450,24 +449,32 @@ def _hadamard_plan(num_qubits: int, q: int):
     return apply
 
 
+def _runs(num_qubits: int, qubits) -> list[tuple[bool, tuple[int, ...]]]:
+    """``(inside, run)`` for each maximal run of adjacent qubits in or out of ``qubits``.
+
+    Runs, and the qubits of each, are listed from the top qubit down, so a
+    view of the state has one axis of ``2**len(run)`` entries per run.
+    """
+    inside = set(qubits).__contains__
+    return [(key, tuple(run)) for key, run in groupby(range(num_qubits - 1, -1, -1), key=inside)]
+
+
+def _view(num_qubits: int, bits: dict) -> tuple[tuple, tuple]:
+    """The one-axis-per-run view's shape, and its index fixing each qubit ``q`` to ``bits[q]``.
+
+    A run of fixed qubits is indexed by the integer its bits spell, its lowest qubit as bit 0.
+    """
+    runs = _runs(num_qubits, bits)
+    shape = tuple(1 << len(run) for _, run in runs)
+    index = [sum(bits[q] << (q - run[-1]) for q in run) if i else slice(None) for i, run in runs]
+    return shape, (*index, Ellipsis)  # a 0-d view, not a scalar, when every axis is fixed
+
+
 def _swap_plan(num_qubits: int, target: int, controls: tuple[int, ...]):
-    # Fix every control to 1 and swap the target-0 and target-1 slices.  Each
-    # fixed qubit keeps an axis of 2; each run of adjacent free qubits is one axis.
-    fixed = set(controls) | {target}
-    shape, lower, upper = [], [], []
-    for is_fixed, qubits in groupby(range(num_qubits - 1, -1, -1), key=fixed.__contains__):
-        qubits = list(qubits)
-        if is_fixed:
-            shape.extend([2] * len(qubits))
-            lower.extend(int(q != target) for q in qubits)
-            upper.extend([1] * len(qubits))
-        else:
-            shape.append(1 << len(qubits))
-            lower.append(slice(None))
-            upper.append(slice(None))
-    shape = tuple(shape)
-    lower = tuple(lower) + (Ellipsis,)  # a 0-d view, not a scalar, when every axis is fixed
-    upper = tuple(upper) + (Ellipsis,)
+    # Fix every control to 1 and swap the target-0 and target-1 slices.
+    ones = dict.fromkeys(controls, 1)
+    shape, lower = _view(num_qubits, {**ones, target: 0})
+    _, upper = _view(num_qubits, {**ones, target: 1})
 
     def apply(psi, marked):
         view = psi.reshape(shape)
@@ -481,14 +488,14 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
         def negate(psi, value):
             psi[value] = -psi[value]  # the register value is the basis index
     else:
-        shape = (2,) * num_qubits
-        indices = {}  # sub-view index of each register value marked so far
+        shape = _view(num_qubits, dict.fromkeys(targets, 0))[0]
+        indices = {}  # view index of each register value marked so far
 
         def negate(psi, value):
             index = indices.get(value)
             if index is None:
-                bits = ((q, (value >> p) & 1) for p, q in enumerate(targets))
-                index = indices[value] = _fixed(num_qubits, bits)
+                bits = {q: (value >> p) & 1 for p, q in enumerate(targets)}
+                index = indices[value] = _view(num_qubits, bits)[1]
             marked = psi.reshape(shape)[index]
             np.negative(marked, out=marked)
 
@@ -501,25 +508,12 @@ def _phase_plan(num_qubits: int, targets: tuple[int, ...]):
     return apply
 
 
-def _runs(num_qubits: int, qubits) -> list[tuple[bool, int]]:
-    """``(inside, 2**length)`` for each maximal run of adjacent qubits in or out of ``qubits``.
-
-    Runs are listed from the top qubit down, so their sizes are the shape of a
-    view of the state with one axis per run.
-    """
-    inside = set(qubits).__contains__
-    return [
-        (key, 1 << len(list(run)))
-        for key, run in groupby(range(num_qubits - 1, -1, -1), key=inside)
-    ]
-
-
 def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
     # 2 * mean - psi, the mean taken over the register for each value of the
     # other qubits: a reduction over the register's axes of the merged-run
     # view, summed as the module docstring states.
     runs = _runs(num_qubits, targets)
-    shape = tuple(size for _, size in runs)
+    shape = tuple(1 << len(run) for _, run in runs)
     axis = tuple(a for a, (inside, _) in enumerate(runs) if inside)
     if len(axis) == 1:
         axis = axis[0]  # an int axis is cheaper per call than a tuple
@@ -680,12 +674,12 @@ def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> N
 
 def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None:
     """Write ``psi`` with the X gates applied into ``out``: one strided copy."""
-    flipped = [False] * num_qubits
+    # Reversing the axis of a run of k flipped qubits flips all k of them.
+    flipped = set()
     for gate in gates:
-        axis = num_qubits - 1 - gate.targets[0]
-        flipped[axis] = not flipped[axis]
-    shape = (2,) * num_qubits
-    index = tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
+        flipped ^= set(gate.targets)
+    shape, index = _view(num_qubits, dict.fromkeys(flipped, 0))
+    index = tuple(slice(None, None, -1) if isinstance(i, int) else i for i in index)
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
@@ -796,8 +790,8 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
     block[0] = 1.0
     block = _evolve(block, width, prefix)
     runs = _runs(n, position)  # one axis per run of adjacent qubits, touched or not
-    shape = [size for _, size in runs]
-    kept = [size if inside else 1 for inside, size in runs]  # 1 on untouched axes
+    shape = [1 << len(run) for _, run in runs]
+    kept = [1 << len(run) if inside else 1 for inside, run in runs]  # 1 on untouched axes
     if any(gate.marked for gate in prefix):
         rest = _evolve(np.zeros(1 << width, dtype=np.complex128), width, prefix)
         psi = np.empty(1 << n, dtype=np.complex128)
@@ -893,8 +887,8 @@ def run_many(circuits: Sequence[Circuit]):
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
     """Probability that measuring ``register`` yields the all-zero bitstring."""
     register = _check_register(state.num_qubits, register)
-    zero = state.amplitudes.reshape((2,) * state.num_qubits)
-    zero = zero[_fixed(state.num_qubits, ((q, 0) for q in register))]
+    shape, index = _view(state.num_qubits, dict.fromkeys(register, 0))
+    zero = state.amplitudes.reshape(shape)[index]
     return float(np.sum(np.abs(zero) ** 2))
 
 

@@ -114,6 +114,11 @@ class TestIndicatorOracle:
         with pytest.raises(StructuralError):
             IndicatorOracle(8, 8)
 
+    @pytest.mark.parametrize("marked", [3.5, 3.0, True, float("nan"), "3"])
+    def test_marked_index_must_be_an_integer(self, marked):
+        with pytest.raises(StructuralError):
+            IndicatorOracle(16, marked)
+
 
 class TestIterationCount:
     @pytest.mark.parametrize("N,expected", [(4, 1), (8, 2), (16, 3), (32, 4)])
@@ -376,6 +381,28 @@ class TestIntervalState:
             assert abs(state.amplitudes[v] - 0.5) < 1e-15
         assert abs(state.amplitudes[7]) == 0.0
 
+    @pytest.mark.parametrize(
+        "start, width, domain, error",
+        [
+            (0, 2.5, 16, InvalidIntervalError),
+            (0, float("nan"), 16, InvalidIntervalError),
+            (0, True, 16, InvalidIntervalError),
+            (0, 2.0, 16, InvalidIntervalError),
+            (1.5, 2, 16, StructuralError),
+            (False, 2, 16, StructuralError),
+            (np.float64(3.0), 2, 16, StructuralError),
+            (0, 2, 16.0, StructuralError),
+        ],
+    )
+    def test_non_integer_arguments_are_typed_errors(self, start, width, domain, error):
+        with pytest.raises(error):
+            interval_state_analytic(start, width, domain)
+
+    def test_numpy_integers_are_accepted(self):
+        state = interval_state_analytic(np.int64(14), np.uint8(4), np.int32(16))
+        expected = interval_state_analytic(14, 4, 16)
+        assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
 
 class TestMultiMarkedFailure:
     def test_singleton_reduces_to_clean_uncompute(self):
@@ -415,6 +442,11 @@ class TestMultiMarkedFailure:
             expected = np.sum(counts**2) / (len(marked) ** 2 * M)
             fid = multi_marked_ancilla_fidelity(MultiMarkedOracle(N, marked.tolist()), M)
             assert abs(fid - expected) < 1e-12, (N, M, marked)
+
+    @pytest.mark.parametrize("marked", [[2.5, 3], [3.0], [True, 3], ["3"]])
+    def test_marked_elements_must_be_integers(self, marked):
+        with pytest.raises(StructuralError):
+            MultiMarkedOracle(16, marked)
 
     def test_all_marked_recorded(self):
         # Degenerate everything-marked case: value recorded, not asserted.

@@ -522,6 +522,13 @@ class TestGramSeedValidation:
         with pytest.raises(StructuralError):
             gram_matrix(_oracles(marks, 64), 4, KernelMode.sampled(8), rng_seed=-1)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, float("nan"), "2", None])
+    @pytest.mark.parametrize("marks", [[0, 2, 5, 9], [0, 16, 32, 48]])
+    def test_non_integer_seed_rejected(self, marks, seed):
+        # 2.5 ran as seed 2.
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            gram_matrix(_oracles(marks, 64), 4, KernelMode.sampled(8), rng_seed=seed)
+
     def test_exact_mode_ignores_the_seed(self):
         gram = gram_matrix(_oracles([0, 2]), 4, KernelMode.exact(), rng_seed=-1)
         npt.assert_array_equal(gram.entries, [[1.0, 0.5], [0.5, 1.0]])

@@ -57,6 +57,11 @@ class TestConcept:
         with pytest.raises(StructuralError):
             Concept(-1, 16)
 
+    @pytest.mark.parametrize("start", [1.5, 1.0, True, float("nan"), "1"])
+    def test_start_must_be_an_integer(self, start):
+        with pytest.raises(StructuralError):
+            Concept(start, 16)
+
     def test_half_of_domain_is_positive(self):
         concept = Concept(5, 64)
         labels = [concept.label(j) for j in range(64)]
@@ -276,6 +281,16 @@ class TestNegativeSeeds:
     def test_complexity_sweep(self):
         with pytest.raises(StructuralError, match="non-negative"):
             complexity_sweep("classical", [16, 32, 64, 128], 1, rng_seed=-1)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, float("nan"), "2", None])
+    def test_non_integer_seeds_before_any_probe(self, seed):
+        # 2.5 ran as seed 2 and True as seed 1.
+        test_oracle = IndicatorOracle(64, 5)
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            classical_learner(Concept(0, 64), [test_oracle], 32, seed)
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            generate_dataset(Concept(0, 64), 8, seed)
+        assert test_oracle.query_count == 0
 
     @pytest.mark.parametrize("learner", ["classical", "preprocessing"])
     def test_seeds_use_every_bit(self, learner, monkeypatch):

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from groversvm import sim
-from groversvm.errors import ResourceCapError, StructuralError
+from groversvm.errors import InvalidIntervalError, ResourceCapError, StructuralError
 from groversvm.grover import GroverConfig, interval_state_analytic, theoretical_success_probability
 from groversvm.pattern import (
     _prep_gates,
@@ -67,6 +67,11 @@ class TestTextInstance:
             instance = random_instance(16, "101", 7, seed)
             assert instance.location == 7
             assert len(cyclic_match_locations(instance.text, instance.pattern)) == 1
+
+    @pytest.mark.parametrize("location", [2.5, 2.0, float("nan"), True, "2", None])
+    def test_random_instance_location_must_be_an_integer(self, location):
+        with pytest.raises(StructuralError):
+            random_instance(8, "110", location, 0)
 
 
 class TestEncode:
@@ -227,6 +232,12 @@ class TestPatternFeatureMap:
         out = pattern_feature_map(instance, 2, GroverConfig("faithful"))
         assert out.ancilla_zero_fidelity >= 1 - 5.0 / 8.0
 
+    @pytest.mark.parametrize("width", [2.5, 2.0, float("nan"), True, "2"])
+    def test_analytic_width_must_be_an_integer(self, width):
+        instance = TextInstance("10110010", "110")
+        with pytest.raises(InvalidIntervalError):
+            pattern_feature_map(instance, width, GroverConfig("ideal"), mode="analytic")
+
 
 class TestQubitCap:
     def test_every_circuit_path_rejects_oversized_instances(self):
@@ -313,6 +324,22 @@ class TestKmp:
             instance = random_instance(32, "1011", int(seed * 5), seed)
             loc, _ = kmp_search(instance.text, instance.pattern)
             assert loc == instance.location
+
+    @pytest.mark.parametrize(
+        "text, pattern, location, comparisons",
+        [
+            ("00000000", "11", None, 17),  # no match: the whole doubled text is read
+            ("10000001", "110", 7, 14),  # a match across the wrap
+            ("01101001", "01101001", 0, 17),  # L = N
+            ("10010110", "01101001", 4, 23),  # L = N, rotated
+            ("0101001010110100", "010101", 5, 19),  # self-overlapping pattern
+            ("1010100101010100", "10101011", None, 56),
+            ("0000000000000001", "00001", 11, 34),
+        ],
+    )
+    def test_exact_comparison_counts(self, text, pattern, location, comparisons):
+        loc, ledger = kmp_search(text, pattern)
+        assert (loc, ledger.classical_char_comparisons) == (location, comparisons)
 
 
 class TestLedgers:

@@ -233,6 +233,29 @@ def block_registers(num_qubits: int):
             yield tuple(reversed(range(low, low + width)))
 
 
+def signed_zero_state(num_qubits: int, seed: int) -> StateVector:
+    """A random state whose amplitudes include every sign of zero in both parts."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    zeros = np.array([0.0, -0.0])
+    for part in (amps.real, amps.imag):
+        picks = rng.random(amps.size) < 0.25
+        part[picks] = rng.choice(zeros, size=int(picks.sum()))
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def bit_index(num_qubits: int, bits: dict) -> tuple:
+    """Index into the ``(2,)*n`` view (axis ``a`` holds qubit ``n-1-a``) fixing each qubit."""
+    index = [slice(None)] * num_qubits
+    for q, b in bits.items():
+        index[num_qubits - 1 - q] = b
+    return (*index, Ellipsis)
+
+
+def bit_view(state: StateVector) -> np.ndarray:
+    return state.amplitudes.copy().reshape((2,) * state.num_qubits)
+
+
 class TestGatePlans:
     """Cached per-shape kernels: exhaustive at 6 qubits, bit for bit where paths differ."""
 
@@ -289,6 +312,87 @@ class TestGatePlans:
             expected = state.amplitudes.copy()
             expected[marked] *= -1
             npt.assert_array_equal(sim.apply(state, gate).amplitudes, expected)
+
+    # The merged-run view against the (2,)*n view, bit for bit, signed zeros
+    # included, on random qubit sets from 2 to 16 qubits.
+
+    @pytest.mark.parametrize("num_qubits", range(2, 17))
+    def test_swap_gates_match_the_bit_view(self, num_qubits):
+        n = num_qubits
+        state = signed_zero_state(n, seed=200 + n)
+        rng = np.random.default_rng(n)
+        gates = []
+        for target in sorted({0, n - 1, int(rng.integers(n))}):
+            others = [int(q) for q in rng.permutation(n) if q != target]
+            below = [q for q in others if q < target]
+            above = [q for q in others if q > target]
+            adjacent = [q for q in (target - 1, target + 1) if 0 <= q < n]
+            gates += [sim.pauli_x(target), sim.cnot(others[0], target)]
+            gates.append(sim.pauli_x(target, adjacent))  # next to the target
+            gates.append(sim.pauli_x(target, others[: int(rng.integers(1, len(others) + 1))]))
+            if below and above:
+                gates.append(sim.mcx([below[0], above[-1]], target))  # on both sides
+        for gate in gates:
+            expected = bit_view(state)
+            ones = dict.fromkeys(gate.controls, 1)
+            lower = bit_index(n, {**ones, gate.targets[0]: 0})
+            upper = bit_index(n, {**ones, gate.targets[0]: 1})
+            expected[lower], expected[upper] = expected[upper], expected[lower].copy()
+            out = sim.apply(state, gate).amplitudes
+            assert same_bits(out, expected.reshape(-1)), gate
+
+    @pytest.mark.parametrize("num_qubits", range(2, 17))
+    def test_x_runs_match_the_bit_view(self, num_qubits):
+        n = num_qubits
+        state = signed_zero_state(n, seed=300 + n)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            qubits = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+            repeats = rng.integers(1, 4, size=len(qubits))  # odd and even repeat counts
+            targets = [q for q, r in zip(qubits, repeats) for _ in range(r)]
+            targets = [targets[i] for i in rng.permutation(len(targets))]
+            expected = bit_view(state)
+            for q in targets:
+                expected = np.flip(expected, axis=n - 1 - q)
+            circuit = Circuit(n, tuple(sim.pauli_x(q) for q in targets))
+            out = sim.run(circuit, state).amplitudes
+            assert same_bits(out, np.ascontiguousarray(expected).reshape(-1)), targets
+
+    @pytest.mark.parametrize("num_qubits", range(2, 17))
+    def test_phase_oracles_match_the_bit_view(self, num_qubits):
+        n = num_qubits
+        state = signed_zero_state(n, seed=400 + n)
+        rng = np.random.default_rng(n)
+        width = int(rng.integers(1, n))
+        low = int(rng.integers(0, n - width + 1))
+        registers = [
+            tuple(int(q) for q in rng.permutation(n)[:width]),  # scattered
+            tuple(range(low, low + width)),  # contiguous
+            tuple(range(low, low + width))[::-1],
+            tuple(range(n)),  # whole register, in order
+            tuple(int(q) for q in rng.permutation(n)),  # whole register, any order
+        ]
+        for register in registers:
+            size = 1 << len(register)
+            marked = sorted({int(v) for v in rng.integers(0, size, size=4)})
+            expected = bit_view(state)
+            for value in marked:
+                index = bit_index(n, {q: (value >> p) & 1 for p, q in enumerate(register)})
+                expected[index] = -expected[index]
+            out = sim.apply(state, sim.phase_oracle(register, marked)).amplitudes
+            assert same_bits(out, expected.reshape(-1)), (register, marked)
+
+    @pytest.mark.parametrize("num_qubits", range(2, 17))
+    def test_prob_all_zero_matches_the_bit_view(self, num_qubits):
+        n = num_qubits
+        state = signed_zero_state(n, seed=500 + n)
+        rng = np.random.default_rng(n)
+        widths = rng.integers(1, n + 1, size=6)
+        scattered = [tuple(int(q) for q in rng.permutation(n)[:w]) for w in widths]
+        for register in [(0,), (n - 1,), tuple(range(n)), *scattered]:
+            zero = bit_view(state)[bit_index(n, dict.fromkeys(register, 0))]
+            expected = np.array([np.sum(np.abs(zero) ** 2)])
+            assert same_bits(np.array([sim.prob_all_zero(state, register)]), expected), register
 
 
 class TestRunBuffer:
@@ -1438,6 +1542,29 @@ class TestSampling:
     def test_negative_seed_is_a_structural_error(self, seed):
         with pytest.raises(StructuralError, match="non-negative"):
             sim.sample_measurement(StateVector.zero(2), range(2), 1, seed)
+
+    @pytest.mark.parametrize(
+        "seed", [2.5, 2.0, np.float64(2.0), True, np.bool_(True), float("nan"), "2", None, [2]]
+    )
+    def test_non_integer_seeds_are_structural_errors(self, seed):
+        # check_seed(2.5) was 2 and check_seed(True) 1; as_rng(True) was accepted.
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            sim.check_seed(seed)
+        with pytest.raises(StructuralError, match="non-negative integer"):
+            sim.as_rng(seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, np.int64(7), np.uint8(7)])
+    def test_integer_seeds_are_kept_whole(self, seed):
+        assert sim.check_seed(seed) == int(seed) and type(sim.check_seed(seed)) is int
+        expected = np.random.default_rng(int(seed)).random(3)
+        assert np.array_equal(sim.as_rng(seed).random(3), expected)
+
+    def test_seed_sequences_and_generators_pass_as_rng(self):
+        sequence = np.random.SeedSequence(5)
+        expected = np.random.default_rng(np.random.SeedSequence(5)).random(3)
+        assert np.array_equal(sim.as_rng(sequence).random(3), expected)
+        generator = np.random.default_rng(5)
+        assert sim.as_rng(generator) is generator
 
     def test_seed_determinism(self):
         state = random_state(3, seed=29)
