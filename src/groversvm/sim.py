@@ -16,26 +16,21 @@ a copy; the norm is checked once, with ``np.vdot``.  Each gate shape (qubit
 count, kind, targets, controls) gets an in-place kernel planned once and kept
 in a bounded cache, so a repeated gate costs only its array work.
 
-A kernel or reader that fixes, flips or sums a set of qubits views the
-buffer with one axis per maximal run of adjacent qubits inside or outside
-the set, from the top qubit down (see :func:`_view`).  An inside run is
-indexed by the integer its qubits' bits spell, the run's lowest qubit as
-bit 0: an X, CNOT or MCX swaps the slices with the target at 0 and at 1 and
-every control at 1, a phase oracle negates each marked value's slice (on
-the whole register in order, the value is the basis index), and
-:func:`prob_all_zero` sums the slice with the register at 0.  These only
-copy, negate or read amplitudes, so every amplitude keeps its bits.
-
-A diffusion is the one reduction: it sums over the register's axes of that
-view.  numpy sums the last axis pairwise and every other axis in index
-order, so the bits of a register's mean depend only on whether the register
-holds qubit 0.  The tile and prefix rules below keep that fact.
+A kernel that fixes, flips or sums a set of qubits views the buffer with one
+axis per maximal run of adjacent qubits inside or outside the set (see
+:func:`_view`), an inside run indexed by the integer its bits spell, its
+lowest qubit as bit 0.  X, CNOT and MCX swap slices of that view, a phase
+oracle negates them (on the whole register in order, the value is the basis
+index) and :func:`prob_all_zero` reads one, so every amplitude keeps its
+bits.  A diffusion, the one reduction, sums over the register's axes: numpy
+sums the last axis pairwise and every other axis in index order, so the
+bits of a register's mean depend only on whether the register holds qubit 0.
+The tile and prefix rules below keep that fact.
 
 Permutation gates are fused: each maximal run of consecutive X gates is one
-strided copy of the view of the qubits flipped an odd number of times,
-reversed on each of their axes, since reversing an axis of ``2**k`` entries
-flips all ``k`` of its qubits.  Each run of two or more CNOT/MCX gates is
-one gather through an int32 index array built by applying the run to an
+strided copy of the view of the qubits it flips an odd number of times,
+reversed on their axes.  Each run of two or more CNOT/MCX gates is one
+gather through an int32 index array built by applying the run to an
 ``arange``.  The arrays are kept in a least-recently-used cache keyed by
 the run's gate shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same
 run reversed is the inverse permutation, a scatter through the same array.
@@ -672,14 +667,23 @@ def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> N
         np.copyto(columns, block)
 
 
+@lru_cache(maxsize=4096)
+def _flip_view(num_qubits: int, flipped: frozenset) -> tuple[tuple, tuple]:
+    """The view's shape, and its index reversing the axis of each run of ``flipped`` qubits.
+
+    Reversing an axis of ``2**k`` entries flips all ``k`` of its qubits.  Kept
+    per set: building the view's tuples on every X run raised the peak RSS.
+    """
+    shape, index = _view(num_qubits, dict.fromkeys(flipped, 0))
+    return shape, tuple(slice(None, None, -1) if isinstance(i, int) else i for i in index)
+
+
 def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None:
     """Write ``psi`` with the X gates applied into ``out``: one strided copy."""
-    # Reversing the axis of a run of k flipped qubits flips all k of them.
     flipped = set()
     for gate in gates:
         flipped ^= set(gate.targets)
-    shape, index = _view(num_qubits, dict.fromkeys(flipped, 0))
-    index = tuple(slice(None, None, -1) if isinstance(i, int) else i for i in index)
+    shape, index = _flip_view(num_qubits, frozenset(flipped))
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
