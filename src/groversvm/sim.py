@@ -37,8 +37,22 @@ run reversed is the inverse permutation, a scatter through the same array.
 A run whose array would not fit is applied gate by gate.  Either way the
 amplitudes are bit for bit those of the per-gate kernels.
 
+Grover rounds are applied in closed form, the one path that does not keep
+the per-gate bits.  A maximal run of two or more repeats of one phase oracle
+and diffusion pair, in either order, is one step (see :func:`_rounds_plan`)
+when the diffusion's register is one run of adjacent qubits listed low to
+high and no column (value of the qubits outside it) holds two marked values.
+Every round negates a column's part orthogonal to the uniform and the marked
+state (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034), so ``k`` rounds
+are the register sum, a gather of the marked amplitudes, a 2 x 2 matrix
+power per column, one broadcast pass and a scatter, instead of ``2k`` state
+sweeps.  The amplitudes move by rounding only: the tests hold them within
+1e-13 of the per-gate kernels.  The register sum is the diffusion's, and
+every column is computed alike at any width, so the from-zero prefix and
+``run_many`` below still give the bits of the full-width run.
+
 On a state of many tiles of ``_CACHE_ROW`` amplitudes, a run of consecutive
-Hadamard, phase-oracle and diffusion gates (a search block) goes tile by
+Hadamard, phase-oracle and diffusion gates outside those rounds goes tile by
 tile: when every gate acts on qubits ``lo`` and up, each block of columns of
 the ``(2**(n-lo), 2**lo)`` view is copied into a cache-sized tile, every gate
 of the run is applied to it with the per-gate kernels, and it is copied
@@ -79,16 +93,12 @@ numpy's buffered iterator (measured with numpy 2.4) runs a ufunc on a
 multi-dimensional view whose contiguous inner run is shorter than the ufunc
 buffer (8192 elements by default) by copying operands through that buffer.
 So on a state of at least ``_SCOPE_MIN_AMPLITUDES`` amplitudes the Hadamard
-butterfly and the diffusion's broadcast subtract run under a buffer planned
-from their shape (see :func:`_scoped`): the butterfly under one run of its
-``(rows, run)`` views, the subtract under its last axis, or
-``_SHORT_RUN_BUFFER`` elements when that axis is too short to repay one
-inner loop per row.  The buffer is set with ``np.setbufsize`` around those
+butterfly runs under a buffer of one run of its ``(rows, run)`` views (see
+:func:`_scoped`).  The buffer is set with ``np.setbufsize`` around those
 calls only, and the caller's size is restored after each, also on error.
 Buffering only copies elementwise operands, so every amplitude keeps its
-bits, signed zeros included.  Reductions, such as the diffusion's sum, run
-at the caller's buffer: a short buffer slowed a tile's axis-0 sum, and
-numpy's pairwise summation may cut its blocks at buffer boundaries.
+bits, signed zeros included.  Every other kernel runs at the caller's
+buffer.
 
 :func:`zero_probability` reads one register of a circuit run from |0...0>,
 so it runs only the register's backward light cone.  Walking the gates
@@ -151,21 +161,17 @@ _PERMUTATION_CACHE_BYTES = 16 << 20
 # a time; in a faithful preprocessing run, 8 states raised peak RSS by 0.3 MB
 # more than 4 did, and 16 states by 0.7 MB more.
 _BATCH_AMPLITUDES = _CACHE_ROW >> 2
+# Registers of fewer qubits take their rounds gate by gate: a closed-form run
+# holds about ten arrays of one entry per column, which would outgrow the state
+# below this width, and on such registers k is at most 2 at the optimum.
+_ROUNDS_MIN_QUBITS = 4
 # numpy's default ufunc buffer, in elements.  Kernels whose contiguous inner
 # run is this long or longer run at the caller's buffer (see _scoped).
 _UFUNC_BUFFER = 8192
 # States below this many amplitudes run at the caller's buffer: at 12 and 13
 # qubits, setting and restoring it (about 4 us) cost more than the copies it
-# saves in most diffusions.
+# saves.
 _SCOPE_MIN_AMPLITUDES = 1 << 14
-# A diffusion whose inner run is shorter than _SHORT_RUN runs under a buffer of
-# _SHORT_RUN_BUFFER elements instead.  On a 2**16-amplitude tile, the
-# (1024, 64) subtract of a top-block diffusion took 108 us at the default
-# buffer, 131 us under a buffer of its run (one inner loop per row) and 78 us
-# under 1024 elements (the broadcast mean is copied into a buffer that stays
-# in L1); a (256, 256) bottom block took 118, 70 and 116 us.
-_SHORT_RUN = 256
-_SHORT_RUN_BUFFER = 1024
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -513,19 +519,12 @@ def _diffusion_plan(num_qubits: int, targets: tuple[int, ...]):
     if len(axis) == 1:
         axis = axis[0]  # an int axis is cheaper per call than a tuple
     count = 1 << len(targets)
-    # The broadcast subtract's inner run is the last axis; the reduction keeps
-    # the caller's buffer (see the module docstring).
-    run = shape[-1]
-    size = None
-    if len(shape) > 1 and 1 << num_qubits >= _SCOPE_MIN_AMPLITUDES and run < _UFUNC_BUFFER:
-        size = run if run >= _SHORT_RUN else _SHORT_RUN_BUFFER
-    reflect = _scoped(np.subtract, size)
 
     def apply(psi, marked):
         view = psi.reshape(shape)
         mean = np.add.reduce(view, axis=axis, keepdims=True)
         np.true_divide(mean, count, out=mean)
-        reflect(2.0 * mean, view, view)
+        np.subtract(2.0 * mean, view, out=view)
 
     return apply
 
@@ -617,6 +616,8 @@ _PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
 _FUSED = {PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}  # run kind of each permutation gate kind
 _FROM_ZERO = object()  # ``run``'s initial state from ``run_from_zero``: |0...0>, never built
 _TILED = "tiled"  # run kind of a gate that can be applied tile by tile
+_ROUNDS = "rounds"  # step kind of a run of oracle-diffusion rounds applied in closed form
+_PAIRED = {PHASE_ORACLE: DIFFUSION, DIFFUSION: PHASE_ORACLE}
 
 
 def _run_key(num_qubits: int):
@@ -667,6 +668,159 @@ def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> N
         np.copyto(columns, block)
 
 
+def _same(gate: Gate, other: Gate) -> bool:
+    """Whether ``gate`` acts as ``other`` does: the same object, or the same shape and marks."""
+    return gate is other or (gate == other and gate.marked == other.marked)
+
+
+@lru_cache(maxsize=256)
+def _round_power(size: int, rounds: int, oracle_first: bool) -> tuple[float, ...]:
+    """Row by row, ``rounds`` oracle-diffusion rounds on the ``(alpha, beta)`` of a column.
+
+    A column ``v = w + alpha * 1 + beta * e_t`` of a ``size``-value register
+    marked at ``t`` has ``sum(w) = 0`` and ``w_t = 0``.  On ``(alpha, beta)``
+    the oracle is ``[[1, 0], [-2, -1]]`` and the diffusion is
+    ``[[1, 2/size], [0, -1]]``, and both negate ``w``.  The power is taken in
+    integers, with the diffusion scaled by ``size``, and each entry is
+    rounded once.
+    """
+    oracle, diffusion = ((1, 0), (-2, -1)), ((size, 2), (0, -size))
+
+    def product(a, b):
+        return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in (0, 1)) for i in (0, 1))
+
+    step = product(diffusion, oracle) if oracle_first else product(oracle, diffusion)
+    power, scale = ((1, 0), (0, 1)), size**rounds
+    while rounds:
+        if rounds & 1:
+            power = product(power, step)
+        step = product(step, step)
+        rounds >>= 1
+    return tuple(entry / scale for row in power for entry in row)
+
+
+def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]):
+    """Each column's marked register value, -1 where it has none; None if a column has two.
+
+    ``register`` is adjacent qubits listed low to high.  A column fixes every
+    qubit outside it, and columns are numbered in basis-index order.  A
+    marked value spells the oracle's qubits and covers every value of the
+    qubits it leaves free, so one that leaves a register qubit free marks two
+    values of a column.
+    """
+    n = num_qubits
+    lo, width = register[0], len(register)
+    if oracle.targets == tuple(range(n)):
+        spelled = np.array(oracle.marked, dtype=np.int64)  # the marked value is the basis index
+    else:
+        spelled = np.array([sum((v >> p & 1) << q for p, q in enumerate(oracle.targets))
+                            for v in oracle.marked], dtype=np.int64)
+    indices = np.zeros(1, dtype=np.int64)
+    for q in set(range(n)).difference(oracle.targets):
+        indices = np.concatenate([indices, indices | 1 << q])
+    indices = (spelled[:, None] | indices).reshape(-1)
+    marks = np.full(1 << (n - width), -1, dtype=np.int64)
+    columns = indices >> (lo + width) << lo | indices & (1 << lo) - 1
+    marks[columns] = indices >> lo & (1 << width) - 1
+    # np.unique would import numpy.ma (about 1 MB); a column written twice counts once.
+    return marks if np.count_nonzero(marks >= 0) == indices.size else None
+
+
+def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
+    """The kernel ``apply(psi)`` of ``rounds`` repeats of ``first`` then ``second``, or None.
+
+    One gate is a phase oracle and the other a diffusion on at least
+    ``_ROUNDS_MIN_QUBITS`` adjacent qubits listed low to high, and no column
+    holds two marked values (see :func:`_column_marks`).  Each column gets the closed form of
+    :func:`_round_power` from its register sum and its marked amplitude: with
+    ``s = (-1)**rounds`` and ``(alpha', beta')`` the rounds' image,
+    ``v <- s * v + (alpha' - s * alpha) * 1``, and ``alpha' + beta'`` at
+    ``t``.  A column with no mark gets the diffusion's power, in the same
+    coordinates at ``t = 0``.  Every column is computed alike whatever the
+    state's width, and the register sum is the diffusion's, so ``run_many``
+    rows and from-zero prefixes keep the bits of the full-width run.
+    """
+    oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
+    register, low = diffusion.targets, diffusion.targets[0]
+    if len(register) < _ROUNDS_MIN_QUBITS or register != tuple(range(low, low + len(register))):
+        return None
+    marks = _column_marks(num_qubits, oracle, register)
+    if marks is None:
+        return None
+    runs = _runs(num_qubits, register)
+    shape = tuple(1 << len(run) for _, run in runs)
+    axis = [inside for inside, _ in runs].index(True)
+    kept = shape[:axis] + (1,) + shape[axis + 1 :]
+    size = 1 << len(register)
+    # The basis index of each column's marked amplitude, or of its value 0.
+    columns = np.arange(marks.size)
+    marked_at = columns >> low << len(register) | np.maximum(marks, 0)
+    marked_at = (marked_at << low | columns & (1 << low) - 1).reshape(kept)
+    odd = rounds % 2
+    plain = (1.0, 2 / size, 0.0, -1.0) if odd else (1.0, 0.0, 0.0, 1.0)  # the diffusion's power
+    fused = _round_power(size, rounds, first is oracle)
+    coefficients = np.where((marks >= 0).reshape(kept)[..., None], fused, plain)
+    c00, c01, c10, c11 = np.moveaxis(coefficients, -1, 0)
+
+    def apply(psi):
+        view = psi.reshape(shape)
+        total = np.add.reduce(view, axis=axis, keepdims=True)
+        marked = psi[marked_at]
+        alpha = (total - marked) / (size - 1)
+        beta = marked - alpha
+        alpha_out = c00 * alpha + c01 * beta
+        beta_out = c10 * alpha + c11 * beta
+        if odd:
+            np.subtract(alpha_out + alpha, view, out=view)
+        else:
+            view += alpha_out - alpha
+        psi[marked_at] = alpha_out + beta_out
+
+    return apply
+
+
+def _round_runs(num_qubits: int, gates):
+    """``(start, stop, apply)`` for each run of ``_rounds_plan`` rounds in ``gates``.
+
+    A run is a maximal repeat, two or more times, of one oracle and diffusion
+    pair in either order.
+    """
+    kinds = [gate.kind for gate in gates]
+    if DIFFUSION not in kinds:
+        return
+    count = len(kinds)
+    i = 0
+    while i + 4 <= count:
+        if _PAIRED.get(kinds[i]) != kinds[i + 1]:
+            i += 1
+            continue
+        first, second = gates[i], gates[i + 1]
+        j = i + 2
+        while j + 1 < count and _same(gates[j], first) and _same(gates[j + 1], second):
+            j += 2
+        apply = _rounds_plan(num_qubits, first, second, (j - i) // 2) if j - i >= 4 else None
+        if apply is None:
+            i = j - 1  # read from the next gate on, the same pair neither runs further nor fuses
+            continue
+        yield i, j, apply
+        i = j
+
+
+def _steps(num_qubits: int, gates):
+    """``(kind, step)`` for each step of :func:`_evolve`.
+
+    A ``_ROUNDS`` step is the kernel of a run of rounds; the gates between
+    those runs are grouped by :func:`_run_key`.
+    """
+    key = _run_key(num_qubits)
+    start = 0
+    for begin, end, apply in _round_runs(num_qubits, gates):
+        yield from groupby(gates[start:begin], key=key)
+        yield _ROUNDS, apply
+        start = end
+    yield from groupby(gates[start:], key=key)
+
+
 @lru_cache(maxsize=4096)
 def _flip_view(num_qubits: int, flipped: frozenset) -> tuple[tuple, tuple]:
     """The view's shape, and its index reversing the axis of each run of ``flipped`` qubits.
@@ -690,16 +844,21 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
 def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
     """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
-    Each run of consecutive X gates is one strided copy, each run of two or
-    more CNOT/MCX gates is one gather (or scatter) through a cached index
-    array, and each ``_TILED`` run with at least ``_TILE_MIN_SWEEPS``
-    Hadamard or diffusion gates is applied tile by tile; the amplitudes are
-    those of applying the gates one at a time.
+    Each run of two or more oracle-diffusion rounds that
+    :func:`_rounds_plan` accepts is applied in closed form, within rounding
+    of the gates.  Between those runs, each run of consecutive X gates is one
+    strided copy, each run of two or more CNOT/MCX gates is one gather (or
+    scatter) through a cached index array, and each ``_TILED`` run with at
+    least ``_TILE_MIN_SWEEPS`` Hadamard or diffusion gates is applied tile by
+    tile; those amplitudes are the bits of applying the gates one at a time.
     """
     n = num_qubits
     spare = None
-    for kind, gates in groupby(gates, key=_run_key(n)):
-        gates = list(gates)
+    for kind, step in _steps(n, gates):
+        if kind == _ROUNDS:
+            step(psi)
+            continue
+        gates = list(step)
         if kind == _TILED and sum(gate.kind != PHASE_ORACLE for gate in gates) >= _TILE_MIN_SWEEPS:
             if spare is None:
                 spare = np.empty(_CACHE_ROW, dtype=np.complex128)
@@ -811,10 +970,9 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
 
     The gates go through :func:`_evolve`; from |0...0> (``run_from_zero``)
     the leading gates that touch few qubits go through :func:`_from_zero`
-    first.  Either way the amplitudes are those of applying the gates one at
-    a time to the whole state.  The oracles are billed from the circuit's gate
-    list, and the norm is checked once, on the returned state, which takes
-    over the buffer without a copy.
+    first, with the bits of running them on the whole state.  The oracles
+    are billed from the circuit's gate list, and the norm is checked once, on
+    the returned state, which takes over the buffer without a copy.
     """
     n = circuit.num_qubits
     gates = circuit.gates

@@ -14,6 +14,10 @@ from groversvm import sim
 from groversvm.errors import ContractViolationError, ResourceCapError, StructuralError
 from groversvm.sim import Circuit, StateVector
 
+# Largest amplitude difference allowed between a closed-form run of rounds and
+# the same gates applied one at a time.
+ROUNDS_TOL = 1e-13
+
 
 def random_state(num_qubits: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
@@ -645,7 +649,7 @@ class TestTiledRuns:
     def test_search_block_at_20_qubits(self, tiled_calls):
         from groversvm.grover import IndicatorOracle, search_gates
 
-        n, k = 20, 2  # 10 Hadamards and 2 diffusions per block
+        n, k = 20, 1  # 10 Hadamards and a diffusion per block; two rounds would be closed form
         oracle = IndicatorOracle(1 << 10, 300)
         block = search_gates(oracle, k, range(10, 20))
         gates = [sim.hadamard(0), sim.hadamard(3)] + block + [sim.pauli_x(12)] + block[::-1]
@@ -656,13 +660,18 @@ class TestTiledRuns:
         assert same_bits(out.amplitudes, per_gate(state, gates))
 
     def test_size_rules_at_the_real_tile(self, tiled_calls):
-        from groversvm.grover import IndicatorOracle, search_gates
+        from groversvm.grover import IndicatorOracle
 
         def tiles(n, register, k):
-            """Whether k oracle and diffusion rounds on ``register`` go tile by tile."""
+            """Whether k oracle and diffusion rounds on ``register`` go tile by tile.
+
+            The oracle alternates between two marked values, so no two rounds
+            repeat and none is applied in closed form.
+            """
             tiled_calls.clear()
-            oracle = IndicatorOracle(1 << len(register), 1)
-            circuit = Circuit(n, tuple(search_gates(oracle, k, register)[len(register) :]))
+            marks = [IndicatorOracle(1 << len(register), v).phase_gate(register) for v in (1, 2)]
+            rounds = [[marks[r % 2], sim.diffusion(register)] for r in range(k)]
+            circuit = Circuit(n, tuple(gate for pair in rounds for gate in pair))
             out = sim.run(circuit, StateVector.zero(n))  # run_from_zero would run it on fewer qubits
             tiled = len(tiled_calls) == 1
             assert same_bits(sim.run_from_zero(circuit).amplitudes, out.amplitudes)
@@ -695,9 +704,10 @@ class TestTiledRuns:
         oracle = IndicatorOracle(1 << 5, 21)
         gates = search_gates(oracle, k, range(n - 5, n))
         state = sim.run(Circuit(n, tuple(gates)), StateVector.zero(n))
-        assert oracle.query_count == k  # over 16 tiles
-        assert len(tiled_calls) == 1
-        assert same_bits(state.amplitudes, per_gate(StateVector.zero(n), gates))
+        assert oracle.query_count == k  # the Hadamards over 16 tiles, the rounds in closed form
+        assert tiled_calls == [gates[:5]]
+        expected = per_gate(StateVector.zero(n), gates)
+        assert np.abs(state.amplitudes - expected).max() <= ROUNDS_TOL
         assert oracle.query_count == k  # the per-gate reference bills nothing
 
     def test_billing_only_runs_are_not_tiled(self, small_tiles, tiled_calls):
@@ -1123,6 +1133,127 @@ class TestRunMany:
         assert len({id(state.amplitudes) for state in states}) == 3
 
 
+def step_kinds(num_qubits: int, gates) -> list:
+    """The kind of each step ``_evolve`` takes for ``gates``."""
+    return [kind for kind, _ in sim._steps(num_qubits, gates)]
+
+
+def assert_rounds_match_per_gate(state: StateVector, gates) -> None:
+    out = sim.run(Circuit(state.num_qubits, tuple(gates)), state).amplitudes
+    assert np.abs(out - per_gate(state, gates)).max() <= ROUNDS_TOL
+
+
+class TestRounds:
+    """Two or more repeats of one oracle-diffusion pair are one closed-form step."""
+
+    @pytest.mark.parametrize("rounds", ["odd", "even", "optimal"])
+    @pytest.mark.parametrize("order", ["oracle_first", "diffusion_first"])
+    @pytest.mark.parametrize("place", ["bottom", "top", "middle"])
+    @pytest.mark.parametrize("n", [6, 11, 16])
+    def test_matches_per_gate_application(self, n, place, order, rounds):
+        from groversvm.grover import optimal_iterations
+
+        rng = np.random.default_rng([n, len(place), len(order), len(rounds)])
+        width = n // 2 + 1
+        low = {"bottom": 0, "top": n - width, "middle": (n - width) // 2}[place]
+        register = tuple(range(low, low + width))
+        k = {"odd": 3, "even": 4, "optimal": optimal_iterations(1 << width)}[rounds]
+        marked = int(rng.integers(1 << width))
+        pair = [sim.phase_oracle(register, [marked]), sim.diffusion(register)]
+        gates = (pair if order == "oracle_first" else pair[::-1]) * k
+        assert step_kinds(n, gates) == [sim._ROUNDS]
+        assert_rounds_match_per_gate(random_state(n, seed=int(rng.integers(1 << 30))), gates)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_columns_without_a_mark(self, k):
+        # An oracle on every qubit marks two of the eight columns of a bottom
+        # register; the other six get the diffusion alone.
+        n, register = 8, tuple(range(5))
+        oracle = sim.phase_oracle(range(n), [3 | 2 << 5, 30 | 5 << 5])
+        gates = [oracle, sim.diffusion(register)] * k
+        assert step_kinds(n, gates) == [sim._ROUNDS]
+        assert_rounds_match_per_gate(random_state(n, seed=80 + k), gates)
+
+    @pytest.mark.parametrize("case", [
+        "one_round", "two_marks", "high_to_low", "not_adjacent", "oracle_inside_the_register",
+        "two_marks_in_a_column_of_an_extra_qubit", "three_qubits",
+    ])
+    def test_runs_that_are_not_fused_keep_their_bits(self, case):
+        n, register, marks, k = 8, (2, 3, 4, 5), [9], 3
+        oracle_register = register
+        if case == "one_round":
+            k = 1
+        elif case == "three_qubits":
+            register = oracle_register = (2, 3, 4)
+            marks = [5]
+        elif case == "two_marks":
+            marks = [9, 12]
+        elif case == "high_to_low":
+            register = oracle_register = register[::-1]
+        elif case == "not_adjacent":
+            register = oracle_register = (1, 2, 4, 5)
+        elif case == "oracle_inside_the_register":
+            oracle_register = register[:3]  # a mark covers two values of the register
+            marks = [5]
+        else:  # qubit 6 is 0 in both marks
+            oracle_register = register + (6,)
+            marks = [9, 12]
+        gates = [sim.phase_oracle(oracle_register, marks), sim.diffusion(register)] * k
+        assert sim._ROUNDS not in step_kinds(n, gates)
+        state = random_state(n, seed=90)
+        out = sim.run(Circuit(n, tuple(gates)), state)
+        assert same_bits(out.amplitudes, per_gate(state, gates))
+
+    def test_an_extra_oracle_qubit_may_leave_its_run_partly_free(self, low_prefix):
+        # The oracle adds qubit 6 of the run 6-8 above the register; its two marks
+        # differ there, so no column holds two.  The from-zero prefix runs on the
+        # touched qubits 0-6, where qubit 6 is a whole run: the same rule must
+        # hold at both widths for the prefix to keep the full-width bits.
+        n, register = 9, (2, 3, 4, 5)
+        oracle = sim.phase_oracle(register + (6,), [9, 12 | 1 << 4])
+        gates = [sim.hadamard(q) for q in register + (6,)]
+        gates += [oracle, sim.diffusion(register)] * 3 + [sim.hadamard(q) for q in range(n)]
+        circuit = Circuit(n, tuple(gates))
+        assert sim._zero_prefix(n, circuit.gates) == (18, 0b001111111)
+        assert step_kinds(n, gates).count(sim._ROUNDS) == 1
+        expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+        assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+        assert np.abs(expected - per_gate(StateVector.zero(n), gates)).max() <= ROUNDS_TOL
+
+    def test_run_many_chunks_with_per_row_marks(self, chunk_rows, monkeypatch):
+        # Two chunks of four rows; the second holds three searches and a row
+        # that marks nothing.
+        n = 7
+        chunk_rows(n, 4)
+        circuits = search_circuits(1 << n, [0, 5, 127, 64, 9, 33, 100])
+        plans = []
+        original = sim._rounds_plan
+
+        def spy(num_qubits, first, second, rounds):
+            apply = original(num_qubits, first, second, rounds)
+            plans.append((num_qubits, apply is not None))
+            return apply
+
+        monkeypatch.setattr(sim, "_rounds_plan", spy)
+        states = list(sim.run_many(circuits))
+        assert plans == [(n + 2, True), (n + 2, True)]
+        for state, circuit in zip(states, circuits, strict=True):
+            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+            expected = per_gate(StateVector.zero(n), circuit.gates)
+            assert np.abs(state.amplitudes - expected).max() <= ROUNDS_TOL
+
+    def test_a_20_qubit_search(self):
+        from groversvm.grover import (
+            IndicatorOracle, optimal_iterations, search_circuit, theoretical_success_probability,
+        )
+
+        N, marked = 1 << 20, 654321
+        oracle = IndicatorOracle(N, marked)
+        state = sim.run_from_zero(search_circuit(oracle))
+        assert oracle.query_count == optimal_iterations(N)
+        assert abs(abs(state.amplitudes[marked]) ** 2 - theoretical_success_probability(N)) <= 1e-14
+
+
 @pytest.fixture
 def buffer_sizes(monkeypatch):
     """Every ufunc buffer size set through ``np.setbufsize``, in call order."""
@@ -1135,6 +1266,12 @@ def buffer_sizes(monkeypatch):
 
     monkeypatch.setattr(np, "setbufsize", spy)
     return sizes
+
+
+def unsearch_circuits(marks) -> list:
+    """12-qubit circuits: Hadamards, a phase oracle marking one value, Hadamards again."""
+    hadamards = tuple(sim.hadamard(q) for q in range(12))
+    return [Circuit(12, hadamards + (sim.phase_oracle(range(12), [m]),) + hadamards) for m in marks]
 
 
 def at_default_buffer(compute):
@@ -1169,28 +1306,33 @@ class TestUfuncBuffer:
 
     @pytest.mark.parametrize("register, size", [
         (range(6, 16), 1024),  # a tile's top block: a (1024, 64) view
-        (range(8, 16), 256),  # (256, 256): a buffer of the run
+        (range(8, 16), 256),  # (256, 256)
         (range(0, 9), 512),  # a bottom block: (128, 512)
-        (range(0, 4), 1024),  # (4096, 16): a short run gets 1024
+        (range(0, 4), 1024),  # (4096, 16)
         (range(4, 12), 1024),  # a middle block: (16, 256, 16)
     ])
     def test_diffusion_blocks_of_a_tile(self, register, size, buffer_sizes):
+        # The diffusion runs at the caller's buffer, here ``size`` elements.
         state = random_state(16, seed=67)
         view = state.amplitudes.reshape((2,) * 16)
         axes = tuple(15 - q for q in register)
         expected = at_default_buffer(lambda: 2.0 * view.mean(axis=axes, keepdims=True) - view)
-        buffer_sizes.clear()
-        out = sim.apply(state, sim.diffusion(register)).amplitudes
+        previous = np.setbufsize(size)
+        try:
+            out = sim.apply(state, sim.diffusion(register)).amplitudes
+        finally:
+            np.setbufsize(previous)
         assert out.tobytes() == expected.reshape(-1).tobytes()
-        assert buffer_sizes == [size, 8192]
 
     def test_a_chunk_of_four_searches(self, buffer_sizes):
-        circuits = search_circuits(1 << 12, [5, 1000, 2049, 4095])
+        # In a chunk of four rows, a state of 14 qubits, the Hadamards after the
+        # oracle run scoped: runs of 32 to 2048 amplitudes on qubits 5 to 11.
+        circuits = unsearch_circuits([5, 1000, 2049, 4095])
         expected = at_default_buffer(lambda: [sim.run_from_zero(c).amplitudes for c in circuits])
         assert buffer_sizes == [8192, 8192]  # set and restored here: no 12-qubit scope
         states = list(sim.run_many(circuits))
         assert sim._BATCH_AMPLITUDES >> 12 == len(circuits)  # one chunk of four rows
-        assert 4096 in buffer_sizes  # the chunk's diffusions: (4, 4096) views
+        assert sorted(set(buffer_sizes) - {8192}) == [1 << q for q in range(5, 12)]
         for state, amps in zip(states, expected):
             assert same_bits(state.amplitudes, amps)
 
@@ -1220,14 +1362,13 @@ class TestUfuncBuffer:
             seen.append(np.getbufsize())
             raise FloatingPointError("inside the scope")
 
-        sim._plan.cache_clear()  # the diffusion plan takes np.subtract when planned
-        monkeypatch.setattr(np, "subtract", failing_subtract)
+        monkeypatch.setattr(np, "subtract", failing_subtract)  # the butterfly calls it
         state = random_state(16, seed=73)
-        circuit = Circuit(16, (sim.diffusion(range(6, 16)),))
+        circuit = Circuit(16, (sim.hadamard(10),))
         calls = [
             lambda: sim.apply(state, sim.hadamard(8)),
             lambda: sim.run(circuit, state),
-            lambda: list(sim.run_many(search_circuits(1 << 12, [1, 2, 3, 4]))),
+            lambda: list(sim.run_many(unsearch_circuits([1, 2, 3, 4]))),
         ]
         previous = np.setbufsize(2048)
         try:
@@ -1238,8 +1379,7 @@ class TestUfuncBuffer:
         finally:
             np.setbufsize(previous)
             monkeypatch.undo()
-            sim._plan.cache_clear()
-        assert seen == [256, 1024, 4096]
+        assert seen == [256, 1024, 32]  # the chunk's first scoped Hadamard is on qubit 5
 
 
 class TestBilling:
@@ -1247,8 +1387,8 @@ class TestBilling:
 
     @pytest.mark.parametrize(
         "path",
-        ["apply", "gate_by_gate", "fused", "tiled", "prefix", "run_many", "run_many_one_at_a_time",
-         "run_many_padded", "run_many_shape_mismatch"],
+        ["apply", "gate_by_gate", "fused", "tiled", "prefix", "rounds", "run_many",
+         "run_many_one_at_a_time", "run_many_padded", "run_many_shape_mismatch"],
     )
     def test_one_query_per_listed_gate(self, path, request, chunk_rows):
         oracles = [Billed() for _ in range(7)]
@@ -1284,6 +1424,14 @@ class TestBilling:
             # Marking oracles in the prefix: it is replayed on +0, which bills nothing.
             assert sim._zero_prefix(6, gates)[0] == 14
             sim.run_from_zero(Circuit(6, tuple(gates)))
+        elif path == "rounds":
+            register = (1, 2, 3, 4)
+            pa, pb = sim.phase_oracle(register, [6], a), sim.phase_oracle(register, [2], b)
+            diffusion = sim.diffusion(register)
+            gates = [sim.hadamard(q) for q in register] + [pa, diffusion] * 3
+            gates += [diffusion, pb] * 2 + [pa]
+            assert step_kinds(5, gates).count(sim._ROUNDS) == 2
+            sim.run(Circuit(5, tuple(gates)), StateVector.zero(5))
         else:
             n = 5
             chunk_rows(n, {"run_many_one_at_a_time": 1, "run_many_padded": 4}.get(path, 2))
