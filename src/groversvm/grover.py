@@ -71,14 +71,18 @@ class IndicatorOracle:
 
     def evaluate(self, value: int) -> int:
         """Classical query: 1 on the marked element, 0 elsewhere."""
-        if not 0 <= value < self.domain_size:
-            raise StructuralError(f"query value {value} out of range")
+        if not _is_int(value) or not 0 <= value < self.domain_size:
+            raise StructuralError(
+                f"query value {value!r} is not an integer in [0, {self.domain_size})"
+            )
         self.query_count += 1
         return int(value == self.marked)
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         """Vectorized classical queries; charges one query per element."""
         values = np.asarray(values)
+        if values.size and values.dtype.kind not in "iu":
+            raise StructuralError(f"query values must be integers, got dtype {values.dtype}")
         if values.size and (values.min() < 0 or values.max() >= self.domain_size):
             raise StructuralError("query value out of range")
         self.query_count += int(values.size)
@@ -87,8 +91,11 @@ class IndicatorOracle:
     def evaluate_range(self, lo: int, hi: int) -> bool:
         """Classical queries on every value in ``[lo, hi)``: charges ``hi - lo``
         queries and answers whether the marked element is among them."""
-        if not 0 <= lo <= hi <= self.domain_size:
-            raise StructuralError(f"query range [{lo}, {hi}) outside [0, {self.domain_size}]")
+        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= self.domain_size):
+            raise StructuralError(
+                f"query range [{lo!r}, {hi!r}) is not integers in [0, {self.domain_size}]"
+            )
+        lo, hi = int(lo), int(hi)
         self.query_count += hi - lo
         return lo <= self.marked < hi
 

@@ -102,9 +102,12 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
 
 
 def _overlap(forward, backward, num_qubits: int, register) -> float:
-    """sqrt(P(register all zero)) after ``forward`` then ``backward`` reversed, from |0...0>."""
+    """sqrt(P(register all zero)) after ``forward`` then ``backward`` reversed, from |0...0>.
+
+    The probability is clamped to [0, 1]: rounding can carry a self-overlap just above 1.
+    """
     circuit = sim.Circuit(num_qubits, tuple(forward) + tuple(reversed(backward)))
-    return math.sqrt(max(0.0, sim.zero_probability(circuit, register)))
+    return math.sqrt(min(1.0, max(0.0, sim.zero_probability(circuit, register))))
 
 
 def kernel_circuit(

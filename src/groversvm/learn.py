@@ -59,8 +59,8 @@ class Concept:
             raise StructuralError("concept start must lie in [0, N/2)")
 
     def label(self, index: int) -> int:
-        if not 0 <= index < self.domain_size:
-            raise StructuralError(f"index {index} out of range")
+        if not _is_int(index) or not 0 <= index < self.domain_size:
+            raise StructuralError(f"index {index!r} is not an integer in [0, {self.domain_size})")
         return 1 if self.start <= index <= self.start + (self.domain_size - 2) // 2 else -1
 
     def positive_region(self) -> np.ndarray:

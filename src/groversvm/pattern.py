@@ -119,6 +119,8 @@ class TextInstance:
 def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextInstance:
     """Random text containing ``pattern`` cyclically at exactly ``location``."""
     P = _as_bits(pattern)
+    if not _is_int(text_length):
+        raise StructuralError(f"text length {text_length!r} is not an integer")
     N = int(text_length)
     if not _is_int(location) or not 0 <= location < N:
         raise StructuralError(f"location {location!r} is not an integer in [0, {N})")
@@ -435,6 +437,9 @@ def pattern_label(
     variant with width (log2(N) - 2)/2, which collapses below one index for
     small N and exists only behind this flag.
     """
+    if not all(_is_int(v) for v in (start, location, text_length)):
+        raise StructuralError(f"start, location and text length must be integers, got "
+                              f"{start!r}, {location!r}, {text_length!r}")
     N = int(text_length)
     if not 0 <= location < N:
         raise StructuralError("location out of range")

@@ -119,6 +119,32 @@ class TestIndicatorOracle:
         with pytest.raises(StructuralError):
             IndicatorOracle(16, marked)
 
+    @pytest.mark.parametrize("value", [3.0, 3.5, True, float("nan"), "3"])
+    def test_classical_queries_must_be_integers(self, value):
+        # evaluate_range(0.5, 3.5) used to answer and bill the float 3.0.
+        oracle = IndicatorOracle(16, 3)
+        for query in (lambda: oracle.evaluate(value), lambda: oracle.evaluate_range(0, value),
+                      lambda: oracle.evaluate_range(value, 4)):
+            with pytest.raises(StructuralError):
+                query()
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("values", [[1.0, 3.0], [True, False], ["1", "3"]])
+    def test_batch_queries_must_have_an_integer_dtype(self, values):
+        oracle = IndicatorOracle(16, 3)
+        with pytest.raises(StructuralError):
+            oracle.evaluate_batch(np.array(values))
+        assert oracle.query_count == 0
+
+    def test_numpy_integer_queries_are_accepted(self):
+        oracle = IndicatorOracle(16, 3)
+        assert oracle.evaluate(np.int64(3)) == 1
+        assert oracle.evaluate_range(np.int32(0), np.uint8(4)) is True
+        npt.assert_array_equal(oracle.evaluate_batch(np.array([3, 4], dtype=np.uint16)), [1, 0])
+        npt.assert_array_equal(oracle.evaluate_batch([]), [])
+        assert oracle.query_count == 1 + 4 + 2
+        assert isinstance(oracle.query_count, int)
+
 
 class TestIterationCount:
     @pytest.mark.parametrize("N,expected", [(4, 1), (8, 2), (16, 3), (32, 4)])

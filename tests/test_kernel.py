@@ -151,6 +151,19 @@ class TestKernelCircuit:
         with pytest.raises(StructuralError):
             kernel_circuit(IndicatorOracle(16, 3), IndicatorOracle(32, 3), 4)
 
+    def test_faithful_self_kernels_are_at_most_one(self):
+        # Rounding can carry a self-overlap's all-zero probability just above 1
+        # (1.0000000000000009 unclamped at N = 64, M = 2); kernel_sampled
+        # rejects such a value.
+        config = GroverConfig("faithful")
+        for N in (16, 64, 128, 256, 512):
+            for M in (1, 2, 4):
+                for marked in (0, N // 3, N - 1):
+                    oracle = IndicatorOracle(N, marked)
+                    value, _ = kernel_circuit(oracle, oracle, M, config)
+                    assert 0.0 <= value <= 1.0, (N, M, marked)
+                    kernel_sampled(value, 8, 0)
+
     def test_above_qubit_cap_rejected(self):
         # N = 2^13 needs 26 qubits; the circuit refuses before any query is billed.
         oracle_i, oracle_j = IndicatorOracle(8192, 3), IndicatorOracle(8192, 9)

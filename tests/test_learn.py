@@ -62,6 +62,13 @@ class TestConcept:
         with pytest.raises(StructuralError):
             Concept(start, 16)
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, float("nan"), "2"])
+    def test_label_index_must_be_an_integer(self, index):
+        # label(2.5) used to return 1.
+        with pytest.raises(StructuralError):
+            Concept(1, 16).label(index)
+        assert Concept(1, 16).label(np.int64(2)) == 1
+
     def test_half_of_domain_is_positive(self):
         concept = Concept(5, 64)
         labels = [concept.label(j) for j in range(64)]

@@ -73,6 +73,12 @@ class TestTextInstance:
         with pytest.raises(StructuralError):
             random_instance(8, "110", location, 0)
 
+    @pytest.mark.parametrize("length", [8.7, 8.0, float("nan"), True, "8"])
+    def test_random_instance_length_must_be_an_integer(self, length):
+        # 8.7 used to give a text of length 8.
+        with pytest.raises(StructuralError):
+            random_instance(length, "110", 2, 0)
+
 
 class TestEncode:
     def test_all_zero_strings(self):
@@ -380,3 +386,10 @@ class TestPatternLabel:
     def test_unknown_rule_rejected(self):
         with pytest.raises(StructuralError):
             pattern_label(0, 0, 16, rule="other")
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, float("nan"), True, "1"])
+    def test_arguments_must_be_integers(self, value):
+        for args in ((value, 2, 16), (1, value, 16), (1, 2, value)):
+            with pytest.raises(StructuralError):
+                pattern_label(*args)
+        assert pattern_label(np.int64(1), np.uint8(2), np.int32(16)) == 1
