@@ -40,8 +40,9 @@ amplitudes are bit for bit those of the per-gate kernels.
 Grover rounds are applied in closed form, the one path that does not keep
 the per-gate bits.  A maximal run of two or more repeats of one phase oracle
 and diffusion pair, in either order, is one step (see :func:`_rounds_plan`)
-when the diffusion's register is one run of adjacent qubits listed low to
-high and no column (value of the qubits outside it) holds two marked values.
+when the diffusion's register is at least ``_ROUNDS_MIN_QUBITS`` adjacent
+qubits listed low to high and no column (value of the qubits outside it)
+holds two marked values.
 Every round negates a column's part orthogonal to the uniform and the marked
 state (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034), so ``k`` rounds
 are the register sum, a gather of the marked amplitudes, a 2 x 2 matrix
