@@ -23,18 +23,13 @@ from .errors import (
 )
 from .ledger import QueryLedger
 from . import sim
-from .sim import Circuit, Gate, StateVector
+from .sim import Circuit, Gate, StateVector, _is_int
 
 BACKENDS = ("ideal", "faithful")
 # Faithful searches per ``sim.run_many`` batch, whose circuits are all held at
 # once (about 1.5 KB each at 12 qubits): one batch of a 200-point preprocessing
 # run raised its peak RSS by 0.25 MB more than batches of 64 did.
 _BATCH_SEARCHES = 64
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -100,8 +95,8 @@ class IndicatorOracle:
         return lo <= self.marked < hi
 
     def charge_queries(self, count: int) -> None:
-        if count < 0:
-            raise StructuralError("cannot charge a negative query count")
+        if not _is_int(count) or count < 0:
+            raise StructuralError(f"query count must be a non-negative integer, got {count!r}")
         self.query_count += int(count)
 
     def phase_gate(self, register) -> Gate:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidIntervalError, StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_int, feature_map_circuit
+from .grover import GroverConfig, IndicatorOracle, feature_map_circuit
 from .ledger import QueryLedger
 from . import sim
 
@@ -33,8 +33,7 @@ class KernelMode:
         if self.tag not in MODE_TAGS:
             raise StructuralError(f"mode tag must be one of {MODE_TAGS}")
         if self.tag == "sampled":
-            if self.shots is None or self.shots < 1:
-                raise StructuralError("sampled mode requires shots >= 1")
+            sim._check_shots(self.shots)
         elif self.shots is not None:
             raise StructuralError(f"mode {self.tag!r} takes no shot count")
 
@@ -62,7 +61,7 @@ def cyclic_distance(i: int, j: int, domain_size: int) -> int:
 
 def _check_interval(interval_width: int, domain_size: int) -> int:
     """The interval width M as an int; it must be an integer with 1 <= M < N/2."""
-    if not _is_int(interval_width) or interval_width < 1 or 2 * interval_width >= domain_size:
+    if not sim._is_int(interval_width) or interval_width < 1 or 2 * interval_width >= domain_size:
         raise InvalidIntervalError(
             "interval width must be an integer with 1 <= M < N/2 so the two kernel branches "
             f"cannot overlap under cyclic distance (got M={interval_width!r}, N={domain_size})"
@@ -74,7 +73,7 @@ def kernel_exact(i: int, j: int, interval_width: int, domain_size: int) -> float
     """Closed-form interval kernel (M - d)/M with cyclic distance d, 0 past M."""
     N = int(domain_size)
     M = _check_interval(interval_width, N)
-    if not (_is_int(i) and _is_int(j) and 0 <= i < N and 0 <= j < N):
+    if not (sim._is_int(i) and sim._is_int(j) and 0 <= i < N and 0 <= j < N):
         raise StructuralError(f"kernel indices must be integers in [0, {N}), got {i!r}, {j!r}")
     d = cyclic_distance(i, j, N)
     if d >= M:
@@ -147,8 +146,7 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     kept, since every sampled Gram matrix and report depends on its draws;
     which of the two the paper's shot-noise claim should use is open.
     """
-    if shots < 1:
-        raise StructuralError("shots must be at least 1")
+    sim._check_shots(shots)
     if not 0.0 <= true_value <= 1.0:
         raise ContractViolationError(f"kernel value {true_value} outside [0, 1]")
     rng = sim.as_rng(rng_seed)
@@ -253,8 +251,7 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     integers shared by all entries; ``keys`` is an (entries, columns) array
     of values below 2**32.
     """
-    if shots < 1:
-        raise StructuralError("shots must be at least 1")
+    sim._check_shots(shots)
     values = np.asarray(true_values, dtype=np.float64).ravel()
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ContractViolationError("kernel values outside [0, 1]")

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_int, _is_power_of_two, resolve_iterations
+from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
-from .sim import StateVector, as_rng, check_seed
+from .sim import StateVector, _check_shots, _is_int, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -300,8 +300,7 @@ def quantum_kernel_learner(
     config = config or GroverConfig()
     if config.backend != "ideal":
         raise StructuralError("the quantum-kernel learner samples the ideal kernel only")
-    if shots < 1:
-        raise StructuralError("shots must be at least 1")
+    _check_shots(shots)
     N = train.concept.domain_size
     k = resolve_iterations(N, config)
     m = train.size

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, _is_int, _is_power_of_two, interval_map_gates
+from .grover import GroverConfig, _is_power_of_two, interval_map_gates
 from .grover import interval_state_analytic, theoretical_success_probability
 from .kernel import _overlap, kernel_exact
 from . import sim
-from .sim import Circuit, Gate, StateVector
+from .sim import Circuit, Gate, StateVector, _is_int
 
 _INSTANCE_RETRIES = 200
 

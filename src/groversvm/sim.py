@@ -25,24 +25,30 @@ index) and :func:`prob_all_zero` reads one, so every amplitude keeps its
 bits.  A diffusion, the one reduction, sums over the register's axes: numpy
 sums the last axis pairwise and every other axis in index order, so the
 bits of a register's mean depend only on whether the register holds qubit 0.
-The tile and prefix rules below keep that fact.
+The prefix rule below keeps that fact.
 
-Permutation gates are fused: each maximal run of consecutive X gates is one
-strided copy of the view of the qubits it flips an odd number of times,
-reversed on their axes.  Each run of two or more CNOT/MCX gates is one
-gather through an int32 index array built by applying the run to an
-``arange``.  The arrays are kept in a least-recently-used cache keyed by
-the run's gate shapes and bounded by ``_PERMUTATION_CACHE_BYTES``; the same
-run reversed is the inverse permutation, a scatter through the same array.
-A run whose array would not fit is applied gate by gate.  Either way the
-amplitudes are bit for bit those of the per-gate kernels.
+Runs of gates are reduced before they run.  Hadamards on distinct qubits
+commute and each squares to the identity, so each maximal run of
+consecutive Hadamard gates applies H once to each qubit it hits an odd
+number of times, in the order of their first hits.  A run that hits no
+qubit twice is its own gate list and keeps the per-gate bits; in one that
+does, the amplitudes move by rounding only, since two Hadamards on a qubit
+give the identity only in exact arithmetic.  Permutation gates are fused:
+each maximal run of consecutive X gates is one strided copy of the view of
+the qubits it flips an odd number of times, reversed on their axes.  Each
+run of two or more CNOT/MCX gates is one gather through an int32 index
+array built by applying the run to an ``arange``.  The arrays are kept in a
+least-recently-used cache keyed by the run's gate shapes and bounded by
+``_PERMUTATION_CACHE_BYTES``; the same run reversed is the inverse
+permutation, a scatter through the same array.  A run whose array would not
+fit is applied gate by gate.  Either way the amplitudes are bit for bit
+those of the per-gate kernels.
 
-Grover rounds are applied in closed form, the one path that does not keep
-the per-gate bits.  A maximal run of two or more repeats of one phase oracle
-and diffusion pair, in either order, is one step (see :func:`_rounds_plan`)
-when the diffusion's register is at least ``_ROUNDS_MIN_QUBITS`` adjacent
-qubits listed low to high and no column (value of the qubits outside it)
-holds two marked values.
+Grover rounds are applied in closed form.  A maximal run of two or more
+repeats of one phase oracle and diffusion pair, in either order, is one
+step (see :func:`_rounds_plan`) when the diffusion's register is at least
+``_ROUNDS_MIN_QUBITS`` adjacent qubits listed low to high and no column
+(value of the qubits outside it) holds two marked values.
 Every round negates a column's part orthogonal to the uniform and the marked
 state (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034), so ``k`` rounds
 are the register sum, a gather of the marked amplitudes, a 2 x 2 matrix
@@ -50,34 +56,26 @@ power per column, one broadcast pass and a scatter, instead of ``2k`` state
 sweeps.  The amplitudes move by rounding only: the tests hold them within
 1e-13 of the per-gate kernels.  The register sum is the diffusion's, and
 every column is computed alike at any width, so the from-zero prefix and
-``run_many`` below still give the bits of the full-width run.
-
-On a state of many tiles of ``_CACHE_ROW`` amplitudes, a run of consecutive
-Hadamard, phase-oracle and diffusion gates outside those rounds goes tile by
-tile: when every gate acts on qubits ``lo`` and up, each block of columns of
-the ``(2**(n-lo), 2**lo)`` view is copied into a cache-sized tile, every gate
-of the run is applied to it with the per-gate kernels, and it is copied
-back, so the run streams the state through memory twice rather than once
-per gate.  Gates on low qubits split a run and go one at a time, as do runs
-too short to repay the copies (see ``_TILE_MIN_SWEEPS`` and its neighbours).
-A tile row holds at least two amplitudes, so no register of a tiled run
-holds qubit 0 of the tile or of the state; each amplitude gets the same
-operations in the same order, and the bits are those of the per-gate path.
+``run_many`` below still give the bits of the full-width run.  These rounds
+and the Hadamard runs that hit a qubit twice are the only steps that move
+amplitudes by rounding; every other step keeps the per-gate bits.
 
 From |0...0> (:func:`run_from_zero`), on a state of at least
 ``_PREFIX_MIN_QUBITS`` qubits, the longest run of leading gates that leaves
 at least two qubits untouched runs on only the qubits it touches, renumbered
 in order, and is written into a full-width buffer once (see
 :func:`_from_zero`).  The run stops before a diffusion on non-adjacent
-qubits, and a register above qubit 0 with no touched qubit below it gets the
-qubit just below it, so a register holds qubit 0 of the smaller state only
-if it holds qubit 0 of the full one.  Each block of the full state fixes the
-untouched qubits and gets the same operations, so the block where they are
-all 0 is the small result.  Every other block starts at +0, and an oracle
-turns its marked entries into -0; so when any oracle in the run marks a
-value, the run is applied once more to an all +0 state, and that result
-fills those blocks.  Signed zeros included, the bits are those of the
-full-width run.
+qubits, and before a Hadamard run that it would end inside if a qubit of
+that run lies on both sides of its end, so that every Hadamard run is
+reduced as in the full-width run.  A register above qubit 0 with no touched
+qubit below it gets the qubit just below it, so a register holds qubit 0 of
+the smaller state only if it holds qubit 0 of the full one.  Each block of
+the full state fixes the untouched qubits and gets the same operations, so
+the block where they are all 0 is the small result.  Every other block
+starts at +0, and an oracle turns its marked entries into -0; so when any
+oracle in the run marks a value, the run is applied once more to an all +0
+state, and that result fills those blocks.  Signed zeros included, the bits
+are those of the full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) runs as rows of one buffer, a chunk at
@@ -90,17 +88,6 @@ phase oracle widened to the row qubits to mark every row's own values.  So
 numpy calls are paid once per chunk rather than once per circuit, and each
 row keeps the bits of its own run.
 
-numpy's buffered iterator (measured with numpy 2.4) runs a ufunc on a
-multi-dimensional view whose contiguous inner run is shorter than the ufunc
-buffer (8192 elements by default) by copying operands through that buffer.
-So on a state of at least ``_SCOPE_MIN_AMPLITUDES`` amplitudes the Hadamard
-butterfly runs under a buffer of one run of its ``(rows, run)`` views (see
-:func:`_scoped`).  The buffer is set with ``np.setbufsize`` around those
-calls only, and the caller's size is restored after each, also on error.
-Buffering only copies elementwise operands, so every amplitude keeps its
-bits, signed zeros included.  Every other kernel runs at the caller's
-buffer.
-
 :func:`zero_probability` reads one register of a circuit run from |0...0>,
 so it runs only the register's backward light cone.  Walking the gates
 backward from a live set that starts as the register, a gate that shares no
@@ -109,15 +96,18 @@ the set.  A dropped gate shares no qubit with any kept gate after it, so it
 commutes to the end of the circuit, where it acts on unmeasured qubits only
 and cannot change the register's distribution.  The kept gates run through
 ``run_from_zero``, and the dropped gates are billed too, so every listed
-oracle gate is still billed once.
+oracle gate is still billed once.  Dropping gates can join two Hadamard
+runs into one, so the probability may move by rounding.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
 :func:`zero_probability` bill each oracle one query per time its gate is
 listed, counted from the gate list by :func:`_bill`; no code that applies
 gates bills, so no path can change a query count.  All randomness is
-injected through explicit seeds or generators; a seed that is not a
-non-negative Python or numpy integer is a :class:`StructuralError`.
+injected through explicit seeds or generators.  Qubit counts, qubit
+indices, marked values, basis indices, shot counts and seeds must be Python
+or numpy integers (not bool); anything else, or a negative seed, is a
+:class:`StructuralError`.
 """
 
 from __future__ import annotations
@@ -126,7 +116,7 @@ import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, takewhile
 from typing import Sequence
 
 import numpy as np
@@ -137,16 +127,9 @@ QUBIT_CAP = 24  # dense complex128 beyond this is not a desk-scale simulation
 
 _NORM_ATOL = 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_CACHE_ROW = 1 << 16  # amplitudes in a Hadamard row and in a tile: 1 MiB of complex128
-_TILE_BITS = _CACHE_ROW.bit_length() - 1  # a tile is a state of this many qubits
-# Where tiling beat gate-by-gate runs in measurements at 18 to 22 qubits: on a
-# state of at least 2**_TILE_MIN_DROP tiles, with tile rows of at least
-# 2**_TILE_MIN_ROW_BITS amplitudes (at least 1, or a diffusion's register
-# would be summed in another order), for runs of at least _TILE_MIN_SWEEPS
-# Hadamard or diffusion gates.
-_TILE_MIN_DROP = 4
-_TILE_MIN_ROW_BITS = 5
-_TILE_MIN_SWEEPS = 8
+# Amplitudes in a Hadamard row and in a gather's slice of indices: 1 MiB of
+# complex128.  A butterfly's temporary is at most half a row.
+_CACHE_ROW = 1 << 16
 # From-zero runs start on fewer qubits only from this width up: below it, in
 # measurements at 10 to 20 qubits, the added calls cost more than the smaller
 # sweeps save (kernel circuits ran 1.2-1.5x slower at 10-12 qubits, 0.86-0.93x
@@ -166,13 +149,6 @@ _BATCH_AMPLITUDES = _CACHE_ROW >> 2
 # holds about ten arrays of one entry per column, which would outgrow the state
 # below this width, and on such registers k is at most 2 at the optimum.
 _ROUNDS_MIN_QUBITS = 4
-# numpy's default ufunc buffer, in elements.  Kernels whose contiguous inner
-# run is this long or longer run at the caller's buffer (see _scoped).
-_UFUNC_BUFFER = 8192
-# States below this many amplitudes run at the caller's buffer: at 12 and 13
-# qubits, setting and restoring it (about 4 us) cost more than the copies it
-# saves.
-_SCOPE_MIN_AMPLITUDES = 1 << 14
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -193,14 +169,34 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(check_seed(seed))
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints; a :class:`StructuralError` naming ``what`` if one is no integer."""
+    values = tuple(values)
+    if not all(map(_is_int, values)):
+        raise StructuralError(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, values))
+
+
 def check_seed(seed) -> int:
     """A non-negative Python or numpy integer seed (not a bool) as a Python int, whole."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise StructuralError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
 
+def _check_shots(shots) -> None:
+    if not _is_int(shots) or shots < 1:
+        raise StructuralError(f"shots must be an integer of at least 1, got {shots!r}")
+
+
 def _check_width(num_qubits: int) -> None:
+    if not _is_int(num_qubits):
+        raise StructuralError(f"num_qubits must be an integer, got {num_qubits!r}")
     if num_qubits < 1:
         raise StructuralError("num_qubits must be at least 1")
     if num_qubits > QUBIT_CAP:
@@ -249,7 +245,7 @@ class StateVector:
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
         _check_width(num_qubits)  # before allocating 2**num_qubits amplitudes
-        if not 0 <= index < (1 << num_qubits):
+        if not _is_int(index) or not 0 <= index < (1 << num_qubits):
             raise StructuralError(f"basis index {index} out of range for {num_qubits} qubits")
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[index] = 1.0
@@ -282,8 +278,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise StructuralError(f"unknown gate kind {self.kind!r}")
-        targets = tuple(int(q) for q in self.targets)
-        controls = tuple(int(q) for q in self.controls)
+        targets = _ints(self.targets, "qubits")
+        controls = _ints(self.controls, "qubits")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         if len(set(targets)) != len(targets) or len(set(controls)) != len(controls):
@@ -300,7 +296,7 @@ class Gate:
             raise StructuralError("cnot takes one control and one target")
         if self.kind == MCX and (len(targets) != 1 or not controls):
             raise StructuralError("mcx takes one target and at least one control")
-        marked = tuple(int(v) for v in self.marked)
+        marked = _ints(self.marked, "marked values")
         object.__setattr__(self, "marked", marked)
         if self.kind == PHASE_ORACLE:
             if not targets or controls:
@@ -380,7 +376,7 @@ def _register_matrix(amps: np.ndarray, num_qubits: int, register: tuple[int, ...
 
 
 def _check_register(num_qubits: int, register: Sequence[int]):
-    register = tuple(int(q) for q in register)
+    register = _ints(register, "register qubits")
     if not register:
         raise StructuralError("empty register")
     if len(set(register)) != len(register):
@@ -391,54 +387,28 @@ def _check_register(num_qubits: int, register: Sequence[int]):
     return register
 
 
-def _scoped(kernel, size: int | None):
-    """``kernel`` run under a ufunc buffer of ``size`` elements; ``kernel`` itself if None.
-
-    The caller's buffer size is restored after every call, also when the
-    kernel raises.
-    """
-    if size is None:
-        return kernel
-
-    def scoped(*args):
-        previous = np.setbufsize(size)
-        try:
-            kernel(*args)
-        finally:
-            np.setbufsize(previous)
-
-    return scoped
-
-
 def _hadamard_plan(num_qubits: int, q: int):
     # The butterfly pairs the two halves of every block of 2**(q+1) amplitudes.
     # A state larger than _CACHE_ROW amplitudes is done one row at a time, so
     # that a row stays in cache from the butterfly to its scaling.  When a
     # contiguous run of 2**q amplitudes fits in one 64-byte cache line, numpy's
     # inner loops over it would be that short, so the butterfly runs over the
-    # 2**q interleaved strided slices of the row instead.  Otherwise its
-    # operands are (rows, run) views, which run under a buffer of one run when
-    # the buffer would copy them: from 32 amplitudes (a 16-element buffer cost
-    # more than its copies save) up to half the default buffer (a buffer of
-    # two runs copies nothing).
+    # 2**q interleaved strided slices of the row instead.  Otherwise it runs
+    # over column slices of at most half a row, so that its temporary stays
+    # that small when one block outgrows a row.
     run = 1 << q
     row = min(1 << num_qubits, max(2 * run, _CACHE_ROW))
-    columns = range(run) if run <= 4 else (slice(None),)
-    size = None
-    if 1 << num_qubits >= _SCOPE_MIN_AMPLITUDES and 32 <= run < _UFUNC_BUFFER // 2:
-        size = run
+    half = _CACHE_ROW // 2
+    columns = range(run) if run <= 4 else [slice(s, s + half) for s in range(0, run, half)]
 
-    def butterfly(a):
+    def apply_row(block, marked=None):
+        a = block.reshape(-1, 2, run)
         for r in columns:
             a0, a1 = a[:, 0, r], a[:, 1, r]
             total = a0 + a1
             np.subtract(a0, a1, out=a1)
             a0[...] = total
-
-    butterfly = _scoped(butterfly, size)
-
-    def apply_row(block, marked=None):
-        butterfly(block.reshape(-1, 2, run))
+            del total  # before the next slice makes its own
         block *= _INV_SQRT2
 
     if row == 1 << num_qubits:
@@ -614,59 +584,11 @@ class _PermutationCache:
 
 
 _PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
-_FUSED = {PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}  # run kind of each permutation gate kind
+# Run kind of each gate kind whose consecutive gates ``_evolve`` applies as one step.
+_FUSED = {HADAMARD: HADAMARD, PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}
 _FROM_ZERO = object()  # ``run``'s initial state from ``run_from_zero``: |0...0>, never built
-_TILED = "tiled"  # run kind of a gate that can be applied tile by tile
 _ROUNDS = "rounds"  # step kind of a run of oracle-diffusion rounds applied in closed form
 _PAIRED = {PHASE_ORACLE: DIFFUSION, DIFFUSION: PHASE_ORACLE}
-
-
-def _run_key(num_qubits: int):
-    """The run kind ``run`` groups each gate by: a ``_FUSED`` kind, ``_TILED`` or None.
-
-    A Hadamard, phase oracle or diffusion is ``_TILED`` when the state holds
-    at least ``2**_TILE_MIN_DROP`` tiles and every qubit the gate acts on
-    lies far enough above ``drop`` that a tile row holds at least
-    ``2**_TILE_MIN_ROW_BITS`` amplitudes (see :func:`_apply_tiled`).
-    """
-    drop = num_qubits - _TILE_BITS
-    if drop < _TILE_MIN_DROP:
-        return lambda gate: _FUSED.get(gate.kind)
-
-    def key(gate):
-        kind = _FUSED.get(gate.kind)
-        if kind is not None:
-            return kind
-        return _TILED if min(gate.targets) >= drop + _TILE_MIN_ROW_BITS else None
-
-    return key
-
-
-def _apply_tiled(psi: np.ndarray, num_qubits: int, gates, tile: np.ndarray) -> None:
-    """Apply ``_TILED`` gates to ``psi`` one tile of ``_CACHE_ROW`` amplitudes at a time.
-
-    Every gate acts on qubits ``lo`` and up only, so it acts on each column of
-    the ``(2**(n-lo), 2**lo)`` view of the state alone.  A block of columns
-    copied into ``tile`` is a state of ``_TILE_BITS`` qubits in which qubit
-    ``q`` is qubit ``q - drop``; every gate runs on it with the per-gate
-    kernel of that width, which computes each amplitude with the same
-    operations, and the block is copied back.
-    """
-    drop = num_qubits - _TILE_BITS
-    steps = [
-        (_plan(_TILE_BITS, gate.kind, tuple(q - drop for q in gate.targets), ()), gate.marked)
-        for gate in gates
-    ]
-    lo = min(min(gate.targets) for gate in gates)
-    width = 1 << (lo - drop)
-    view = psi.reshape(-1, 1 << lo)
-    block = tile.reshape(-1, width)
-    for start in range(0, 1 << lo, width):
-        columns = view[:, start : start + width]
-        np.copyto(block, columns)
-        for plan, marked in steps:
-            plan(tile, marked)
-        np.copyto(columns, block)
 
 
 def _same(gate: Gate, other: Gate) -> bool:
@@ -811,9 +733,12 @@ def _steps(num_qubits: int, gates):
     """``(kind, step)`` for each step of :func:`_evolve`.
 
     A ``_ROUNDS`` step is the kernel of a run of rounds; the gates between
-    those runs are grouped by :func:`_run_key`.
+    those runs are grouped by their ``_FUSED`` kind, None for any other kind.
     """
-    key = _run_key(num_qubits)
+
+    def key(gate):
+        return _FUSED.get(gate.kind)
+
     start = 0
     for begin, end, apply in _round_runs(num_qubits, gates):
         yield from groupby(gates[start:begin], key=key)
@@ -847,11 +772,13 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
 
     Each run of two or more oracle-diffusion rounds that
     :func:`_rounds_plan` accepts is applied in closed form, within rounding
-    of the gates.  Between those runs, each run of consecutive X gates is one
-    strided copy, each run of two or more CNOT/MCX gates is one gather (or
-    scatter) through a cached index array, and each ``_TILED`` run with at
-    least ``_TILE_MIN_SWEEPS`` Hadamard or diffusion gates is applied tile by
-    tile; those amplitudes are the bits of applying the gates one at a time.
+    of the gates.  Between those runs, each run of consecutive Hadamard gates
+    applies H once to each qubit it hits an odd number of times, in the order
+    of first hits, and so keeps the bits of the gates when it hits no qubit
+    twice.  Each run of consecutive X gates is one strided copy and each run
+    of two or more CNOT/MCX gates is one gather (or scatter) through a cached
+    index array; those amplitudes are the bits of applying the gates one at a
+    time.
     """
     n = num_qubits
     spare = None
@@ -860,18 +787,17 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
             step(psi)
             continue
         gates = list(step)
-        if kind == _TILED and sum(gate.kind != PHASE_ORACLE for gate in gates) >= _TILE_MIN_SWEEPS:
-            if spare is None:
-                spare = np.empty(_CACHE_ROW, dtype=np.complex128)
-            _apply_tiled(psi, n, gates, spare[:_CACHE_ROW])
+        if kind == HADAMARD:
+            for targets, count in Counter(gate.targets for gate in gates).items():
+                if count % 2:
+                    _plan(n, HADAMARD, targets, ())(psi, ())
             continue
         found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
         if kind != PAULI_X and found is None:
             for gate in gates:
                 _apply_inplace(psi, n, gate)
             continue
-        if spare is None or spare.size < psi.size:
-            spare = None  # free a tile-sized buffer before making a state-sized one
+        if spare is None:
             spare = np.empty_like(psi)
         if kind == PAULI_X:
             _flip_into(spare, psi, n, gates)
@@ -894,16 +820,19 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
 
     On a state of at least ``_PREFIX_MIN_QUBITS`` qubits, the prefix is the
     longest run of leading gates that leaves at least two qubits untouched
-    and holds no diffusion on non-adjacent qubits.  If no touched qubit lies
-    below the lowest diffusion register above qubit 0, the qubit just below
-    that register is touched too, so that the register does not hold qubit 0
-    of the smaller state.
+    and holds no diffusion on non-adjacent qubits.  If it would end inside a
+    run of Hadamards with a qubit on both sides of its end, it ends before
+    that run, which :func:`_evolve` then reduces whole, as at full width.  If
+    no touched qubit lies below the lowest diffusion register above qubit 0,
+    the qubit just below that register is touched too, so that the register
+    does not hold qubit 0 of the smaller state.
     """
     n = num_qubits
     touched = length = 0
     if n < _PREFIX_MIN_QUBITS:
         return length, touched
     low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
+    hadamards = None  # (length, touched) where the prefix's last Hadamard run began
     for gate in gates:
         mask = 0
         for q in gate.targets + gate.controls:
@@ -916,8 +845,17 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
                 break
             if bottom > 1:
                 low = min(low, bottom.bit_length() - 1)
+        if gate.kind != HADAMARD:
+            hadamards = None
+        elif hadamards is None:
+            hadamards = (length, touched)
         touched |= mask
         length += 1
+    if hadamards is not None and length < len(gates) and gates[length].kind == HADAMARD:
+        before = {gate.targets for gate in gates[hadamards[0] : length]}
+        after = takewhile(lambda gate: gate.kind == HADAMARD, gates[length:])
+        if any(gate.targets in before for gate in after):
+            length, touched = hadamards
     if touched & -touched == 1 << low:  # no touched qubit below the register
         touched |= 1 << (low - 1)
     return length, touched
@@ -1096,8 +1034,7 @@ def sample_measurement(
     value.  Identical seeds give identical histograms.
     """
     register = _check_register(state.num_qubits, register)
-    if shots < 1:
-        raise StructuralError("shots must be at least 1")
+    _check_shots(shots)
     probs = register_probabilities(state, register)
     probs /= probs.sum()
     rng = as_rng(rng_seed)

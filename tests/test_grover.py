@@ -136,6 +136,16 @@ class TestIndicatorOracle:
             oracle.evaluate_batch(np.array(values))
         assert oracle.query_count == 0
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, np.bool_(True), float("nan"), -1])
+    def test_charged_queries_must_be_non_negative_integers(self, count):
+        # charge_queries(2.5) billed 2.
+        oracle = IndicatorOracle(16, 3)
+        with pytest.raises(StructuralError, match="query count must be a non-negative integer"):
+            oracle.charge_queries(count)
+        assert oracle.query_count == 0
+        oracle.charge_queries(np.int64(2))
+        assert oracle.query_count == 2 and isinstance(oracle.query_count, int)
+
     def test_numpy_integer_queries_are_accepted(self):
         oracle = IndicatorOracle(16, 3)
         assert oracle.evaluate(np.int64(3)) == 1

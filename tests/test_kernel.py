@@ -281,6 +281,24 @@ class TestKernelSampled:
         with pytest.raises(StructuralError):
             kernel_sampled(0.5, 0, 0)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, True, np.bool_(True), float("nan")])
+    def test_shots_must_be_integers(self, shots):
+        # kernel_sampled(0.5, 2.5, 0) returned 0.4 and kernel_sampled_many
+        # [0.4, 0.8]; KernelMode.sampled(2.5) was accepted.
+        keys = np.array([[0, 1], [0, 2]])
+        for sample in (lambda: kernel_sampled(0.5, shots, 0),
+                       lambda: kernel_sampled_many([0.5, 0.5], shots, (0,), keys),
+                       lambda: KernelMode.sampled(shots)):
+            with pytest.raises(StructuralError, match="shots must be an integer"):
+                sample()
+
+    def test_numpy_integer_shots_pass(self):
+        assert kernel_sampled(0.5, np.int64(4), 3) == kernel_sampled(0.5, 4, 3)
+        keys = np.array([[0, 1], [0, 2]])
+        npt.assert_array_equal(kernel_sampled_many([0.5, 0.5], np.uint8(4), (0,), keys),
+                               kernel_sampled_many([0.5, 0.5], 4, (0,), keys))
+        assert KernelMode.sampled(np.int32(4)).shots == 4
+
 
 def _per_entry_draws(values, shots, prefix, keys):
     """One generator per entry, seeded from its SeedSequence, then one binomial draw."""
