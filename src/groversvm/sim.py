@@ -177,6 +177,8 @@ def _is_int(value) -> bool:
 def _ints(values, what: str) -> tuple[int, ...]:
     """``values`` as Python ints; a :class:`StructuralError` naming ``what`` if one is no integer."""
     values = tuple(values)
+    if set(map(type, values)).issubset((int,)):  # the common case, checked without a Python loop
+        return values
     if not all(map(_is_int, values)):
         raise StructuralError(f"{what} must be integers, got {values!r}")
     return tuple(map(int, values))
