@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ResourceCapError, StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_power_of_two
+from .grover import BACKENDS, GroverConfig, IndicatorOracle, _is_power_of_two
 from .learn import (
     Concept,
     LEARNER_KINDS,
@@ -97,7 +97,7 @@ class ExperimentConfig:
     train_size: int = _key(16, "gen-data run sweep", _INT)
     shots: str = _key("auto", "run sweep")
     box_bound: float = _key(100.0, "run sweep", _FLOAT)
-    backend: str = _key("ideal", "run", choices=("ideal", "faithful"))
+    backend: str = _key("ideal", "run", choices=BACKENDS)
     learner: str | None = _key("quantum_kernel", "run sweep", choices=LEARNER_KINDS)  # None: all
     trials: int = _key(10, "run sweep", _INT)
     seed: int | None = _key(None, "gen-data run sweep", _SEED)
@@ -728,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a learner over seeded trials")
     _add_common_flags(run)
     run.add_argument("--learner", choices=LEARNER_KINDS)
-    run.add_argument("--backend", choices=("ideal", "faithful"))
+    run.add_argument("--backend", choices=BACKENDS)
     run.add_argument("--trials", type=int)
 
     sweep = sub.add_parser("sweep", help="query-complexity scaling across domain sizes")
@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("pattern-demo", help="match a pattern against text lines")
     demo.add_argument("text_file", help="newline-separated binary strings")
     demo.add_argument("--pattern", required=True)
-    demo.add_argument("--backend", choices=("ideal", "faithful"), default="faithful")
+    demo.add_argument("--backend", choices=BACKENDS, default="faithful")
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--out")
 

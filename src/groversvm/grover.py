@@ -129,11 +129,6 @@ class MultiMarkedOracle:
     def num_qubits(self) -> int:
         return self.domain_size.bit_length() - 1
 
-    def evaluate(self, value: int) -> int:
-        if not 0 <= value < self.domain_size:
-            raise StructuralError(f"query value {value} out of range")
-        return int(value in self.marked_set)
-
 
 @dataclass(frozen=True)
 class GroverConfig:

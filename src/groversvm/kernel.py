@@ -299,19 +299,11 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-def clip_to_psd(entries: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by clipping eigenvalues."""
-    vals, vecs = np.linalg.eigh(entries)
-    clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return (clipped + clipped.T) / 2.0
-
-
 def gram_matrix(
     oracles,
     interval_width: int,
     mode: KernelMode,
     rng_seed=0,
-    clip_psd: bool = False,
 ) -> GramMatrix:
     """Assemble the Gram matrix over a list of indicator oracles.
 
@@ -323,8 +315,8 @@ def gram_matrix(
     pairs are seeded in one batch by :func:`kernel_sampled_many`.  Pairs
     whose true kernel is 0 take no draw, since Binomial(R, 0) is 0; every
     other pair draws from its own stream, so a skipped pair changes no
-    other entry.  Sampled matrices may be indefinite; they are passed
-    through unchanged unless ``clip_psd`` is set.
+    other entry.  Sampled matrices may be indefinite and are returned as
+    drawn; ``svm.train`` accepts them.
     """
     oracles = list(oracles)
     if not oracles:
@@ -354,6 +346,4 @@ def gram_matrix(
                 entries[i, j], mode.shots, (rng_seed,), np.stack([i, j], axis=1)
             )
             entries[i, j] = entries[j, i] = values
-    if clip_psd:
-        entries = clip_to_psd(entries)
     return GramMatrix(entries, mode)

@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import StructuralError
 
@@ -36,14 +37,6 @@ class QueryLedger:
             classical_evaluations=self.classical_evaluations + other.classical_evaluations,
         )
 
-    def add(self, other: "QueryLedger") -> None:
-        self.oracle_queries += other.oracle_queries
-        self.shots += other.shots
-        self.classical_evaluations += other.classical_evaluations
-
 
 def merge_ledgers(ledgers) -> QueryLedger:
-    total = QueryLedger()
-    for ledger in ledgers:
-        total.add(ledger)
-    return total
+    return reduce(QueryLedger.merged, ledgers, QueryLedger())

@@ -67,7 +67,9 @@ in order, and is written into a full-width buffer once (see
 :func:`_from_zero`).  The run stops before a diffusion on non-adjacent
 qubits, and before a Hadamard run that it would end inside if a qubit of
 that run lies on both sides of its end, so that every Hadamard run is
-reduced as in the full-width run.  A register above qubit 0 with no touched
+reduced as in the full-width run.  Nor does it split a run of rounds that
+the full-width run fuses: it ends before that run, and its touched qubits
+are those of the gates it keeps.  A register above qubit 0 with no touched
 qubit below it gets the qubit just below it, so a register holds qubit 0 of
 the smaller state only if it holds qubit 0 of the full one.  Each block of
 the full state fixes the untouched qubits and gets the same operations, so
@@ -824,43 +826,55 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
     longest run of leading gates that leaves at least two qubits untouched
     and holds no diffusion on non-adjacent qubits.  If it would end inside a
     run of Hadamards with a qubit on both sides of its end, it ends before
-    that run, which :func:`_evolve` then reduces whole, as at full width.  If
-    no touched qubit lies below the lowest diffusion register above qubit 0,
-    the qubit just below that register is touched too, so that the register
-    does not hold qubit 0 of the smaller state.
+    that run, which :func:`_evolve` then reduces whole, as at full width.  It
+    never splits a run of rounds that :func:`_round_runs` fuses: it ends
+    before such a run instead.  If no touched qubit lies below the lowest
+    diffusion register above qubit 0, the qubit just below that register is
+    touched too, so that the register does not hold qubit 0 of the smaller
+    state.
     """
     n = num_qubits
-    touched = length = 0
     if n < _PREFIX_MIN_QUBITS:
-        return length, touched
-    low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
-    hadamards = None  # (length, touched) where the prefix's last Hadamard run began
+        return 0, 0
+    touched = length = 0
+    hadamards = None  # where the prefix's last Hadamard run began
     for gate in gates:
-        mask = 0
-        for q in gate.targets + gate.controls:
-            mask |= 1 << q
+        mask = _mask(gate)
         if (touched | mask).bit_count() > n - 2:
             break
-        if gate.kind == DIFFUSION:
-            bottom = mask & -mask
-            if (mask + bottom) & mask:  # not one run of adjacent qubits
-                break
-            if bottom > 1:
-                low = min(low, bottom.bit_length() - 1)
+        if gate.kind == DIFFUSION and (mask + (mask & -mask)) & mask:  # not adjacent qubits
+            break
         if gate.kind != HADAMARD:
             hadamards = None
         elif hadamards is None:
-            hadamards = (length, touched)
+            hadamards = length
         touched |= mask
         length += 1
     if hadamards is not None and length < len(gates) and gates[length].kind == HADAMARD:
-        before = {gate.targets for gate in gates[hadamards[0] : length]}
+        before = {gate.targets for gate in gates[hadamards:length]}
         after = takewhile(lambda gate: gate.kind == HADAMARD, gates[length:])
         if any(gate.targets in before for gate in after):
-            length, touched = hadamards
+            length = hadamards
+    runs = takewhile(lambda run: run[0] < length, _round_runs(n, gates))
+    length = next((start for start, stop, _ in runs if stop > length), length)
+    touched = 0
+    low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
+    for gate in gates[:length]:
+        mask = _mask(gate)
+        if gate.kind == DIFFUSION and mask & 1 == 0:
+            low = min(low, (mask & -mask).bit_length() - 1)
+        touched |= mask
     if touched & -touched == 1 << low:  # no touched qubit below the register
         touched |= 1 << (low - 1)
     return length, touched
+
+
+def _mask(gate: Gate) -> int:
+    """The bits of the qubits ``gate`` acts on."""
+    mask = 0
+    for q in gate.targets + gate.controls:
+        mask |= 1 << q
+    return mask
 
 
 def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:

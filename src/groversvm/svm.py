@@ -8,6 +8,12 @@
 selecting the maximal-KKT-violation pair each step (ties broken by lowest
 index), which makes training deterministic.  Each step costs O(m) array
 work, done in preallocated buffers, plus scalar arithmetic on Python floats.
+
+Every pair takes one step: alpha_j moves by y_j (E_i - E_j) / eta, clipped to
+the pair's feasible segment, where eta = K_ii + K_jj - 2 K_ij is floored at
+tau = 1e-15 (Fan, Chen & Lin, JMLR 6, 2005).  A selected pair violates the
+KKT conditions by more than ``tol``, so on a flat or concave pair the floored
+step is at least tol / tau long and ends on the segment's ascent-side end.
 Indefinite (shot-sampled) Gram inputs are accepted; convergence is then to a
 stationary KKT point.
 
@@ -29,6 +35,7 @@ from .errors import ContractViolationError, DegenerateProblemError, StructuralEr
 from .kernel import GramMatrix
 
 _ALPHA_SNAP = 1e-12
+_ETA_FLOOR = 1e-15  # tau: the least pair curvature a step divides by
 
 # Solutions stored by the innermost open solved_once() scope; None outside any.
 _solved: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_solved", default=None)
@@ -193,13 +200,9 @@ def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
             lo, hi = max(0.0, aj - ai), min(C, C + aj - ai)
         else:
             lo, hi = max(0.0, aj + ai - C), min(C, aj + ai)
-        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        eta = max(diag[i] + diag[j] - 2.0 * K.item(i, j), _ETA_FLOOR)
         e_diff = (u.item(i) - yi) - (u.item(j) - yj)
-        if eta > 1e-15:
-            aj_new = min(max(aj + yj * e_diff / eta, lo), hi)  # np.clip, signed zeros too
-        else:
-            # Indefinite direction: evaluate the restricted objective at both ends.
-            aj_new = float(_endpoint_step(K, y, alpha, u, i, j, lo, hi))
+        aj_new = min(max(aj + yj * e_diff / eta, lo), hi)  # np.clip, signed zeros too
         ai_new = ai + s * (aj - aj_new)
         di, dj = ai_new - ai, aj_new - aj
         if abs(dj) < 1e-14 * (abs(aj_new) + abs(aj) + 1.0):
@@ -234,26 +237,6 @@ def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
         iterations=iterations,
         stop_reason=stop_reason,
     )
-
-
-def _endpoint_step(K, y, alpha, u, i, j, lo, hi) -> float:
-    s = y[i] * y[j]
-    best_val, best_aj = -np.inf, alpha[j]
-    for aj in (lo, hi):
-        dj = aj - alpha[j]
-        di = -s * dj
-        # Restricted dual objective change for the (i, j) move.
-        delta = (
-            di + dj
-            - di * y[i] * u[i] - dj * y[j] * u[j]
-            - 0.5 * (di * di * K[i, i] + dj * dj * K[j, j])
-            - di * dj * y[i] * y[j] * K[i, j]
-        )
-        if delta > best_val + 1e-15:
-            best_val, best_aj = delta, aj
-    if best_val <= 0.0:
-        return alpha[j]
-    return best_aj
 
 
 def _compute_bias(alpha, y, u, C) -> float:

@@ -20,7 +20,6 @@ from groversvm.grover import (
 from groversvm.kernel import (
     GramMatrix,
     KernelMode,
-    clip_to_psd,
     cyclic_distance,
     gram_matrix,
     kernel_circuit,
@@ -473,20 +472,6 @@ class TestGramMatrix:
         with pytest.raises(StructuralError):
             gram_matrix([], 4, KernelMode.exact())
 
-    def test_clip_psd_flag(self):
-        marks = [0, 1, 2, 3, 4, 5, 6, 7]
-        noisy = gram_matrix(_oracles(marks), 4, KernelMode.sampled(4), rng_seed=1)
-        clipped = gram_matrix(
-            _oracles(marks), 4, KernelMode.sampled(4), rng_seed=1, clip_psd=True
-        )
-        assert clipped.min_eigenvalue() >= -1e-10
-        # Same data, only the projection differs.
-        assert noisy.entries.shape == clipped.entries.shape
-
-    def test_clip_to_psd_fixed_point_on_psd_input(self):
-        gram = gram_matrix(_oracles([0, 2, 8]), 4, KernelMode.exact())
-        npt.assert_allclose(clip_to_psd(gram.entries), gram.entries, atol=1e-12)
-
     def test_mode_validation(self):
         with pytest.raises(StructuralError):
             KernelMode("sampled")
@@ -496,7 +481,7 @@ class TestGramMatrix:
             KernelMode("bogus")
 
 
-def _reference_gram(oracles, M, mode, seed=0, clip_psd=False):
+def _reference_gram(oracles, M, mode, seed=0):
     """The per-pair loop: one scalar kernel and, when sampled, one draw per pair."""
     N = oracles[0].domain_size
     m = len(oracles)
@@ -508,9 +493,6 @@ def _reference_gram(oracles, M, mode, seed=0, clip_psd=False):
                 stream = np.random.default_rng(np.random.SeedSequence([seed, i, j]))
                 value = kernel_sampled(value, mode.shots, stream)
             entries[i, j] = entries[j, i] = value
-    if clip_psd:
-        entries = clip_to_psd(entries)
-        entries = (entries + entries.T) / 2.0
     return entries
 
 
@@ -530,15 +512,6 @@ class TestGramMatchesPerPairLoop:
         mode = KernelMode.sampled(shots)
         gram = gram_matrix(oracles, M, mode, rng_seed=seed)
         assert np.array_equal(gram.entries, _reference_gram(oracles, M, mode, seed))
-
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_sampled_clip_psd_bit_identical(self, seed):
-        marks = np.random.default_rng(seed).choice(64, size=20, replace=False)
-        oracles = _oracles(marks, 64)
-        mode = KernelMode.sampled(4)
-        gram = gram_matrix(oracles, 12, mode, rng_seed=seed, clip_psd=True)
-        expected = _reference_gram(oracles, 12, mode, seed, clip_psd=True)
-        assert np.array_equal(gram.entries, expected)
 
     def test_exact_bit_identical_with_repeated_marks(self):
         oracles = _oracles([3, 3, 0, 15, 9, 5, 3], 16)

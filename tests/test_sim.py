@@ -930,6 +930,19 @@ class TestZeroPrefix:
         expected = sim.run(circuit, StateVector.zero(n)).amplitudes
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
 
+    def test_a_prefix_does_not_split_a_run_of_rounds(self, low_prefix):
+        # The oracle's qubits 0, 1 and 6 would leave one qubit untouched after
+        # the first diffusion, inside the rounds the full-width run fuses at
+        # gates [4, 10): the prefix ends before them and takes no qubit below.
+        n, register = 8, (2, 3, 4, 5)
+        oracle = sim.phase_oracle(register + (0, 1, 6), [9 | 1 << 4, 3 | 2 << 4])
+        gates = [sim.hadamard(q) for q in register] + [sim.diffusion(register), oracle] * 3
+        circuit = Circuit(n, tuple(gates))
+        assert [run[:2] for run in sim._round_runs(n, circuit.gates)] == [(4, 10)]
+        assert sim._zero_prefix(n, circuit.gates) == (4, 0b00111100)
+        expected = sim.run(circuit, StateVector.zero(n)).amplitudes
+        assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+
     def test_small_states_start_at_full_width(self):
         n = sim._PREFIX_MIN_QUBITS - 1
         circuit = Circuit(n, (sim.hadamard(0), sim.hadamard(1)))

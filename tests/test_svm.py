@@ -12,6 +12,7 @@ from groversvm.kernel import KernelMode, gram_matrix
 from groversvm.learn import Concept, generate_dataset
 from groversvm import svm
 from groversvm.svm import decide, dual_objective, kkt_gap, train
+import svm_reference
 from svm_reference import brute_force_qp, train_reference
 
 
@@ -147,6 +148,27 @@ class TestSolverProperties:
         npt.assert_array_equal(a.dual_coeffs, b.dual_coeffs)
         assert a.bias == b.bias
 
+    @pytest.mark.parametrize("C", [0.1, 1.0, 100.0])
+    def test_negative_curvature_pairs(self, C):
+        # Symmetric matrices with diagonals in [0, 1) and entries in [-1, 1]
+        # have pairs with eta = K_ii + K_jj - 2 K_ij < 0; no package kernel
+        # makes one, and the floored step must still ascend and stop cleanly.
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            m = int(rng.integers(6, 40))
+            A = rng.uniform(-1.0, 1.0, size=(m, m))
+            K = (A + A.T) / 2.0
+            K[np.diag_indices(m)] = rng.uniform(0.0, 1.0, size=m)
+            diag = np.diag(K)
+            assert np.any(diag[:, None] + diag[None, :] - 2.0 * K < 0.0)
+            y = np.resize([1, -1], m)[rng.permutation(m)]
+            history = []
+            model = train(K, y, box_bound=C, objective_history=history)
+            assert np.all(np.diff(history) >= -1e-10)
+            assert model.stop_reason in ("converged", "no_progress")
+            if model.stop_reason == "converged":
+                assert kkt_gap(K, y, model.dual_coeffs, C) <= 1e-7
+
     def test_indefinite_sampled_gram_trains_to_feasible_point(self):
         oracles = [IndicatorOracle(32, v) for v in (0, 2, 4, 6, 16, 18, 20, 22)]
         gram = gram_matrix(oracles, 8, KernelMode.sampled(2), rng_seed=1)
@@ -262,16 +284,34 @@ class TestMatchesReferenceLoop:
         for C in (1.0, 100.0):
             assert assert_same_run(K, y, C) > 0
 
-    def test_endpoint_step_path(self, monkeypatch):
-        # Shot-sampled kernels of 1 off the diagonal give eta = 0 for that pair.
+    def count_endpoint_steps(self, monkeypatch):
+        """Record each eta <= 1e-15 step the reference loop takes."""
         calls = []
-        endpoint_step = svm._endpoint_step
+        endpoint_step = svm_reference._endpoint_step_reference
         monkeypatch.setattr(
-            svm, "_endpoint_step", lambda *args: calls.append(args[5]) or endpoint_step(*args)
+            svm_reference,
+            "_endpoint_step_reference",
+            lambda *args: calls.append(args[5]) or endpoint_step(*args),
         )
+        return calls
+
+    def test_endpoint_step_path(self, monkeypatch):
+        # Shot-sampled kernels of 1 off the diagonal give eta = 0 for that pair,
+        # where the floored step must land where the endpoint search does.
+        calls = self.count_endpoint_steps(monkeypatch)
         for seed in range(4):
             K, y = gram_case("sampled", 32, seed)
             assert_same_run(K, y, 100.0)
+        assert calls
+
+    @pytest.mark.parametrize("C", [1.0, 100.0])
+    @pytest.mark.parametrize("shots", [1, 4])
+    def test_flat_pairs_on_sampled_grams(self, monkeypatch, shots, C):
+        calls = self.count_endpoint_steps(monkeypatch)
+        for seed in range(10):
+            data = generate_dataset(Concept(seed, 512), 32, seed)
+            K = gram_matrix(data.oracles, 128, KernelMode.sampled(shots), rng_seed=seed).entries
+            assert_same_run(K, data.labels, C)
         assert calls
 
     def test_iteration_cap_warns_on_both_sides(self):
