@@ -13,7 +13,8 @@ Every pair takes one step: alpha_j moves by y_j (E_i - E_j) / eta, clipped to
 the pair's feasible segment, where eta = K_ii + K_jj - 2 K_ij is floored at
 tau = 1e-15 (Fan, Chen & Lin, JMLR 6, 2005).  A selected pair violates the
 KKT conditions by more than ``tol``, so on a flat or concave pair the floored
-step is at least tol / tau long and ends on the segment's ascent-side end.
+step is at least tol / tau long; with any box bound below that it ends on the
+segment's ascent-side end, where Platt's endpoint search would put it.
 Indefinite (shot-sampled) Gram inputs are accepted; convergence is then to a
 stationary KKT point.
 
