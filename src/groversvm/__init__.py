@@ -46,6 +46,7 @@ from .kernel import (
     kernel_circuit,
     kernel_exact,
     kernel_sampled,
+    multi_marked_fidelity,
 )
 from .svm import SvmModel, decide, dual_objective, kkt_gap, train
 from .learn import (

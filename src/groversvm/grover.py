@@ -222,7 +222,9 @@ def grover_search_many(
     The oracles must share one domain size.  The faithful backend builds the
     Hadamard and diffusion gates once and one phase gate per oracle, runs the
     circuits as :func:`sim.run_many` batches of ``_BATCH_SEARCHES``, and
-    samples each state with its own seed.  A ledger bills the oracle's
+    draws one measurement from each state with its own seed: the value
+    ``sim.sample_measurement(state, register, 1, seed)`` would report, by
+    the same draw rule, without the histogram.  A ledger bills the oracle's
     counter change, split evenly between the searches of an oracle listed
     more than once.
     """
@@ -254,12 +256,11 @@ def grover_search_many(
                 Circuit(n, tuple(hadamards + [oracle.phase_gate(register), diffusion] * k))
                 for oracle in oracles[start : start + _BATCH_SEARCHES]
             ]
-            states = sim.run_many(circuits)
             seeds = rng_seeds[start : start + _BATCH_SEARCHES]
-            found += [
-                int(next(iter(sim.sample_measurement(state, register, 1, seed))), 2)
-                for state, seed in zip(states, seeds)
-            ]
+            for state, seed in zip(sim.run_many(circuits), seeds):
+                probs = state.probabilities()  # the register is the state: one weight per value
+                probs /= probs.sum()
+                found.append(sim._one_shot(probs, sim.as_rng(seed)))
         shots = 1
     listed = Counter(id(oracle) for oracle in oracles)
     return [

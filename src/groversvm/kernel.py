@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, InvalidIntervalError, StructuralError
-from .grover import GroverConfig, IndicatorOracle, feature_map_circuit
+from .grover import GroverConfig, IndicatorOracle, MultiMarkedOracle, feature_map_circuit
 from .ledger import QueryLedger
 from . import sim
 
@@ -55,8 +55,13 @@ class KernelMode:
 
 
 def cyclic_distance(i: int, j: int, domain_size: int) -> int:
-    d = abs(int(i) - int(j)) % domain_size
-    return min(d, domain_size - d)
+    """min(|i - j| mod N, N - |i - j| mod N) for integers i, j and a positive integer N."""
+    if not (sim._is_int(i) and sim._is_int(j) and sim._is_int(domain_size) and domain_size >= 1):
+        raise StructuralError(
+            f"cyclic distance needs integers i, j and N >= 1, got {i!r}, {j!r}, {domain_size!r}"
+        )
+    d = abs(int(i) - int(j)) % int(domain_size)
+    return min(d, int(domain_size) - d)
 
 
 def _check_interval(interval_width: int, domain_size: int) -> int:
@@ -98,6 +103,25 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     d = np.abs(a - b) % N
     d = np.minimum(d, N - d)
     return np.where(d < M, (M - d) / M, 0.0)
+
+
+def multi_marked_fidelity(oracle: MultiMarkedOracle, interval_width: int) -> float:
+    """:func:`grover.multi_marked_ancilla_fidelity` in closed form, at any domain size.
+
+    After the Hadamards and the adder, the register holds the interval that
+    starts at the ancilla's value, and the intervals of ``a`` and ``b``
+    overlap in ``K(a, b)``.  So tracing the register out leaves the ancilla
+    in ``(1/t) sum_{a,b in S} K(a, b) |a><b|``, whose fidelity with the even
+    superposition of the ``t`` marked elements is
+    ``F = (1/t^2) sum_{a,b in S} K(a, b)``: the mean interval kernel over
+    ordered pairs of marked elements.  F is exactly ``1/t`` when the marked
+    elements lie pairwise at cyclic distance M or more, at least ``1/t``
+    always (``K >= 0``), and 1 only for ``t = 1``.  The interval width must
+    satisfy ``1 <= M < N/2``, as for :func:`kernel_exact`.
+    """
+    marked = np.array(sorted(oracle.marked_set), dtype=np.int64)
+    K = kernel_exact_many(marked[:, None], marked[None, :], interval_width, oracle.domain_size)
+    return float(K.sum() / marked.size**2)
 
 
 def _overlap(forward, backward, num_qubits: int, register) -> float:

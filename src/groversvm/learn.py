@@ -273,8 +273,10 @@ def default_interval_width(train_size: int, domain_size: int) -> int:
 
 
 def default_shots(train_size: int) -> int:
-    """Noise-robustness default R = m^4."""
-    return train_size**4
+    """Noise-robustness default R = m^4 for a positive integer training size m."""
+    if not _is_int(train_size) or train_size < 1:
+        raise StructuralError(f"train size must be a positive integer, got {train_size!r}")
+    return int(train_size) ** 4
 
 
 def quantum_kernel_learner(
@@ -476,8 +478,8 @@ def loglog_slope(xs, ys) -> tuple[float, float]:
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise StructuralError("slope fit needs one y per x")
-    if not (np.all(xs > 0) and np.all(ys > 0)):
-        raise StructuralError("slope fit needs positive x and y")
+    if not all(np.all(np.isfinite(v) & (v > 0)) for v in (xs, ys)):
+        raise StructuralError("slope fit needs finite positive x and y")
     if np.unique(xs).size < 2:
         raise StructuralError("slope fit needs at least two distinct x")
     lx, ly = np.log(xs), np.log(ys)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,8 +171,15 @@ def cyclic_shift_gates(index_qubits, text_qubits) -> list[Gate]:
     """Shift the text register left by the index value: bit i picks up t_{(i+k) mod N}.
 
     Realized as one controlled rotation by 2^b per index bit b, each rotation
-    decomposed into three reversal layers of controlled swaps.
+    decomposed into three reversal layers of controlled swaps.  The gates do
+    not depend on the text, so they are built once per pair of registers; each
+    call gets a new list of them.
     """
+    return list(_shift_gates(sim._ints(index_qubits, "qubits"), sim._ints(text_qubits, "qubits")))
+
+
+@lru_cache(maxsize=64)
+def _shift_gates(index_qubits: tuple[int, ...], text_qubits: tuple[int, ...]) -> tuple[Gate, ...]:
     gates: list[Gate] = []
     N = len(text_qubits)
     for b, control in enumerate(index_qubits):
@@ -180,14 +188,21 @@ def cyclic_shift_gates(index_qubits, text_qubits) -> list[Gate]:
             continue
         for a, c in _rotation_swaps(text_qubits, amount):
             gates.extend(_cswap(control, a, c))
-    return gates
+    return tuple(gates)
+
+
+def _check_text_length(text_length) -> int:
+    """The text length N as an int; it must be an integer power of two, at least 2."""
+    if not _is_power_of_two(text_length) or text_length < 2:
+        raise StructuralError(
+            f"text length must be a power of two, at least 2, got {text_length!r}"
+        )
+    return int(text_length)
 
 
 def cyclic_shift_circuit(text_length: int) -> Circuit:
     """Index-controlled cyclic shift on n + N qubits (index first, then text)."""
-    N = int(text_length)
-    if N < 2 or not _is_power_of_two(N):
-        raise StructuralError("text length must be a power of two, at least 2")
+    N = _check_text_length(text_length)
     n = N.bit_length() - 1
     index = tuple(range(n))
     text = tuple(range(n, n + N))
@@ -195,7 +210,8 @@ def cyclic_shift_circuit(text_length: int) -> Circuit:
 
 
 def amplification_rounds_for(text_length: int) -> int:
-    return int(math.pi / 4.0 * math.sqrt(text_length))
+    """The matcher's default round count, floor(pi/4 sqrt(N)), for a text of length N."""
+    return int(math.pi / 4.0 * math.sqrt(_check_text_length(text_length)))
 
 
 def pattern_symbolic_steps(text_length: int, pattern_length: int) -> int:
@@ -204,9 +220,15 @@ def pattern_symbolic_steps(text_length: int, pattern_length: int) -> int:
     Each controlled rotation of the shift costs one step per index bit
     (control fan-out), so a full shift is (log N)^2 steps; the reflections
     cost log-depth of their register width.  The total therefore scales as
-    sqrt(N) ((log N)^2 + log L).
+    sqrt(N) ((log N)^2 + log L).  N is a power of two, at least 2, and L an
+    integer in [1, N].
     """
-    N, L = int(text_length), int(pattern_length)
+    N = _check_text_length(text_length)
+    if not _is_int(pattern_length) or not 1 <= pattern_length <= N:
+        raise StructuralError(
+            f"pattern length must be an integer in [1, {N}], got {pattern_length!r}"
+        )
+    L = int(pattern_length)
     n = N.bit_length() - 1
     prep = 1 + 1 + n * n + 1  # encode, hadamard layer, shift, xor layer
     good_flip = max(1, math.ceil(math.log2(max(L, 2)))) + 1
@@ -278,11 +300,10 @@ def pattern_match(
         success = theoretical_success_probability(instance.text_length, 1, rounds)
         return instance.location, success, ledger
     state = sim.run_from_zero(match_circuit(instance, rounds))
-    index_q = _registers(instance)[0]
-    probs = sim.register_probabilities(state, index_q)
+    probs = sim.register_probabilities(state, _registers(instance)[0])
     success = float(probs[instance.location])
-    hist = sim.sample_measurement(state, index_q, 1, rng_seed)
-    found = int(next(iter(hist)), 2)
+    # The one measurement sample_measurement(state, index register, 1, rng_seed) makes.
+    found = sim._one_shot(probs / probs.sum(), sim.as_rng(rng_seed))
     return found, success, ledger
 
 

@@ -151,6 +151,12 @@ _BATCH_AMPLITUDES = _CACHE_ROW >> 2
 # holds about ten arrays of one entry per column, which would outgrow the state
 # below this width, and on such registers k is at most 2 at the optimum.
 _ROUNDS_MIN_QUBITS = 4
+# Slack of a certified one-shot draw (see _one_shot): each bin before the
+# likeliest stays this far below half of what is left, and its double this far
+# below its threshold; the likeliest bin's double lies _SHOT_EDGE inside its own.
+# Both dwarf the rounding of a threshold, a few units in the last place.
+_SHOT_MARGIN = 1e-9
+_SHOT_EDGE = 1e-12
 
 HADAMARD = "hadamard"
 PAULI_X = "pauli_x"
@@ -626,14 +632,35 @@ def _round_power(size: int, rounds: int, oracle_first: bool) -> tuple[float, ...
     return tuple(entry / scale for row in power for entry in row)
 
 
-def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]):
-    """Each column's marked register value, -1 where it has none; None if a column has two.
+def _fusable(first: Gate, second: Gate) -> bool:
+    """Whether :func:`_rounds_plan` takes repeats of ``first`` then ``second`` in closed form.
 
-    ``register`` is adjacent qubits listed low to high.  A column fixes every
-    qubit outside it, and columns are numbered in basis-index order.  A
+    One gate is a phase oracle and the other a diffusion on at least
+    ``_ROUNDS_MIN_QUBITS`` adjacent qubits listed low to high, and no column
+    (value of the qubits outside the register) holds two marked values.  A
     marked value spells the oracle's qubits and covers every value of the
     qubits it leaves free, so one that leaves a register qubit free marks two
-    values of a column.
+    values of a column; otherwise two marked values share a column iff they
+    agree on the oracle's qubits outside the register.
+    """
+    oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
+    register, low = diffusion.targets, diffusion.targets[0]
+    if len(register) < _ROUNDS_MIN_QUBITS or register != tuple(range(low, low + len(register))):
+        return False
+    if not oracle.marked:
+        return True
+    if not set(register).issubset(oracle.targets):
+        return False
+    outside = sum(1 << p for p, q in enumerate(oracle.targets) if q not in register)
+    return len({value & outside for value in oracle.marked}) == len(oracle.marked)
+
+
+def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]) -> np.ndarray:
+    """Each column's marked register value, -1 where it has none.
+
+    ``register`` is adjacent qubits listed low to high, and no column holds
+    two marked values (see :func:`_fusable`).  A column fixes every qubit
+    outside it, and columns are numbered in basis-index order.
     """
     n = num_qubits
     lo, width = register[0], len(register)
@@ -649,16 +676,13 @@ def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]):
     marks = np.full(1 << (n - width), -1, dtype=np.int64)
     columns = indices >> (lo + width) << lo | indices & (1 << lo) - 1
     marks[columns] = indices >> lo & (1 << width) - 1
-    # np.unique would import numpy.ma (about 1 MB); a column written twice counts once.
-    return marks if np.count_nonzero(marks >= 0) == indices.size else None
+    return marks
 
 
 def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
-    """The kernel ``apply(psi)`` of ``rounds`` repeats of ``first`` then ``second``, or None.
+    """The kernel ``apply(psi)`` of ``rounds`` repeats of ``first`` then ``second``.
 
-    One gate is a phase oracle and the other a diffusion on at least
-    ``_ROUNDS_MIN_QUBITS`` adjacent qubits listed low to high, and no column
-    holds two marked values (see :func:`_column_marks`).  Each column gets the closed form of
+    The pair must be :func:`_fusable`.  Each column gets the closed form of
     :func:`_round_power` from its register sum and its marked amplitude: with
     ``s = (-1)**rounds`` and ``(alpha', beta')`` the rounds' image,
     ``v <- s * v + (alpha' - s * alpha) * 1``, and ``alpha' + beta'`` at
@@ -669,11 +693,7 @@ def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
     """
     oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
     register, low = diffusion.targets, diffusion.targets[0]
-    if len(register) < _ROUNDS_MIN_QUBITS or register != tuple(range(low, low + len(register))):
-        return None
     marks = _column_marks(num_qubits, oracle, register)
-    if marks is None:
-        return None
     runs = _runs(num_qubits, register)
     shape = tuple(1 << len(run) for _, run in runs)
     axis = [inside for inside, _ in runs].index(True)
@@ -706,11 +726,11 @@ def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
     return apply
 
 
-def _round_runs(num_qubits: int, gates):
-    """``(start, stop, apply)`` for each run of ``_rounds_plan`` rounds in ``gates``.
+def _round_runs(gates):
+    """``(start, stop)`` of each run of rounds in ``gates`` that ``_rounds_plan`` applies.
 
-    A run is a maximal repeat, two or more times, of one oracle and diffusion
-    pair in either order.
+    A run is a maximal repeat, two or more times, of one :func:`_fusable`
+    oracle and diffusion pair in either order.  No plan is built here.
     """
     kinds = [gate.kind for gate in gates]
     if DIFFUSION not in kinds:
@@ -725,11 +745,10 @@ def _round_runs(num_qubits: int, gates):
         j = i + 2
         while j + 1 < count and _same(gates[j], first) and _same(gates[j + 1], second):
             j += 2
-        apply = _rounds_plan(num_qubits, first, second, (j - i) // 2) if j - i >= 4 else None
-        if apply is None:
+        if j - i < 4 or not _fusable(first, second):
             i = j - 1  # read from the next gate on, the same pair neither runs further nor fuses
             continue
-        yield i, j, apply
+        yield i, j
         i = j
 
 
@@ -744,9 +763,9 @@ def _steps(num_qubits: int, gates):
         return _FUSED.get(gate.kind)
 
     start = 0
-    for begin, end, apply in _round_runs(num_qubits, gates):
+    for begin, end in _round_runs(gates):
         yield from groupby(gates[start:begin], key=key)
-        yield _ROUNDS, apply
+        yield _ROUNDS, _rounds_plan(num_qubits, gates[begin], gates[begin + 1], (end - begin) // 2)
         start = end
     yield from groupby(gates[start:], key=key)
 
@@ -855,8 +874,8 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
         after = takewhile(lambda gate: gate.kind == HADAMARD, gates[length:])
         if any(gate.targets in before for gate in after):
             length = hadamards
-    runs = takewhile(lambda run: run[0] < length, _round_runs(n, gates))
-    length = next((start for start, stop, _ in runs if stop > length), length)
+    runs = takewhile(lambda run: run[0] < length, _round_runs(gates))
+    length = next((start for start, stop in runs if stop > length), length)
     touched = 0
     low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
     for gate in gates[:length]:
@@ -1047,16 +1066,58 @@ def sample_measurement(
 
     Returns a histogram keyed by bitstring, written most-significant-first,
     where position ``p`` of the register list contributes bit ``p`` of the
-    value.  Identical seeds give identical histograms.
+    value.  Identical seeds give identical histograms: the counts are
+    ``Generator.multinomial(shots, p)`` of the normalised Born weights, and
+    one shot is drawn by :func:`_one_shot`, which gives the same outcome.
     """
     register = _check_register(state.num_qubits, register)
     _check_shots(shots)
     probs = register_probabilities(state, register)
     probs /= probs.sum()
     rng = as_rng(rng_seed)
-    counts = rng.multinomial(shots, probs)
     width = len(register)
+    if shots == 1:
+        return {format(_one_shot(probs, rng), f"0{width}b"): 1}
+    counts = rng.multinomial(shots, probs)
     return {format(v, f"0{width}b"): int(counts[v]) for v in np.flatnonzero(counts).tolist()}
+
+
+def _one_shot(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``np.flatnonzero(rng.multinomial(1, probs))[0]``, leaving ``rng`` in the same state.
+
+    numpy walks the bins ``j = 0 ... d - 2`` with ``rem = 1 - p_0 - ... -
+    p_{j-1}``, and at each draws Binomial(1, r) with ``r = p_j / rem``: a bin
+    with ``r = 0`` draws nothing, and any other draws one double ``U`` and
+    fires iff ``U > exp(log(1 - r))`` when ``r <= 1/2``, or iff ``U <=
+    exp(log(1 - (1 - r)))`` when ``r > 1/2``.  The first bin that fires takes
+    the shot; the last bin takes it without a draw.
+
+    That walk is read off directly when the likeliest bin ``c`` holds more
+    than half of what is left before it and no earlier bin as much as ``1/2 -
+    _SHOT_MARGIN`` of that.  Each of the ``k`` nonzero bins before ``c`` then
+    draws one double, and all ``k`` must lie ``_SHOT_MARGIN`` below
+    ``1 - max(p[:c]) / rem_c``, under every one of their thresholds; bin
+    ``c``, unless it is last, draws one more, which must fire with
+    ``_SHOT_EDGE`` to spare.  Anything else, including every input numpy
+    rejects (a negative or NaN entry, or ``sum(p[:-1])`` above ``1 +
+    1e-12``), restores the generator's state and asks numpy.
+    """
+    c = int(probs.argmax())  # a NaN anywhere is the argmax, and fails the ratio test
+    head = probs[:c]
+    rem = float(np.subtract.reduce(head, initial=1.0))  # numpy's rem_c: one subtraction at a time
+    top = float(head.max(initial=0.0))
+    low = probs.min()
+    if (rem > 0 and 0.5 < probs[c] / rem <= 1 and top / rem <= 0.5 - _SHOT_MARGIN and low >= 0
+            and np.add.reduce(probs[:-1]) <= 1 + 1e-13):
+        last = c == probs.size - 1
+        k = c if low > 0 else int(np.count_nonzero(head))
+        state = rng.bit_generator.state
+        draws = rng.random(k + (not last))
+        if draws[:k].max(initial=0.0) <= 1 - top / rem - _SHOT_MARGIN:
+            if last or draws[k] <= math.exp(math.log(1 - (1 - probs[c] / rem))) - _SHOT_EDGE:
+                return c
+        rng.bit_generator.state = state
+    return int(np.flatnonzero(rng.multinomial(1, probs))[0])
 
 
 def subsystem_fidelity(

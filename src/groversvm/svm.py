@@ -87,9 +87,17 @@ def _check_labels(labels, size: int) -> np.ndarray:
 
 
 def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
-    """Largest KKT violation m(a) - M(a); <= 0 means the KKT conditions hold."""
+    """Largest KKT violation m(a) - M(a); <= 0 means the KKT conditions hold.
+
+    ``labels`` and ``alpha`` hold one entry per row of the Gram matrix.
+    """
     K = _as_matrix(gram)
     y = np.asarray(labels, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if y.shape != (K.shape[0],) or alpha.shape != y.shape:
+        raise StructuralError(
+            f"expected {K.shape[0]} labels and coefficients, got shapes {y.shape} and {alpha.shape}"
+        )
     u = K @ (alpha * y)
     g = y - u
     up = ((y > 0) & (alpha < box_bound)) | ((y < 0) & (alpha > 0))

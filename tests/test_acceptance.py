@@ -18,7 +18,9 @@ from groversvm.grover import (
     multi_marked_ancilla_fidelity,
     theoretical_success_probability,
 )
-from groversvm.kernel import KernelMode, gram_matrix, kernel_circuit, kernel_exact
+from groversvm.kernel import (
+    KernelMode, gram_matrix, kernel_circuit, kernel_exact, multi_marked_fidelity,
+)
 from groversvm.learn import (
     Concept,
     classical_accuracy_bound,
@@ -310,11 +312,29 @@ def test_criterion_08_pattern_matching():
 
 
 def test_criterion_09_multi_marked_failure():
-    """Two marked elements at N=16 leave the ancilla entangled: fidelity < 0.99."""
+    """Several marked elements leave the ancilla entangled, as the law F = 1/t says.
+
+    Two marked elements at N=16 give a circuit fidelity below 0.99.  The
+    closed form F = (1/t^2) sum_{a,b in S} K(a, b) gives exactly 1/2 there,
+    and exactly 1/t for t marked elements pairwise at cyclic distance M or
+    more, checked at N from 2^6 to 2^20.
+    """
     fid = multi_marked_ancilla_fidelity(MultiMarkedOracle(16, {2, 9}), 4)
     single = multi_marked_ancilla_fidelity(MultiMarkedOracle(16, {3}), 4)
-    ok = fid < 0.99 and abs(single - 1.0) < 1e-9
-    verdict(9, ok, f"pair fidelity {fid:.4f} < 0.99; singleton control {single:.12f}")
+    exact = multi_marked_fidelity(MultiMarkedOracle(16, {2, 9}), 4)
+    rng = np.random.default_rng(9)
+    law = []
+    for N in (1 << 6, 1 << 12, 1 << 20):
+        for M in (4, N // 8):
+            for t in (2, 3, 5, 8):
+                # Distinct multiples of M, shifted together: pairwise M or more apart.
+                slots = rng.choice(N // M, size=t, replace=False)
+                marked = ((int(rng.integers(N)) + M * slots) % N).tolist()
+                law.append(multi_marked_fidelity(MultiMarkedOracle(N, marked), M) == 1 / t)
+    ok = fid < 0.99 and abs(single - 1.0) < 1e-9 and exact == 0.5 and abs(fid - exact) < 1e-12
+    ok = ok and all(law)
+    verdict(9, ok, f"pair fidelity {fid:.4f} < 0.99 (closed form {exact}); singleton control "
+                   f"{single:.12f}; F = 1/t in {sum(law)} of {len(law)} spread sets up to N = 2^20")
     assert ok
 
 

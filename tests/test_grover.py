@@ -479,6 +479,23 @@ class TestMultiMarkedFailure:
             fid = multi_marked_ancilla_fidelity(MultiMarkedOracle(N, marked.tolist()), M)
             assert abs(fid - expected) < 1e-12, (N, M, marked)
 
+    def test_kernel_closed_form_matches_the_circuit(self):
+        # kernel.multi_marked_fidelity, F = (1/t^2) sum_{a,b in S} K(a, b), to
+        # 1e-12 at N from 8 to 128, every M = 2^b below N/2, t in {1, 2, 3, 6}.
+        from groversvm.kernel import multi_marked_fidelity
+
+        rng = np.random.default_rng(10)
+        checked = 0
+        for N in (8, 16, 32, 64, 128):
+            for M in (1 << b for b in range(N.bit_length() - 2)):
+                for t in (1, 2, 3, 6):
+                    oracle = MultiMarkedOracle(N, rng.choice(N, t, replace=False).tolist())
+                    closed = multi_marked_fidelity(oracle, M)
+                    assert abs(closed - multi_marked_ancilla_fidelity(oracle, M)) < 1e-12
+                    assert closed >= 1 / t - 1e-15 and (closed == 1.0) == (t == 1)
+                    checked += 1
+        assert checked == 80
+
     @pytest.mark.parametrize("marked", [[2.5, 3], [3.0], [True, 3], ["3"]])
     def test_marked_elements_must_be_integers(self, marked):
         with pytest.raises(StructuralError):

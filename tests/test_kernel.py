@@ -103,6 +103,16 @@ class TestCyclicDistance:
         assert cyclic_distance(0, 8, 16) == 8
         assert cyclic_distance(5, 5, 16) == 0
 
+    def test_numpy_integers_pass(self):
+        assert cyclic_distance(np.int64(1), np.uint8(15), np.int32(16)) == 2
+
+    @pytest.mark.parametrize("args", [(3.5, 5, 16), (3, 5.0, 16), (True, 5, 16), (3, 5, 16.0),
+                                      (3, 5, 0), (3, 5, -16), ("3", 5, 16)])
+    def test_rejects_non_integers_and_empty_domains(self, args):
+        # (3.5, 5, 16) gave 2 and (3, 5, 0) raised ZeroDivisionError.
+        with pytest.raises(StructuralError, match="cyclic distance"):
+            cyclic_distance(*args)
+
 
 class TestKernelCircuit:
     def test_identical_oracles_give_unity(self):

@@ -680,9 +680,10 @@ class TestLoglogSlope:
     @pytest.mark.parametrize(
         "xs, ys",
         [([16, 32], [1]), ([16, 32, 64], [1, 2]), ([16, 32], [1, 0]), ([16, 32], [1, -2]),
-         ([0, 32], [1, 2]), ([16, 16, 16], [1, 2, 3]), ([16], [1]), ([16, 32], [1, np.nan])],
+         ([0, 32], [1, 2]), ([16, 16, 16], [1, 2, 3]), ([16], [1]), ([16, 32], [1, np.nan]),
+         ([16, np.inf], [1, 2]), ([16, 32], [1, np.inf])],
         ids=["one-y-short", "ys-short", "zero-y", "negative-y", "zero-x", "one-distinct-x",
-             "one-point", "nan-y"],
+             "one-point", "nan-y", "infinite-x", "infinite-y"],
     )
     def test_rejects_what_it_cannot_fit(self, xs, ys):
         with pytest.raises(StructuralError):
@@ -697,6 +698,13 @@ class TestDefaults:
 
     def test_shot_default_is_fourth_power(self):
         assert default_shots(8) == 4096
+        assert default_shots(np.int64(8)) == 4096 and type(default_shots(np.int64(8))) is int
+
+    @pytest.mark.parametrize("m", [2.5, 8.0, True, 0, -2])
+    def test_shot_default_needs_a_positive_integer(self, m):
+        # 2.5 gave 39.0625 shots.
+        with pytest.raises(StructuralError, match="train size"):
+            default_shots(m)
 
 
 class TestLedgerMerge:

@@ -15,6 +15,7 @@ from groversvm.pattern import (
     amplification_rounds_for,
     cyclic_match_locations,
     cyclic_shift_circuit,
+    cyclic_shift_gates,
     encode,
     kmp_search,
     match_circuit,
@@ -145,6 +146,26 @@ class TestCyclicShift:
         with pytest.raises(StructuralError, match="non-negative"):
             random_instance(16, "101", 7, -2)
 
+    def test_the_gates_are_built_once_and_listed_afresh(self):
+        from groversvm.pattern import _shift_gates
+
+        index, text = range(3), range(3, 11)
+        first = cyclic_shift_gates(index, text)
+        first.clear()  # the caller owns its list
+        second, third = cyclic_shift_gates(index, text), cyclic_shift_gates(np.arange(3), text)
+        assert second is not third and len(second) == 69
+        assert all(a is b for a, b in zip(second, third, strict=True))
+        fresh = _shift_gates.__wrapped__(tuple(index), tuple(text))
+        assert [(g.kind, g.targets, g.controls) for g in second] == [
+            (g.kind, g.targets, g.controls) for g in fresh
+        ]
+
+    @pytest.mark.parametrize("index", [(0.0, 1, 2), (0, True, 2), ("0", 1, 2)])
+    def test_cached_gates_still_take_integer_qubits_only(self, index):
+        cyclic_shift_gates(range(3), range(3, 11))
+        with pytest.raises(StructuralError):
+            cyclic_shift_gates(index, range(3, 11))
+
 
 class TestMatcherStates:
     def test_match_circuit_reuses_its_preparation(self):
@@ -197,6 +218,24 @@ class TestPatternMatch:
             hits += found == 2
         p = 121.0 / 128.0
         assert abs(hits / runs - p) <= 4 * math.sqrt(p * (1 - p) / runs)
+
+    def test_faithful_draw_is_the_sampled_measurement(self, monkeypatch):
+        # One probability pass per match, and the index register's one-shot sample.
+        instance = TextInstance("10110010", "110")
+        state = sim.run_from_zero(match_circuit(instance, 2))
+        passes = []
+        original = sim.register_probabilities
+
+        def spy(state, register):
+            passes.append(tuple(register))
+            return original(state, register)
+
+        expected = [int(next(iter(sim.sample_measurement(state, range(3), 1, seed))), 2)
+                    for seed in range(20)]
+        monkeypatch.setattr(sim, "register_probabilities", spy)
+        found = [pattern_match(instance, GroverConfig("faithful"), seed)[0] for seed in range(20)]
+        assert found == expected and set(found) != {2}
+        assert passes == [(0, 1, 2)] * 20
 
     def test_ideal_is_deterministic(self):
         instance = TextInstance("10110010", "110")
@@ -352,6 +391,23 @@ class TestLedgers:
     @pytest.mark.parametrize("N", [8, 16, 64, 256, 1024])
     def test_amplification_rounds_formula(self, N):
         assert amplification_rounds_for(N) == int(math.pi / 4 * math.sqrt(N))
+
+    @pytest.mark.parametrize("N", [8.5, 8.0, np.float64(8.0), True, -4, 0, 1, 6])
+    def test_text_lengths_are_integer_powers_of_two(self, N):
+        # 8.5 gave 2 rounds, -4 a math domain error, (0, 3) 4 steps and 8.0 a circuit.
+        for call in (amplification_rounds_for, lambda N: pattern_symbolic_steps(N, 1),
+                     cyclic_shift_circuit):
+            with pytest.raises(StructuralError, match="text length"):
+                call(N)
+
+    @pytest.mark.parametrize("L", [3.0, 0, -1, 9, True])
+    def test_pattern_lengths_are_integers_up_to_the_text(self, L):
+        with pytest.raises(StructuralError, match="pattern length"):
+            pattern_symbolic_steps(8, L)
+
+    def test_numpy_integer_lengths_pass(self):
+        assert amplification_rounds_for(np.int64(64)) == amplification_rounds_for(64) == 6
+        assert pattern_symbolic_steps(np.uint16(8), np.int8(3)) == pattern_symbolic_steps(8, 3)
 
     def test_symbolic_steps_scaling(self):
         # Regression: steps / (sqrt(N) (log N)^2) stays bounded through N = 2^14.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -938,7 +939,7 @@ class TestZeroPrefix:
         oracle = sim.phase_oracle(register + (0, 1, 6), [9 | 1 << 4, 3 | 2 << 4])
         gates = [sim.hadamard(q) for q in register] + [sim.diffusion(register), oracle] * 3
         circuit = Circuit(n, tuple(gates))
-        assert [run[:2] for run in sim._round_runs(n, circuit.gates)] == [(4, 10)]
+        assert list(sim._round_runs(circuit.gates)) == [(4, 10)]
         assert sim._zero_prefix(n, circuit.gates) == (4, 0b00111100)
         expected = sim.run(circuit, StateVector.zero(n)).amplitudes
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
@@ -1031,6 +1032,31 @@ class TestZeroPrefix:
             tracemalloc.stop()
         assert peak < 2 * (16 << 20) + (1 << 20)
         assert same_bits(out.amplitudes, expected)
+
+    def test_the_prefix_builds_no_full_width_plan(self, monkeypatch):
+        # _zero_prefix reads only where runs of rounds start and stop; the plans
+        # are built by _evolve, at the prefix's width or the rest's.
+        from groversvm.grover import GroverConfig, IndicatorOracle, feature_map_circuit
+
+        config = GroverConfig(backend="faithful")
+        maps = [feature_map_circuit(IndicatorOracle(1024, v), 4, config) for v in (5, 7)]
+        gates = maps[0].gates + maps[1].gates[::-1]
+        plans = []
+        original = sim._rounds_plan
+
+        def spy(num_qubits, first, second, rounds):
+            plans.append(num_qubits)
+            return original(num_qubits, first, second, rounds)
+
+        monkeypatch.setattr(sim, "_rounds_plan", spy)
+        assert sim._zero_prefix(20, gates) == (62, 0b11111111110000000011)
+        assert plans == []
+        # Two search blocks per feature map, each computed and uncomputed.
+        assert list(sim._round_runs(gates)) == [(12, 62), (117, 167), (187, 237), (292, 342)]
+        sim.run_from_zero(Circuit(20, gates))
+        # The prefix's block at its width, on |0...0> and on the all +0 state
+        # its oracles mark, then the rest at full width.
+        assert plans == [12, 12, 20, 20, 20]
 
 
 @pytest.fixture
@@ -1752,6 +1778,139 @@ class TestSampling:
         keep = probs > 1e-12
         result = stats.chisquare(observed[keep], probs[keep] / probs[keep].sum() * shots)
         assert result.pvalue > 0.001
+
+    @pytest.mark.parametrize("seed", [3, 11, np.random.SeedSequence(8)])
+    def test_one_shot_is_the_multinomial_draw(self, seed):
+        state = random_state(6, seed=41)
+        register = [4, 0, 2]
+        probs = sim.register_probabilities(state, register)
+        probs /= probs.sum()
+        value = np.flatnonzero(sim.as_rng(seed).multinomial(1, probs))[0]
+        assert sim.sample_measurement(state, register, 1, seed) == {format(value, "03b"): 1}
+
+
+class SpyGenerator(np.random.Generator):
+    """A generator that counts its ``multinomial`` calls."""
+
+    multinomials = 0
+
+    def multinomial(self, *args, **kwargs):
+        self.multinomials += 1
+        return super().multinomial(*args, **kwargs)
+
+
+def assert_numpy_draw(probs: np.ndarray, seed: int) -> int:
+    """``sim._one_shot`` gives numpy's one-shot multinomial outcome and generator state.
+
+    Both draw from ``default_rng(seed)``.  Returns the number of times the
+    draw asked numpy.
+    """
+    ours, theirs = SpyGenerator(np.random.PCG64(seed)), np.random.default_rng(seed)
+    outcome = sim._one_shot(probs, ours)
+    assert type(outcome) is int
+    assert outcome == np.flatnonzero(theirs.multinomial(1, probs))[0]
+    assert same_state(ours, theirs)
+    return ours.multinomials
+
+
+def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Whether two generators' bit generators hold equal states (arrays compared by value)."""
+
+    def equal(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(equal(x[key], y[key]) for key in x)
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+    return equal(a.bit_generator.state, b.bit_generator.state)
+
+
+def search_probabilities(domain_size: int, marked: int) -> np.ndarray:
+    from groversvm.grover import IndicatorOracle, search_circuit
+
+    probs = sim.run_from_zero(search_circuit(IndicatorOracle(domain_size, marked))).probabilities()
+    return probs / probs.sum()
+
+
+class TestOneShot:
+    """``_one_shot`` against ``Generator.multinomial(1, p)`` of the installed numpy."""
+
+    @pytest.mark.parametrize("marked", [0, 1, 2047, 2048, 4000, 4095])
+    def test_faithful_search_states(self, marked):
+        probs = search_probabilities(4096, marked)
+        asked = [assert_numpy_draw(probs, seed) for seed in range(40)]
+        assert sum(asked) <= 2  # the marked value holds about 0.9995 of the weight
+
+    @given(st.integers(1, 300), st.floats(0.05, 3.0), st.floats(0.0, 0.6), st.integers(0, 2**32))
+    @settings(max_examples=80)
+    def test_dirichlet_vectors_with_zeros(self, size, concentration, zeros, seed):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.full(size, concentration))
+        probs[rng.random(size) < zeros] = 0.0
+        probs[int(rng.integers(size))] += 1e-3
+        probs /= probs.sum()
+        assert_numpy_draw(probs, seed + 1)
+
+    @given(st.integers(2, 64), st.floats(0.5, 1.0), st.integers(0, 2**32))
+    @settings(max_examples=40)
+    def test_a_dominant_last_bin(self, size, weight, seed):
+        probs = np.full(size, (1 - weight) / (size - 1))
+        probs[-1] = weight
+        probs /= probs.sum()
+        assert_numpy_draw(probs, seed)
+
+    @pytest.mark.parametrize("top", [0.5 - 1e-6, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.5 + 1e-6, 0.51])
+    @pytest.mark.parametrize("place", [0, 3, 7])
+    def test_a_maximum_near_one_half(self, top, place):
+        probs = np.full(8, (1 - top) / 7)
+        probs[place] = top
+        for seed in range(25):
+            assert_numpy_draw(probs, seed)
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], [0.25, 0.25, 0.5, 0.0], [0.4, 0.4, 0.2]])
+    def test_tied_maxima(self, probs):
+        probs = np.array(probs)
+        for seed in range(25):
+            assert_numpy_draw(probs, seed)
+
+    @pytest.mark.parametrize("size, hot", [(1, 0), (2, 0), (2, 1), (16, 0), (16, 9), (16, 15)])
+    def test_one_hot_vectors_and_a_one_bin_register(self, size, hot):
+        probs = np.zeros(size)
+        probs[hot] = 1.0
+        for seed in range(5):
+            assert assert_numpy_draw(probs, seed) == 0
+        state = StateVector.basis(4, 5)
+        assert sim.sample_measurement(state, [2], 1, 0) == {"1": 1}
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox])
+    def test_a_caller_generator_advances_as_numpy_would(self, bit_generator):
+        probs = search_probabilities(256, 77)
+        caller = np.random.Generator(bit_generator(5))
+        caller.random(3)  # a generator the caller has already drawn from
+        for _ in range(20):
+            twin = np.random.Generator(bit_generator(5))
+            twin.bit_generator.state = caller.bit_generator.state
+            expected = np.flatnonzero(twin.multinomial(1, probs))[0]
+            assert sim._one_shot(probs, caller) == expected
+            assert same_state(caller, twin)
+
+    def test_a_draw_that_fails_its_certificate_asks_numpy(self):
+        # Bin 1 is last, and the draw is certified only when bin 0's double lies
+        # below 1 - 0.2 / 0.8; otherwise that double was drawn, and the state
+        # must be restored before numpy draws.
+        probs = np.array([0.2, 0.8])
+        asked = [assert_numpy_draw(probs, seed) for seed in range(60)]
+        assert 0 < sum(asked) < 60
+
+    @pytest.mark.parametrize("probs", [[0.9, 0.3, 0.1], [-0.1, 1.1], [0.2, np.nan, 0.8]])
+    def test_inputs_numpy_rejects_raise_as_numpy_does(self, probs):
+        # The first would be certified but for sum(p[:-1]) > 1.
+        probs = np.array(probs)
+        for seed in range(5):
+            with pytest.raises(ValueError) as expected:
+                np.random.default_rng(seed).multinomial(1, probs)
+            with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                sim._one_shot(probs, np.random.default_rng(seed))
 
 
 class TestSubsystemFidelity:

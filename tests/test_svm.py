@@ -247,6 +247,13 @@ class TestValidation:
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, 2], box_bound=1.0)
 
+    @pytest.mark.parametrize("labels, alpha", [([1, -1, 1], [0.5, 0.5]), ([1, -1, 1], [0.5] * 4),
+                                               ([1, -1], [0.5, 0.5, 0.0]), ([[1, -1, 1]], [0.5] * 3)])
+    def test_kkt_gap_needs_one_label_and_coefficient_per_row(self, labels, alpha):
+        # An alpha of the wrong length raised a bare broadcasting ValueError.
+        with pytest.raises(StructuralError, match="labels and coefficients"):
+            kkt_gap(np.eye(3), labels, np.array(alpha), 1.0)
+
 
 def gram_case(kind: str, m: int, seed: int):
     """A training problem whose Gram matrix is dense PSD, exact interval or shot-sampled."""
