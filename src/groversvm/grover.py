@@ -23,7 +23,7 @@ from .errors import (
 )
 from .ledger import QueryLedger
 from . import sim
-from .sim import Circuit, Gate, StateVector, _is_int
+from .sim import Circuit, Gate, StateVector, _check_count, _is_int
 
 BACKENDS = ("ideal", "faithful")
 # Faithful searches per ``sim.run_many`` batch, whose circuits are all held at
@@ -303,8 +303,7 @@ def adder_gates(register, addend) -> list[Gate]:
 
 def adder_circuit(n: int) -> Circuit:
     """Adder on 2n qubits: register = qubits [0, n), addend = qubits [n, 2n)."""
-    if n < 1:
-        raise StructuralError("adder needs at least one qubit per register")
+    _check_count(n, "adder register width")
     return Circuit(2 * n, tuple(adder_gates(range(n), range(n, 2 * n))))
 
 

@@ -33,7 +33,7 @@ class KernelMode:
         if self.tag not in MODE_TAGS:
             raise StructuralError(f"mode tag must be one of {MODE_TAGS}")
         if self.tag == "sampled":
-            sim._check_shots(self.shots)
+            sim._check_count(self.shots, "shots")
         elif self.shots is not None:
             raise StructuralError(f"mode {self.tag!r} takes no shot count")
 
@@ -170,7 +170,7 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     kept, since every sampled Gram matrix and report depends on its draws;
     which of the two the paper's shot-noise claim should use is open.
     """
-    sim._check_shots(shots)
+    sim._check_count(shots, "shots")
     if not 0.0 <= true_value <= 1.0:
         raise ContractViolationError(f"kernel value {true_value} outside [0, 1]")
     rng = sim.as_rng(rng_seed)
@@ -275,7 +275,7 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     integers shared by all entries; ``keys`` is an (entries, columns) array
     of values below 2**32.
     """
-    sim._check_shots(shots)
+    sim._check_count(shots, "shots")
     values = np.asarray(true_values, dtype=np.float64).ravel()
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ContractViolationError("kernel values outside [0, 1]")

@@ -36,7 +36,7 @@ from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_ite
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
-from .sim import StateVector, _check_shots, _is_int, as_rng, check_seed
+from .sim import StateVector, _check_count, _ints, _is_int, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -98,6 +98,7 @@ class Dataset:
 def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
     """Draw ``size`` marked indices uniformly without replacement, both classes present."""
     N = concept.domain_size
+    size = _check_count(size, "training set size")
     if size > N:
         raise StructuralError(f"cannot draw {size} distinct indices from {N}")
     if size < 2:
@@ -115,7 +116,7 @@ def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
 def generate_balanced_test(concept: Concept, size: int, rng_seed):
     """Test oracles drawn half from each class, without replacement within a class."""
     N = concept.domain_size
-    if size % 2 != 0:
+    if _check_count(size, "balanced test size", least=0) % 2 != 0:
         raise StructuralError("balanced test size must be even")
     half = size // 2
     if half > N // 2:
@@ -138,6 +139,9 @@ class HalfspaceState:
     start: int
     domain_size: int
 
+    def __post_init__(self):
+        Concept(self.start, self.domain_size)  # the start and domain rules of the +1 class
+
     def support(self) -> np.ndarray:
         return np.arange(self.start, self.start + self.domain_size // 2)
 
@@ -158,8 +162,8 @@ def margin_gap(interval_width: int, domain_size: int) -> float:
 
 def _check_halfspace(start: int, interval_width: int, domain_size: int) -> tuple[int, int]:
     """``(N, M)`` as ints; the halfspace start must lie in [0, N/2) and 1 <= M < N/2."""
-    if not (_is_int(interval_width) and _is_int(domain_size)):
-        raise StructuralError("interval width and domain size must be integers")
+    if not (_is_int(start) and _is_int(interval_width) and _is_int(domain_size)):
+        raise StructuralError("halfspace start, interval width and domain size must be integers")
     N = int(domain_size)
     M = int(interval_width)
     if not 0 <= start < N // 2:
@@ -178,7 +182,7 @@ def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size:
     between.
     """
     N, M = _check_halfspace(start, interval_width, domain_size)
-    if not 0 <= marked < N:
+    if not _is_int(marked) or not 0 <= marked < N:
         raise StructuralError("marked index out of range")
     lo, hi = start, start + N // 2 - 1
     indices = (marked + np.arange(M)) % N
@@ -207,7 +211,7 @@ def reference_hyperplane_classify(
 
 def classical_accuracy_bound(budget: int, domain_size: int) -> float:
     """Upper bound min(1, 1/2 + 3X/(2N)) on the brute-force learner's accuracy."""
-    if not 0 <= budget <= domain_size:
+    if not (_is_int(budget) and _is_int(domain_size)) or not 0 <= budget <= domain_size:
         raise StructuralError("budget must lie in [0, N]")
     return min(1.0, 0.5 + 1.5 * budget / domain_size)
 
@@ -225,7 +229,7 @@ def classical_learner_classify(
     nothing is drawn.
     """
     N = oracle.domain_size
-    if not 0 <= budget <= N:
+    if not _is_int(budget) or not 0 <= budget <= N:
         raise StructuralError("budget must lie in [0, N]")
     half = N // 2
     n_probes = min(budget, half)
@@ -266,6 +270,7 @@ def default_interval_width(train_size: int, domain_size: int) -> int:
     The coverage target makes training intervals overlap so that test points
     near any index see nonzero kernel values against some support vector.
     """
+    train_size = _check_count(train_size, "train size")
     width = 1
     while train_size * width < 2 * domain_size:
         width *= 2
@@ -274,9 +279,7 @@ def default_interval_width(train_size: int, domain_size: int) -> int:
 
 def default_shots(train_size: int) -> int:
     """Noise-robustness default R = m^4 for a positive integer training size m."""
-    if not _is_int(train_size) or train_size < 1:
-        raise StructuralError(f"train size must be a positive integer, got {train_size!r}")
-    return int(train_size) ** 4
+    return _check_count(train_size, "train size") ** 4
 
 
 def quantum_kernel_learner(
@@ -302,7 +305,7 @@ def quantum_kernel_learner(
     config = config or GroverConfig()
     if config.backend != "ideal":
         raise StructuralError("the quantum-kernel learner samples the ideal kernel only")
-    _check_shots(shots)
+    _check_count(shots, "shots")
     N = train.concept.domain_size
     k = resolve_iterations(N, config)
     m = train.size
@@ -436,7 +439,9 @@ def complexity_sweep(
     """
     if learner not in LEARNER_KINDS:
         raise StructuralError(f"learner must be one of {LEARNER_KINDS}")
-    domain_sizes = [int(N) for N in domain_sizes]
+    trials = _check_count(trials, "trials")
+    train_size = _check_count(train_size, "train size")
+    domain_sizes = _ints(domain_sizes, "sweep domain sizes")
     for N in domain_sizes:
         if not _is_power_of_two(N) or N < 8:
             raise StructuralError("sweep domain sizes must be powers of two, at least 8")

@@ -1,7 +1,7 @@
 """Counters for oracle calls, measurement shots, and classical evaluations.
 
 Every learner and circuit-level operation reports its cost through a
-:class:`QueryLedger`.  Counters are plain non-negative integers; merging two
+:class:`QueryLedger`.  Counters are non-negative integers (not bool); merging two
 ledgers sums them componentwise, so per-trial ledgers can be combined in any
 order.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import StructuralError
+from .sim import _check_count
 
 
 @dataclass
@@ -22,8 +22,7 @@ class QueryLedger:
 
     def __post_init__(self):
         for name in ("oracle_queries", "shots", "classical_evaluations"):
-            if getattr(self, name) < 0:
-                raise StructuralError(f"{name} must be non-negative")
+            _check_count(getattr(self, name), name, least=0)
 
     @property
     def total_queries(self) -> int:

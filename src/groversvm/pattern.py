@@ -49,9 +49,11 @@ def _as_bits(value) -> np.ndarray:
             raise StructuralError("binary strings may contain only '0' and '1'")
         bits = np.array([int(ch) for ch in value], dtype=np.int64)
     else:
-        bits = np.asarray(value, dtype=np.int64)
-        if bits.ndim != 1 or not np.all(np.isin(bits, (0, 1))):
-            raise StructuralError("bit arrays must be one-dimensional with values 0/1")
+        bits = np.asarray(value)
+        integers = bits.dtype.kind in "iu" or bits.size == 0  # an empty list is float
+        if bits.ndim != 1 or not integers or not np.isin(bits, (0, 1)).all():
+            raise StructuralError("bit arrays must be one-dimensional integers 0/1")
+        bits = bits.astype(np.int64)
     return bits
 
 

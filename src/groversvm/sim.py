@@ -27,18 +27,19 @@ sums the last axis pairwise and every other axis in index order, so the
 bits of a register's mean depend only on whether the register holds qubit 0.
 The prefix rule below keeps that fact.
 
-Runs of gates are reduced before they run.  Hadamards on distinct qubits
-commute and each squares to the identity, so each maximal run of
-consecutive Hadamard gates applies H once to each qubit it hits an odd
-number of times, in the order of their first hits.  A run that hits no
-qubit twice is its own gate list and keeps the per-gate bits; in one that
-does, the amplitudes move by rounding only, since two Hadamards on a qubit
-give the identity only in exact arithmetic.  Permutation gates are fused:
-each maximal run of consecutive X gates is one strided copy of the view of
-the qubits it flips an odd number of times, reversed on their axes.  Each
-run of two or more CNOT/MCX gates is one gather through an int32 index
-array built by applying the run to an ``arange``.  The arrays are kept in a
-least-recently-used cache keyed by the run's gate shapes and bounded by
+Runs of gates are reduced before they run, each run one step of
+:func:`_evolve`; :func:`_spans` alone decides where a step begins and ends.
+Hadamards on distinct qubits commute and each squares to the identity, so
+each maximal run of consecutive Hadamard gates applies H once to each qubit
+it hits an odd number of times, in the order of their first hits.  A run
+that hits no qubit twice is its own gate list and keeps the per-gate bits;
+in one that does, the amplitudes move by rounding only, since two Hadamards
+on a qubit give the identity only in exact arithmetic.  Permutation gates
+are fused: each maximal run of consecutive X gates is one strided copy of
+the view of the qubits it flips an odd number of times, reversed on their
+axes.  Each run of two or more CNOT/MCX gates is one gather through an int32
+index array built by applying the run to an ``arange``.  The arrays are kept
+in a least-recently-used cache keyed by the run's gate shapes and bounded by
 ``_PERMUTATION_CACHE_BYTES``; the same run reversed is the inverse
 permutation, a scatter through the same array.  A run whose array would not
 fit is applied gate by gate.  Either way the amplitudes are bit for bit
@@ -65,30 +66,27 @@ From |0...0> (:func:`run_from_zero`), on a state of at least
 at least two qubits untouched runs on only the qubits it touches, renumbered
 in order, and is written into a full-width buffer once (see
 :func:`_from_zero`).  The run stops before a diffusion on non-adjacent
-qubits, and before a Hadamard run that it would end inside if a qubit of
-that run lies on both sides of its end, so that every Hadamard run is
-reduced as in the full-width run.  Nor does it split a run of rounds that
-the full-width run fuses: it ends before that run, and its touched qubits
-are those of the gates it keeps.  A register above qubit 0 with no touched
-qubit below it gets the qubit just below it, so a register holds qubit 0 of
-the smaller state only if it holds qubit 0 of the full one.  Each block of
-the full state fixes the untouched qubits and gets the same operations, so
-the block where they are all 0 is the small result.  Every other block
-starts at +0, and an oracle turns its marked entries into -0; so when any
-oracle in the run marks a value, the run is applied once more to an all +0
-state, and that result fills those blocks.  Signed zeros included, the bits
-are those of the full-width run.
+qubits, and a split ends on a step boundary of the full-width run (see
+:func:`_spans`).  A register above qubit 0 with no touched qubit below it
+gets the qubit just below it, so a register holds qubit 0 of the smaller
+state only if it holds qubit 0 of the full one.  Each block of the full
+state fixes the untouched qubits and gets the same operations, so the block
+where they are all 0 is the small result.  Every other block starts at +0,
+and an oracle turns its marked entries into -0; so when any oracle in the
+run marks a value, the run is applied once more to an all +0 state, and that
+result fills those blocks.  Signed zeros included, the bits are those of the
+full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) runs as rows of one buffer, a chunk at
-a time.  The gates before the first phase oracle run once and are copied
-into every row.  A chunk of ``2**b`` rows of ``n`` qubits is a state of
-``n + b`` qubits whose top ``b`` qubits number the row.  No gate of the
-circuits acts on those qubits, so every gate acts on each row alone, and
-the rest of the gates go through :func:`_evolve`, as in ``run``, with each
-phase oracle widened to the row qubits to mark every row's own values.  So
-numpy calls are paid once per chunk rather than once per circuit, and each
-row keeps the bits of its own run.
+a time.  The gates before the step that holds the first phase oracle run
+once and are copied into every row.  A chunk of ``2**b`` rows of ``n``
+qubits is a state of ``n + b`` qubits whose top ``b`` qubits number the row.
+No gate of the circuits acts on those qubits, so every gate acts on each row
+alone, and the rest of the gates go through :func:`_evolve`, as in ``run``,
+with each phase oracle widened to the row qubits to mark every row's own
+values.  So numpy calls are paid once per chunk rather than once per
+circuit, and each row keeps the bits of its own run.
 
 :func:`zero_probability` reads one register of a circuit run from |0...0>,
 so it runs only the register's backward light cone.  Walking the gates
@@ -118,7 +116,7 @@ import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import groupby, takewhile
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
@@ -199,9 +197,11 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
-def _check_shots(shots) -> None:
-    if not _is_int(shots) or shots < 1:
-        raise StructuralError(f"shots must be an integer of at least 1, got {shots!r}")
+def _check_count(value, what: str, least: int = 1) -> int:
+    """``value`` as a Python int; a :class:`StructuralError` unless an integer >= ``least``."""
+    if not _is_int(value) or value < least:
+        raise StructuralError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _check_width(num_qubits: int) -> None:
@@ -752,22 +752,26 @@ def _round_runs(gates):
         i = j
 
 
-def _steps(num_qubits: int, gates):
-    """``(kind, step)`` for each step of :func:`_evolve`.
+def _spans(gates):
+    """``(kind, start, stop)`` for each step of :func:`_evolve`, in order.
 
-    A ``_ROUNDS`` step is the kernel of a run of rounds; the gates between
-    those runs are grouped by their ``_FUSED`` kind, None for any other kind.
+    A ``_ROUNDS`` step is a run of rounds from :func:`_round_runs`.  Between
+    those runs, each maximal run of one ``_FUSED`` kind is a step of that
+    kind, and every other gate is a step of kind None on its own.  No other
+    code decides where a step begins and ends.
     """
-
-    def key(gate):
-        return _FUSED.get(gate.kind)
-
     start = 0
-    for begin, end in _round_runs(gates):
-        yield from groupby(gates[start:begin], key=key)
-        yield _ROUNDS, _rounds_plan(num_qubits, gates[begin], gates[begin + 1], (end - begin) // 2)
-        start = end
-    yield from groupby(gates[start:], key=key)
+    for begin, end in chain(_round_runs(gates), [(len(gates), len(gates))]):
+        while start < begin:
+            kind = _FUSED.get(gates[start].kind)
+            stop = start + 1
+            while kind is not None and stop < begin and _FUSED.get(gates[stop].kind) == kind:
+                stop += 1
+            yield kind, start, stop
+            start = stop
+        if begin < end:
+            yield _ROUNDS, begin, end
+            start = end
 
 
 @lru_cache(maxsize=4096)
@@ -793,37 +797,33 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
 def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
     """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
-    Each run of two or more oracle-diffusion rounds that
-    :func:`_rounds_plan` accepts is applied in closed form, within rounding
-    of the gates.  Between those runs, each run of consecutive Hadamard gates
-    applies H once to each qubit it hits an odd number of times, in the order
-    of first hits, and so keeps the bits of the gates when it hits no qubit
-    twice.  Each run of consecutive X gates is one strided copy and each run
-    of two or more CNOT/MCX gates is one gather (or scatter) through a cached
-    index array; those amplitudes are the bits of applying the gates one at a
-    time.
+    Each step of :func:`_spans` is applied whole.  A run of rounds is one
+    closed form; a Hadamard run applies H once to each qubit it hits an odd
+    number of times, in the order of first hits; an X run is one strided
+    copy, and a CNOT/MCX run of two or more gates one gather (or scatter)
+    through a cached index array.
     """
     n = num_qubits
     spare = None
-    for kind, step in _steps(n, gates):
+    for kind, start, stop in _spans(gates):
         if kind == _ROUNDS:
-            step(psi)
+            _rounds_plan(n, gates[start], gates[start + 1], (stop - start) // 2)(psi)
             continue
-        gates = list(step)
+        step = gates[start:stop]
         if kind == HADAMARD:
-            for targets, count in Counter(gate.targets for gate in gates).items():
+            for targets, count in Counter(gate.targets for gate in step).items():
                 if count % 2:
                     _plan(n, HADAMARD, targets, ())(psi, ())
             continue
-        found = _PERMUTATIONS.lookup(n, gates) if kind == MCX and len(gates) > 1 else None
+        found = _PERMUTATIONS.lookup(n, step) if kind == MCX and len(step) > 1 else None
         if kind != PAULI_X and found is None:
-            for gate in gates:
+            for gate in step:
                 _apply_inplace(psi, n, gate)
             continue
         if spare is None:
             spare = np.empty_like(psi)
         if kind == PAULI_X:
-            _flip_into(spare, psi, n, gates)
+            _flip_into(spare, psi, n, step)
         else:
             perm, inverse = found
             if inverse:
@@ -831,9 +831,9 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
             else:
                 # "clip" takes no whole-output buffer; slices bound the int64
                 # copy numpy makes of the int32 indices to one cache row.
-                for start in range(0, perm.size, _CACHE_ROW):
-                    stop = start + _CACHE_ROW
-                    np.take(psi, perm[start:stop], out=spare[start:stop], mode="clip")
+                for row in range(0, perm.size, _CACHE_ROW):
+                    rows = slice(row, row + _CACHE_ROW)
+                    np.take(psi, perm[rows], out=spare[rows], mode="clip")
         psi, spare = spare, psi
     return psi
 
@@ -842,47 +842,30 @@ def _zero_prefix(num_qubits: int, gates) -> tuple[int, int]:
     """Length and qubit mask of the leading gates ``run`` applies to fewer qubits.
 
     On a state of at least ``_PREFIX_MIN_QUBITS`` qubits, the prefix is the
-    longest run of leading gates that leaves at least two qubits untouched
-    and holds no diffusion on non-adjacent qubits.  If it would end inside a
-    run of Hadamards with a qubit on both sides of its end, it ends before
-    that run, which :func:`_evolve` then reduces whole, as at full width.  It
-    never splits a run of rounds that :func:`_round_runs` fuses: it ends
-    before such a run instead.  If no touched qubit lies below the lowest
-    diffusion register above qubit 0, the qubit just below that register is
-    touched too, so that the register does not hold qubit 0 of the smaller
-    state.
+    longest run of whole leading :func:`_spans` that leaves at least two
+    qubits untouched and holds no diffusion on non-adjacent qubits, so it
+    ends on a step boundary of the full-width run.  If no touched qubit lies
+    below the lowest diffusion register above qubit 0, the qubit just below
+    that register is touched too, so that the register does not hold qubit 0
+    of the smaller state.
     """
     n = num_qubits
     if n < _PREFIX_MIN_QUBITS:
         return 0, 0
     touched = length = 0
-    hadamards = None  # where the prefix's last Hadamard run began
-    for gate in gates:
-        mask = _mask(gate)
-        if (touched | mask).bit_count() > n - 2:
-            break
-        if gate.kind == DIFFUSION and (mask + (mask & -mask)) & mask:  # not adjacent qubits
-            break
-        if gate.kind != HADAMARD:
-            hadamards = None
-        elif hadamards is None:
-            hadamards = length
-        touched |= mask
-        length += 1
-    if hadamards is not None and length < len(gates) and gates[length].kind == HADAMARD:
-        before = {gate.targets for gate in gates[hadamards:length]}
-        after = takewhile(lambda gate: gate.kind == HADAMARD, gates[length:])
-        if any(gate.targets in before for gate in after):
-            length = hadamards
-    runs = takewhile(lambda run: run[0] < length, _round_runs(gates))
-    length = next((start for start, stop in runs if stop > length), length)
-    touched = 0
     low = n  # lowest qubit of a diffusion register above qubit 0 in the prefix
-    for gate in gates[:length]:
-        mask = _mask(gate)
-        if gate.kind == DIFFUSION and mask & 1 == 0:
-            low = min(low, (mask & -mask).bit_length() - 1)
-        touched |= mask
+    for _, start, stop in _spans(gates):
+        span, span_low, scattered = touched, low, False
+        for gate in gates[start:stop]:
+            mask = _mask(gate)
+            span |= mask
+            if gate.kind == DIFFUSION:
+                scattered |= (mask + (mask & -mask)) & mask != 0  # not adjacent qubits
+                if mask & 1 == 0:
+                    span_low = min(span_low, (mask & -mask).bit_length() - 1)
+        if scattered or span.bit_count() > n - 2:
+            break
+        touched, low, length = span, span_low, stop
     if touched & -touched == 1 << low:  # no touched qubit below the register
         touched |= 1 << (low - 1)
     return length, touched
@@ -972,7 +955,8 @@ def run_many(circuits: Sequence[Circuit]):
     the same kind on the same targets and controls; otherwise a
     :class:`StructuralError` is raised before any oracle is billed.  Every
     circuit's oracles are billed when the first state is asked for.  The
-    gates before the first phase oracle run once, from |0...0>, and that
+    gates before the step that holds the first phase oracle (see
+    :func:`_spans`) run once, from |0...0>, and that
     state is copied into every row of one buffer of ``_BATCH_AMPLITUDES``
     amplitudes, a chunk of ``2**b`` rows at a time.  A chunk is a state of
     ``n + b`` qubits whose top ``b`` qubits number the row, so the rest of
@@ -994,7 +978,9 @@ def run_many(circuits: Sequence[Circuit]):
             raise StructuralError("batched circuits must have the same width and gate shapes")
     positions = [p for p, gate in enumerate(gates) if gate.kind == PHASE_ORACLE]
     _bill(circuit.gates[p] for circuit in circuits for p in positions)
-    split = positions[0] if positions else len(gates)
+    split = len(gates)
+    if positions:  # the shared head ends where the step holding the first oracle starts
+        split = next(start for _, start, stop in _spans(gates) if stop > positions[0])
     shared, rest = _from_zero(n, gates[:split])
     shared = _evolve(shared, n, rest)  # holds no phase oracle
     rows = 1 << max(0, _BATCH_AMPLITUDES.bit_length() - 1 - n)  # a power of two
@@ -1071,7 +1057,7 @@ def sample_measurement(
     one shot is drawn by :func:`_one_shot`, which gives the same outcome.
     """
     register = _check_register(state.num_qubits, register)
-    _check_shots(shots)
+    _check_count(shots, "shots")
     probs = register_probabilities(state, register)
     probs /= probs.sum()
     rng = as_rng(rng_seed)

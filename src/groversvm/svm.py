@@ -64,26 +64,34 @@ class SvmModel:
         return int(self.support_indices.size)
 
 
-def _as_matrix(gram) -> np.ndarray:
+def _check_problem(gram, labels, *vectors) -> tuple[np.ndarray, ...]:
+    """``(K, y, *vectors)`` of a dual problem as float arrays, each checked.
+
+    ``K`` must be square, symmetric to within 1e-12 (a :class:`GramMatrix` is
+    exactly so) and finite.  ``y``, a copy so that models never alias the
+    caller's labels, must hold one +1 or -1 per row, and each of ``vectors``
+    (dual coefficients) one finite entry per row.
+    """
     if isinstance(gram, GramMatrix):
-        return np.asarray(gram.entries, dtype=np.float64)
-    matrix = np.asarray(gram, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise StructuralError("gram must be a square matrix")
-    if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
-        raise ContractViolationError("gram matrix must be symmetric")
-    return matrix
-
-
-def _check_labels(labels, size: int) -> np.ndarray:
-    labels = np.array(labels, dtype=np.float64)  # a copy: models never alias the caller's labels
-    if labels.shape != (size,):
-        raise StructuralError(f"expected {size} labels, got shape {labels.shape}")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        K = np.asarray(gram.entries, dtype=np.float64)
+    else:
+        K = np.asarray(gram, dtype=np.float64)
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise StructuralError("gram must be a square matrix")
+        if not np.allclose(K, K.T, atol=1e-12, rtol=0.0):
+            raise ContractViolationError("gram matrix must be symmetric")
+    if not np.isfinite(K).all():
+        raise ContractViolationError("gram entries must be finite")
+    y = np.array(labels, dtype=np.float64)
+    vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
+    shapes = [v.shape for v in (y, *vectors)]
+    if any(shape != (K.shape[0],) for shape in shapes):
+        raise StructuralError(f"expected {K.shape[0]} labels and coefficients, got shapes {shapes}")
+    if not np.isin(y, (-1.0, 1.0)).all():
         raise StructuralError("labels must be +1 or -1")
-    if np.all(labels == 1.0) or np.all(labels == -1.0):
-        raise DegenerateProblemError("both classes must be present")
-    return labels
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise ContractViolationError("dual coefficients must be finite")
+    return (K, y, *vectors)
 
 
 def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
@@ -91,13 +99,7 @@ def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
 
     ``labels`` and ``alpha`` hold one entry per row of the Gram matrix.
     """
-    K = _as_matrix(gram)
-    y = np.asarray(labels, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if y.shape != (K.shape[0],) or alpha.shape != y.shape:
-        raise StructuralError(
-            f"expected {K.shape[0]} labels and coefficients, got shapes {y.shape} and {alpha.shape}"
-        )
+    K, y, alpha = _check_problem(gram, labels, alpha)
     u = K @ (alpha * y)
     g = y - u
     up = ((y > 0) & (alpha < box_bound)) | ((y < 0) & (alpha > 0))
@@ -108,8 +110,8 @@ def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
 
 
 def dual_objective(gram, labels, alpha: np.ndarray) -> float:
-    K = _as_matrix(gram)
-    y = np.asarray(labels, dtype=np.float64)
+    """sum(alpha) - 1/2 (alpha y)^T K (alpha y), with one label and coefficient per row."""
+    K, y, alpha = _check_problem(gram, labels, alpha)
     v = alpha * y
     return float(np.sum(alpha) - 0.5 * v @ K @ v)
 
@@ -145,9 +147,10 @@ def train(
     dual objective after every pair update is appended to it (it is
     non-decreasing).
     """
-    K = _as_matrix(gram)
+    K, y = _check_problem(gram, labels)
+    if np.all(y == 1.0) or np.all(y == -1.0):
+        raise DegenerateProblemError("both classes must be present")
     m = K.shape[0]
-    y = _check_labels(labels, m)
     C = float(box_bound)
     if not 0.0 < C < math.inf:
         raise StructuralError(f"box bound must be positive and finite, got {C}")

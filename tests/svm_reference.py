@@ -16,8 +16,7 @@ from groversvm.errors import StructuralError
 from groversvm.svm import (
     _ALPHA_SNAP,
     SvmModel,
-    _as_matrix,
-    _check_labels,
+    _check_problem,
     _compute_bias,
 )
 
@@ -45,11 +44,10 @@ def brute_force_qp(gram, labels, box_bound: float) -> SvmModel:
     with the largest dual objective is returned.  With no free alpha the bias
     is ``svm._compute_bias``'s midpoint.  Refused above m = 8.
     """
-    K = _as_matrix(gram)
+    K, y = _check_problem(gram, labels)
     m = K.shape[0]
     if m > 8:
         raise StructuralError("brute-force QP oracle is limited to m <= 8")
-    y = _check_labels(labels, m)
     C = float(box_bound)
     if C < 0.0:
         raise StructuralError("box bound must be non-negative")
@@ -110,9 +108,8 @@ def train_reference(
     Kept verbatim, so differential tests can require the rewrite to give the
     same bits: same pairs, same steps, same stopping point.
     """
-    K = _as_matrix(gram)
+    K, y = _check_problem(gram, labels)
     m = K.shape[0]
-    y = _check_labels(labels, m)
     C = float(box_bound)
     if C <= 0.0:
         raise StructuralError("box bound must be positive")

@@ -36,6 +36,8 @@ from groversvm.learn import (
     reference_hyperplane_classify,
 )
 from groversvm import svm
+from groversvm.grover import adder_circuit
+from groversvm.pattern import kmp_search
 from search_reference import reference_search
 
 
@@ -675,6 +677,16 @@ class TestComplexitySweep:
         with pytest.raises(StructuralError):
             complexity_sweep("classical", [10, 16, 32, 64], 1, rng_seed=0)
 
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"train_size": 0}, {"trials": 1.5},
+                                        {"domain_sizes": [8.5, 16]}],
+                             ids=["no-trials", "no-training-points", "float-trials", "float-size"])
+    def test_rejects_unusable_counts(self, kwargs):
+        # No trials gave NaN rows and a "Mean of empty slice" warning, no
+        # training points a bare ZeroDivisionError, and 8.5 was cut to 8.
+        arguments = {"domain_sizes": [8, 16], "trials": 1, **kwargs}
+        with pytest.raises(StructuralError):
+            complexity_sweep("classical", rng_seed=0, **arguments)
+
 
 class TestLoglogSlope:
     @pytest.mark.parametrize(
@@ -705,6 +717,35 @@ class TestDefaults:
         # 2.5 gave 39.0625 shots.
         with pytest.raises(StructuralError, match="train size"):
             default_shots(m)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True])
+    def test_interval_width_needs_a_positive_integer_train_size(self, m):
+        # 0 and -1 never left the doubling loop.
+        with pytest.raises(StructuralError, match="train size"):
+            default_interval_width(m, 1024)
+
+
+class TestIntegerContract:
+    """Counts, indices and bits must be integers (not bool); each case once raised a bare
+    error or returned an answer."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: generate_dataset(Concept(0, 16), 4.5, 0), id="dataset-size"),
+        pytest.param(lambda: generate_balanced_test(Concept(0, 16), -2, 0), id="test-size"),
+        pytest.param(lambda: HalfspaceState(0.5, 16).statevector(), id="halfspace-start"),
+        pytest.param(lambda: classical_learner_classify(IndicatorOracle(16, 3), 0, 2.5, 0),
+                     id="classical-budget"),
+        pytest.param(lambda: halfspace_overlap_profile(0.5, 2, 16), id="profile-start"),
+        pytest.param(lambda: halfspace_overlap(True, 2, 2, 16), id="overlap-bool-start"),
+        pytest.param(lambda: halfspace_overlap(0, 2.5, 2, 16), id="overlap-marked"),
+        pytest.param(lambda: classical_accuracy_bound(2.5, 16), id="bound-budget"),
+        pytest.param(lambda: adder_circuit(2.5), id="adder-width"),
+        pytest.param(lambda: kmp_search([0.5, 1], [1]), id="kmp-bits"),
+        pytest.param(lambda: QueryLedger(oracle_queries=1.5), id="ledger-count"),
+    ])
+    def test_non_integers_are_structural_errors(self, call):
+        with pytest.raises(StructuralError):
+            call()
 
 
 class TestLedgerMerge:

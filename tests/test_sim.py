@@ -775,9 +775,9 @@ class TestHadamardRuns:
         assert same_bits(sim.run(Circuit(5, tuple(gates)), state).amplitudes, state.amplitudes)
 
     def test_a_from_zero_prefix_does_not_split_a_qubit_across_its_end(self, low_prefix, chunk_rows):
-        # Four touched qubits end the prefix after H3; qubit 1 is hit on both
-        # sides, so the prefix stops before the run, and the run is reduced
-        # whole (H1 cancels) as in the full-width run.
+        # With X0 the Hadamard run touches all six qubits, more than a prefix
+        # may, so the prefix, which takes whole steps, stops before the run,
+        # and the run is reduced whole (H1 cancels) as in the full-width run.
         n = 6
         chunk_rows(n, 2)
         run = [sim.hadamard(q) for q in (1, 2, 3, 4, 1, 5)]
@@ -788,7 +788,7 @@ class TestHadamardRuns:
         ]
         gates = circuits[0].gates
         assert sim._zero_prefix(n, gates) == (1, 0b000001)
-        assert sim._zero_prefix(n, gates[:5] + gates[6:]) == (4, 0b001111)  # no qubit on both sides
+        assert sim._zero_prefix(n, gates[:5] + gates[6:]) == (1, 0b000001)  # no qubit hit twice
         rows = sim.run_many(circuits)
         for circuit, row in zip(circuits, rows, strict=True):
             expected = sim.run(circuit, StateVector.zero(n))
@@ -911,7 +911,7 @@ class TestZeroPrefix:
         n = 6
         gates = [sim.hadamard(q) for q in range(5)] + [sim.diffusion(range(5)), sim.hadamard(5)]
         circuit = Circuit(n, tuple(gates))
-        assert sim._zero_prefix(n, circuit.gates) == (4, 0b01111)  # not the fifth Hadamard
+        assert sim._zero_prefix(n, circuit.gates) == (0, 0)  # the five Hadamards are one step
         for c in (circuit, Circuit(n, circuit.gates[5:])):  # the diffusion on 5 qubits first
             expected = sim.run(c, StateVector.zero(n)).amplitudes
             assert same_bits(sim.run_from_zero(c).amplitudes, expected)
@@ -943,6 +943,25 @@ class TestZeroPrefix:
         assert sim._zero_prefix(n, circuit.gates) == (4, 0b00111100)
         expected = sim.run(circuit, StateVector.zero(n)).amplitudes
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_list_split_at_a_step_boundary_keeps_its_steps(self, seed):
+        # The prefix, the rest after it and run_many's shared head each go
+        # through _evolve alone; split where a step ends, each keeps the steps
+        # of the whole list.
+        rng = np.random.default_rng(1300 + seed)
+        register = (2, 3, 4, 5)
+        pool = [sim.phase_oracle(register, [3]), sim.diffusion(register),
+                sim.phase_oracle(register + (6,), [3, 9 | 1 << 4]), sim.phase_oracle(register, [3, 9]),
+                sim.hadamard(0), sim.hadamard(1), sim.pauli_x(2), sim.cnot(0, 1),
+                sim.mcx([0, 1], 2), sim.diffusion(range(7))]
+        gates = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(2, 30)))]
+        at = int(rng.integers(len(gates) + 1))
+        gates[at:at] = pool[:2] * int(rng.integers(1, 4))
+        spans = list(sim._spans(gates))
+        for _, start, _ in spans:
+            rest = [(kind, start + a, start + b) for kind, a, b in sim._spans(gates[start:])]
+            assert list(sim._spans(gates[:start])) + rest == spans
 
     def test_small_states_start_at_full_width(self):
         n = sim._PREFIX_MIN_QUBITS - 1
@@ -1216,10 +1235,23 @@ class TestRunMany:
         assert all(same_bits(state.amplitudes, expected) for state in states)
         assert len({id(state.amplitudes) for state in states}) == 3
 
+    @pytest.mark.parametrize("register", [range(6), range(1, 5)])
+    def test_diffusion_first_rounds_keep_their_bits(self, register):
+        # The first oracle is the second gate of a run of rounds the full-width
+        # run fuses, so the shared head ends before that run's diffusion.
+        n = 6
+        head = [sim.hadamard(q) for q in range(n)]
+        circuits = [Circuit(n, tuple(head + [sim.diffusion(register),
+                                             sim.phase_oracle(range(n), [m])] * 3))
+                    for m in (9, 22, 40, 51)]
+        assert [kind for kind, _, _ in sim._spans(circuits[0].gates)] == [sim.HADAMARD, sim._ROUNDS]
+        for row, circuit in zip(sim.run_many(circuits), circuits, strict=True):
+            assert same_bits(row.amplitudes, sim.run_from_zero(circuit).amplitudes)
+
 
 def step_kinds(num_qubits: int, gates) -> list:
     """The kind of each step ``_evolve`` takes for ``gates``."""
-    return [kind for kind, _ in sim._steps(num_qubits, gates)]
+    return [kind for kind, _, _ in sim._spans(gates)]
 
 
 def assert_rounds_match_per_gate(state: StateVector, gates) -> None:
@@ -1291,14 +1323,15 @@ class TestRounds:
     def test_an_extra_oracle_qubit_may_leave_its_run_partly_free(self, low_prefix):
         # The oracle adds qubit 6 of the run 6-8 above the register; its two marks
         # differ there, so no column holds two.  The from-zero prefix runs on the
-        # touched qubits 0-6, where qubit 6 is a whole run: the same rule must
-        # hold at both widths for the prefix to keep the full-width bits.
+        # touched qubits 1-6 (qubit 1 is added below the register), where qubit 6
+        # is a whole run: the same rule must hold at both widths for the prefix
+        # to keep the full-width bits.
         n, register = 9, (2, 3, 4, 5)
         oracle = sim.phase_oracle(register + (6,), [9, 12 | 1 << 4])
         gates = [sim.hadamard(q) for q in register + (6,)]
         gates += [oracle, sim.diffusion(register)] * 3 + [sim.hadamard(q) for q in range(n)]
         circuit = Circuit(n, tuple(gates))
-        assert sim._zero_prefix(n, circuit.gates) == (18, 0b001111111)
+        assert sim._zero_prefix(n, circuit.gates) == (11, 0b001111110)
         assert step_kinds(n, gates).count(sim._ROUNDS) == 1
         expected = sim.run(circuit, StateVector.zero(n)).amplitudes
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)

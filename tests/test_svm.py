@@ -8,7 +8,7 @@ import pytest
 
 from groversvm.errors import ContractViolationError, DegenerateProblemError, StructuralError
 from groversvm.grover import IndicatorOracle
-from groversvm.kernel import KernelMode, gram_matrix
+from groversvm.kernel import GramMatrix, KernelMode, gram_matrix
 from groversvm.learn import Concept, generate_dataset
 from groversvm import svm
 from groversvm.svm import decide, dual_objective, kkt_gap, train
@@ -246,6 +246,32 @@ class TestValidation:
     def test_bad_labels_rejected(self):
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, 2], box_bound=1.0)
+
+    @pytest.mark.parametrize("wrap", [np.array, lambda K: GramMatrix(K, KernelMode.exact())])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad, wrap):
+        # Infinite entries passed the symmetry checks, and train returned bias = nan.
+        K = wrap(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(ContractViolationError, match="finite"):
+            train(K, [1, -1])
+        with pytest.raises(ContractViolationError, match="finite"):
+            kkt_gap(K, [1, -1], np.zeros(2), 1.0)
+        with pytest.raises(ContractViolationError, match="finite"):
+            dual_objective(K, [1, -1], np.zeros(2))
+
+    @pytest.mark.parametrize("alpha", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]])
+    def test_dual_objective_needs_one_coefficient_per_row(self, alpha):
+        # A single coefficient was broadcast and the objective read 0.0.
+        with pytest.raises(StructuralError, match="labels and coefficients"):
+            dual_objective(np.eye(2), [1, -1], alpha)
+
+    @pytest.mark.parametrize("call", [kkt_gap, dual_objective])
+    def test_non_finite_coefficients_rejected(self, call):
+        extra = (1.0,) if call is kkt_gap else ()
+        with pytest.raises(ContractViolationError, match="finite"):
+            call(np.eye(2), [1, -1], np.array([np.nan, 0.5]), *extra)
+        with pytest.raises(StructuralError, match="labels"):
+            call(np.eye(2), [1, 2], np.zeros(2), *extra)
 
     @pytest.mark.parametrize("labels, alpha", [([1, -1, 1], [0.5, 0.5]), ([1, -1, 1], [0.5] * 4),
                                                ([1, -1], [0.5, 0.5, 0.0]), ([[1, -1, 1]], [0.5] * 3)])
