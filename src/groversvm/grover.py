@@ -26,10 +26,6 @@ from . import sim
 from .sim import Circuit, Gate, StateVector, _check_count, _is_int
 
 BACKENDS = ("ideal", "faithful")
-# Faithful searches per ``sim.run_many`` batch, whose circuits are all held at
-# once (about 1.5 KB each at 12 qubits): one batch of a 200-point preprocessing
-# run raised its peak RSS by 0.25 MB more than batches of 64 did.
-_BATCH_SEARCHES = 64
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -219,10 +215,11 @@ def grover_search_many(
 ) -> list[tuple[int, QueryLedger]]:
     """``grover_search`` on each oracle with its own seed; one ``(found, ledger)`` each.
 
-    The oracles must share one domain size.  The faithful backend builds the
-    Hadamard and diffusion gates once and one phase gate per oracle, runs the
-    circuits as :func:`sim.run_many` batches of ``_BATCH_SEARCHES``, and
-    draws one measurement from each state with its own seed: the value
+    The oracles must share one domain size.  The faithful backend builds one
+    template, ``search_circuit``'s gates around a placeholder phase gate that
+    marks nothing, and one phase gate per oracle, the row that fills the
+    placeholder's slot in :func:`sim.run_many`.  It draws one measurement
+    from each state with its own seed: the value
     ``sim.sample_measurement(state, register, 1, seed)`` would report, by
     the same draw rule, without the histogram.  A ledger bills the oracle's
     counter change, split evenly between the searches of an oracle listed
@@ -248,19 +245,15 @@ def grover_search_many(
     else:
         n = oracles[0].num_qubits
         register = tuple(range(n))
+        slot = sim.phase_oracle(register, ())
         hadamards = [sim.hadamard(q) for q in register]
-        diffusion = sim.diffusion(register)
+        template = Circuit(n, tuple(hadamards + [slot, sim.diffusion(register)] * k))
+        rows = [(oracle.phase_gate(register),) if k else () for oracle in oracles]
         found = []
-        for start in range(0, len(oracles), _BATCH_SEARCHES):
-            circuits = [
-                Circuit(n, tuple(hadamards + [oracle.phase_gate(register), diffusion] * k))
-                for oracle in oracles[start : start + _BATCH_SEARCHES]
-            ]
-            seeds = rng_seeds[start : start + _BATCH_SEARCHES]
-            for state, seed in zip(sim.run_many(circuits), seeds):
-                probs = state.probabilities()  # the register is the state: one weight per value
-                probs /= probs.sum()
-                found.append(sim._one_shot(probs, sim.as_rng(seed)))
+        for state, seed in zip(sim.run_many(template, rows), rng_seeds):
+            probs = state.probabilities()  # the register is the state: one weight per value
+            probs /= probs.sum()
+            found.append(sim._one_shot(probs, sim.as_rng(seed)))
         shots = 1
     listed = Counter(id(oracle) for oracle in oracles)
     return [

@@ -78,15 +78,19 @@ result fills those blocks.  Signed zeros included, the bits are those of the
 full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
-for one Grover search per data point) runs as rows of one buffer, a chunk at
-a time.  The gates before the step that holds the first phase oracle run
-once and are copied into every row.  A chunk of ``2**b`` rows of ``n``
-qubits is a state of ``n + b`` qubits whose top ``b`` qubits number the row.
-No gate of the circuits acts on those qubits, so every gate acts on each row
-alone, and the rest of the gates go through :func:`_evolve`, as in ``run``,
-with each phase oracle widened to the row qubits to mark every row's own
-values.  So numpy calls are paid once per chunk rather than once per
-circuit, and each row keeps the bits of its own run.
+for one Grover search per data point) is one template circuit and, per row,
+one phase oracle for each of its slots; the slots, the steps and the bill
+are found once per call.  The rows run in one buffer, a chunk at a time.
+The gates before the step that holds the first slot run once and are copied
+into every row.  A chunk of ``2**b`` rows of ``n`` qubits is a state of
+``n + b`` qubits whose top ``b`` qubits number the row.  No gate acts on
+those qubits, so every gate acts on each row alone, and the rest of the
+gates go through :func:`_evolve` with the steps of the rows' own circuits,
+each slot widened to the row qubits: it marks ``v | r << w`` for each value
+``v`` row ``r`` marks on its ``w``-qubit register, and a short chunk is
+padded to a power of two with rows that mark nothing.  So numpy calls are
+paid once per chunk rather than once per row, and each row keeps the bits
+of its own run.
 
 :func:`zero_probability` reads one register of a circuit run from |0...0>,
 so it runs only the register's backward light cone.  Walking the gates
@@ -102,8 +106,9 @@ runs into one, so the probability may move by rounding.
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
 :func:`zero_probability` bill each oracle one query per time its gate is
-listed, counted from the gate list by :func:`_bill`; no code that applies
-gates bills, so no path can change a query count.  All randomness is
+listed, counted from the gate list by :func:`_bill` (``run_many`` counts
+each row gate once per listing of its slot); no code that applies gates
+bills, so no path can change a query count.  All randomness is
 injected through explicit seeds or generators.  Qubit counts, qubit
 indices, marked values, basis indices, shot counts and seeds must be Python
 or numpy integers (not bool); anything else, or a negative seed, is a
@@ -143,7 +148,10 @@ _PERMUTATION_CACHE_BYTES = 16 << 20
 # a state of half of it or more is a chunk of one.  On 200 12-qubit searches,
 # chunks of 4, 8 and 16 states took 0.68, 0.65 and 0.63 of the time of one at
 # a time; in a faithful preprocessing run, 8 states raised peak RSS by 0.3 MB
-# more than 4 did, and 16 states by 0.7 MB more.
+# more than 4 did, and 16 states by 0.7 MB more.  With one template per batch,
+# 328 searches at 16 states (1 MiB) took 0.76 of their time at 4, but whole
+# search-small passes were no faster (0.38-0.41 s against 0.37-0.42 s, three
+# runs each on a 2-vCPU host) and peak at 42.10-42.16 MB against 41.88-41.94.
 _BATCH_AMPLITUDES = _CACHE_ROW >> 2
 # Registers of fewer qubits take their rounds gate by gate: a closed-form run
 # holds about ten arrays of one entry per column, which would outgrow the state
@@ -534,7 +542,13 @@ def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
 
 def _bill(gates) -> None:
     """Charge each phase oracle's ``oracle`` one query per time its gate is in ``gates``."""
-    for oracle, count in Counter(g.oracle for g in gates if g.oracle is not None).items():
+    _charge(Counter(g.oracle for g in gates))
+
+
+def _charge(queries: Counter) -> None:
+    """One ``charge_queries`` call for each oracle in ``queries`` but None, of its count."""
+    queries.pop(None, None)
+    for oracle, count in queries.items():
         oracle.charge_queries(count)
 
 
@@ -632,34 +646,33 @@ def _round_power(size: int, rounds: int, oracle_first: bool) -> tuple[float, ...
     return tuple(entry / scale for row in power for entry in row)
 
 
-def _fusable(first: Gate, second: Gate) -> bool:
-    """Whether :func:`_rounds_plan` takes repeats of ``first`` then ``second`` in closed form.
+@lru_cache(maxsize=1024)
+def _fuse_test(targets: tuple[int, ...], register: tuple[int, ...]):
+    """``fuses(marked)``: whether :func:`_rounds_plan` takes rounds of an oracle and a diffusion.
 
-    One gate is a phase oracle and the other a diffusion on at least
-    ``_ROUNDS_MIN_QUBITS`` adjacent qubits listed low to high, and no column
-    (value of the qubits outside the register) holds two marked values.  A
-    marked value spells the oracle's qubits and covers every value of the
-    qubits it leaves free, so one that leaves a register qubit free marks two
-    values of a column; otherwise two marked values share a column iff they
-    agree on the oracle's qubits outside the register.
+    The oracle acts on ``targets`` and marks ``marked``, and the diffusion
+    acts on ``register``.  They fuse when the register is at least ``_ROUNDS_MIN_QUBITS`` adjacent
+    qubits listed low to high and no column (value of the qubits outside the
+    register) holds two marked values.  A marked value spells the oracle's
+    qubits and covers every value of the qubits it leaves free, so one that
+    leaves a register qubit free marks two values of a column; otherwise two
+    marked values share a column iff they agree on the oracle's qubits
+    outside the register.  Only ``fuses`` reads the marks.
     """
-    oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
-    register, low = diffusion.targets, diffusion.targets[0]
+    low = register[0]
     if len(register) < _ROUNDS_MIN_QUBITS or register != tuple(range(low, low + len(register))):
-        return False
-    if not oracle.marked:
-        return True
-    if not set(register).issubset(oracle.targets):
-        return False
-    outside = sum(1 << p for p, q in enumerate(oracle.targets) if q not in register)
-    return len({value & outside for value in oracle.marked}) == len(oracle.marked)
+        return lambda marked: False
+    if not set(register).issubset(targets):
+        return lambda marked: not marked
+    outside = sum(1 << p for p, q in enumerate(targets) if q not in register)
+    return lambda marked: len({value & outside for value in marked}) == len(marked)
 
 
 def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]) -> np.ndarray:
     """Each column's marked register value, -1 where it has none.
 
     ``register`` is adjacent qubits listed low to high, and no column holds
-    two marked values (see :func:`_fusable`).  A column fixes every qubit
+    two marked values (see :func:`_fuse_test`).  A column fixes every qubit
     outside it, and columns are numbered in basis-index order.
     """
     n = num_qubits
@@ -682,7 +695,7 @@ def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]) -> n
 def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
     """The kernel ``apply(psi)`` of ``rounds`` repeats of ``first`` then ``second``.
 
-    The pair must be :func:`_fusable`.  Each column gets the closed form of
+    The pair must pass :func:`_fuse_test`.  Each column gets the closed form of
     :func:`_round_power` from its register sum and its marked amplitude: with
     ``s = (-1)**rounds`` and ``(alpha', beta')`` the rounds' image,
     ``v <- s * v + (alpha' - s * alpha) * 1``, and ``alpha' + beta'`` at
@@ -729,8 +742,8 @@ def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
 def _round_runs(gates):
     """``(start, stop)`` of each run of rounds in ``gates`` that ``_rounds_plan`` applies.
 
-    A run is a maximal repeat, two or more times, of one :func:`_fusable`
-    oracle and diffusion pair in either order.  No plan is built here.
+    A run is a maximal repeat, two or more times, of one oracle and diffusion
+    pair in either order that passes :func:`_fuse_test`.  No plan is built here.
     """
     kinds = [gate.kind for gate in gates]
     if DIFFUSION not in kinds:
@@ -745,7 +758,8 @@ def _round_runs(gates):
         j = i + 2
         while j + 1 < count and _same(gates[j], first) and _same(gates[j + 1], second):
             j += 2
-        if j - i < 4 or not _fusable(first, second):
+        oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
+        if j - i < 4 or not _fuse_test(oracle.targets, diffusion.targets)(oracle.marked):
             i = j - 1  # read from the next gate on, the same pair neither runs further nor fuses
             continue
         yield i, j
@@ -794,18 +808,18 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
-def _evolve(psi: np.ndarray, num_qubits: int, gates) -> np.ndarray:
+def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
     """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
-    Each step of :func:`_spans` is applied whole.  A run of rounds is one
-    closed form; a Hadamard run applies H once to each qubit it hits an odd
-    number of times, in the order of first hits; an X run is one strided
-    copy, and a CNOT/MCX run of two or more gates one gather (or scatter)
-    through a cached index array.
+    Each step of ``spans``, by default :func:`_spans` of ``gates``, is
+    applied whole.  A run of rounds is one closed form; a Hadamard run
+    applies H once to each qubit it hits an odd number of times, in the
+    order of first hits; an X run is one strided copy, and a CNOT/MCX run of
+    two or more gates one gather (or scatter) through a cached index array.
     """
     n = num_qubits
     spare = None
-    for kind, start, stop in _spans(gates):
+    for kind, start, stop in _spans(gates) if spans is None else spans:
         if kind == _ROUNDS:
             _rounds_plan(n, gates[start], gates[start + 1], (stop - start) // 2)(psi)
             continue
@@ -948,62 +962,87 @@ def run_from_zero(circuit: Circuit) -> StateVector:
     return run(circuit, _FROM_ZERO)
 
 
-def run_many(circuits: Sequence[Circuit]):
-    """Yield ``run_from_zero(c)`` for each circuit, in order, running them as one batch.
+def run_many(template: Circuit, rows: Sequence[Sequence[Gate]]):
+    """Yield ``run_from_zero`` of ``template`` with each row's gates in its slots, as one batch.
 
-    Every circuit must have the same width and, at each position, a gate of
-    the same kind on the same targets and controls; otherwise a
-    :class:`StructuralError` is raised before any oracle is billed.  Every
-    circuit's oracles are billed when the first state is asked for.  The
-    gates before the step that holds the first phase oracle (see
-    :func:`_spans`) run once, from |0...0>, and that
-    state is copied into every row of one buffer of ``_BATCH_AMPLITUDES``
-    amplitudes, a chunk of ``2**b`` rows at a time.  A chunk is a state of
-    ``n + b`` qubits whose top ``b`` qubits number the row, so the rest of
-    the gates run over it through :func:`_evolve`, as in ``run``: each phase
-    oracle is widened to the row qubits, marking ``v | r << w`` for each
-    value ``v`` row ``r`` marks on its ``w``-qubit register.  A short last
-    chunk is padded to a power of two with rows that mark nothing.  Every
-    amplitude has the bits ``run_from_zero`` gives it, the norm of each
-    state is checked, and each yielded state owns a copy of its row.
+    A slot is one distinct phase-oracle gate object of the template, taken
+    in order of first listing; the template's slot gates are neither run nor
+    billed.  Each row gives one phase oracle on each slot's register, which
+    replaces the slot wherever it is listed; any other row is a
+    :class:`StructuralError`, raised before anything is billed.  Each row
+    gate's oracle is billed one query per listing of its slot, when the first
+    state is asked for.  Rows are grouped, in order, by what their steps
+    depend on: which slots they fill with :func:`_same` gates, and which
+    slots' marks pass the :func:`_fuse_test` of each diffusion register.  So
+    :func:`_spans` runs once per group, and a chunk (see the module
+    docstring) holds rows of one group and applies that group's steps.  Every
+    amplitude has the bits ``run_from_zero`` gives it, the norm of each state
+    is checked, and each yielded state owns a copy of its row.
     """
-    circuits = list(circuits)
-    if not circuits:
+    if not isinstance(template, Circuit):
+        raise StructuralError(f"run_many takes a template Circuit, got {template!r}")
+    rows = list(rows)
+    if not rows:
         return
-    n = circuits[0].num_qubits
-    gates = circuits[0].gates
-    for circuit in circuits[1:]:
-        # Circuits built from shared gate objects compare most positions by identity.
-        if circuit.num_qubits != n or circuit.gates != gates:
-            raise StructuralError("batched circuits must have the same width and gate shapes")
-    positions = [p for p, gate in enumerate(gates) if gate.kind == PHASE_ORACLE]
-    _bill(circuit.gates[p] for circuit in circuits for p in positions)
+    n, gates = template.num_qubits, template.gates
+    slots = list({id(gate): gate for gate in gates if gate.kind == PHASE_ORACLE}.values())
+    number = {id(slot): s for s, slot in enumerate(slots)}
+    at = [number.get(id(gate)) for gate in gates]  # the slot listed at each position, or None
+    listed = [at.count(s) for s in range(len(slots))]
+    queries = Counter()
+    for row in rows:
+        if not isinstance(row, (tuple, list)) or len(row) != len(slots) or not all(
+                isinstance(gate, Gate) and gate == slot for gate, slot in zip(row, slots)):
+            raise StructuralError(
+                f"each row must give one phase oracle per template slot ({len(slots)}), "
+                f"on the slot's register, got {row!r}"
+            )
+        for gate, count in zip(row, listed):
+            queries[gate.oracle] += count
+    _charge(queries)
+    pairs = [(a, b) for b in range(len(slots)) for a in range(b) if slots[a] == slots[b]]
+    registers = dict.fromkeys(gate.targets for gate in gates if gate.kind == DIFFUSION)
+    tests = [(s, _fuse_test(slot.targets, r)) for s, slot in enumerate(slots) for r in registers]
+    keys = [(tuple(_same(row[a], row[b]) for a, b in pairs),
+             tuple(fuses(row[s].marked) for s, fuses in tests)) for row in rows]
+    steps = {}  # each group's spans, found on the circuit of its first row
+    for row, key in zip(rows, keys):
+        if key not in steps:
+            steps[key] = list(_spans([gate if s is None else row[s] for gate, s in zip(gates, at)]))
     split = len(gates)
-    if positions:  # the shared head ends where the step holding the first oracle starts
-        split = next(start for _, start, stop in _spans(gates) if stop > positions[0])
+    if slots:
+        # The shared head ends where some group's step holding the first slot
+        # starts: at the slot, or at the diffusion before it where a group
+        # fuses a diffusion-first run; that diffusion is a step of its own in
+        # every other group.
+        first = at.index(0)
+        split = min(next(start for _, start, stop in spans if stop > first)
+                    for spans in steps.values())
     shared, rest = _from_zero(n, gates[:split])
     shared = _evolve(shared, n, rest)  # holds no phase oracle
-    rows = 1 << max(0, _BATCH_AMPLITUDES.bit_length() - 1 - n)  # a power of two
-    size = 1 << (min(rows, len(circuits)) - 1).bit_length()
+    per_chunk = 1 << max(0, _BATCH_AMPLITUDES.bit_length() - 1 - n)  # a power of two
+    size = 1 << (min(per_chunk, len(rows)) - 1).bit_length()
     chunk = np.empty((size, 1 << n), dtype=np.complex128)
-    for start in range(0, len(circuits), rows):
-        batch = circuits[start : start + rows]
-        bits = (len(batch) - 1).bit_length()
-        block = chunk[: 1 << bits]
-        block[...] = shared
-        wide, widened = list(gates[split:]), {}  # one oracle per distinct tuple of row gates
-        for p in positions:
-            row_gates = tuple(circuit.gates[p] for circuit in batch)
-            key = tuple(map(id, row_gates))
-            if key not in widened:
-                w = len(gates[p].targets)
-                marked = [v | r << w for r, gate in enumerate(row_gates) for v in gate.marked]
-                targets = gates[p].targets + tuple(range(n, n + bits))
-                widened[key] = Gate(PHASE_ORACLE, targets, (), marked)
-            wide[p - split] = widened[key]
-        psi = _evolve(block.reshape(-1), n + bits, wide)
-        for row in psi.reshape(-1, 1 << n)[: len(batch)]:
-            yield StateVector._adopt(n, row.copy())
+    for key, group in groupby(zip(keys, rows), key=lambda pair: pair[0]):
+        spans = [(kind, start - split, stop - split)
+                 for kind, start, stop in steps[key] if start >= split]
+        group = [row for _, row in group]
+        for begin in range(0, len(group), per_chunk):
+            batch = group[begin : begin + per_chunk]
+            bits = (len(batch) - 1).bit_length()
+            block = chunk[: 1 << bits]
+            block[...] = shared
+            numbers = tuple(range(n, n + bits))
+            wide = [  # each slot widened to the row qubits
+                Gate(PHASE_ORACLE, slot.targets + numbers, (), [
+                    v | r << len(slot.targets) for r, row in enumerate(batch) for v in row[s].marked
+                ])
+                for s, slot in enumerate(slots)
+            ]
+            tail = [gate if s is None else wide[s] for gate, s in zip(gates[split:], at[split:])]
+            psi = _evolve(block.reshape(-1), n + bits, tail, spans)
+            for row in psi.reshape(-1, 1 << n)[: len(batch)]:
+                yield StateVector._adopt(n, row.copy())
 
 
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:

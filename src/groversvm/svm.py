@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateProblemError, StructuralError
 from .kernel import GramMatrix
+from .sim import _check_count
 
 _ALPHA_SNAP = 1e-12
 _ETA_FLOOR = 1e-15  # tau: the least pair curvature a step divides by
@@ -142,8 +143,10 @@ def train(
 ) -> SvmModel:
     """Solve the soft-margin dual by deterministic pairwise optimization.
 
-    Terminates when every KKT violation is at most ``tol``; the box bound
-    must be positive and finite.  If ``objective_history`` is a list, the
+    Terminates when every KKT violation is at most ``tol`` or after
+    ``max_iterations`` pair updates.  The box bound must be positive and
+    finite, ``tol`` a finite non-negative number and ``max_iterations`` a
+    non-negative integer (not a bool).  If ``objective_history`` is a list, the
     dual objective after every pair update is appended to it (it is
     non-decreasing).
     """
@@ -154,8 +157,13 @@ def train(
     C = float(box_bound)
     if not 0.0 < C < math.inf:
         raise StructuralError(f"box bound must be positive and finite, got {C}")
+    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (real and 0.0 <= tol < math.inf):
+        raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
+    tol = float(tol)
     if max_iterations is None:
         max_iterations = max(2000, 400 * m)
+    max_iterations = _check_count(max_iterations, "max_iterations", least=0)
 
     solved = _solved.get()
     if solved is None or objective_history is not None:

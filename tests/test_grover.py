@@ -235,14 +235,15 @@ class TestGroverSearch:
 class TestGroverSearchMany:
     @pytest.mark.parametrize("backend", ["ideal", "faithful"])
     @pytest.mark.parametrize("N, count", [(4, 3), (8, 150), (64, 40), (1024, 9)])
-    def test_matches_a_loop_of_single_searches(self, N, count, backend):
+    def test_matches_a_loop_of_single_searches(self, N, count, backend, monkeypatch):
         config = GroverConfig(backend)
         marks = np.random.default_rng(N).integers(0, N, size=count)
         seeds = np.random.SeedSequence(N).spawn(count)
         oracles = [IndicatorOracle(N, int(v)) for v in marks]
+        if N == 8:  # several faithful chunks of 64 searches, the last one partial
+            monkeypatch.setattr(sim, "_BATCH_AMPLITUDES", 64 * N)
+            assert count > 2 * 64 and count % 64
         results = grover_search_many(oracles, config, seeds)
-        if N == 8:  # several faithful batches, the last one partial
-            assert count > 2 * grover._BATCH_SEARCHES and count % grover._BATCH_SEARCHES
         ref_oracles = [IndicatorOracle(N, int(v)) for v in marks]
         expected = [reference_search(o, config, s) for o, s in zip(ref_oracles, seeds)]
         assert results == expected

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -781,16 +782,15 @@ class TestHadamardRuns:
         n = 6
         chunk_rows(n, 2)
         run = [sim.hadamard(q) for q in (1, 2, 3, 4, 1, 5)]
-        circuits = [
-            Circuit(n, tuple([sim.pauli_x(0)] + run + [sim.phase_oracle(range(n), [m]),
-                                                       sim.diffusion(range(n))]))
-            for m in (9, 22, 40)
-        ]
-        gates = circuits[0].gates
+        slot = sim.phase_oracle(range(n), [])
+        template = Circuit(n, tuple([sim.pauli_x(0)] + run + [slot, sim.diffusion(range(n))]))
+        rows = [(sim.phase_oracle(range(n), [m]),) for m in (9, 22, 40)]
+        gates = template.gates
         assert sim._zero_prefix(n, gates) == (1, 0b000001)
         assert sim._zero_prefix(n, gates[:5] + gates[6:]) == (1, 0b000001)  # no qubit hit twice
-        rows = sim.run_many(circuits)
-        for circuit, row in zip(circuits, rows, strict=True):
+        states = sim.run_many(template, rows)
+        circuits = [substituted(template, gates) for gates in rows]
+        for circuit, row in zip(circuits, states, strict=True):
             expected = sim.run(circuit, StateVector.zero(n))
             assert same_bits(sim.run_from_zero(circuit).amplitudes, expected.amplitudes)
             assert same_bits(row.amplitudes, expected.amplitudes)
@@ -1088,92 +1088,120 @@ def chunk_rows(monkeypatch):
     return set_rows
 
 
-def shape_equal_circuits(num_qubits: int, count: int, rng) -> list:
-    """Random circuits sharing one gate-shape list, each with its own oracle marks.
+def substituted(template: Circuit, row) -> Circuit:
+    """``template`` with ``row``'s gates in its slots: the circuit ``run_many`` gives the bits of.
 
-    The shapes cover X, CNOT, MCX and Hadamard gates, diffusions on bottom,
-    top and middle blocks and on scattered registers, and phase oracles on
-    any register.
+    Slot ``s`` is the template's ``s``-th distinct phase-oracle gate object, in order of listing.
+    """
+    number = {}
+    for gate in template.gates:
+        if gate.kind == sim.PHASE_ORACLE:
+            number.setdefault(id(gate), len(number))
+    gates = tuple(row[number[id(gate)]] if id(gate) in number else gate for gate in template.gates)
+    return Circuit(template.num_qubits, gates)
+
+
+def assert_rows_keep_their_bits(template: Circuit, rows) -> list:
+    """Run the batch; every state has the ``run_from_zero`` bits of its row's circuit."""
+    states = list(sim.run_many(template, rows))
+    assert len(states) == len(rows)
+    for state, row in zip(states, rows):
+        expected = sim.run_from_zero(substituted(template, row)).amplitudes
+        assert same_bits(state.amplitudes, expected), substituted(template, row).gates
+    return states
+
+
+def random_batch(num_qubits: int, count: int, rng) -> tuple:
+    """A random template and ``count`` rows of random marks for its slots.
+
+    The template covers X, CNOT, MCX and Hadamard gates, diffusions on
+    bottom, top and middle blocks and on scattered registers, and phase-oracle
+    slots on any register, some listed at several positions.  A row marks
+    none, one or two values in each slot, and may fill a slot with the gate
+    it gave an earlier slot of the same register.
     """
     n = num_qubits
-    shapes = []
+    gates, slots = [], []
     for _ in range(int(rng.integers(4, 30))):
         qubits = [int(q) for q in rng.permutation(n)]
         kind = int(rng.integers(7))
         width = int(rng.integers(1, n + 1))
         low = int(rng.integers(0, n - width + 1))
         if kind == 0:
-            shapes.append(sim.hadamard(qubits[0]))
+            gates.append(sim.hadamard(qubits[0]))
         elif kind == 1:
-            shapes.append(sim.pauli_x(qubits[0]))
+            gates.append(sim.pauli_x(qubits[0]))
         elif kind == 2 and n >= 2:
-            shapes.append(sim.cnot(qubits[0], qubits[1]))
+            gates.append(sim.cnot(qubits[0], qubits[1]))
         elif kind == 3 and n >= 3:
-            shapes.append(sim.mcx(qubits[1:3], qubits[0]))
+            gates.append(sim.mcx(qubits[1:3], qubits[0]))
         elif kind == 4:
             register = [range(width), range(n - width, n), range(low, low + width), qubits[:width]]
             register = list(register[int(rng.integers(4))])[:: int(rng.choice([1, -1]))]
-            shapes.append(sim.diffusion(register))
+            gates.append(sim.diffusion(register))
+        elif slots and rng.integers(3) == 0:
+            gates.append(slots[int(rng.integers(len(slots)))])  # a slot listed again
         else:
-            shapes.append(("oracle", tuple(qubits[:width])))
-    circuits = []
-    for c in range(count):
-        gates = []
-        for p, shape in enumerate(shapes):
-            if isinstance(shape, tuple):
-                marked = sorted({int(v) for v in rng.integers(0, 1 << len(shape[1]), size=2)})
-                shape = sim.phase_oracle(shape[1], marked)
-            gates.append(shape)
-        circuits.append(Circuit(n, tuple(gates)))
-    return circuits
+            slots.append(sim.phase_oracle(qubits[:width], []))
+            gates.append(slots[-1])
+    rows = []
+    for _ in range(count):
+        row = []
+        for slot in slots:
+            earlier = [gate for gate in row if gate == slot]
+            if earlier and rng.integers(3) == 0:
+                row.append(earlier[int(rng.integers(len(earlier)))])
+            else:
+                values = rng.integers(0, 1 << len(slot.targets), size=int(rng.integers(3)))
+                row.append(sim.phase_oracle(slot.targets, sorted({int(v) for v in values})))
+        rows.append(tuple(row))
+    return Circuit(n, tuple(gates)), rows
 
 
-def search_circuits(domain_size: int, marks) -> list:
-    from groversvm.grover import IndicatorOracle, search_circuit
+def search_batch(domain_size: int, marks) -> tuple:
+    """A search template, its one slot before each diffusion, and a row per marked value."""
+    from groversvm.grover import IndicatorOracle, optimal_iterations
 
-    return [search_circuit(IndicatorOracle(domain_size, int(v))) for v in marks]
+    n = domain_size.bit_length() - 1
+    register = tuple(range(n))
+    slot = sim.phase_oracle(register, [])
+    rounds = [slot, sim.diffusion(register)] * optimal_iterations(domain_size)
+    template = Circuit(n, tuple([sim.hadamard(q) for q in register] + rounds))
+    return template, [(IndicatorOracle(domain_size, int(v)).phase_gate(register),) for v in marks]
 
 
 class TestRunMany:
-    """A batch of shape-equal circuits gives each circuit's ``run_from_zero`` bits."""
+    """A batch of rows gives each row's circuit its ``run_from_zero`` bits."""
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_search_circuits(self, n):
-        rng = np.random.default_rng(n)
-        circuits = search_circuits(1 << n, rng.integers(0, 1 << n, size=5))
-        states = list(sim.run_many(circuits))
-        assert len(states) == len(circuits)
-        for state, circuit in zip(states, circuits):
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+        from groversvm.grover import IndicatorOracle, search_circuit
+
+        marks = np.random.default_rng(n).integers(0, 1 << n, size=5)
+        template, rows = search_batch(1 << n, marks)
+        states = assert_rows_keep_their_bits(template, rows)
+        for state, v in zip(states, marks):
+            expected = sim.run_from_zero(search_circuit(IndicatorOracle(1 << n, int(v))))
+            assert same_bits(state.amplitudes, expected.amplitudes)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_shape_equal_circuits(self, seed, chunk_rows):
         rng = np.random.default_rng(700 + seed)
         n = 2 + seed % 9  # 2 .. 10 qubits
         chunk_rows(n, int(rng.integers(2, 6)))
-        circuits = shape_equal_circuits(n, int(rng.integers(1, 12)), rng)
-        for state, circuit in zip(sim.run_many(circuits), circuits, strict=True):
-            expected = sim.run_from_zero(circuit).amplitudes
-            assert same_bits(state.amplitudes, expected), circuit.gates
+        assert_rows_keep_their_bits(*random_batch(n, int(rng.integers(1, 12)), rng))
 
     @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
     def test_chunk_boundaries(self, count, chunk_rows):
         n = 6
         chunk_rows(n, 4)
-        circuits = search_circuits(1 << n, range(3, 3 + 5 * count, 5))
-        states = list(sim.run_many(circuits))
-        assert len(states) == count
-        for state, circuit in zip(states, circuits):
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+        assert_rows_keep_their_bits(*search_batch(1 << n, range(3, 3 + 5 * count, 5)))
 
     def test_one_state_at_a_time_above_half_a_chunk(self, chunk_rows):
         n = 6
         chunk_rows(n, 1)
-        circuits = shape_equal_circuits(n, 3, np.random.default_rng(5))
-        states = list(sim.run_many(circuits))
-        assert len(states) == 3
-        for state, circuit in zip(states, circuits):
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+        template, rows = random_batch(n, 3, np.random.default_rng(5))
+        assert len(assert_rows_keep_their_bits(template, rows)) == 3
 
     def test_chunks_reach_the_fused_and_tiled_paths(self, chunk_rows, fresh_cache):
         # Chunks of 4 and 2 rows of 8 qubits are states of 10 and 9 qubits.
@@ -1181,72 +1209,133 @@ class TestRunMany:
         chunk_rows(n, 4)
         register = tuple(range(4, 8))
         permutation = [sim.cnot(0, 1), sim.mcx([1, 2], 3)]
-        circuits = []
-        for c in range(6):
-            oracle = sim.phase_oracle(register, [c, 15 - c])
-            low = sim.phase_oracle((0, 1, 2), [c % 8])
-            gates = [sim.hadamard(q) for q in range(n)] + [low] + permutation
-            gates += [sim.hadamard(4), oracle, sim.hadamard(5), oracle, sim.hadamard(6)]
-            circuits.append(Circuit(n, tuple(gates + permutation[::-1])))
-        states = list(sim.run_many(circuits))
+        oracle, low = sim.phase_oracle(register, []), sim.phase_oracle((0, 1, 2), [])
+        gates = [sim.hadamard(q) for q in range(n)] + [low] + permutation
+        gates += [sim.hadamard(4), oracle, sim.hadamard(5), oracle, sim.hadamard(6)]
+        template = Circuit(n, tuple(gates + permutation[::-1]))
+        rows = [(sim.phase_oracle((0, 1, 2), [c % 8]), sim.phase_oracle(register, [c, 15 - c]))
+                for c in range(6)]
+        states = list(sim.run_many(template, rows))
         assert {width for width, _ in fresh_cache._entries} == {9, 10}
-        for state, circuit in zip(states, circuits, strict=True):
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+        for state, row in zip(states, rows, strict=True):
+            expected = sim.run_from_zero(substituted(template, row)).amplitudes
+            assert same_bits(state.amplitudes, expected)
 
     def test_shape_mismatch_raises_before_any_predicate(self):
         # No oracle is billed either.
         n = 4
         register = (0, 1, 2, 3)
         oracle = Billed()
-
-        def circuit(width=n, last=sim.diffusion(register), extra=()):
-            gates = (sim.hadamard(0), sim.phase_oracle(register, [3], oracle), last) + extra
-            return Circuit(width, gates)
-
-        for other in (circuit(width=5), circuit(last=sim.diffusion((0, 1, 2))),
-                      circuit(last=sim.hadamard(1)), circuit(extra=(sim.hadamard(0),)),
-                      circuit(last=sim.phase_oracle(register, [1], oracle))):
-            with pytest.raises(StructuralError, match="same width and gate shapes"):
-                list(sim.run_many([circuit(), circuit(), other]))
+        slot = sim.phase_oracle(register, [])
+        template = Circuit(n, (sim.hadamard(0), slot, sim.diffusion(register)))
+        row = (sim.phase_oracle(register, [3], oracle),)
+        for other in ((sim.phase_oracle((0, 1, 2), [3], oracle),),
+                      (sim.phase_oracle(register[::-1], [3], oracle),),
+                      (sim.diffusion(register),), (), row * 2, (3,), 3, None):
+            with pytest.raises(StructuralError, match="one phase oracle per template slot"):
+                list(sim.run_many(template, [row, row, other]))
+        for wrong in ([template, template], None, template.gates):
+            with pytest.raises(StructuralError, match="template Circuit"):
+                list(sim.run_many(wrong, [row]))
         assert oracle.charges == []
 
     def test_yielded_states_are_read_only_and_kept(self, chunk_rows):
         n = 5
         chunk_rows(n, 2)
-        circuits = search_circuits(1 << n, range(7))
+        template, rows = search_batch(1 << n, range(7))
         seen = []
-        for state in sim.run_many(circuits):
+        for state in sim.run_many(template, rows):
             assert not state.amplitudes.flags.writeable
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0.0
             seen.append((state, state.amplitudes.tobytes()))
-        for (state, first), circuit in zip(seen, circuits):
+        for (state, first), row in zip(seen, rows, strict=True):
             assert state.amplitudes.tobytes() == first
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
+            expected = sim.run_from_zero(substituted(template, row)).amplitudes
+            assert same_bits(state.amplitudes, expected)
 
     def test_no_circuits_no_states(self):
-        assert list(sim.run_many([])) == []
+        template, _ = search_batch(16, [])
+        assert list(sim.run_many(template, [])) == []
 
     def test_circuits_without_an_oracle(self, chunk_rows):
         chunk_rows(3, 2)
-        gates = (sim.hadamard(0), sim.cnot(0, 2), sim.diffusion((1, 2)))
-        states = list(sim.run_many([Circuit(3, gates)] * 3))
-        expected = sim.run_from_zero(Circuit(3, gates)).amplitudes
+        template = Circuit(3, (sim.hadamard(0), sim.cnot(0, 2), sim.diffusion((1, 2))))
+        states = list(sim.run_many(template, [(), [], ()]))
+        expected = sim.run_from_zero(template).amplitudes
+        assert len(states) == 3
         assert all(same_bits(state.amplitudes, expected) for state in states)
         assert len({id(state.amplitudes) for state in states}) == 3
 
     @pytest.mark.parametrize("register", [range(6), range(1, 5)])
-    def test_diffusion_first_rounds_keep_their_bits(self, register):
-        # The first oracle is the second gate of a run of rounds the full-width
-        # run fuses, so the shared head ends before that run's diffusion.
+    def test_diffusion_first_rounds_keep_their_bits(self, register, chunk_rows):
+        # The first slot is the second gate of a run of rounds the full-width
+        # run fuses, so the shared head ends before that run's diffusion.  A
+        # row that marks two values of a column does not fuse, and runs in a
+        # chunk of its own after that same head.
         n = 6
+        chunk_rows(n, 4)
+        slot = sim.phase_oracle(range(n), [])
         head = [sim.hadamard(q) for q in range(n)]
-        circuits = [Circuit(n, tuple(head + [sim.diffusion(register),
-                                             sim.phase_oracle(range(n), [m])] * 3))
-                    for m in (9, 22, 40, 51)]
-        assert [kind for kind, _, _ in sim._spans(circuits[0].gates)] == [sim.HADAMARD, sim._ROUNDS]
-        for row, circuit in zip(sim.run_many(circuits), circuits, strict=True):
-            assert same_bits(row.amplitudes, sim.run_from_zero(circuit).amplitudes)
+        template = Circuit(n, tuple(head + [sim.diffusion(register), slot] * 3))
+        rows = [(sim.phase_oracle(range(n), marks),) for marks in ([9], [22], [40, 42], [51])]
+        kinds = [step_kinds(n, substituted(template, row).gates) for row in rows]
+        assert kinds[0] == kinds[1] == kinds[3] == [sim.HADAMARD, sim._ROUNDS]
+        assert sim._ROUNDS not in kinds[2]
+        assert_rows_keep_their_bits(template, rows)
+
+    def test_a_row_that_repeats_one_gate_in_two_slots_keeps_its_bits(self):
+        # Row 0 lists one oracle in both slots, so its own circuit runs its
+        # three rounds in closed form; row 1 alternates its marks and runs
+        # gate by gate.  When both rows ran in one chunk, row 0 went gate by
+        # gate too and missed its own bits by 1.1e-16.
+        n = 6
+        register = range(n)
+        a, b = sim.phase_oracle(register, []), sim.phase_oracle(register, [])
+        diffusion = sim.diffusion(register)
+        head = [sim.hadamard(q) for q in register]
+        template = Circuit(n, tuple(head + [a, diffusion, b, diffusion, a, diffusion]))
+        nine = sim.phase_oracle(register, [9])
+        rows = [(nine, nine), (sim.phase_oracle(register, [22]), sim.phase_oracle(register, [40]))]
+        assert step_kinds(n, substituted(template, rows[0]).gates) == [sim.HADAMARD, sim._ROUNDS]
+        assert sim._ROUNDS not in step_kinds(n, substituted(template, rows[1]).gates)
+        assert_rows_keep_their_bits(template, rows)
+        # The same marks in two gate objects fuse as one gate does.
+        rows.append((nine, sim.phase_oracle(register, [9])))
+        assert_rows_keep_their_bits(template, rows)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_of_rounds_that_fuse_differently(self, seed, chunk_rows):
+        # Two slots of one register alternate with a diffusion; each row fills
+        # them with one gate, two gates of the same marks, or gates of other
+        # marks, and marks one or two values, so its rounds fuse over the whole
+        # run, over part of it or not at all, in any order of the rows.
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(5, 9))
+        width = int(rng.integers(4, n + 1))
+        low = int(rng.integers(0, n - width + 1))
+        register = tuple(range(low, low + width))
+        oracle_register = register if rng.integers(2) else tuple(range(n))
+        a, b = sim.phase_oracle(oracle_register, []), sim.phase_oracle(oracle_register, [])
+        pairs = [[a, sim.diffusion(register)], [b, sim.diffusion(register)]]
+        order = [0, 1, 0] + [int(p) for p in rng.integers(0, 2, size=int(rng.integers(0, 5)))]
+        rounds = [gate for p in order for gate in pairs[p]]
+        if rng.integers(2):
+            rounds = rounds[1:]  # a diffusion-first run
+        template = Circuit(n, tuple([sim.hadamard(q) for q in range(n)] + rounds))
+        chunk_rows(n, int(rng.integers(1, 5)))
+
+        def gate():
+            size = int(rng.integers(1, 3))
+            return sim.phase_oracle(oracle_register, rng.choice(1 << width, size, replace=False))
+
+        rows = []
+        for _ in range(int(rng.integers(4, 12))):
+            first = gate()
+            choice = int(rng.integers(3))
+            second = first if choice == 0 else gate() if choice == 1 else replace(first)
+            rows.append((first, second))
+        assert_rows_keep_their_bits(template, rows)
 
 
 def step_kinds(num_qubits: int, gates) -> list:
@@ -1342,7 +1431,7 @@ class TestRounds:
         # that marks nothing.
         n = 7
         chunk_rows(n, 4)
-        circuits = search_circuits(1 << n, [0, 5, 127, 64, 9, 33, 100])
+        template, rows = search_batch(1 << n, [0, 5, 127, 64, 9, 33, 100])
         plans = []
         original = sim._rounds_plan
 
@@ -1352,8 +1441,9 @@ class TestRounds:
             return apply
 
         monkeypatch.setattr(sim, "_rounds_plan", spy)
-        states = list(sim.run_many(circuits))
+        states = list(sim.run_many(template, rows))
         assert plans == [(n + 2, True), (n + 2, True)]
+        circuits = [substituted(template, row) for row in rows]
         for state, circuit in zip(states, circuits, strict=True):
             assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
             expected = per_gate(StateVector.zero(n), circuit.gates)
@@ -1371,10 +1461,11 @@ class TestRounds:
         assert abs(abs(state.amplitudes[marked]) ** 2 - theoretical_success_probability(N)) <= 1e-14
 
 
-def unsearch_circuits(marks) -> list:
-    """12-qubit circuits: Hadamards, a phase oracle marking one value, Hadamards again."""
+def unsearch_batch(marks) -> tuple:
+    """A 12-qubit template, Hadamards, a phase-oracle slot, Hadamards again, and a row per mark."""
     hadamards = tuple(sim.hadamard(q) for q in range(12))
-    return [Circuit(12, hadamards + (sim.phase_oracle(range(12), [m]),) + hadamards) for m in marks]
+    template = Circuit(12, hadamards + (sim.phase_oracle(range(12), []),) + hadamards)
+    return template, [(sim.phase_oracle(range(12), [m]),) for m in marks]
 
 
 def at_default_buffer(compute):
@@ -1424,10 +1515,11 @@ class TestUfuncBuffer:
     def test_a_chunk_of_four_searches(self):
         # In a chunk of four rows, a state of 14 qubits, the Hadamards after
         # the oracle act on runs of 1 to 2048 amplitudes.
-        circuits = unsearch_circuits([5, 1000, 2049, 4095])
+        template, rows = unsearch_batch([5, 1000, 2049, 4095])
+        circuits = [substituted(template, row) for row in rows]
         expected = at_default_buffer(lambda: [sim.run_from_zero(c).amplitudes for c in circuits])
-        states = list(sim.run_many(circuits))
-        assert sim._BATCH_AMPLITUDES >> 12 == len(circuits)  # one chunk of four rows
+        states = list(sim.run_many(template, rows))
+        assert sim._BATCH_AMPLITUDES >> 12 == len(rows)  # one chunk of four rows
         for state, amps in zip(states, expected):
             assert same_bits(state.amplitudes, amps)
 
@@ -1441,7 +1533,7 @@ class TestUfuncBuffer:
             assert np.getbufsize() == caller
             sim.run(circuit, state)
             assert np.getbufsize() == caller
-            list(sim.run_many(search_circuits(1 << 12, [1, 2, 3, 4])))
+            list(sim.run_many(*search_batch(1 << 12, [1, 2, 3, 4])))
             assert np.getbufsize() == caller
         finally:
             np.setbufsize(previous)
@@ -1491,24 +1583,25 @@ class TestBilling:
         else:
             n = 5
             chunk_rows(n, {"run_many_one_at_a_time": 1, "run_many_padded": 4}.get(path, 2))
+            # Slot 0 is listed twice and filled with one gate in every row.
             register = tuple(range(n))
-            shared = sim.phase_oracle(register, [7], a)
+            first, second = sim.phase_oracle(register, []), sim.phase_oracle(register, [])
             hadamards = [sim.hadamard(q) for q in register]
-            circuits = [
-                Circuit(n, tuple(hadamards + [shared, sim.diffusion(register),
-                                              sim.phase_oracle(register, [c], row), shared]))
-                for c, row in enumerate(oracles[2:])
-            ]
+            gates = hadamards + [first, sim.diffusion(register), second, first]
+            template = Circuit(n, tuple(gates))
+            shared = sim.phase_oracle(register, [7], a)
+            rows = [(shared, sim.phase_oracle(register, [c], row))
+                    for c, row in enumerate(oracles[2:])]
             if path == "run_many_padded":  # one chunk: three rows and a row that marks nothing
-                circuits = circuits[:3]
-            gates = [gate for circuit in circuits for gate in circuit.gates]
+                rows = rows[:3]
+            gates = [gate for row in rows for gate in substituted(template, row).gates]
             if path == "run_many_shape_mismatch":
-                circuits[-1] = Circuit(n, circuits[-1].gates[:-1])
+                rows[-1] = (shared, sim.phase_oracle(register[1:], [0], oracles[-1]))
                 with pytest.raises(StructuralError):
-                    list(sim.run_many(circuits))
+                    list(sim.run_many(template, rows))
                 gates = []
             else:
-                assert len(list(sim.run_many(circuits))) == len(circuits)
+                assert len(list(sim.run_many(template, rows))) == len(rows)
         for oracle in oracles:
             listed = sum(gate.oracle is oracle for gate in gates)
             assert oracle.charges == ([listed] if listed else [])

@@ -247,6 +247,31 @@ class TestValidation:
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, 2], box_bound=1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1, -1e-12, np.inf, True, "1e-8", None])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN and -1 used to stop on no_progress, and inf to return an
+        # untrained model marked converged.
+        K = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(StructuralError, match="tol must be a finite non-negative number"):
+            train(K, [1, -1], box_bound=10.0, tol=tol)
+
+    @pytest.mark.parametrize("cap", [-5, -1, 2.5, 3.0, True, "7"])
+    def test_bad_iteration_cap_rejected(self, cap):
+        # -5 used to return a model with iterations == -5, and 2.5 to raise a bare TypeError.
+        K = np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(StructuralError, match="max_iterations must be an integer"):
+            train(K, [1, -1], box_bound=10.0, max_iterations=cap)
+
+    def test_zero_tolerance_and_numpy_arguments_are_accepted(self):
+        K = np.array([[1.0, 0.5], [0.5, 1.0]])
+        for tol, cap in ((0, None), (np.float32(1e-8), np.int64(50)), (0.0, np.uint8(9))):
+            model = train(K, [1, -1], box_bound=10.0, tol=tol, max_iterations=cap)
+            assert model.stop_reason == "converged"
+            npt.assert_allclose(model.dual_coeffs, [2.0, 2.0], atol=1e-12)
+        with pytest.warns(UserWarning, match="iteration cap"):
+            model = train(K, [1, -1], box_bound=10.0, max_iterations=0)
+        assert (model.iterations, model.stop_reason) == (0, "iteration_cap")
+
     @pytest.mark.parametrize("wrap", [np.array, lambda K: GramMatrix(K, KernelMode.exact())])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad, wrap):
