@@ -215,10 +215,10 @@ def grover_search_many(
 ) -> list[tuple[int, QueryLedger]]:
     """``grover_search`` on each oracle with its own seed; one ``(found, ledger)`` each.
 
-    The oracles must share one domain size.  The faithful backend builds one
-    template, ``search_circuit``'s gates around a placeholder phase gate that
-    marks nothing, and one phase gate per oracle, the row that fills the
-    placeholder's slot in :func:`sim.run_many`.  It draws one measurement
+    The oracles must share one domain size.  The faithful backend runs
+    :func:`sim.run_many` on one template, ``search_circuit``'s gates with a
+    placeholder phase gate that marks nothing, and one row per oracle, its
+    phase gate, so no circuit is built per search.  It draws one measurement
     from each state with its own seed: the value
     ``sim.sample_measurement(state, register, 1, seed)`` would report, by
     the same draw rule, without the histogram.  A ledger bills the oracle's

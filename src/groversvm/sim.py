@@ -971,7 +971,7 @@ def run_many(template: Circuit, rows: Sequence[Sequence[Gate]]):
     replaces the slot wherever it is listed; any other row is a
     :class:`StructuralError`, raised before anything is billed.  Each row
     gate's oracle is billed one query per listing of its slot, when the first
-    state is asked for.  Rows are grouped, in order, by what their steps
+    state is asked for.  Consecutive rows are grouped by what their steps
     depend on: which slots they fill with :func:`_same` gates, and which
     slots' marks pass the :func:`_fuse_test` of each diffusion register.  So
     :func:`_spans` runs once per group, and a chunk (see the module

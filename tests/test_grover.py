@@ -249,6 +249,15 @@ class TestGroverSearchMany:
         assert results == expected
         assert [o.query_count for o in oracles] == [o.query_count for o in ref_oracles]
 
+    def test_zero_rounds_match_single_searches(self):
+        # The template then lists no slot, and every row is empty.
+        config = GroverConfig("faithful", iterations=0)
+        oracles = [IndicatorOracle(16, v) for v in (3, 5, 3)]
+        expected = [reference_search(IndicatorOracle(16, v), config, s)
+                    for v, s in zip((3, 5, 3), range(3))]
+        assert grover_search_many(oracles, config, range(3)) == expected
+        assert [o.query_count for o in oracles] == [0, 0, 0]
+
     def test_single_search_is_a_batch_of_one(self):
         oracle, ref = IndicatorOracle(256, 77), IndicatorOracle(256, 77)
         config = GroverConfig("faithful", iterations=5)
