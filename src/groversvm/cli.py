@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ResourceCapError, StructuralError
-from .grover import BACKENDS, GroverConfig, IndicatorOracle, _is_power_of_two
+from .grover import BACKENDS, GroverConfig, IndicatorOracle
 from .learn import (
     Concept,
     LEARNER_KINDS,
@@ -173,11 +173,11 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.seed is None:
         raise ConfigError("seed is mandatory; set it in the config file or with --seed")
     N = config.domain_size
-    if not _is_power_of_two(N) or N < 8:
+    if not sim._is_power_of_two(N) or N < 8:
         raise ConfigError("domain_size must be a power of two, at least 8")
     m = config.train_size
     sizes = config.domain_sizes
-    if any(not _is_power_of_two(size) or size < 8 for size in sizes):
+    if any(not sim._is_power_of_two(size) or size < 8 for size in sizes):
         raise ConfigError("domain_sizes must be powers of two, at least 8")
     if not 2 <= m <= (min(sizes) if sizes else N):
         bound = "the smallest domain size" if sizes else "domain_size"
@@ -186,7 +186,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         M = default_interval_width(m, N)
     else:
         M = _as_int("interval_width", config.interval_width)
-        if not _is_power_of_two(M) or not 1 <= M < N // 2:
+        if not sim._is_power_of_two(M) or not 1 <= M < N // 2:
             raise ConfigError("interval_width must be a power of two in [1, N/2)")
     if str(config.shots) == "auto":
         R = default_shots(m)
@@ -587,7 +587,7 @@ def cmd_pattern_demo(
             instance = TextInstance(text, pattern)
         except StructuralError:
             any_failure = True
-            bad_length = len(text) < 2 or not _is_power_of_two(len(text))
+            bad_length = len(text) < 2 or not sim._is_power_of_two(len(text))
             status = "bad-length" if bad_length else "no-unique-match"
             lines.append(_demo_row(i, status, kmp_loc, math.nan, 0, 0, 0, kmp_loc, comparisons))
             continue

@@ -23,19 +23,13 @@ from .errors import (
 )
 from .ledger import QueryLedger
 from . import sim
-from .sim import Circuit, Gate, StateVector, _check_count, _is_int
+from .sim import Circuit, Gate, StateVector, _check_int
 
 BACKENDS = ("ideal", "faithful")
 
 
-def _is_power_of_two(value: int) -> bool:
-    return _is_int(value) and value >= 1 and (value & (value - 1)) == 0
-
-
 def num_qubits_for(domain_size: int) -> int:
-    if not _is_power_of_two(domain_size):
-        raise StructuralError(f"domain size {domain_size} is not a power of two")
-    return int(domain_size).bit_length() - 1
+    return _check_int(domain_size, "domain size", 1, power_of_two=True).bit_length() - 1
 
 
 class IndicatorOracle:
@@ -46,14 +40,11 @@ class IndicatorOracle:
     """
 
     def __init__(self, domain_size: int, marked: int):
-        if not _is_power_of_two(domain_size):
-            raise StructuralError(f"domain size {domain_size} is not a power of two")
-        if domain_size < 4:
+        N = _check_int(domain_size, "domain size", 1, power_of_two=True)
+        if N < 4:
             raise UnsupportedSizeError("domain size below 4 is not supported")
-        if not _is_int(marked) or not 0 <= marked < domain_size:
-            raise StructuralError(f"marked index {marked!r} is not an integer in [0, {domain_size})")
-        self.domain_size = int(domain_size)
-        self.marked = int(marked)
+        self.domain_size = N
+        self.marked = _check_int(marked, "marked index", 0, N - 1)
         self.query_count = 0
 
     @property
@@ -62,10 +53,7 @@ class IndicatorOracle:
 
     def evaluate(self, value: int) -> int:
         """Classical query: 1 on the marked element, 0 elsewhere."""
-        if not _is_int(value) or not 0 <= value < self.domain_size:
-            raise StructuralError(
-                f"query value {value!r} is not an integer in [0, {self.domain_size})"
-            )
+        value = _check_int(value, "query value", 0, self.domain_size - 1)
         self.query_count += 1
         return int(value == self.marked)
 
@@ -82,18 +70,13 @@ class IndicatorOracle:
     def evaluate_range(self, lo: int, hi: int) -> bool:
         """Classical queries on every value in ``[lo, hi)``: charges ``hi - lo``
         queries and answers whether the marked element is among them."""
-        if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi <= self.domain_size):
-            raise StructuralError(
-                f"query range [{lo!r}, {hi!r}) is not integers in [0, {self.domain_size}]"
-            )
-        lo, hi = int(lo), int(hi)
+        lo = _check_int(lo, "query range start", 0, self.domain_size)
+        hi = _check_int(hi, "query range end", lo, self.domain_size)
         self.query_count += hi - lo
         return lo <= self.marked < hi
 
     def charge_queries(self, count: int) -> None:
-        if not _is_int(count) or count < 0:
-            raise StructuralError(f"query count must be a non-negative integer, got {count!r}")
-        self.query_count += int(count)
+        self.query_count += _check_int(count, "query count")
 
     def phase_gate(self, register) -> Gate:
         """Sign flip on the marked value; one query per circuit application."""
@@ -108,17 +91,14 @@ class MultiMarkedOracle:
     """Set-membership indicator; exists to demonstrate the uncompute failure."""
 
     def __init__(self, domain_size: int, marked_set):
-        if not _is_power_of_two(domain_size) or domain_size < 4:
-            raise UnsupportedSizeError("domain size must be a power of two, at least 4")
-        marked_set = tuple(marked_set)
-        if not all(_is_int(v) for v in marked_set):
-            raise StructuralError("marked elements must be integers")
-        marked = frozenset(int(v) for v in marked_set)
+        self.domain_size = _check_int(
+            domain_size, "domain size", 4, power_of_two=True, error=UnsupportedSizeError
+        )
+        marked = frozenset(sim._ints(marked_set, "marked elements"))
         if not marked:
             raise StructuralError("marked set must be nonempty")
-        if any(not 0 <= v < domain_size for v in marked):
+        if any(not 0 <= v < self.domain_size for v in marked):
             raise StructuralError("marked element out of range")
-        self.domain_size = int(domain_size)
         self.marked_set = marked
 
     @property
@@ -136,27 +116,24 @@ class GroverConfig:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise StructuralError(f"backend must be one of {BACKENDS}")
-        if self.iterations is not None and (not _is_int(self.iterations) or self.iterations < 0):
-            raise StructuralError(
-                f"iterations must be a non-negative integer, got {self.iterations!r}"
-            )
+        if self.iterations is not None:
+            _check_int(self.iterations, "iterations")
 
 
-def _check_search(domain_size: int, marked_count: int) -> None:
-    if not _is_power_of_two(domain_size):
-        raise StructuralError(f"domain size {domain_size} is not a power of two")
-    if not _is_int(marked_count) or not 1 <= marked_count <= domain_size:
-        raise StructuralError("marked count out of range")
+def _check_search(domain_size: int, marked_count: int) -> tuple[int, int]:
+    """``(N, t)`` as ints: N an integer power of two and t an integer in [1, N]."""
+    N = _check_int(domain_size, "domain size", 1, power_of_two=True)
+    return N, _check_int(marked_count, "marked count", 1, N)
 
 
 def optimal_iterations(domain_size: int, marked_count: int = 1) -> int:
     """Iteration count k = round(pi / (4 asin(sqrt(t/N))) - 1/2)."""
-    _check_search(domain_size, marked_count)
-    if domain_size < 4:
+    N, t = _check_search(domain_size, marked_count)
+    if N < 4:
         raise UnsupportedSizeError(
             "domain sizes below 4 are rejected: the rotation angle is degenerate"
         )
-    theta = math.asin(math.sqrt(marked_count / domain_size))
+    theta = math.asin(math.sqrt(t / N))
     return max(0, round(math.pi / (4.0 * theta) - 0.5))
 
 
@@ -173,12 +150,12 @@ def theoretical_success_probability(
 
     An explicit k must be a non-negative integer; it also serves N = 2, the matcher's shortest text.
     """
-    _check_search(domain_size, marked_count)
+    N, t = _check_search(domain_size, marked_count)
     if iterations is None:
-        iterations = optimal_iterations(domain_size, marked_count)
-    elif not _is_int(iterations) or iterations < 0:
-        raise StructuralError(f"iterations must be a non-negative integer, got {iterations!r}")
-    theta = math.asin(math.sqrt(marked_count / domain_size))
+        iterations = optimal_iterations(N, t)
+    else:
+        iterations = _check_int(iterations, "iterations")
+    theta = math.asin(math.sqrt(t / N))
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
@@ -296,7 +273,7 @@ def adder_gates(register, addend) -> list[Gate]:
 
 def adder_circuit(n: int) -> Circuit:
     """Adder on 2n qubits: register = qubits [0, n), addend = qubits [n, 2n)."""
-    _check_count(n, "adder register width")
+    _check_int(n, "adder register width", 1)
     return Circuit(2 * n, tuple(adder_gates(range(n), range(n, 2 * n))))
 
 
@@ -309,22 +286,16 @@ def _ideal_write_gates(oracle: IndicatorOracle, iterations: int, register) -> li
     return gates
 
 
-def _check_interval_width(interval_width: int, domain_size: int) -> int:
-    """The interval width M as an int; it must be an integer power of two in [1, N)."""
-    if not _is_power_of_two(interval_width) or not interval_width < domain_size:
-        raise InvalidIntervalError(
-            f"interval width must be a power of two in [1, {domain_size}), got {interval_width!r}"
-        )
-    return int(interval_width)
-
-
 def interval_map_gates(register, ancilla, block: list[Gate], interval_width: int) -> list[Gate]:
     """Interval map around a search ``block`` that writes |t> on ``ancilla``.
 
     H on the low log2 M register qubits, the block, the adder, then the block
     reversed to uncompute the ancilla (every gate kind is an involution).
     """
-    M = _check_interval_width(interval_width, 1 << len(register))
+    M = _check_int(
+        interval_width, "interval width", 1, (1 << len(register)) - 1,
+        power_of_two=True, error=InvalidIntervalError,
+    )
     hadamards = [sim.hadamard(q) for q in register[: M.bit_length() - 1]]
     return hadamards + block + adder_gates(register, ancilla) + block[::-1]
 
@@ -340,7 +311,10 @@ def feature_map_circuit(
     charges the oracle exactly 2k queries (k per search block).
     """
     config = config or GroverConfig()
-    M = _check_interval_width(interval_width, oracle.domain_size)  # before any gate is built
+    M = _check_int(  # before any gate is built
+        interval_width, "interval width", 1, oracle.domain_size - 1,
+        power_of_two=True, error=InvalidIntervalError,
+    )
     n = oracle.num_qubits
     ancilla = tuple(range(n, 2 * n))
     k = resolve_iterations(oracle.domain_size, config)
@@ -356,11 +330,8 @@ def interval_state_analytic(start: int, interval_width: int, domain_size: int) -
     """Uniform superposition over M consecutive indices (mod N) from ``start``."""
     n = num_qubits_for(domain_size)
     N = 1 << n
-    if not _is_int(start) or not 0 <= start < N:
-        raise StructuralError(f"start index {start!r} is not an integer in [0, {N})")
-    if not _is_int(interval_width) or not 1 <= interval_width <= N:
-        raise InvalidIntervalError(f"interval width {interval_width!r} is not an integer in [1, {N}]")
-    M = int(interval_width)
+    start = _check_int(start, "start index", 0, N - 1)
+    M = _check_int(interval_width, "interval width", 1, N, error=InvalidIntervalError)
     amps = np.zeros(N, dtype=np.complex128)
     amps[(start + np.arange(M)) % N] = 1.0 / math.sqrt(M)
     return StateVector(n, amps)

@@ -33,7 +33,7 @@ class KernelMode:
         if self.tag not in MODE_TAGS:
             raise StructuralError(f"mode tag must be one of {MODE_TAGS}")
         if self.tag == "sampled":
-            sim._check_count(self.shots, "shots")
+            sim._check_int(self.shots, "shots", 1)
         elif self.shots is not None:
             raise StructuralError(f"mode {self.tag!r} takes no shot count")
 
@@ -56,30 +56,28 @@ class KernelMode:
 
 def cyclic_distance(i: int, j: int, domain_size: int) -> int:
     """min(|i - j| mod N, N - |i - j| mod N) for integers i, j and a positive integer N."""
-    if not (sim._is_int(i) and sim._is_int(j) and sim._is_int(domain_size) and domain_size >= 1):
-        raise StructuralError(
-            f"cyclic distance needs integers i, j and N >= 1, got {i!r}, {j!r}, {domain_size!r}"
-        )
-    d = abs(int(i) - int(j)) % int(domain_size)
-    return min(d, int(domain_size) - d)
+    i = sim._check_int(i, "cyclic distance index i", None)
+    j = sim._check_int(j, "cyclic distance index j", None)
+    N = sim._check_int(domain_size, "cyclic distance domain size", 1)
+    d = abs(i - j) % N
+    return min(d, N - d)
 
 
-def _check_interval(interval_width: int, domain_size: int) -> int:
-    """The interval width M as an int; it must be an integer with 1 <= M < N/2."""
-    if not sim._is_int(interval_width) or interval_width < 1 or 2 * interval_width >= domain_size:
-        raise InvalidIntervalError(
-            "interval width must be an integer with 1 <= M < N/2 so the two kernel branches "
-            f"cannot overlap under cyclic distance (got M={interval_width!r}, N={domain_size})"
-        )
-    return int(interval_width)
+def _check_interval(interval_width: int, domain_size: int) -> tuple[int, int]:
+    """``(M, N)`` as ints, integers with 1 <= M < N/2 so that the two kernel
+    branches cannot overlap under cyclic distance; else :class:`InvalidIntervalError`."""
+    N = sim._check_int(domain_size, "kernel domain size", 1, error=InvalidIntervalError)
+    M = sim._check_int(
+        interval_width, "interval width", 1, (N - 1) // 2, error=InvalidIntervalError
+    )
+    return M, N
 
 
 def kernel_exact(i: int, j: int, interval_width: int, domain_size: int) -> float:
     """Closed-form interval kernel (M - d)/M with cyclic distance d, 0 past M."""
-    N = int(domain_size)
-    M = _check_interval(interval_width, N)
-    if not (sim._is_int(i) and sim._is_int(j) and 0 <= i < N and 0 <= j < N):
-        raise StructuralError(f"kernel indices must be integers in [0, {N}), got {i!r}, {j!r}")
+    M, N = _check_interval(interval_width, domain_size)
+    i = sim._check_int(i, "kernel index i", 0, N - 1)
+    j = sim._check_int(j, "kernel index j", 0, N - 1)
     d = cyclic_distance(i, j, N)
     if d >= M:
         return 0.0
@@ -92,8 +90,7 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     Each entry has the same bits as the scalar form: ``(M - d) / M`` on exact
     int64 values is the same IEEE division numpy and Python both perform.
     """
-    N = int(domain_size)
-    M = _check_interval(interval_width, N)
+    M, N = _check_interval(interval_width, domain_size)
     a, b = np.asarray(a), np.asarray(b)
     for idx in (a, b):
         if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= N):
@@ -170,7 +167,7 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     kept, since every sampled Gram matrix and report depends on its draws;
     which of the two the paper's shot-noise claim should use is open.
     """
-    sim._check_count(shots, "shots")
+    sim._check_int(shots, "shots", 1)
     if not 0.0 <= true_value <= 1.0:
         raise ContractViolationError(f"kernel value {true_value} outside [0, 1]")
     rng = sim.as_rng(rng_seed)
@@ -275,11 +272,14 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     integers shared by all entries; ``keys`` is an (entries, columns) array
     of values below 2**32.
     """
-    sim._check_count(shots, "shots")
+    sim._check_int(shots, "shots", 1)
     values = np.asarray(true_values, dtype=np.float64).ravel()
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ContractViolationError("kernel values outside [0, 1]")
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = np.asarray(keys)
+    if keys.size and keys.dtype.kind not in "iu":
+        raise StructuralError(f"stream keys must be integers, got dtype {keys.dtype}")
+    keys = keys.astype(np.int64, copy=False)
     if keys.ndim != 2 or keys.shape[0] != values.size:
         raise StructuralError("keys must hold one row per kernel value")
     if keys.size and (keys.min() < 0 or keys.max() > _MASK32):

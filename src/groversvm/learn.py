@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, IndicatorOracle, _is_power_of_two, resolve_iterations
+from .grover import GroverConfig, IndicatorOracle, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
-from .sim import StateVector, _check_count, _ints, _is_int, as_rng, check_seed
+from .sim import StateVector, _check_int, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -52,15 +52,12 @@ class Concept:
     domain_size: int
 
     def __post_init__(self):
-        if not _is_power_of_two(self.domain_size) or self.domain_size < 8:
-            raise StructuralError("domain size must be a power of two, at least 8")
-        if not _is_int(self.start) or not 0 <= self.start < self.domain_size // 2:
-            # start >= N/2 duplicates start - N/2 with swapped labels
-            raise StructuralError("concept start must lie in [0, N/2)")
+        N = _check_int(self.domain_size, "domain size", 8, power_of_two=True)
+        # start >= N/2 duplicates start - N/2 with swapped labels
+        _check_int(self.start, "concept start", 0, N // 2 - 1)
 
     def label(self, index: int) -> int:
-        if not _is_int(index) or not 0 <= index < self.domain_size:
-            raise StructuralError(f"index {index!r} is not an integer in [0, {self.domain_size})")
+        index = _check_int(index, "index", 0, self.domain_size - 1)
         return 1 if self.start <= index <= self.start + (self.domain_size - 2) // 2 else -1
 
     def positive_region(self) -> np.ndarray:
@@ -98,11 +95,7 @@ class Dataset:
 def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
     """Draw ``size`` marked indices uniformly without replacement, both classes present."""
     N = concept.domain_size
-    size = _check_count(size, "training set size")
-    if size > N:
-        raise StructuralError(f"cannot draw {size} distinct indices from {N}")
-    if size < 2:
-        raise StructuralError("training sets need at least 2 points")
+    size = _check_int(size, "training set size", 2, N)  # distinct indices of Z_N
     rng = as_rng(rng_seed)
     for _ in range(_DATASET_RETRIES):
         marked = rng.choice(N, size=size, replace=False)
@@ -116,11 +109,9 @@ def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
 def generate_balanced_test(concept: Concept, size: int, rng_seed):
     """Test oracles drawn half from each class, without replacement within a class."""
     N = concept.domain_size
-    if _check_count(size, "balanced test size", least=0) % 2 != 0:
+    if _check_int(size, "balanced test size", 0, N) % 2 != 0:  # N/2 indices in each class
         raise StructuralError("balanced test size must be even")
     half = size // 2
-    if half > N // 2:
-        raise StructuralError("test size exceeds class populations")
     rng = as_rng(rng_seed)
     plus = rng.choice(concept.positive_region(), size=half, replace=False)
     minus = rng.choice(concept.negative_region(), size=half, replace=False)
@@ -154,23 +145,15 @@ class HalfspaceState:
 
 def margin_gap(interval_width: int, domain_size: int) -> float:
     """The separation scale Delta = 2M/N, for a ``Concept`` domain size N and 1 <= M < N/2."""
-    if not _is_power_of_two(domain_size) or domain_size < 8:
-        raise StructuralError("domain size must be a power of two, at least 8")
-    N, M = _check_halfspace(0, interval_width, domain_size)
-    return 2.0 * M / N
+    N = _check_int(domain_size, "domain size", 8, power_of_two=True)
+    return 2.0 * _check_int(interval_width, "interval width", 1, N // 2 - 1) / N
 
 
 def _check_halfspace(start: int, interval_width: int, domain_size: int) -> tuple[int, int]:
     """``(N, M)`` as ints; the halfspace start must lie in [0, N/2) and 1 <= M < N/2."""
-    if not (_is_int(start) and _is_int(interval_width) and _is_int(domain_size)):
-        raise StructuralError("halfspace start, interval width and domain size must be integers")
-    N = int(domain_size)
-    M = int(interval_width)
-    if not 0 <= start < N // 2:
-        raise StructuralError("halfspace start out of range")
-    if not 1 <= M < N // 2:
-        raise StructuralError("interval width must satisfy 1 <= M < N/2")
-    return N, M
+    N = _check_int(domain_size, "domain size", 1)
+    _check_int(start, "halfspace start", 0, N // 2 - 1)
+    return N, _check_int(interval_width, "interval width", 1, N // 2 - 1)
 
 
 def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size: int) -> float:
@@ -182,8 +165,7 @@ def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size:
     between.
     """
     N, M = _check_halfspace(start, interval_width, domain_size)
-    if not _is_int(marked) or not 0 <= marked < N:
-        raise StructuralError("marked index out of range")
+    marked = _check_int(marked, "marked index", 0, N - 1)
     lo, hi = start, start + N // 2 - 1
     indices = (marked + np.arange(M)) % N
     count = int(np.count_nonzero((indices >= lo) & (indices <= hi)))
@@ -211,9 +193,8 @@ def reference_hyperplane_classify(
 
 def classical_accuracy_bound(budget: int, domain_size: int) -> float:
     """Upper bound min(1, 1/2 + 3X/(2N)) on the brute-force learner's accuracy."""
-    if not (_is_int(budget) and _is_int(domain_size)) or not 0 <= budget <= domain_size:
-        raise StructuralError("budget must lie in [0, N]")
-    return min(1.0, 0.5 + 1.5 * budget / domain_size)
+    N = _check_int(domain_size, "domain size", 1)
+    return min(1.0, 0.5 + 1.5 * _check_int(budget, "budget", 0, N) / N)
 
 
 def classical_learner_classify(
@@ -229,8 +210,7 @@ def classical_learner_classify(
     nothing is drawn.
     """
     N = oracle.domain_size
-    if not _is_int(budget) or not 0 <= budget <= N:
-        raise StructuralError("budget must lie in [0, N]")
+    budget = _check_int(budget, "budget", 0, N)
     half = N // 2
     n_probes = min(budget, half)
     if n_probes == half:
@@ -267,19 +247,21 @@ class LearnerResult:
 def default_interval_width(train_size: int, domain_size: int) -> int:
     """Smallest power of two with m*M >= 2N, capped at N/8.
 
-    The coverage target makes training intervals overlap so that test points
-    near any index see nonzero kernel values against some support vector.
+    m is a positive integer and N a ``Concept`` domain size.  The coverage
+    target makes training intervals overlap so that test points near any
+    index see nonzero kernel values against some support vector.
     """
-    train_size = _check_count(train_size, "train size")
+    train_size = _check_int(train_size, "train size", 1)
+    domain_size = _check_int(domain_size, "domain size", 8, power_of_two=True)
     width = 1
     while train_size * width < 2 * domain_size:
         width *= 2
-    return max(1, min(width, domain_size // 8))
+    return min(width, domain_size // 8)
 
 
 def default_shots(train_size: int) -> int:
     """Noise-robustness default R = m^4 for a positive integer training size m."""
-    return _check_count(train_size, "train size") ** 4
+    return _check_int(train_size, "train size", 1) ** 4
 
 
 def quantum_kernel_learner(
@@ -305,7 +287,7 @@ def quantum_kernel_learner(
     config = config or GroverConfig()
     if config.backend != "ideal":
         raise StructuralError("the quantum-kernel learner samples the ideal kernel only")
-    _check_count(shots, "shots")
+    _check_int(shots, "shots", 1)
     N = train.concept.domain_size
     k = resolve_iterations(N, config)
     m = train.size
@@ -439,12 +421,11 @@ def complexity_sweep(
     """
     if learner not in LEARNER_KINDS:
         raise StructuralError(f"learner must be one of {LEARNER_KINDS}")
-    trials = _check_count(trials, "trials")
-    train_size = _check_count(train_size, "train size")
-    domain_sizes = _ints(domain_sizes, "sweep domain sizes")
-    for N in domain_sizes:
-        if not _is_power_of_two(N) or N < 8:
-            raise StructuralError("sweep domain sizes must be powers of two, at least 8")
+    trials = _check_int(trials, "trials", 1)
+    train_size = _check_int(train_size, "train size", 1)
+    domain_sizes = [
+        _check_int(N, "sweep domain size", 8, power_of_two=True) for N in domain_sizes
+    ]
     seed = check_seed(rng_seed)
     config = GroverConfig(backend="ideal")
     rows = []

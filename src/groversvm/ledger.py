@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .sim import _check_count
+from .sim import _check_int
 
 
 @dataclass
@@ -22,7 +22,7 @@ class QueryLedger:
 
     def __post_init__(self):
         for name in ("oracle_queries", "shots", "classical_evaluations"):
-            _check_count(getattr(self, name), name, least=0)
+            _check_int(getattr(self, name), name)
 
     @property
     def total_queries(self) -> int:

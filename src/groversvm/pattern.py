@@ -20,18 +20,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import StructuralError
-from .grover import GroverConfig, _is_power_of_two, interval_map_gates
+from .grover import GroverConfig, interval_map_gates
 from .grover import interval_state_analytic, theoretical_success_probability
 from .kernel import _overlap, kernel_exact
 from . import sim
-from .sim import Circuit, Gate, StateVector, _is_int
+from .sim import Circuit, Gate, StateVector, _check_int
 
 _INSTANCE_RETRIES = 200
 
 
 @dataclass
 class PatternLedger:
-    """Cost counters: symbolic circuit time steps, amplification rounds, comparisons."""
+    """Cost counters, each a non-negative integer: symbolic circuit time steps,
+    amplification rounds, comparisons."""
 
     gate_steps: int = 0
     amplification_rounds: int = 0
@@ -39,8 +40,7 @@ class PatternLedger:
 
     def __post_init__(self):
         for name in ("gate_steps", "amplification_rounds", "classical_char_comparisons"):
-            if getattr(self, name) < 0:
-                raise StructuralError(f"{name} must be non-negative")
+            _check_int(getattr(self, name), name)
 
 
 def _as_bits(value) -> np.ndarray:
@@ -87,8 +87,7 @@ class TextInstance:
     def __post_init__(self):
         text = _as_bits(self.text)
         pattern = _as_bits(self.pattern)
-        if text.size < 2 or not _is_power_of_two(text.size):
-            raise StructuralError("text length must be a power of two, at least 2")
+        _check_int(text.size, "text length", 2, power_of_two=True)
         if not 1 <= pattern.size <= text.size:
             raise StructuralError("pattern length must lie in [1, len(text)]")
         hits = cyclic_match_locations(text, pattern)
@@ -122,11 +121,8 @@ class TextInstance:
 def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextInstance:
     """Random text containing ``pattern`` cyclically at exactly ``location``."""
     P = _as_bits(pattern)
-    if not _is_int(text_length):
-        raise StructuralError(f"text length {text_length!r} is not an integer")
-    N = int(text_length)
-    if not _is_int(location) or not 0 <= location < N:
-        raise StructuralError(f"location {location!r} is not an integer in [0, {N})")
+    N = _check_int(text_length, "text length", 2, power_of_two=True)
+    location = _check_int(location, "location", 0, N - 1)
     rng = sim.as_rng(rng_seed)
     for _ in range(_INSTANCE_RETRIES):
         text = rng.integers(0, 2, size=N)
@@ -193,18 +189,9 @@ def _shift_gates(index_qubits: tuple[int, ...], text_qubits: tuple[int, ...]) ->
     return tuple(gates)
 
 
-def _check_text_length(text_length) -> int:
-    """The text length N as an int; it must be an integer power of two, at least 2."""
-    if not _is_power_of_two(text_length) or text_length < 2:
-        raise StructuralError(
-            f"text length must be a power of two, at least 2, got {text_length!r}"
-        )
-    return int(text_length)
-
-
 def cyclic_shift_circuit(text_length: int) -> Circuit:
     """Index-controlled cyclic shift on n + N qubits (index first, then text)."""
-    N = _check_text_length(text_length)
+    N = _check_int(text_length, "text length", 2, power_of_two=True)
     n = N.bit_length() - 1
     index = tuple(range(n))
     text = tuple(range(n, n + N))
@@ -213,7 +200,8 @@ def cyclic_shift_circuit(text_length: int) -> Circuit:
 
 def amplification_rounds_for(text_length: int) -> int:
     """The matcher's default round count, floor(pi/4 sqrt(N)), for a text of length N."""
-    return int(math.pi / 4.0 * math.sqrt(_check_text_length(text_length)))
+    N = _check_int(text_length, "text length", 2, power_of_two=True)
+    return int(math.pi / 4.0 * math.sqrt(N))
 
 
 def pattern_symbolic_steps(text_length: int, pattern_length: int) -> int:
@@ -225,12 +213,8 @@ def pattern_symbolic_steps(text_length: int, pattern_length: int) -> int:
     sqrt(N) ((log N)^2 + log L).  N is a power of two, at least 2, and L an
     integer in [1, N].
     """
-    N = _check_text_length(text_length)
-    if not _is_int(pattern_length) or not 1 <= pattern_length <= N:
-        raise StructuralError(
-            f"pattern length must be an integer in [1, {N}], got {pattern_length!r}"
-        )
-    L = int(pattern_length)
+    N = _check_int(text_length, "text length", 2, power_of_two=True)
+    L = _check_int(pattern_length, "pattern length", 1, N)
     n = N.bit_length() - 1
     prep = 1 + 1 + n * n + 1  # encode, hadamard layer, shift, xor layer
     good_flip = max(1, math.ceil(math.log2(max(L, 2)))) + 1
@@ -460,14 +444,9 @@ def pattern_label(
     variant with width (log2(N) - 2)/2, which collapses below one index for
     small N and exists only behind this flag.
     """
-    if not all(_is_int(v) for v in (start, location, text_length)):
-        raise StructuralError(f"start, location and text length must be integers, got "
-                              f"{start!r}, {location!r}, {text_length!r}")
-    N = int(text_length)
-    if not 0 <= location < N:
-        raise StructuralError("location out of range")
-    if not 0 <= start < N:
-        raise StructuralError("start out of range")
+    N = _check_int(text_length, "text length", 1)
+    location = _check_int(location, "location", 0, N - 1)
+    start = _check_int(start, "start", 0, N - 1)
     if rule == "halfspace":
         width = (N - 2) / 2.0
     elif rule == "log_width":

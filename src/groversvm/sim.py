@@ -188,6 +188,36 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_power_of_two(value) -> bool:
+    """An integer (see :func:`_is_int`) that is a positive power of two."""
+    return _is_int(value) and value >= 1 and (value & (value - 1)) == 0
+
+
+def _check_int(
+    value, what: str, lo: int | None = 0, hi: int | None = None, *,
+    power_of_two: bool = False, error: type[StructuralError] = StructuralError,
+) -> int:
+    """``value`` as a Python int, or ``error`` naming ``what``.
+
+    The package's one integer rule: ``value`` must be a Python or numpy
+    integer (not a bool) in ``[lo, hi]``, a bound of None being no bound,
+    and a power of two when ``power_of_two`` is set.
+    """
+    # A plain int, the common case, is taken as is without a call.
+    n = value if type(value) is int else int(value) if _is_int(value) else None
+    if (n is not None and (lo is None or lo <= n) and (hi is None or n <= hi)
+            and (not power_of_two or _is_power_of_two(n))):
+        return n
+    rule = "an integer power of two" if power_of_two else "an integer"
+    if hi is not None:
+        rule += f" in [{lo}, {hi}]"
+    elif lo == 0 and not power_of_two:
+        rule = "a non-negative integer"
+    elif lo is not None and (lo > 1 or not power_of_two):
+        rule += f" of at least {lo}"
+    raise error(f"{what} must be {rule}, got {value!r}")
+
+
 def _ints(values, what: str) -> tuple[int, ...]:
     """``values`` as Python ints; a :class:`StructuralError` naming ``what`` if one is no integer."""
     values = tuple(values)
@@ -200,25 +230,15 @@ def _ints(values, what: str) -> tuple[int, ...]:
 
 def check_seed(seed) -> int:
     """A non-negative Python or numpy integer seed (not a bool) as a Python int, whole."""
-    if not _is_int(seed) or seed < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return _check_int(seed, "seed")
 
 
-def _check_count(value, what: str, least: int = 1) -> int:
-    """``value`` as a Python int; a :class:`StructuralError` unless an integer >= ``least``."""
-    if not _is_int(value) or value < least:
-        raise StructuralError(f"{what} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
-def _check_width(num_qubits: int) -> None:
-    if not _is_int(num_qubits):
-        raise StructuralError(f"num_qubits must be an integer, got {num_qubits!r}")
-    if num_qubits < 1:
-        raise StructuralError("num_qubits must be at least 1")
+def _check_width(num_qubits) -> int:
+    """``num_qubits`` as an int of at least 1; a :class:`ResourceCapError` above the cap."""
+    num_qubits = _check_int(num_qubits, "num_qubits", 1)
     if num_qubits > QUBIT_CAP:
         raise ResourceCapError(f"{num_qubits} qubits exceeds the dense cap of {QUBIT_CAP}")
+    return num_qubits
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -262,9 +282,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "StateVector":
-        _check_width(num_qubits)  # before allocating 2**num_qubits amplitudes
-        if not _is_int(index) or not 0 <= index < (1 << num_qubits):
-            raise StructuralError(f"basis index {index} out of range for {num_qubits} qubits")
+        num_qubits = _check_width(num_qubits)  # before allocating 2**num_qubits amplitudes
+        index = _check_int(index, "basis index", 0, (1 << num_qubits) - 1)
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[index] = 1.0
         return cls(num_qubits, amps)
@@ -1096,7 +1115,7 @@ def sample_measurement(
     one shot is drawn by :func:`_one_shot`, which gives the same outcome.
     """
     register = _check_register(state.num_qubits, register)
-    _check_count(shots, "shots")
+    _check_int(shots, "shots", 1)
     probs = register_probabilities(state, register)
     probs /= probs.sum()
     rng = as_rng(rng_seed)

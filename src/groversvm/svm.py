@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateProblemError, StructuralError
 from .kernel import GramMatrix
-from .sim import _check_count
+from .sim import _check_int
 
 _ALPHA_SNAP = 1e-12
 _ETA_FLOOR = 1e-15  # tau: the least pair curvature a step divides by
@@ -101,13 +101,21 @@ def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
     ``labels`` and ``alpha`` hold one entry per row of the Gram matrix.
     """
     K, y, alpha = _check_problem(gram, labels, alpha)
-    u = K @ (alpha * y)
-    g = y - u
-    up = ((y > 0) & (alpha < box_bound)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < box_bound))
-    m_up = np.max(g[up]) if np.any(up) else -np.inf
-    m_low = np.min(g[low]) if np.any(low) else np.inf
+    m_up, m_low = _extreme_gradients(y - K @ (alpha * y), y, alpha, box_bound, (-np.inf, np.inf))
     return float(m_up - m_low)
+
+
+def _extreme_gradients(g, y, alpha, C, if_empty) -> tuple[float, float]:
+    """``(m, M)``: the largest ``g`` over I_up and the smallest over I_low.
+
+    I_up holds the k whose alpha_k y_k may still rise within [0, C], I_low
+    those whose may fall; ``if_empty`` gives each extreme of an empty set.
+    """
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    m_up = np.max(g[up]) if np.any(up) else if_empty[0]
+    m_low = np.min(g[low]) if np.any(low) else if_empty[1]
+    return m_up, m_low
 
 
 def dual_objective(gram, labels, alpha: np.ndarray) -> float:
@@ -163,7 +171,7 @@ def train(
     tol = float(tol)
     if max_iterations is None:
         max_iterations = max(2000, 400 * m)
-    max_iterations = _check_count(max_iterations, "max_iterations", least=0)
+    max_iterations = _check_int(max_iterations, "max_iterations")
 
     solved = _solved.get()
     if solved is None or objective_history is not None:
@@ -188,7 +196,7 @@ def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
     """The pairwise loop of ``train``, on checked inputs."""
     m = K.shape[0]
     # Row i of K.T is column i of K, bit for bit, even when K is symmetric
-    # only to within the tolerance _as_matrix allows.
+    # only to within the tolerance _check_problem allows.
     columns = np.ascontiguousarray(K.T)
     alpha = np.zeros(m)
     u = np.zeros(m)  # u_i = sum_j alpha_j y_j K_ij, maintained incrementally
@@ -264,10 +272,7 @@ def _compute_bias(alpha, y, u, C) -> float:
     g = y - u
     if np.any(free):
         return float(np.mean(g[free]))
-    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-    m_up = np.max(g[up]) if np.any(up) else 0.0
-    m_low = np.min(g[low]) if np.any(low) else 0.0
+    m_up, m_low = _extreme_gradients(g, y, alpha, C, (0.0, 0.0))
     return float((m_up + m_low) / 2.0)
 
 

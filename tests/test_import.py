@@ -1,5 +1,7 @@
-"""What ``import groversvm`` loads, checked in a fresh interpreter."""
+"""What ``import groversvm`` loads, checked in a fresh interpreter, and which of its
+modules apply the integer rule."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +20,25 @@ def test_import_leaves_numpy_random_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_only_sim_applies_the_integer_rule():
+    # Integer arguments are checked by sim._check_int, so the rule that an
+    # integer is a Python or numpy int and not a bool has one derivation.
+    package = Path(groversvm.__file__).resolve().parent
+    users = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "_is_int":
+                users.append(f"{path.name}:{node.lineno}")
+    assert users == []

@@ -80,6 +80,15 @@ class TestKernelExact:
         with pytest.raises(StructuralError):
             kernel_exact_many([i], [j], 4, 16)
 
+    @pytest.mark.parametrize("N", [8.7, np.float64(8.9), 16.0, True])
+    def test_non_integer_domain_size_rejected(self, N):
+        # kernel_exact(0, 7, 2, 8.7) and kernel_exact_many([0], [7], 2, np.float64(8.9))
+        # gave 0.5, as if N = 8.
+        with pytest.raises(InvalidIntervalError, match="kernel domain size"):
+            kernel_exact(0, 7, 2, N)
+        with pytest.raises(InvalidIntervalError, match="kernel domain size"):
+            kernel_exact_many([0], [7], 2, N)
+
     def test_numpy_integers_accepted(self):
         assert kernel_exact(np.int64(3), np.uint8(5), np.int32(4), 16) == 0.5
         assert kernel_exact_many(np.uint16([3]), [5], np.int64(4), 16)[0] == 0.5
@@ -373,6 +382,12 @@ class TestKernelSampledMany:
             kernel_sampled_many([0.5], 4, (0,), [[0, 2**32]])
         with pytest.raises(StructuralError):
             kernel_sampled_many([0.5, 0.5], 4, (0,), [[0, 1]])
+
+    @pytest.mark.parametrize("keys", [[[1.5, 2.0]], [[1.9, 2.2]], np.array([[True, True]])])
+    def test_non_integer_keys_rejected(self, keys):
+        # [1.5, 2.0] and [1.9, 2.2] both drew key (1, 2)'s value.
+        with pytest.raises(StructuralError, match="stream keys must be integers"):
+            kernel_sampled_many([0.5], 64, (0,), keys)
 
     def test_fixed_seed_serves_only_four_uint64_words(self):
         words = np.arange(4, dtype=np.uint64)

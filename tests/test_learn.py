@@ -724,6 +724,12 @@ class TestDefaults:
         with pytest.raises(StructuralError, match="train size"):
             default_interval_width(m, 1024)
 
+    @pytest.mark.parametrize("N", [0, -8, 8.5, True, 4, 12])
+    def test_interval_width_needs_a_concept_domain_size(self, N):
+        # Each returned 1.
+        with pytest.raises(StructuralError, match="domain size"):
+            default_interval_width(4, N)
+
 
 class TestIntegerContract:
     """Counts, indices and bits must be integers (not bool); each case once raised a bare

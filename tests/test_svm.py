@@ -259,7 +259,7 @@ class TestValidation:
     def test_bad_iteration_cap_rejected(self, cap):
         # -5 used to return a model with iterations == -5, and 2.5 to raise a bare TypeError.
         K = np.array([[1.0, 0.5], [0.5, 1.0]])
-        with pytest.raises(StructuralError, match="max_iterations must be an integer"):
+        with pytest.raises(StructuralError, match="max_iterations must be a non-negative integer"):
             train(K, [1, -1], box_bound=10.0, max_iterations=cap)
 
     def test_zero_tolerance_and_numpy_arguments_are_accepted(self):
