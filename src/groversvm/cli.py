@@ -40,6 +40,7 @@ from .learn import (
 )
 from .pattern import TextInstance, kmp_search, pattern_label, pattern_match, random_instance
 from . import sim
+from .sim import _derived_seed
 
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
@@ -215,10 +216,6 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, interval_width=M, shots=R, budget=X,
                    box_bound=float(config.box_bound), seed=_coerce("seed", str(config.seed)),
                    concept_start=str(config.concept_start))
-
-
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence([sim.check_seed(p) for p in parts]).generate_state(1)[0])
 
 
 def _concept_for_trial(resolved: ExperimentConfig, trial: int) -> Concept:
@@ -597,14 +594,12 @@ def cmd_pattern_demo(
             lines.append(row)
             continue
         config = GroverConfig(backend=backend)
-        # Measure, verify the candidate classically, retry on a miss.
-        N, L = instance.text_length, instance.pattern_length
+        # Measure, check the candidate against the one occurrence, retry on a miss.
         found, prob, ledger, repetitions = None, 0.0, None, 0
         for attempt in range(max_repetitions):
             candidate, prob, ledger = pattern_match(instance, config, rng_seed + 1009 * i + attempt)
             repetitions += 1
-            window = instance.text[(candidate + np.arange(L)) % N]
-            if np.array_equal(window, instance.pattern):
+            if candidate == instance.location:
                 found = candidate
                 break
         any_failure |= found is None

@@ -59,11 +59,7 @@ class IndicatorOracle:
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         """Vectorized classical queries; charges one query per element."""
-        values = np.asarray(values)
-        if values.size and values.dtype.kind not in "iu":
-            raise StructuralError(f"query values must be integers, got dtype {values.dtype}")
-        if values.size and (values.min() < 0 or values.max() >= self.domain_size):
-            raise StructuralError("query value out of range")
+        values = sim._int_array(values, "query values", 0, self.domain_size - 1)
         self.query_count += int(values.size)
         return (values == self.marked).astype(np.int64)
 
@@ -94,11 +90,9 @@ class MultiMarkedOracle:
         self.domain_size = _check_int(
             domain_size, "domain size", 4, power_of_two=True, error=UnsupportedSizeError
         )
-        marked = frozenset(sim._ints(marked_set, "marked elements"))
+        marked = frozenset(sim._ints(marked_set, "marked elements", 0, self.domain_size - 1))
         if not marked:
             raise StructuralError("marked set must be nonempty")
-        if any(not 0 <= v < self.domain_size for v in marked):
-            raise StructuralError("marked element out of range")
         self.marked_set = marked
 
     @property

@@ -91,12 +91,8 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     int64 values is the same IEEE division numpy and Python both perform.
     """
     M, N = _check_interval(interval_width, domain_size)
-    a, b = np.asarray(a), np.asarray(b)
-    for idx in (a, b):
-        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= N):
-            raise StructuralError(f"kernel indices must be integers in [0, {N})")
-    a = a.astype(np.int64, copy=False)
-    b = b.astype(np.int64, copy=False)
+    a = sim._int_array(a, "kernel indices", 0, N - 1)
+    b = sim._int_array(b, "kernel indices", 0, N - 1)
     d = np.abs(a - b) % N
     d = np.minimum(d, N - d)
     return np.where(d < M, (M - d) / M, 0.0)
@@ -276,14 +272,9 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     values = np.asarray(true_values, dtype=np.float64).ravel()
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise ContractViolationError("kernel values outside [0, 1]")
-    keys = np.asarray(keys)
-    if keys.size and keys.dtype.kind not in "iu":
-        raise StructuralError(f"stream keys must be integers, got dtype {keys.dtype}")
-    keys = keys.astype(np.int64, copy=False)
+    keys = sim._int_array(keys, "stream keys", 0, _MASK32)
     if keys.ndim != 2 or keys.shape[0] != values.size:
         raise StructuralError("keys must hold one row per kernel value")
-    if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
-        raise StructuralError("stream keys must lie in [0, 2**32)")
     if not values.size:
         return values
     from numpy.random import PCG64, Generator

@@ -36,7 +36,7 @@ from .grover import GroverConfig, IndicatorOracle, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
 from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
-from .sim import StateVector, _check_int, as_rng, check_seed
+from .sim import StateVector, _check_int, _derived_seed, _int_array, as_rng, check_seed
 from . import svm
 
 _DATASET_RETRIES = 1000
@@ -77,7 +77,7 @@ class Dataset:
     concept: Concept
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _int_array(self.labels, "labels", -1, 1)
         if len(self.oracles) != self.labels.size:
             raise StructuralError("oracle and label counts differ")
         for oracle, lbl in zip(self.oracles, self.labels):
@@ -440,7 +440,7 @@ def complexity_sweep(
             test_oracles = [IndicatorOracle(N, int(v)) for v in test_marked]
             # Learner streams depend on (seed, trial) but not N, so sampled
             # Gram noise is identical across domain sizes at a matched trial.
-            learner_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+            learner_seed = _derived_seed(seed, trial)
             if learner == "quantum_kernel":
                 result = quantum_kernel_learner(
                     dataset, test_oracles, interval, shots, box_bound, config,

@@ -44,16 +44,11 @@ class PatternLedger:
 
 
 def _as_bits(value) -> np.ndarray:
-    if isinstance(value, str):
-        if any(ch not in "01" for ch in value):
-            raise StructuralError("binary strings may contain only '0' and '1'")
-        bits = np.array([int(ch) for ch in value], dtype=np.int64)
-    else:
-        bits = np.asarray(value)
-        integers = bits.dtype.kind in "iu" or bits.size == 0  # an empty list is float
-        if bits.ndim != 1 or not integers or not np.isin(bits, (0, 1)).all():
-            raise StructuralError("bit arrays must be one-dimensional integers 0/1")
-        bits = bits.astype(np.int64)
+    if isinstance(value, str):  # a character other than 0 or 1 stays a str, which is no bit
+        value = [int(ch) if ch in "01" else ch for ch in value]
+    bits = sim._int_array(value, "bits", 0, 1).copy()  # TextInstance freezes its arrays
+    if bits.ndim != 1:
+        raise StructuralError(f"bit arrays must be one-dimensional, got shape {bits.shape}")
     return bits
 
 
@@ -88,8 +83,7 @@ class TextInstance:
         text = _as_bits(self.text)
         pattern = _as_bits(self.pattern)
         _check_int(text.size, "text length", 2, power_of_two=True)
-        if not 1 <= pattern.size <= text.size:
-            raise StructuralError("pattern length must lie in [1, len(text)]")
+        _check_int(pattern.size, "pattern length", 1, text.size)
         hits = cyclic_match_locations(text, pattern)
         if len(hits) != 1:
             raise StructuralError(
@@ -263,8 +257,7 @@ def match_circuit(instance: TextInstance, rounds: int | None = None) -> Circuit:
     """Full matcher on n + N + L qubits: preparation plus amplification rounds."""
     if rounds is None:
         rounds = amplification_rounds_for(instance.text_length)
-    prep = _prep_gates(instance)
-    gates = prep + _amplification_gates(instance, prep, rounds)
+    gates = _pattern_block_gates(instance, rounds, "faithful", 0)
     return Circuit(instance.total_qubits, tuple(gates))
 
 

@@ -108,11 +108,11 @@ bills.  :func:`apply`, :func:`run`, :func:`run_many` and
 :func:`zero_probability` bill each oracle one query per time its gate is
 listed, counted from the gate list by :func:`_bill` (``run_many`` counts
 each row gate once per listing of its slot); no code that applies gates
-bills, so no path can change a query count.  All randomness is
-injected through explicit seeds or generators.  Qubit counts, qubit
-indices, marked values, basis indices, shot counts and seeds must be Python
-or numpy integers (not bool); anything else, or a negative seed, is a
-:class:`StructuralError`.
+bills, so no path can change a query count.  All randomness is injected
+through explicit seeds or generators.  Qubit counts and indices, marked
+values, basis indices, shot counts and seeds are Python or numpy integers
+(not bool) in range, else a :class:`StructuralError`: :func:`_check_int` is
+the rule, and :func:`_ints` and :func:`_int_array` apply it to sequences.
 """
 
 from __future__ import annotations
@@ -193,6 +193,18 @@ def _is_power_of_two(value) -> bool:
     return _is_int(value) and value >= 1 and (value & (value - 1)) == 0
 
 
+def _rule(lo: int | None, hi: int | None, power_of_two: bool = False, many: bool = False) -> str:
+    """What :func:`_check_int` asks of a value, or, with ``many``, of each entry of a sequence."""
+    rule = f"integer power{'s' * many} of two" if power_of_two else "integer" + "s" * many
+    if hi is not None:
+        rule += f" in [{lo}, {hi}]"
+    elif lo == 0 and not power_of_two:
+        rule = "non-negative " + rule
+    elif lo is not None and (lo > 1 or not power_of_two):
+        rule += f" of at least {lo}"
+    return rule if many else ("a " if rule.startswith("non") else "an ") + rule
+
+
 def _check_int(
     value, what: str, lo: int | None = 0, hi: int | None = None, *,
     power_of_two: bool = False, error: type[StructuralError] = StructuralError,
@@ -208,29 +220,48 @@ def _check_int(
     if (n is not None and (lo is None or lo <= n) and (hi is None or n <= hi)
             and (not power_of_two or _is_power_of_two(n))):
         return n
-    rule = "an integer power of two" if power_of_two else "an integer"
-    if hi is not None:
-        rule += f" in [{lo}, {hi}]"
-    elif lo == 0 and not power_of_two:
-        rule = "a non-negative integer"
-    elif lo is not None and (lo > 1 or not power_of_two):
-        rule += f" of at least {lo}"
-    raise error(f"{what} must be {rule}, got {value!r}")
+    raise error(f"{what} must be {_rule(lo, hi, power_of_two)}, got {value!r}")
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    """``values`` as Python ints; a :class:`StructuralError` naming ``what`` if one is no integer."""
+def _ints(values, what: str, lo: int | None = None, hi: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints in ``[lo, hi]``, or a :class:`StructuralError`."""
     values = tuple(values)
-    if set(map(type, values)).issubset((int,)):  # the common case, checked without a Python loop
-        return values
-    if not all(map(_is_int, values)):
-        raise StructuralError(f"{what} must be integers, got {values!r}")
-    return tuple(map(int, values))
+    ints = (values if set(map(type, values)).issubset((int,))  # the common case, without a loop
+            else tuple(map(int, values)) if all(map(_is_int, values)) else None)
+    if ints is None or ints and (
+            lo is not None and min(ints) < lo or hi is not None and max(ints) > hi):
+        raise StructuralError(f"{what} must be {_rule(lo, hi, many=True)}, got {values!r}")
+    return ints
+
+
+def _int_array(values, what: str, lo: int, hi: int) -> np.ndarray:
+    """``values`` as an int64 array of integers in ``[lo, hi]``, or a :class:`StructuralError`.
+
+    An array needs an integer dtype unless it is empty (``np.asarray([])`` is
+    float64).  A list, nested or not, goes through :func:`_ints` entry by
+    entry, so a bool, which numpy would read as 0 or 1, is rejected.
+    """
+    array = np.asarray(values)
+    if not isinstance(values, np.ndarray):
+        ints = _ints(np.asarray(values, dtype=object).flat, what, lo, hi)
+        return np.array(ints, dtype=np.int64).reshape(array.shape)
+    if not array.size:
+        return array.astype(np.int64)
+    # The ufunc reductions skip the Python wrappers of ndarray.min and max.
+    if (array.dtype.kind in "iu" and lo <= np.minimum.reduce(array, axis=None)
+            and np.maximum.reduce(array, axis=None) <= hi):
+        return array.astype(np.int64, copy=False)
+    raise StructuralError(f"{what} must be {_rule(lo, hi, many=True)}, got {array!r}")
 
 
 def check_seed(seed) -> int:
     """A non-negative Python or numpy integer seed (not a bool) as a Python int, whole."""
     return _check_int(seed, "seed")
+
+
+def _derived_seed(*parts) -> int:
+    """A seed drawn from ``SeedSequence(parts)``, each part a seed (see :func:`check_seed`)."""
+    return int(np.random.SeedSequence([check_seed(p) for p in parts]).generate_state(1)[0])
 
 
 def _check_width(num_qubits) -> int:
@@ -315,16 +346,14 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise StructuralError(f"unknown gate kind {self.kind!r}")
-        targets = _ints(self.targets, "qubits")
-        controls = _ints(self.controls, "qubits")
+        targets = _ints(self.targets, "qubits", 0)
+        controls = _ints(self.controls, "qubits", 0)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         if len(set(targets)) != len(targets) or len(set(controls)) != len(controls):
             raise StructuralError("duplicate qubit in gate")
         if set(targets) & set(controls):
             raise StructuralError("targets and controls must be disjoint")
-        if any(q < 0 for q in targets + controls):
-            raise StructuralError("negative qubit index")
         if self.kind in (HADAMARD, PAULI_X) and len(targets) != 1:
             raise StructuralError(f"{self.kind} takes exactly one target")
         if self.kind in (HADAMARD, PAULI_X) and controls:
@@ -333,13 +362,11 @@ class Gate:
             raise StructuralError("cnot takes one control and one target")
         if self.kind == MCX and (len(targets) != 1 or not controls):
             raise StructuralError("mcx takes one target and at least one control")
-        marked = _ints(self.marked, "marked values")
+        marked = _ints(self.marked, "marked values", 0, (1 << len(targets)) - 1)
         object.__setattr__(self, "marked", marked)
         if self.kind == PHASE_ORACLE:
             if not targets or controls:
                 raise StructuralError("phase oracle acts on a nonempty uncontrolled register")
-            if any(not 0 <= v < 1 << len(targets) for v in marked):
-                raise StructuralError(f"marked value out of range for {len(targets)} qubits")
             if len(set(marked)) != len(marked):
                 raise StructuralError("repeated marked value")
         elif marked or self.oracle is not None:
@@ -413,14 +440,11 @@ def _register_matrix(amps: np.ndarray, num_qubits: int, register: tuple[int, ...
 
 
 def _check_register(num_qubits: int, register: Sequence[int]):
-    register = _ints(register, "register qubits")
+    register = _ints(register, "register qubits", 0, num_qubits - 1)
     if not register:
         raise StructuralError("empty register")
     if len(set(register)) != len(register):
         raise StructuralError("duplicate qubit in register")
-    for q in register:
-        if not 0 <= q < num_qubits:
-            raise StructuralError(f"qubit {q} out of range for {num_qubits} qubits")
     return register
 
 

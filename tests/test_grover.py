@@ -136,6 +136,13 @@ class TestIndicatorOracle:
             oracle.evaluate_batch(np.array(values))
         assert oracle.query_count == 0
 
+    def test_batch_queries_hold_no_bool(self):
+        # evaluate_batch([True, 2]) on the oracle marking 1 answered [1, 0] and billed 2 queries.
+        oracle = IndicatorOracle(8, 1)
+        with pytest.raises(StructuralError, match="query values must be integers"):
+            oracle.evaluate_batch([True, 2])
+        assert oracle.query_count == 0
+
     @pytest.mark.parametrize("count", [2.5, 2.0, True, np.bool_(True), float("nan"), -1])
     def test_charged_queries_must_be_non_negative_integers(self, count):
         # charge_queries(2.5) billed 2.

@@ -42,3 +42,18 @@ def test_only_sim_applies_the_integer_rule():
             if name == "_is_int":
                 users.append(f"{path.name}:{node.lineno}")
     assert users == []
+
+
+def test_only_sim_reads_dtype_kinds():
+    # Index, key, bit and label arrays are checked by sim._int_array, so the
+    # rule that an array holds integers has one derivation.
+    package = Path(groversvm.__file__).resolve().parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

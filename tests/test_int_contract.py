@@ -4,10 +4,16 @@ Domain sizes, indices, interval widths, round counts, shot counts and seeds
 are integers: a Python or numpy integer, never a bool or a float, inside the
 argument's range.  Each row names one integer argument of one entry point,
 an integer outside its range, and the error the entry point raises for it.
+Index arrays, mark lists, registers, bit arrays and labels hold such
+integers: each sequence row names one such argument, a pair it accepts, an
+entry outside its range, and the error.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from groversvm import grover, kernel, learn, pattern, sim, svm
 from groversvm.errors import InvalidIntervalError, StructuralError, UnsupportedSizeError
@@ -164,3 +170,99 @@ def test_rejects_with_the_entry_points_typed_error(call, value, error):
     with pytest.raises(error) as info:
         call(value)
     assert type(info.value) is error
+
+
+def _dataset(labels):
+    oracles = [grover.IndicatorOracle(16, 0), grover.IndicatorOracle(16, 9)]
+    return learn.Dataset(oracles, labels, learn.Concept(0, 16))
+
+
+# (id, call with the sequence under test, a pair it accepts, an out-of-range entry, error)
+SEQUENCE_CONTRACT = [
+    ("grover.IndicatorOracle.evaluate_batch", lambda v: _oracle().evaluate_batch(v), (1, 2), 8,
+     StructuralError),
+    ("grover.MultiMarkedOracle.marked_set", lambda v: grover.MultiMarkedOracle(8, v), (1, 2), 8,
+     StructuralError),
+    ("kernel.kernel_exact_many.a", lambda v: kernel.kernel_exact_many(v, [5, 5], 4, 16), (1, 3),
+     16, StructuralError),
+    ("kernel.kernel_exact_many.b", lambda v: kernel.kernel_exact_many([5, 5], v, 4, 16), (1, 3),
+     -1, StructuralError),
+    ("kernel.kernel_sampled_many.keys",
+     lambda v: kernel.kernel_sampled_many([0.5], 64, (0,), [v]), (1, 2), 2**32, StructuralError),
+    ("pattern.cyclic_match_locations.text", lambda v: pattern.cyclic_match_locations(v, [1]),
+     (1, 0), 2, StructuralError),
+    ("pattern.kmp_search.pattern", lambda v: pattern.kmp_search([1, 0, 1, 1], v), (1, 0), 2,
+     StructuralError),
+    ("pattern.TextInstance.text", lambda v: pattern.TextInstance(v, [0, 1]), (0, 1), 2,
+     StructuralError),
+    ("learn.Dataset.labels", _dataset, (1, -1), 2, StructuralError),
+    ("sim.Gate.targets", lambda v: sim.Gate(sim.DIFFUSION, v), (0, 1), -1, StructuralError),
+    ("sim.Gate.marked", lambda v: sim.phase_oracle([0, 1], v), (1, 2), 4, StructuralError),
+    ("sim.prob_all_zero.register", lambda v: sim.prob_all_zero(sim.StateVector.zero(3), v),
+     (0, 2), 3, StructuralError),
+]
+
+
+def _non_integer_sequences(accepted, out_of_range):
+    """A list holding a bool, a float array, a float list, and a list with one entry out of range."""
+    return {
+        "bool": [True, accepted[1]],
+        "float-array": np.array(accepted, dtype=np.float64),
+        "float-list": [float(v) for v in accepted],
+        "out-of-range": [accepted[0], out_of_range],
+    }
+
+
+SEQUENCE_CASES = [
+    pytest.param(call, values, error, id=f"{name}-{kind}")
+    for name, call, accepted, out_of_range, error in SEQUENCE_CONTRACT
+    for kind, values in _non_integer_sequences(accepted, out_of_range).items()
+]
+
+
+@pytest.mark.parametrize("call, values, error", SEQUENCE_CASES)
+def test_sequences_reject_with_the_entry_points_typed_error(call, values, error):
+    with pytest.raises(error) as info:
+        call(values)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("call, accepted", [
+    pytest.param(call, accepted, id=name) for name, call, accepted, _, _ in SEQUENCE_CONTRACT
+])
+def test_sequences_accept_integer_lists_and_arrays(call, accepted):
+    call(list(accepted))
+    call(np.array(accepted))
+
+
+_ENTRIES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.booleans(),
+    st.floats(),
+    st.just(float("nan")),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.float64),
+)
+_SEQUENCES = st.one_of(
+    st.lists(_ENTRIES, max_size=5),
+    arrays(st.sampled_from([np.int64, np.uint8, np.float64, np.bool_]), st.integers(0, 5)),
+)
+
+
+@settings(max_examples=100)
+@given(_SEQUENCES, st.integers(-3, 3), st.integers(0, 4))
+def test_int_array_returns_int64_or_raises(values, lo, span):
+    hi = lo + span
+    entries = list(values)
+    accepted = all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, (bool, np.bool_)) and lo <= v <= hi
+        for v in entries
+    )
+    if not accepted:
+        with pytest.raises(StructuralError):
+            sim._int_array(values, "values", lo, hi)
+        return
+    array = sim._int_array(values, "values", lo, hi)
+    assert array.dtype == np.int64
+    assert array.tolist() == [int(v) for v in entries]

@@ -389,6 +389,11 @@ class TestKernelSampledMany:
         with pytest.raises(StructuralError, match="stream keys must be integers"):
             kernel_sampled_many([0.5], 64, (0,), keys)
 
+    def test_bool_keys_rejected(self):
+        # [[True, 2]] drew key (1, 2)'s value.
+        with pytest.raises(StructuralError, match="stream keys must be integers"):
+            kernel_sampled_many([0.5], 64, (0,), [[True, 2]])
+
     def test_fixed_seed_serves_only_four_uint64_words(self):
         words = np.arange(4, dtype=np.uint64)
         fixed = _fixed_seed_type()(words)
@@ -436,6 +441,11 @@ class TestKernelExactMany:
             kernel_exact_many([0], [-1], 4, 16)
         with pytest.raises(InvalidIntervalError):
             kernel_exact_many([0], [1], 8, 16)
+
+    def test_bool_indices_rejected(self):
+        # kernel_exact_many([True, 3], [5, 5], 4, 16) answered [0, 0.5], reading True as 1.
+        with pytest.raises(StructuralError, match="kernel indices must be integers"):
+            kernel_exact_many([True, 3], [5, 5], 4, 16)
 
 
 def _oracles(marks, N=16):

@@ -108,6 +108,13 @@ class TestDatasetGeneration:
         with pytest.raises(StructuralError):
             Dataset([IndicatorOracle(16, 0)], np.array([-1]), concept)
 
+    @pytest.mark.parametrize("labels", [[1.7, -1.2], [1.0, -1.0], np.array([1.0, -1.0]), [True, -1]])
+    def test_labels_must_be_integers(self, labels):
+        # [1.7, -1.2] was truncated to the consistent labels [1, -1].
+        oracles = [IndicatorOracle(16, 0), IndicatorOracle(16, 9)]
+        with pytest.raises(StructuralError, match="labels must be integers in \\[-1, 1\\]"):
+            Dataset(oracles, labels, Concept(0, 16))
+
 
 class TestBalancedTest:
     def test_exact_balance(self):

@@ -69,6 +69,17 @@ class TestTextInstance:
             assert instance.location == 7
             assert len(cyclic_match_locations(instance.text, instance.pattern)) == 1
 
+    @pytest.mark.parametrize("read", [
+        pytest.param(lambda bits: cyclic_match_locations(bits, [1]), id="match-text"),
+        pytest.param(lambda bits: cyclic_match_locations([1, 0, 1, 0], bits), id="match-pattern"),
+        pytest.param(lambda bits: kmp_search(bits, [1]), id="kmp-text"),
+        pytest.param(lambda bits: TextInstance(bits + [1], [1, 1, 1]), id="instance-text"),
+    ])
+    def test_bool_bits_rejected(self, read):
+        # cyclic_match_locations([True, 0, 1], [1]) answered [0, 2], reading True as bit 1.
+        with pytest.raises(StructuralError, match="bits must be integers in \\[0, 1\\]"):
+            read([True, 0, 1])
+
     @pytest.mark.parametrize("location", [2.5, 2.0, float("nan"), True, "2", None])
     def test_random_instance_location_must_be_an_integer(self, location):
         with pytest.raises(StructuralError):

@@ -202,7 +202,7 @@ class TestIntegerContract:
         # hadamard(1.5) acted on qubit 1.
         for gate in (lambda: sim.hadamard(value), lambda: sim.cnot(value, 2),
                      lambda: sim.mcx([0, value], 2), lambda: sim.diffusion([0, value])):
-            with pytest.raises(StructuralError, match="qubits must be integers"):
+            with pytest.raises(StructuralError, match="qubits must be non-negative integers"):
                 gate()
 
     @pytest.mark.parametrize("value", NON_INTEGERS)
