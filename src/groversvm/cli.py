@@ -19,11 +19,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .errors import ResourceCapError, StructuralError
+from .errors import ResourceCapError, StructuralError, UnsupportedSizeError
 from .grover import BACKENDS, GroverConfig, IndicatorOracle
 from .learn import (
     Concept,
@@ -60,11 +61,8 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
-def _non_negative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise ValueError(value)
-    return number
+# The package's integer rule, raising a ConfigError that names the key.
+_check = partial(sim._check_int, error=ConfigError)
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -75,7 +73,6 @@ def _int_list(value: str) -> tuple[int, ...]:
 _TEXT = (str, "text")
 _INT = (int, "an integer")
 _FLOAT = (float, "a number")
-_SEED = (_non_negative_int, "a non-negative integer")
 _INT_LIST = (_int_list, "comma-separated integers")
 
 
@@ -101,7 +98,7 @@ class ExperimentConfig:
     backend: str = _key("ideal", "run", choices=BACKENDS)
     learner: str | None = _key("quantum_kernel", "run sweep", choices=LEARNER_KINDS)  # None: all
     trials: int = _key(10, "run sweep", _INT)
-    seed: int | None = _key(None, "gen-data run sweep", _SEED)
+    seed: int | None = _key(None, "gen-data run sweep", _INT)
     concept_start: str = _key("random", "gen-data run")
     test_size: int = _key(200, "run", _INT)
     budget: str = _key("auto", "run")
@@ -161,60 +158,45 @@ def build_config(
     return config
 
 
-def _as_int(key: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        word = _CONFIG_KEYS[key].default
-        raise ConfigError(f"{key} must be an integer or {word!r}, got {value!r}") from exc
+def _as_int(key: str, value, lo: int, hi: int | None = None, **rule) -> int:
+    """An 'auto'/'random' key's or an environment variable's integer: its
+    text parsed, then checked by :func:`_check`."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError as exc:
+            word = f" or {_CONFIG_KEYS[key].default!r}" if key in _CONFIG_KEYS else ""
+            raise ConfigError(f"{key} must be an integer{word}, got {value!r}") from exc
+    return _check(value, key, lo, hi, **rule)
 
 
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check ``config`` and return a copy with every 'auto' filled in."""
     if config.seed is None:
         raise ConfigError("seed is mandatory; set it in the config file or with --seed")
-    N = config.domain_size
-    if not sim._is_power_of_two(N) or N < 8:
-        raise ConfigError("domain_size must be a power of two, at least 8")
-    m = config.train_size
-    sizes = config.domain_sizes
-    if any(not sim._is_power_of_two(size) or size < 8 for size in sizes):
-        raise ConfigError("domain_sizes must be powers of two, at least 8")
-    if not 2 <= m <= (min(sizes) if sizes else N):
-        bound = "the smallest domain size" if sizes else "domain_size"
-        raise ConfigError(f"train_size must lie in [2, {bound}]")
+    seed = _check(config.seed, "seed")
+    N = _check(config.domain_size, "domain_size", 8, power_of_two=True)
+    sizes = [_check(n, "domain_sizes entry", 8, power_of_two=True) for n in config.domain_sizes]
+    m = _check(config.train_size, "train_size", 2, min(sizes, default=N))
     if str(config.interval_width) == "auto":
         M = default_interval_width(m, N)
     else:
-        M = _as_int("interval_width", config.interval_width)
-        if not sim._is_power_of_two(M) or not 1 <= M < N // 2:
-            raise ConfigError("interval_width must be a power of two in [1, N/2)")
-    if str(config.shots) == "auto":
-        R = default_shots(m)
-    else:
-        R = _as_int("shots", config.shots)
-        if R < 1:
-            raise ConfigError("shots must be at least 1")
-    if str(config.budget) == "auto":
-        X = N // 2
-    else:
-        X = _as_int("budget", config.budget)
-        if not 0 <= X <= N:
-            raise ConfigError("budget must lie in [0, N]")
+        M = _as_int("interval_width", config.interval_width, 1, N // 2 - 1, power_of_two=True)
+    R = default_shots(m) if str(config.shots) == "auto" else _as_int("shots", config.shots, 1)
+    X = N // 2 if str(config.budget) == "auto" else _as_int("budget", config.budget, 0, N)
     if config.concept_start != "random":
-        start = _as_int("concept_start", config.concept_start)
-        if not 0 <= start < N // 2:
-            raise ConfigError("concept_start must lie in [0, N/2) or be 'random'")
+        _as_int("concept_start", config.concept_start, 0, N // 2 - 1)
     if not 0 < config.box_bound < math.inf:
         raise ConfigError("box_bound must be positive and finite")
-    if config.trials < 1 or config.test_size < 2 or config.test_size % 2:
-        raise ConfigError("trials must be >= 1 and test_size an even number >= 2")
+    _check(config.trials, "trials", 1)
+    if _check(config.test_size, "test_size", 2) % 2:
+        raise ConfigError(f"test_size must be even, got {config.test_size!r}")
     if config.learner == "quantum_kernel" and config.backend != "ideal":
         raise ConfigError("learner quantum_kernel samples the ideal kernel only; use backend=ideal")
     if any(ch not in "01" for ch in config.pattern) or not config.pattern:
         raise ConfigError("pattern must be a nonempty binary string")
     return replace(config, interval_width=M, shots=R, budget=X,
-                   box_bound=float(config.box_bound), seed=_coerce("seed", str(config.seed)),
+                   box_bound=float(config.box_bound), seed=seed,
                    concept_start=str(config.concept_start))
 
 
@@ -275,13 +257,7 @@ def run_single_trial(resolved: ExperimentConfig, trial: int) -> dict:
 
 def _worker_count(trials: int) -> int:
     """Pool size: the requested count, capped by the trial count and the CPU count."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if count < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be at least 1, got {count}")
+    count = _as_int(WORKERS_ENV, os.environ.get(WORKERS_ENV, "1"), 1)
     return min(count, trials, os.cpu_count() or 1)
 
 
@@ -412,6 +388,8 @@ def read_report(path: str) -> dict:
 def cmd_run(resolved: ExperimentConfig, out_path: str | None) -> int:
     if resolved.problem != "indicator":
         raise ConfigError("run supports problem=indicator; use pattern-demo for texts")
+    # A balanced test set holds distinct indices; gen-data and sweep read no test_size.
+    _check(resolved.test_size, "test_size", 2, resolved.domain_size)
     records = _run_trials(resolved)
     _emit(format_run_report(resolved, records), out_path)
     if out_path:
@@ -435,7 +413,7 @@ def _label_cell(cell: str, N: int) -> bool:
 _DATASET_COLUMNS = {
     "indicator": (("marked_index", _index_cell), ("label", _label_cell)),
     "pattern": (
-        ("text", lambda cell, N: set(cell) <= {"0", "1"}),
+        ("text", lambda cell, N: len(cell) == N and set(cell) <= {"0", "1"}),
         ("location", _index_cell),
         ("label", _label_cell),
     ),
@@ -479,6 +457,7 @@ def read_dataset(path: str) -> dict:
         domain_size = int(header.get("domain_size"))
     except (TypeError, ValueError) as exc:
         raise StructuralError("dataset domain_size must be an integer") from exc
+    sim._check_int(domain_size, "dataset domain_size", 8, power_of_two=True)  # the key's rule
     header["rows"] = [
         _check_data_row(line, columns, domain_size) for line in sections.get("data", [])
     ]
@@ -495,8 +474,6 @@ def cmd_gen_data(resolved: ExperimentConfig, out_path: str | None) -> int:
         )
         rows = [(o.marked, _sign(label)) for o, label in zip(dataset.oracles, dataset.labels)]
     else:
-        if len(resolved.pattern) > N:
-            raise ConfigError("pattern longer than the text length")
         header += [("pattern", resolved.pattern), ("label_rule", resolved.label_rule)]
         rng = np.random.default_rng(_derived_seed(resolved.seed, 0, 29))
         rows = []
@@ -563,6 +540,7 @@ def _demo_row(*cells) -> str:
 def cmd_pattern_demo(
     text_path: str, pattern: str, backend: str, rng_seed: int, out_path: str | None
 ) -> int:
+    rng_seed = sim.check_seed(rng_seed)
     if not pattern or any(ch not in "01" for ch in pattern):
         raise ConfigError("pattern must be a nonempty binary string")
     with open(text_path, "r", encoding="utf-8") as handle:
@@ -582,10 +560,9 @@ def cmd_pattern_demo(
         comparisons = kmp_ledger.classical_char_comparisons
         try:
             instance = TextInstance(text, pattern)
-        except StructuralError:
+        except StructuralError as exc:
             any_failure = True
-            bad_length = len(text) < 2 or not sim._is_power_of_two(len(text))
-            status = "bad-length" if bad_length else "no-unique-match"
+            status = "bad-length" if isinstance(exc, UnsupportedSizeError) else "no-unique-match"
             lines.append(_demo_row(i, status, kmp_loc, math.nan, 0, 0, 0, kmp_loc, comparisons))
             continue
         if backend == "faithful" and instance.total_qubits > sim.QUBIT_CAP:
@@ -767,8 +744,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest()
         if args.command == "pattern-demo":
-            seed = _coerce("seed", str(args.seed))
-            return cmd_pattern_demo(args.text_file, args.pattern, args.backend, seed, args.out)
+            return cmd_pattern_demo(args.text_file, args.pattern, args.backend, args.seed, args.out)
         if args.command == "gen-data":
             return cmd_gen_data(resolve_config(_config_from_args(args)), args.out)
         if args.command == "run":

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, UnsupportedSizeError
 from .grover import GroverConfig, interval_map_gates
 from .grover import interval_state_analytic, theoretical_success_probability
 from .kernel import _overlap, kernel_exact
@@ -72,7 +72,8 @@ class TextInstance:
 
     The occurrence location is derived at construction; instances with zero
     or multiple cyclic occurrences are rejected, matching the one-location
-    guarantee of the learning problem.
+    guarantee of the learning problem.  A text whose length is not a power
+    of two of at least 2 raises :class:`UnsupportedSizeError`.
     """
 
     text: np.ndarray
@@ -82,7 +83,7 @@ class TextInstance:
     def __post_init__(self):
         text = _as_bits(self.text)
         pattern = _as_bits(self.pattern)
-        _check_int(text.size, "text length", 2, power_of_two=True)
+        _check_int(text.size, "text length", 2, power_of_two=True, error=UnsupportedSizeError)
         _check_int(pattern.size, "pattern length", 1, text.size)
         hits = cyclic_match_locations(text, pattern)
         if len(hits) != 1:
@@ -117,6 +118,7 @@ def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextI
     P = _as_bits(pattern)
     N = _check_int(text_length, "text length", 2, power_of_two=True)
     location = _check_int(location, "location", 0, N - 1)
+    _check_int(P.size, "pattern length", 1, N)  # no retry can place a longer or an empty one
     rng = sim.as_rng(rng_seed)
     for _ in range(_INSTANCE_RETRIES):
         text = rng.integers(0, 2, size=N)

@@ -207,7 +207,7 @@ def _rule(lo: int | None, hi: int | None, power_of_two: bool = False, many: bool
 
 def _check_int(
     value, what: str, lo: int | None = 0, hi: int | None = None, *,
-    power_of_two: bool = False, error: type[StructuralError] = StructuralError,
+    power_of_two: bool = False, error: type[Exception] = StructuralError,
 ) -> int:
     """``value`` as a Python int, or ``error`` naming ``what``.
 
@@ -239,19 +239,24 @@ def _int_array(values, what: str, lo: int, hi: int) -> np.ndarray:
 
     An array needs an integer dtype unless it is empty (``np.asarray([])`` is
     float64).  A list, nested or not, goes through :func:`_ints` entry by
-    entry, so a bool, which numpy would read as 0 or 1, is rejected.
+    entry, so a bool, which numpy would read as 0 or 1, and a ragged list's
+    rows are rejected.
     """
-    array = np.asarray(values)
     if not isinstance(values, np.ndarray):
-        ints = _ints(np.asarray(values, dtype=object).flat, what, lo, hi)
-        return np.array(ints, dtype=np.int64).reshape(array.shape)
-    if not array.size:
-        return array.astype(np.int64)
+        try:  # as objects, a ragged list's rows are entries, not numpy's ValueError
+            entries = np.asarray(values, dtype=object)
+        except ValueError:  # arrays of unequal shapes, which numpy cannot nest at all
+            entries = None
+        if entries is not None:
+            ints = _ints(entries.flat, what, lo, hi)
+            return np.array(ints, dtype=np.int64).reshape(entries.shape)
+    elif not values.size:
+        return values.astype(np.int64)
     # The ufunc reductions skip the Python wrappers of ndarray.min and max.
-    if (array.dtype.kind in "iu" and lo <= np.minimum.reduce(array, axis=None)
-            and np.maximum.reduce(array, axis=None) <= hi):
-        return array.astype(np.int64, copy=False)
-    raise StructuralError(f"{what} must be {_rule(lo, hi, many=True)}, got {array!r}")
+    elif (values.dtype.kind in "iu" and lo <= np.minimum.reduce(values, axis=None)
+            and np.maximum.reduce(values, axis=None) <= hi):
+        return values.astype(np.int64, copy=False)
+    raise StructuralError(f"{what} must be {_rule(lo, hi, many=True)}, got {values!r}")
 
 
 def check_seed(seed) -> int:

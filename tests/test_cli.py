@@ -42,6 +42,16 @@ class TestConfigParsing:
             cli.build_config({"learner": "psychic"}, [], {})
 
 
+# Each integer key of the default config (N = 1024, train_size 16), with an
+# integer outside its range; a domain_sizes value is one entry of the sizes.
+INTEGER_KEYS = {
+    "seed": -1, "domain_size": 1536, "domain_sizes": 4, "train_size": 17 * 64,
+    "interval_width": "512", "shots": "0", "budget": "1025", "concept_start": "512",
+    "trials": 0, "test_size": 0,
+}
+AUTO_KEYS = {"interval_width", "shots", "budget", "concept_start"}  # 'auto' or 'random', or text
+
+
 class TestResolution:
     def base(self, **overrides):
         config = cli.ExperimentConfig(seed=3)
@@ -92,6 +102,20 @@ class TestResolution:
         with pytest.raises(cli.ConfigError, match=f"{key} must be an integer or '{word}', got"):
             cli.resolve_config(self.base(**{key: value}))
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param(key, value, id=f"{key}-{value!r}")
+        for key, out_of_range in INTEGER_KEYS.items()
+        for value in (True, "8.5" if key in AUTO_KEYS else 8.5, out_of_range)
+    ])
+    def test_integer_keys_follow_the_integer_rule(self, key, value):
+        # Every integer key is checked by sim._check_int, and its message names the key.
+        overrides = {"domain_sizes": (value, 32, 64, 128)} if key == "domain_sizes" else {key: value}
+        with pytest.raises(cli.ConfigError) as info:
+            cli.resolve_config(self.base(**overrides))
+        message = str(info.value)
+        assert message.startswith(f"{key} ")
+        assert message.rsplit(", got ", 1)[1] in (repr(value), str(value))  # text or parsed
+
 
 class TestGenData:
     ARGS = ["gen-data", "--seed", "7", "--set", "domain_size=16", "--set",
@@ -120,6 +144,17 @@ class TestGenData:
         )
         capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
+
+    def test_pattern_longer_than_the_text_is_invalid(self, tmp_path, capsys):
+        out = tmp_path / "texts.txt"
+        code = cli.main(
+            ["gen-data", "--seed", "5", "--set", "problem=pattern", "--set", "domain_size=16",
+             "--set", f"pattern={'1' * 17}", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert "pattern length must be an integer in [1, 16]" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_pattern_dataset(self, tmp_path, capsys):
         out = tmp_path / "texts.txt"
@@ -212,6 +247,23 @@ class TestRun:
         assert len(trials[0]) == len(trials[1]) == 2
         assert trials[0] != trials[1]
 
+    def test_test_size_above_the_domain_size_rejected_before_any_trial(self, capsys, monkeypatch):
+        # It used to fail inside trial 0, in generate_balanced_test, after the
+        # training set was drawn.
+        argv = ["run", "--seed", "1", "--trials", "1", "--learner", "classical",
+                "--set", "domain_size=16", "--set", "train_size=4"]
+        assert cli.main(argv + ["--set", "test_size=16"]) == cli.EXIT_OK
+        capsys.readouterr()
+
+        def no_trial(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(cli, "run_single_trial", no_trial)
+        assert cli.main(argv + ["--set", "test_size=40"]) == cli.EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert "test_size must be an integer in [2, 16], got 40" in captured.err
+        assert captured.out == ""
+
     def test_pattern_problem_rejected_for_run(self, capsys):
         code = cli.main(RUN_ARGS + ["--set", "problem=pattern"])
         capsys.readouterr()
@@ -287,7 +339,8 @@ class TestSweepCommand:
         capsys.readouterr()
         assert cli.main(argv + ["--set", "train_size=32"]) == cli.EXIT_INVALID_CONFIG
         captured = capsys.readouterr()
-        assert "smallest domain size" in captured.err and captured.out == ""
+        assert "train_size must be an integer in [2, 16], got 32" in captured.err
+        assert captured.out == ""
         # The bound is the smallest swept size, not the unread domain_size default (1024).
         argv = ["sweep", "--seed", "1", "--learner", "classical", "--set", "train_size=2048",
                 "--domain-sizes", "2048,4096,8192,16384", "--trials", "1"]
@@ -320,13 +373,16 @@ class TestSweepCommand:
         assert code == cli.EXIT_INVALID_CONFIG
         assert "none repeated" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("sizes", ["4,8,16,32", "16,24,32,64"])
-    def test_sizes_are_checked_before_train_size(self, sizes, capsys):
+    @pytest.mark.parametrize("sizes, bad", [
+        pytest.param(sizes, bad, id=sizes) for sizes, bad in (("4,8,16,32", 4), ("16,24,32,64", 24))
+    ])
+    def test_sizes_are_checked_before_train_size(self, sizes, bad, capsys):
         # The default train_size 8 exceeds 4; the message used to name train_size.
         code = cli.main(["sweep", "--seed", "1", "--domain-sizes", sizes, "--learner", "classical"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_INVALID_CONFIG
-        assert "domain_sizes must be powers of two, at least 8" in captured.err
+        rule = "domain_sizes entry must be an integer power of two of at least 8"
+        assert f"{rule}, got {bad}" in captured.err
         assert "train_size" not in captured.err and captured.out == ""
 
     def test_non_integer_size_invalid(self, capsys):
@@ -460,6 +516,13 @@ class TestPatternDemo:
         assert code == cli.EXIT_OK
         assert rows[0].split()[1:3] == ["ok", "13"]
 
+    def test_pattern_longer_than_the_text_is_no_unique_match(self, tmp_path, capsys):
+        texts = write(tmp_path / "texts.txt", "10110010\n1011001\n")
+        code = cli.main(["pattern-demo", texts, "--pattern", "101100101", "--backend", "ideal"])
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert code == cli.EXIT_DOMAIN
+        assert [row.split()[1] for row in rows] == ["no-unique-match", "bad-length"]
+
     def test_pattern_equals_text(self, tmp_path, capsys):
         texts = write(tmp_path / "texts.txt", "10110010\n")
         code = cli.main(["pattern-demo", texts, "--pattern", "10110010", "--backend", "ideal"])
@@ -506,6 +569,8 @@ class TestSchemas:
         ("problem pattern\ndomain_size 8", "10110010 two +1"),
         ("problem pattern\ndomain_size 8", "10110010 8 +1"),
         ("problem pattern\ndomain_size 8", "10110010 2"),
+        ("problem pattern\ndomain_size 8", "101 2 +1"),
+        ("problem indicator\ndomain_size 12", "3 +1"),
         ("domain_size 16", "3 +1"),
         ("problem indicator", "3 +1"),
     ])

@@ -24,7 +24,8 @@ def test_import_leaves_numpy_random_unloaded():
 
 def test_only_sim_applies_the_integer_rule():
     # Integer arguments are checked by sim._check_int, so the rule that an
-    # integer is a Python or numpy int and not a bool has one derivation.
+    # integer is a Python or numpy int and not a bool, and the power-of-two
+    # test, have one derivation each.
     package = Path(groversvm.__file__).resolve().parent
     users = []
     for path in sorted(package.glob("*.py")):
@@ -39,7 +40,7 @@ def test_only_sim_applies_the_integer_rule():
                 name = node.name
             else:
                 continue
-            if name == "_is_int":
+            if name in ("_is_int", "_is_power_of_two"):
                 users.append(f"{path.name}:{node.lineno}")
     assert users == []
 

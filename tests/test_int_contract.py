@@ -204,12 +204,14 @@ SEQUENCE_CONTRACT = [
 
 
 def _non_integer_sequences(accepted, out_of_range):
-    """A list holding a bool, a float array, a float list, and a list with one entry out of range."""
+    """A list holding a bool, a float array, a float list, a list with one entry
+    out of range, and a ragged list (numpy raised its own ValueError for one)."""
     return {
         "bool": [True, accepted[1]],
         "float-array": np.array(accepted, dtype=np.float64),
         "float-list": [float(v) for v in accepted],
         "out-of-range": [accepted[0], out_of_range],
+        "ragged": [list(accepted), [accepted[0]]],
     }
 
 

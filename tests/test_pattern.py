@@ -7,7 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from groversvm import sim
-from groversvm.errors import InvalidIntervalError, ResourceCapError, StructuralError
+from groversvm.errors import (
+    InvalidIntervalError, ResourceCapError, StructuralError, UnsupportedSizeError,
+)
 from groversvm.grover import GroverConfig, interval_state_analytic, theoretical_success_probability
 from groversvm.pattern import (
     _prep_gates,
@@ -62,6 +64,18 @@ class TestTextInstance:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(StructuralError):
             TextInstance("101100", "11")
+
+    @pytest.mark.parametrize("text", ["101100", "1", [1, 0, 1]])
+    def test_bad_text_length_is_an_unsupported_size(self, text):
+        # The pattern demo tells a bad length from a missing match by this class.
+        with pytest.raises(UnsupportedSizeError, match="text length"):
+            TextInstance(text, "1")
+
+    @pytest.mark.parametrize("pattern", ["000000000", ""])
+    def test_random_instance_checks_the_pattern_length_before_any_retry(self, pattern):
+        # Both used to spend every retry, then report no unique-occurrence text.
+        with pytest.raises(StructuralError, match=r"pattern length must be an integer in \[1, 8\]"):
+            random_instance(8, pattern, 0, 0)
 
     def test_random_instance_unique(self):
         for seed in range(5):
