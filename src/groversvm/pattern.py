@@ -123,8 +123,13 @@ def random_instance(text_length: int, pattern, location: int, rng_seed) -> TextI
     for _ in range(_INSTANCE_RETRIES):
         text = rng.integers(0, 2, size=N)
         text[(location + np.arange(P.size)) % N] = P
-        if len(cyclic_match_locations(text, P)) == 1:
+        hits = len(cyclic_match_locations(text, P))
+        if hits == 1:
             return TextInstance(text, P)
+        if P.size == N:  # no bit is drawn, so every retry builds this same text
+            raise StructuralError(
+                f"pattern repeats within the text: as long as the text, it occurs at {hits} shifts"
+            )
     raise StructuralError("could not build a unique-occurrence text within the retry bound")
 
 

@@ -100,8 +100,30 @@ the set.  A dropped gate shares no qubit with any kept gate after it, so it
 commutes to the end of the circuit, where it acts on unmeasured qubits only
 and cannot change the register's distribution.  The kept gates run through
 ``run_from_zero``, and the dropped gates are billed too, so every listed
-oracle gate is still billed once.  Dropping gates can join two Hadamard
-runs into one, so the probability may move by rounding.
+oracle gate is still billed once.  The probability may move by rounding:
+a dropped gate changes how the unmeasured amplitudes round, or the order
+in which the readout sums their weights, and dropping gates can join two
+Hadamard runs into one.
+
+Nor does it run the kept gates' tail: the longest run of trailing
+:func:`_spans` steps that are X runs, CNOT/MCX runs or lone phase oracles,
+after them a last Hadamard step, whose gates act on register qubits only,
+since no other qubit is live after them.  Those steps move and negate
+amplitudes, and the Hadamards mix each amplitude only with others that
+differ on the qubits they hit, so the readout needs only the ``2**(n - r +
+h)`` amplitudes where the ``r - h`` register qubits the Hadamard step does
+not hit are 0.  The head, the gates before the tail, runs through
+``run_from_zero``.  Walking the tail backward over an int64 array of those
+indices (an xor per X, an xor where the controls are set per CNOT/MCX, a
+sign flip where an oracle marks the value) finds where each comes from in
+the head's state, and whether it is negated.  That block of amplitudes is
+gathered, takes the Hadamard step through :func:`_evolve` on the free
+qubits renumbered in order, and is summed where the Hadamard qubits are 0,
+as :func:`prob_all_zero` sums.  Moves and sign flips are exact, and a
+Hadamard's arithmetic on an amplitude does not depend on the state's width,
+so the bits are those of running the tail.  No ``2**n``-entry index array
+or cached permutation is built, and the tail's oracles are billed with the
+dropped gates.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
@@ -716,6 +738,17 @@ def _fuse_test(targets: tuple[int, ...], register: tuple[int, ...]):
     return lambda marked: len({value & outside for value in marked}) == len(marked)
 
 
+def _spread(qubits) -> np.ndarray:
+    """The int64 basis index of each value of ``qubits``, every other qubit 0.
+
+    Entry ``v`` sets qubit ``qubits[p]`` iff bit ``p`` of ``v`` is set.
+    """
+    indices = np.zeros(1, dtype=np.int64)
+    for q in qubits:
+        indices = np.concatenate([indices, indices | 1 << q])
+    return indices
+
+
 def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]) -> np.ndarray:
     """Each column's marked register value, -1 where it has none.
 
@@ -730,10 +763,8 @@ def _column_marks(num_qubits: int, oracle: Gate, register: tuple[int, ...]) -> n
     else:
         spelled = np.array([sum((v >> p & 1) << q for p, q in enumerate(oracle.targets))
                             for v in oracle.marked], dtype=np.int64)
-    indices = np.zeros(1, dtype=np.int64)
-    for q in set(range(n)).difference(oracle.targets):
-        indices = np.concatenate([indices, indices | 1 << q])
-    indices = (spelled[:, None] | indices).reshape(-1)
+    free = _spread([q for q in range(n) if q not in oracle.targets])
+    indices = (spelled[:, None] | free).reshape(-1)
     marks = np.full(1 << (n - width), -1, dtype=np.int64)
     columns = indices >> (lo + width) << lo | indices & (1 << lo) - 1
     marks[columns] = indices >> lo & (1 << width) - 1
@@ -1096,17 +1127,23 @@ def run_many(template: Circuit, rows: Sequence[Sequence[Gate]]):
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
     """Probability that measuring ``register`` yields the all-zero bitstring."""
     register = _check_register(state.num_qubits, register)
-    shape, index = _view(state.num_qubits, dict.fromkeys(register, 0))
-    zero = state.amplitudes.reshape(shape)[index]
-    return float(np.sum(np.abs(zero) ** 2))
+    return _zero_weight(state.amplitudes, state.num_qubits, register)
+
+
+def _zero_weight(amps: np.ndarray, num_qubits: int, qubits) -> float:
+    """The summed ``abs(a)**2`` of the amplitudes where every qubit of ``qubits`` is 0."""
+    shape, index = _view(num_qubits, dict.fromkeys(qubits, 0))
+    return float(np.sum(np.abs(amps.reshape(shape)[index]) ** 2))
 
 
 def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
     """``prob_all_zero(run_from_zero(circuit), register)``, running only the register's light cone.
 
-    The gates outside it are billed but not run; see the module docstring.
+    The gates outside it are billed but not run, and the readout is pulled
+    back through the light cone's tail; see the module docstring.
     """
-    register = _check_register(circuit.num_qubits, register)
+    n = circuit.num_qubits
+    register = _check_register(n, register)
     live = set(register)
     kept, dropped = [], []
     for gate in reversed(circuit.gates):
@@ -1116,9 +1153,40 @@ def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
         else:
             live.update(qubits)
             kept.append(gate)
-    _bill(dropped)
-    state = run_from_zero(Circuit(circuit.num_qubits, tuple(reversed(kept))))
-    return prob_all_zero(state, register)
+    kept.reverse()
+    # The tail: the trailing X, CNOT/MCX and lone oracle steps, after them a
+    # last Hadamard step, whose gates act on register qubits only, since no
+    # other qubit is live after them.
+    split = last = len(kept)
+    for kind, start, stop in reversed(list(_spans(kept))):
+        if kind == HADAMARD and stop == len(kept):
+            last = start
+        elif not (kind in (PAULI_X, MCX) or kind is None and kept[start].kind == PHASE_ORACLE):
+            break
+        split = start
+    _bill(dropped + kept[split:])
+    state = run_from_zero(Circuit(n, tuple(kept[:split])))
+    if split == len(kept):
+        return prob_all_zero(state, register)
+    # The block spans the values of the free qubits: those outside the
+    # register and those the Hadamard step hits.
+    moves, hadamards = kept[split:last], kept[last:]
+    hit = {gate.targets[0] for gate in hadamards}
+    free = [q for q in range(n) if q not in register or q in hit]
+    index = _spread(free)
+    negated = np.zeros(index.size, dtype=bool)
+    for gate in reversed(moves):  # the index each amplitude of the block comes from
+        if gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
+            controls = _mask(gate) ^ 1 << gate.targets[0]
+            index ^= (index & controls == controls) * (1 << gate.targets[0])
+        elif gate.marked:
+            value = sum((index >> q & 1) << p for p, q in enumerate(gate.targets))
+            negated ^= np.isin(value, gate.marked)
+    block = state.amplitudes[index]
+    np.negative(block, out=block, where=negated)
+    position = {q: p for p, q in enumerate(free)}
+    block = _evolve(block, len(free), [hadamard(position[gate.targets[0]]) for gate in hadamards])
+    return _zero_weight(block, len(free), [position[q] for q in hit])
 
 
 def register_probabilities(state: StateVector, register: Sequence[int]) -> np.ndarray:

@@ -245,7 +245,7 @@ class TestLightCone:
         rng = np.random.default_rng(N)
         ran = []
         original = sim.run
-        monkeypatch.setattr(sim, "run", lambda c, initial: ran.append(len(c)) or original(c, initial))
+        monkeypatch.setattr(sim, "run", lambda c, initial: ran.append(c) or original(c, initial))
         for i, j in rng.integers(0, N, size=(pairs, 2)).tolist():
             full = _full_circuit_value(i, j, 4, N, config)
             ran.clear()
@@ -255,9 +255,13 @@ class TestLightCone:
             # The last search block (n Hadamards, k rounds) acts on the ancilla only.
             n = N.bit_length() - 1
             gates = 2 * (2 + 2 * (n + 2 * k) + n * (n + 1) // 2)
-            assert ran == [gates - (n + 2 * k)]
+            # The light cone's tail, the uncompute adder run and the two
+            # register Hadamards, is read through; the head ends on the rounds.
+            tail = n * (n + 1) // 2 + 2
+            assert [len(c) for c in ran] == [gates - (n + 2 * k) - tail]
+            assert ran[0].gates[-1].kind == sim.DIFFUSION
         if N == 1024:
-            assert ran == [354 - 60] and ledger.oracle_queries == 100
+            assert [len(c) for c in ran] == [354 - 60 - 57] and ledger.oracle_queries == 100
 
 
 class TestKernelSampled:

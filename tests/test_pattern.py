@@ -77,6 +77,18 @@ class TestTextInstance:
         with pytest.raises(StructuralError, match=r"pattern length must be an integer in \[1, 8\]"):
             random_instance(8, pattern, 0, 0)
 
+    @pytest.mark.parametrize("pattern, hits", [("00000000", 8), ("01010101", 4), ("01100110", 2)])
+    def test_random_instance_rejects_a_text_long_pattern_that_repeats_after_one_draw(
+            self, pattern, hits):
+        # Such a pattern leaves no random bit: all 200 retries built the same
+        # text, then reported no unique-occurrence text.
+        rng, once = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(StructuralError, match=f"pattern repeats within the text.* {hits} shifts"):
+            random_instance(8, pattern, 3, rng)
+        once.integers(0, 2, size=8)
+        assert rng.bit_generator.state == once.bit_generator.state  # one draw, no retry
+        assert random_instance(8, "01100111", 3, 0).location == 3  # aperiodic: the one text
+
     def test_random_instance_unique(self):
         for seed in range(5):
             instance = random_instance(16, "101", 7, seed)

@@ -8,6 +8,7 @@ one of them fails here rather than only in a benchmark run.
 """
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,36 @@ def test_probe_builds_one_gate_per_kind(perfbench):
     assert [gate.kind for gate in gates] == list(sim.GATE_KINDS)
     sim.run(sim.Circuit(4, tuple(gates)), sim.StateVector.zero(4))
     assert oracle.query_count == 1
+
+
+@pytest.mark.parametrize("backend", ["ideal", "faithful"])
+def test_tracer_sees_the_head_of_a_kernel_circuit(perfbench, backend):
+    # The readout is pulled back through the light cone's tail without sim.run,
+    # so the traced call and its gate counts are those of the head alone.
+    tracing, _ = perfbench
+    config = grover.GroverConfig(backend)
+    a, b = IndicatorOracle(16, 3), IndicatorOracle(16, 5)
+    n, k = 4, optimal_iterations(16)
+    gates = (kernel.feature_map_circuit(a, 4, config).gates
+             + kernel.feature_map_circuit(b, 4, config).gates[::-1])
+    # The last search block acts on the ancilla only, and the tail ends on the
+    # two register Hadamards.  In the faithful circuit the uncompute adder run
+    # comes before them, so the head ends on the rounds; in the ideal one every
+    # gate after the first two Hadamards permutes or negates amplitudes.
+    if backend == "faithful":
+        head = gates[: len(gates) - (n + 2 * k) - (n * (n + 1) // 2 + 2)]
+        assert head[-1].kind == sim.DIFFUSION
+    else:
+        head = gates[:2]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        kernel.kernel_circuit(a, b, 4, config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["sim.run_calls"] == 1
+    counts = Counter(gate.kind for gate in head)
+    assert {kind: metrics[f"sim.gates.{kind}"] for kind in sim.GATE_KINDS} == {
+        kind: counts[kind] for kind in sim.GATE_KINDS}
+    assert metrics["grover.ledger_diff"] == 0

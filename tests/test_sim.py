@@ -1628,6 +1628,34 @@ def random_light_cone_circuit(num_qubits: int, rng, oracles) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
+def random_tail(num_qubits: int, register, rng, oracles) -> tuple:
+    """X, CNOT, MCX and oracle gates on random qubits, then Hadamards on register qubits.
+
+    Some oracles mark nothing, and a Hadamard may hit its qubit twice.
+    """
+    gates = []
+    for _ in range(int(rng.integers(0, 12))):
+        width = int(rng.integers(1, min(4, num_qubits) + 1))
+        qubits = [int(q) for q in rng.choice(num_qubits, size=width, replace=False)]
+        if rng.integers(3):
+            gates.append(sim.pauli_x(qubits[0], qubits[1:]))
+        else:
+            marked = sorted({int(v) for v in rng.integers(0, 1 << width, size=rng.integers(3))})
+            gates.append(sim.phase_oracle(qubits, marked, oracles[int(rng.integers(len(oracles)))]))
+    hit = [int(q) for q in rng.choice(register, size=int(rng.integers(0, len(register) + 1)))]
+    return tuple(gates) + tuple(sim.hadamard(q) for q in hit)
+
+
+def light_cone(circuit: Circuit, register) -> int:
+    """How many gates of ``circuit`` share a qubit with ``register``'s backward light cone."""
+    live, kept = set(register), 0
+    for gate in reversed(circuit.gates):
+        if not live.isdisjoint(gate.targets + gate.controls):
+            live.update(gate.targets + gate.controls)
+            kept += 1
+    return kept
+
+
 def spy_run(monkeypatch) -> list:
     """Record the gate count of every circuit ``sim.run`` is given."""
     ran = []
@@ -1665,9 +1693,84 @@ class TestZeroProbability:
             for oracle in oracles:
                 oracle.charges.clear()
             assert abs(value - full) <= 1e-12
-            if ran == [len(c)]:  # no gate dropped
+            if light_cone(c, register) == len(c):  # no gate dropped
                 assert value == full
         assert ran == [len(whole)]
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=150)
+    def test_a_readout_through_the_tail_keeps_every_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 13))
+        oracles = [Billed(), Billed()]
+        register = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        circuit = random_light_cone_circuit(n, rng, oracles)
+        circuit = Circuit(n, circuit.gates + random_tail(n, register, rng, oracles))
+        listed = [sum(gate.oracle is oracle for gate in circuit.gates) for oracle in oracles]
+        value = sim.zero_probability(circuit, register)
+        assert [sum(oracle.charges) for oracle in oracles] == listed
+        full = sim.prob_all_zero(sim.run_from_zero(circuit), register)
+        if light_cone(circuit, register) == len(circuit):
+            assert value == full
+        else:  # a dropped gate moves the probability by rounding only
+            assert abs(value - full) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["rounds_end_on_an_oracle", "hadamard_off_the_register",
+                                      "empty_head", "register_of_every_qubit"])
+    def test_the_tail_split(self, case, monkeypatch):
+        n, oracle = 6, Billed()
+        register = [0, 1, 2, 3, 4, 5] if case == "register_of_every_qubit" else [1, 2]
+        rounds = [sim.diffusion(range(4)), sim.phase_oracle(range(4), [5], oracle)] * 3
+        moves = [sim.cnot(4, 1), sim.phase_oracle((2, 5), [1, 2], oracle), sim.pauli_x(2),
+                 sim.mcx((0, 5), 1), sim.phase_oracle((1,), [], oracle)]
+        head, tail, off = {
+            # A diffusion-first run of rounds ends on an oracle; it stays whole in the head.
+            "rounds_end_on_an_oracle": (
+                [sim.hadamard(q) for q in range(6)] + rounds,
+                moves + [sim.hadamard(2), sim.hadamard(1), sim.hadamard(2)], []),
+            # A last Hadamard run that hits a qubit outside the register: only the
+            # register is live after the last step, so that Hadamard is outside the
+            # light cone, billed but neither run nor read through.
+            "hadamard_off_the_register": (
+                [sim.hadamard(q) for q in (0, 1, 2, 4, 5)], moves + [sim.hadamard(1)],
+                [sim.hadamard(0)]),
+            "empty_head": ([], [sim.pauli_x(5), sim.cnot(5, 1), sim.mcx((1, 5), 4)]
+                           + moves + [sim.hadamard(1)], []),
+            "register_of_every_qubit": (
+                [sim.hadamard(q) for q in range(6)] + rounds + [sim.diffusion((3, 4))],
+                moves + [sim.hadamard(5), sim.hadamard(0)], []),
+        }[case]
+        cone = Circuit(n, tuple(head + tail))
+        circuit = Circuit(n, cone.gates + tuple(off))
+        assert light_cone(circuit, register) == len(cone)
+        full = sim.prob_all_zero(sim.run_from_zero(cone), register)
+        oracle.charges.clear()
+        ran = spy_run(monkeypatch)
+        value = sim.zero_probability(circuit, register)
+        assert value == full
+        assert ran == [len(head)]
+        assert sum(oracle.charges) == sum(gate.oracle is oracle for gate in circuit.gates)
+        if off:
+            assert value == pytest.approx(sim.prob_all_zero(sim.run_from_zero(circuit), register),
+                                          abs=1e-15)
+        if case == "rounds_end_on_an_oracle":
+            assert full > 0 and [kind for kind, *_ in sim._spans(head)][-1] == sim._ROUNDS
+
+    def test_a_wide_block_is_summed_in_basis_index_order(self):
+        # 1,024 weights whose sum moves with their order: closed-form rounds
+        # divide by 15 and 31, so the amplitudes are not dyadic.
+        n, register = 12, [5, 6]
+        head = [sim.hadamard(q) for q in range(n)] + [
+            sim.phase_oracle(range(7), [3, 90]), sim.diffusion(range(2, 9))] + [
+            sim.phase_oracle(range(4), [5]), sim.diffusion(range(4))] * 2 + [
+            sim.hadamard(8), sim.hadamard(9), sim.phase_oracle((5, 9), [1])] + [
+            sim.diffusion(range(6, 11)), sim.phase_oracle(range(6, 11), [9])] * 3
+        tail = [sim.cnot(0, 5), sim.mcx((1, 9), 6), sim.pauli_x(11),
+                sim.phase_oracle((6, 11), [2]), sim.hadamard(6)]
+        circuit = Circuit(n, tuple(head + tail))
+        assert light_cone(circuit, register) == len(circuit)
+        full = sim.prob_all_zero(sim.run_from_zero(circuit), register)
+        assert sim.zero_probability(circuit, register) == full
 
     def test_gates_outside_the_light_cone_are_billed_not_run(self, monkeypatch):
         oracle = Billed()
@@ -1681,13 +1784,16 @@ class TestZeroProbability:
         oracle.charges.clear()
         ran = spy_run(monkeypatch)
         assert sim.zero_probability(circuit, [0]) == pytest.approx(full, abs=1e-15)
-        assert ran == [4]
+        # The light cone is the first four gates: two Hadamards run, and the
+        # readout is pulled back through the oracle and the CNOT.
+        assert light_cone(circuit, [0]) == 4
+        assert ran == [2]
         assert sum(oracle.charges) == 2
         oracle.charges.clear()
         for register in ([], [0, 0], [4]):
             with pytest.raises(StructuralError):
                 sim.zero_probability(circuit, register)
-        assert ran == [4] and oracle.charges == []  # rejected before billing or running
+        assert ran == [2] and oracle.charges == []  # rejected before billing or running
 
 
 class TestNormAndUnitarity:
