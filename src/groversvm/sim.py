@@ -121,9 +121,12 @@ gathered, takes the Hadamard step through :func:`_evolve` on the free
 qubits renumbered in order, and is summed where the Hadamard qubits are 0,
 as :func:`prob_all_zero` sums.  Moves and sign flips are exact, and a
 Hadamard's arithmetic on an amplitude does not depend on the state's width,
-so the bits are those of running the tail.  No ``2**n``-entry index array
-or cached permutation is built, and the tail's oracles are billed with the
-dropped gates.
+so the bits are those of running the tail.  An empty tail leaves the
+amplitudes where the register is 0, summed in basis-index order as
+:func:`prob_all_zero` sums them, so there is one readout.  The index array
+has ``2**(n - r + h)`` entries, fewer than the state has whenever some
+register qubit is not hit by the Hadamard step; no permutation is cached,
+and the tail's oracles are billed with the dropped gates.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
@@ -1136,14 +1139,17 @@ def _zero_weight(amps: np.ndarray, num_qubits: int, qubits) -> float:
     return float(np.sum(np.abs(amps.reshape(shape)[index]) ** 2))
 
 
-def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
-    """``prob_all_zero(run_from_zero(circuit), register)``, running only the register's light cone.
+def _light_cone(circuit: Circuit, register: tuple[int, ...]):
+    """The gates :func:`zero_probability` drops, runs and reads through.
 
-    The gates outside it are billed but not run, and the readout is pulled
-    back through the light cone's tail; see the module docstring.
+    Returns ``(dropped, head, moves, hadamards)``.  Walking back from
+    ``register``, a gate that shares no qubit with the gates kept after it is
+    dropped.  The kept gates' tail is the longest run of trailing
+    :func:`_spans` steps that are X runs, CNOT/MCX runs or lone phase
+    oracles (the moves), after them a last Hadamard step (the hadamards),
+    whose gates act on register qubits only, since no other qubit is live
+    after them.  The head is the kept gates before the tail.
     """
-    n = circuit.num_qubits
-    register = _check_register(n, register)
     live = set(register)
     kept, dropped = [], []
     for gate in reversed(circuit.gates):
@@ -1154,9 +1160,6 @@ def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
             live.update(qubits)
             kept.append(gate)
     kept.reverse()
-    # The tail: the trailing X, CNOT/MCX and lone oracle steps, after them a
-    # last Hadamard step, whose gates act on register qubits only, since no
-    # other qubit is live after them.
     split = last = len(kept)
     for kind, start, stop in reversed(list(_spans(kept))):
         if kind == HADAMARD and stop == len(kept):
@@ -1164,13 +1167,22 @@ def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
         elif not (kind in (PAULI_X, MCX) or kind is None and kept[start].kind == PHASE_ORACLE):
             break
         split = start
-    _bill(dropped + kept[split:])
-    state = run_from_zero(Circuit(n, tuple(kept[:split])))
-    if split == len(kept):
-        return prob_all_zero(state, register)
+    return dropped, kept[:split], kept[split:last], kept[last:]
+
+
+def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
+    """``prob_all_zero(run_from_zero(circuit), register)``, running only the register's light cone.
+
+    The gates outside it are billed but not run, and the readout is pulled
+    back through the light cone's tail; see the module docstring.
+    """
+    n = circuit.num_qubits
+    register = _check_register(n, register)
+    dropped, head, moves, hadamards = _light_cone(circuit, register)
+    _bill(dropped + moves + hadamards)
+    state = run_from_zero(Circuit(n, tuple(head)))
     # The block spans the values of the free qubits: those outside the
     # register and those the Hadamard step hits.
-    moves, hadamards = kept[split:last], kept[last:]
     hit = {gate.targets[0] for gate in hadamards}
     free = [q for q in range(n) if q not in register or q in hit]
     index = _spread(free)

@@ -243,23 +243,31 @@ class TestLightCone:
         config = GroverConfig("faithful")
         k = optimal_iterations(N)
         rng = np.random.default_rng(N)
-        ran = []
-        original = sim.run
+        ran, splits = [], []
+        original, original_cone = sim.run, sim._light_cone
         monkeypatch.setattr(sim, "run", lambda c, initial: ran.append(c) or original(c, initial))
+        monkeypatch.setattr(sim, "_light_cone",
+                            lambda c, register: splits.append(original_cone(c, register)) or splits[-1])
         for i, j in rng.integers(0, N, size=(pairs, 2)).tolist():
             full = _full_circuit_value(i, j, 4, N, config)
             ran.clear()
+            splits.clear()
             value, ledger = kernel_circuit(IndicatorOracle(N, i), IndicatorOracle(N, j), 4, config)
             assert abs(value - full) <= 1e-12
             assert ledger.oracle_queries == 4 * k
-            # The last search block (n Hadamards, k rounds) acts on the ancilla only.
             n = N.bit_length() - 1
             gates = 2 * (2 + 2 * (n + 2 * k) + n * (n + 1) // 2)
+            [(dropped, head, moves, hadamards)] = splits
+            # The last search block (n Hadamards, k rounds) acts on the ancilla only.
+            assert len(dropped) == n + 2 * k
+            assert len(head) + len(moves) + len(hadamards) == gates - (n + 2 * k)
             # The light cone's tail, the uncompute adder run and the two
-            # register Hadamards, is read through; the head ends on the rounds.
-            tail = n * (n + 1) // 2 + 2
-            assert [len(c) for c in ran] == [gates - (n + 2 * k) - tail]
-            assert ran[0].gates[-1].kind == sim.DIFFUSION
+            # register Hadamards, is read through; the head runs and ends on the rounds.
+            assert len(moves) == n * (n + 1) // 2
+            assert {gate.kind for gate in moves} <= {sim.CNOT, sim.MCX}
+            assert [gate.kind for gate in hadamards] == [sim.HADAMARD] * 2
+            assert [c.gates for c in ran] == [tuple(head)]
+            assert head[-1].kind == sim.DIFFUSION
         if N == 1024:
             assert [len(c) for c in ran] == [354 - 60 - 57] and ledger.oracle_queries == 100
 

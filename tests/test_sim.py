@@ -1669,6 +1669,19 @@ def spy_run(monkeypatch) -> list:
     return ran
 
 
+def spy_light_cone(monkeypatch) -> list:
+    """Record every ``(dropped, head, moves, hadamards)`` split ``zero_probability`` makes."""
+    splits = []
+    original = sim._light_cone
+
+    def light_cone(circuit, register):
+        splits.append(original(circuit, register))
+        return splits[-1]
+
+    monkeypatch.setattr(sim, "_light_cone", light_cone)
+    return splits
+
+
 class TestZeroProbability:
     """P(register all zero) from the gates in the register's backward light cone."""
 
@@ -1742,12 +1755,15 @@ class TestZeroProbability:
         }[case]
         cone = Circuit(n, tuple(head + tail))
         circuit = Circuit(n, cone.gates + tuple(off))
-        assert light_cone(circuit, register) == len(cone)
         full = sim.prob_all_zero(sim.run_from_zero(cone), register)
         oracle.charges.clear()
         ran = spy_run(monkeypatch)
+        splits = spy_light_cone(monkeypatch)
         value = sim.zero_probability(circuit, register)
         assert value == full
+        [(dropped, ran_head, moves, hadamards)] = splits
+        assert dropped == off[::-1] and ran_head == head and moves + hadamards == tail
+        assert hadamards and all(gate.kind == sim.HADAMARD for gate in hadamards)
         assert ran == [len(head)]
         assert sum(oracle.charges) == sum(gate.oracle is oracle for gate in circuit.gates)
         if off:
@@ -1783,10 +1799,13 @@ class TestZeroProbability:
         full = sim.prob_all_zero(sim.run_from_zero(circuit), [0])
         oracle.charges.clear()
         ran = spy_run(monkeypatch)
+        splits = spy_light_cone(monkeypatch)
         assert sim.zero_probability(circuit, [0]) == pytest.approx(full, abs=1e-15)
         # The light cone is the first four gates: two Hadamards run, and the
         # readout is pulled back through the oracle and the CNOT.
-        assert light_cone(circuit, [0]) == 4
+        [(dropped, head, moves, hadamards)] = splits
+        assert dropped == list(gates[:3:-1])
+        assert head == list(gates[:2]) and moves == list(gates[2:4]) and hadamards == []
         assert ran == [2]
         assert sum(oracle.charges) == 2
         oracle.charges.clear()
