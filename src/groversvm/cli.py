@@ -40,6 +40,7 @@ from .learn import (
     quantum_kernel_learner,
 )
 from .pattern import TextInstance, kmp_search, pattern_label, pattern_match, random_instance
+from .pattern import _check_bit_string
 from . import sim
 from .sim import _derived_seed
 
@@ -61,8 +62,9 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
-# The package's integer rule, raising a ConfigError that names the key.
+# The package's integer and binary-string rules, raising a ConfigError that names the key.
 _check = partial(sim._check_int, error=ConfigError)
+_check_bits = partial(_check_bit_string, error=ConfigError)
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -186,17 +188,14 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     X = N // 2 if str(config.budget) == "auto" else _as_int("budget", config.budget, 0, N)
     if config.concept_start != "random":
         _as_int("concept_start", config.concept_start, 0, N // 2 - 1)
-    if not 0 < config.box_bound < math.inf:
-        raise ConfigError("box_bound must be positive and finite")
+    box_bound = sim._check_real(config.box_bound, "box_bound", positive=True, error=ConfigError)
     _check(config.trials, "trials", 1)
     if _check(config.test_size, "test_size", 2) % 2:
         raise ConfigError(f"test_size must be even, got {config.test_size!r}")
     if config.learner == "quantum_kernel" and config.backend != "ideal":
         raise ConfigError("learner quantum_kernel samples the ideal kernel only; use backend=ideal")
-    if any(ch not in "01" for ch in config.pattern) or not config.pattern:
-        raise ConfigError("pattern must be a nonempty binary string")
-    return replace(config, interval_width=M, shots=R, budget=X,
-                   box_bound=float(config.box_bound), seed=seed,
+    _check_bits(config.pattern, "pattern")
+    return replace(config, interval_width=M, shots=R, budget=X, box_bound=box_bound, seed=seed,
                    concept_start=str(config.concept_start))
 
 
@@ -408,12 +407,12 @@ def _label_cell(cell: str, N: int) -> bool:
     return cell in ("+1", "-1")
 
 
-# Dataset data columns per problem, each with the check read_dataset applies
-# to its cell given the domain size N; a check may also raise ValueError.
+# Dataset data columns per problem, each with the check read_dataset applies to
+# its cell given the domain size N; a check may raise ValueError or StructuralError.
 _DATASET_COLUMNS = {
     "indicator": (("marked_index", _index_cell), ("label", _label_cell)),
     "pattern": (
-        ("text", lambda cell, N: len(cell) == N and set(cell) <= {"0", "1"}),
+        ("text", lambda cell, N: len(_check_bit_string(cell, "text")) == N),
         ("location", _index_cell),
         ("label", _label_cell),
     ),
@@ -426,7 +425,7 @@ def _check_data_row(line: str, columns, domain_size: int) -> list[str]:
         raise StructuralError(f"data row needs {len(columns)} columns: {line!r}")
     try:
         ok = all(check(cell, domain_size) for (_, check), cell in zip(columns, cells))
-    except ValueError:
+    except (ValueError, StructuralError):
         ok = False
     if not ok:
         raise StructuralError(f"malformed data row {line!r}")
@@ -541,8 +540,7 @@ def cmd_pattern_demo(
     text_path: str, pattern: str, backend: str, rng_seed: int, out_path: str | None
 ) -> int:
     rng_seed = sim.check_seed(rng_seed)
-    if not pattern or any(ch not in "01" for ch in pattern):
-        raise ConfigError("pattern must be a nonempty binary string")
+    _check_bits(pattern, "pattern")
     with open(text_path, "r", encoding="utf-8") as handle:
         texts = [line.strip() for line in handle if line.strip()]
     if not texts:
@@ -554,8 +552,7 @@ def cmd_pattern_demo(
     any_failure = any_resource_cap = False
     max_repetitions = 32
     for i, text in enumerate(texts):
-        if any(ch not in "01" for ch in text):
-            raise ConfigError(f"line {i}: texts must be binary strings")
+        _check_bits(text, f"text line {i}")
         kmp_loc, kmp_ledger = kmp_search(text, pattern)
         comparisons = kmp_ledger.classical_char_comparisons
         try:

@@ -164,8 +164,7 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     which of the two the paper's shot-noise claim should use is open.
     """
     sim._check_int(shots, "shots", 1)
-    if not 0.0 <= true_value <= 1.0:
-        raise ContractViolationError(f"kernel value {true_value} outside [0, 1]")
+    true_value = sim._check_real(true_value, "kernel value", 1.0, error=ContractViolationError)
     rng = sim.as_rng(rng_seed)
     return float(rng.binomial(shots, true_value)) / shots
 

@@ -46,7 +46,8 @@ _TEST_STREAM_TAG = 0x7E57
 
 @dataclass(frozen=True)
 class Concept:
-    """Labeling rule: +1 on the half-interval [start, start + N/2 - 1]."""
+    """Labeling rule: +1 on the half-interval [start, start + N/2 - 1] of Z_N; the one
+    derivation of its start and domain rule, labels, regions and interval overlaps."""
 
     start: int
     domain_size: int
@@ -54,11 +55,20 @@ class Concept:
     def __post_init__(self):
         N = _check_int(self.domain_size, "domain size", 8, power_of_two=True)
         # start >= N/2 duplicates start - N/2 with swapped labels
-        _check_int(self.start, "concept start", 0, N // 2 - 1)
+        object.__setattr__(self, "start", _check_int(self.start, "concept start", 0, N // 2 - 1))
+        object.__setattr__(self, "domain_size", N)
 
-    def label(self, index: int) -> int:
-        index = _check_int(index, "index", 0, self.domain_size - 1)
-        return 1 if self.start <= index <= self.start + (self.domain_size - 2) // 2 else -1
+    def _offset(self, index):
+        """``(index - start) mod N``: an int for an index, an int64 array for an index array."""
+        N = self.domain_size
+        if isinstance(index, (np.ndarray, list, tuple)):
+            return (_int_array(index, "indices", 0, N - 1) - self.start) % N
+        return (_check_int(index, "index", 0, N - 1) - self.start) % N
+
+    def label(self, index):
+        """+1 where ``(index - start) mod N < N/2``, else -1: an int, or an int64 array."""
+        inside = self._offset(index) < self.domain_size // 2
+        return np.where(inside, 1, -1) if isinstance(inside, np.ndarray) else 1 if inside else -1
 
     def positive_region(self) -> np.ndarray:
         return np.arange(self.start, self.start + self.domain_size // 2)
@@ -66,6 +76,19 @@ class Concept:
     def negative_region(self) -> np.ndarray:
         N = self.domain_size
         return np.arange(self.start + N // 2, self.start + N) % N
+
+    def _width(self, interval_width) -> int:
+        """An interval width M as an int, 1 <= M < N/2."""
+        return _check_int(interval_width, "interval width", 1, self.domain_size // 2 - 1)
+
+    def _overlap(self, index, interval_width):
+        """|<+1 half|interval [index, index + M)>|^2 = 2 c^2 / (N M): with a = (index -
+        start) mod N and h = N/2, the interval holds c = (min(M, h - a) if a < h else 0)
+        + max(0, a + M - N) indices of the +1 half: from a up to h, and wrapped past N."""
+        N, half, M = self.domain_size, self.domain_size // 2, self._width(interval_width)
+        a = self._offset(index)
+        count = (a < half) * np.minimum(M, half - a) + np.maximum(0, a + M - N)
+        return 2.0 * count * count / (N * M)
 
 
 @dataclass
@@ -80,9 +103,8 @@ class Dataset:
         self.labels = _int_array(self.labels, "labels", -1, 1)
         if len(self.oracles) != self.labels.size:
             raise StructuralError("oracle and label counts differ")
-        for oracle, lbl in zip(self.oracles, self.labels):
-            if self.concept.label(oracle.marked) != lbl:
-                raise StructuralError("label inconsistent with the concept")
+        if not np.array_equal(self.concept.label(self.marked_indices()), self.labels):
+            raise StructuralError("label inconsistent with the concept")
 
     @property
     def size(self) -> int:
@@ -99,7 +121,7 @@ def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
     rng = as_rng(rng_seed)
     for _ in range(_DATASET_RETRIES):
         marked = rng.choice(N, size=size, replace=False)
-        labels = np.array([concept.label(int(v)) for v in marked])
+        labels = concept.label(marked)
         if labels.max() == 1 and labels.min() == -1:
             oracles = [IndicatorOracle(N, int(v)) for v in marked]
             return Dataset(oracles, labels, concept)
@@ -115,80 +137,53 @@ def generate_balanced_test(concept: Concept, size: int, rng_seed):
     rng = as_rng(rng_seed)
     plus = rng.choice(concept.positive_region(), size=half, replace=False)
     minus = rng.choice(concept.negative_region(), size=half, replace=False)
-    marked = np.concatenate([plus, minus])
-    order = rng.permutation(size)
-    marked = marked[order]
+    marked = np.concatenate([plus, minus])[rng.permutation(size)]
     oracles = [IndicatorOracle(N, int(v)) for v in marked]
-    labels = np.array([concept.label(int(v)) for v in marked])
-    return oracles, labels
+    return oracles, concept.label(marked)
 
 
-@dataclass(frozen=True)
-class HalfspaceState:
-    """Uniform superposition over the N/2 indices of the +1 class."""
+class HalfspaceState(Concept):
+    """Uniform superposition over the N/2 indices of a concept's +1 half."""
 
-    start: int
-    domain_size: int
-
-    def __post_init__(self):
-        Concept(self.start, self.domain_size)  # the start and domain rules of the +1 class
-
-    def support(self) -> np.ndarray:
-        return np.arange(self.start, self.start + self.domain_size // 2)
+    support = Concept.positive_region
 
     def statevector(self) -> StateVector:
         N = self.domain_size
         amps = np.zeros(N, dtype=np.complex128)
-        amps[self.support() % N] = math.sqrt(2.0 / N)
+        amps[self.support()] = math.sqrt(2.0 / N)
         return StateVector(N.bit_length() - 1, amps)
 
 
 def margin_gap(interval_width: int, domain_size: int) -> float:
     """The separation scale Delta = 2M/N, for a ``Concept`` domain size N and 1 <= M < N/2."""
-    N = _check_int(domain_size, "domain size", 8, power_of_two=True)
-    return 2.0 * _check_int(interval_width, "interval width", 1, N // 2 - 1) / N
+    concept = Concept(0, domain_size)
+    return 2.0 * concept._width(interval_width) / concept.domain_size
 
 
-def _check_halfspace(start: int, interval_width: int, domain_size: int) -> tuple[int, int]:
-    """``(N, M)`` as ints; the halfspace start must lie in [0, N/2) and 1 <= M < N/2."""
-    N = _check_int(domain_size, "domain size", 1)
-    _check_int(start, "halfspace start", 0, N // 2 - 1)
-    return N, _check_int(interval_width, "interval width", 1, N // 2 - 1)
-
-
-def halfspace_overlap(start: int, marked: int, interval_width: int, domain_size: int) -> float:
+def halfspace_overlap(start: int, marked, interval_width: int, domain_size: int):
     """Squared overlap of the halfspace state with the interval state at ``marked``.
 
     Analytically (2/(N*M)) * c^2 where c counts interval indices inside the
-    halfspace support; interior +1-class points give exactly Delta = 2M/N,
-    interior -1-class points give exactly 0, and boundary straddlers fall in
-    between.
+    halfspace support (``Concept._overlap``): Delta = 2M/N exactly inside the
+    +1 class, 0 inside the -1 class, and between at the boundaries.  A float
+    for one index, a float64 array for an index array.
     """
-    N, M = _check_halfspace(start, interval_width, domain_size)
-    marked = _check_int(marked, "marked index", 0, N - 1)
-    lo, hi = start, start + N // 2 - 1
-    indices = (marked + np.arange(M)) % N
-    count = int(np.count_nonzero((indices >= lo) & (indices <= hi)))
-    return 2.0 * count * count / (N * M)
+    overlap = Concept(start, domain_size)._overlap(marked, interval_width)
+    return overlap if isinstance(overlap, np.ndarray) else float(overlap)
 
 
 def halfspace_overlap_profile(start: int, interval_width: int, domain_size: int) -> np.ndarray:
-    """``halfspace_overlap`` for every marked index at once (vectorized)."""
-    N, M = _check_halfspace(start, interval_width, domain_size)
-    inside = np.zeros(N, dtype=np.int64)
-    inside[start : start + N // 2] = 1
-    counts = np.zeros(N, dtype=np.int64)
-    for offset in range(M):
-        counts += inside[(np.arange(N) + offset) % N]
-    return 2.0 * counts.astype(np.float64) ** 2 / (N * M)
+    """``halfspace_overlap`` at every marked index 0, ..., N - 1."""
+    concept = Concept(start, domain_size)
+    return concept._overlap(np.arange(concept.domain_size), interval_width)
 
 
-def reference_hyperplane_classify(
-    start: int, marked: int, interval_width: int, domain_size: int
-) -> int:
-    """Analytic hyperplane (halfspace direction, bias -Delta/2); errs only near the boundary."""
+def reference_hyperplane_classify(start: int, marked, interval_width: int, domain_size: int):
+    """Analytic hyperplane (halfspace direction, bias -Delta/2); errs only near the boundary.
+    An int for one marked index, an int64 array for an index array."""
     overlap = halfspace_overlap(start, marked, interval_width, domain_size)
-    return 1 if overlap - margin_gap(interval_width, domain_size) / 2.0 >= 0.0 else -1
+    labels = np.where(overlap - margin_gap(interval_width, domain_size) / 2.0 >= 0.0, 1, -1)
+    return labels if isinstance(overlap, np.ndarray) else int(labels)
 
 
 def classical_accuracy_bound(budget: int, domain_size: int) -> float:
@@ -211,13 +206,12 @@ def classical_learner_classify(
     """
     N = oracle.domain_size
     budget = _check_int(budget, "budget", 0, N)
-    half = N // 2
+    concept, half = Concept(concept_start, N), N // 2
     n_probes = min(budget, half)
-    if n_probes == half:
-        found = oracle.evaluate_range(concept_start, concept_start + half)
+    if n_probes == half:  # one range query over [start, start + N/2), with no array of it
+        found = oracle.evaluate_range(concept.start, concept.start + half)
     elif n_probes > 0:
-        region = np.arange(concept_start, concept_start + half)
-        probes = as_rng(rng_seed).choice(region, size=n_probes, replace=False)
+        probes = as_rng(rng_seed).choice(concept.positive_region(), size=n_probes, replace=False)
         found = bool(oracle.evaluate_batch(probes).any())
     else:
         found = False
@@ -252,7 +246,7 @@ def default_interval_width(train_size: int, domain_size: int) -> int:
     index see nonzero kernel values against some support vector.
     """
     train_size = _check_int(train_size, "train size", 1)
-    domain_size = _check_int(domain_size, "domain size", 8, power_of_two=True)
+    domain_size = Concept(0, domain_size).domain_size
     width = 1
     while train_size * width < 2 * domain_size:
         width *= 2
@@ -394,11 +388,9 @@ def _sweep_training_layout(domain_size: int, train_size: int) -> Dataset:
     # Evenly spaced marked indices: the Gram geometry is then scale-invariant,
     # so support counts stay comparable across domain sizes.
     concept = Concept(0, domain_size)
-    step = domain_size // train_size
-    marked = [i * step for i in range(train_size)]
-    oracles = [IndicatorOracle(domain_size, v) for v in marked]
-    labels = np.array([concept.label(v) for v in marked])
-    return Dataset(oracles, labels, concept)
+    marked = np.arange(train_size) * (domain_size // train_size)
+    oracles = [IndicatorOracle(domain_size, int(v)) for v in marked]
+    return Dataset(oracles, concept.label(marked), concept)
 
 
 # The layout is scale-invariant and the learner streams do not depend on N,
@@ -423,9 +415,7 @@ def complexity_sweep(
         raise StructuralError(f"learner must be one of {LEARNER_KINDS}")
     trials = _check_int(trials, "trials", 1)
     train_size = _check_int(train_size, "train size", 1)
-    domain_sizes = [
-        _check_int(N, "sweep domain size", 8, power_of_two=True) for N in domain_sizes
-    ]
+    domain_sizes = [Concept(0, N).domain_size for N in domain_sizes]  # the layout's concept
     seed = check_seed(rng_seed)
     config = GroverConfig(backend="ideal")
     rows = []

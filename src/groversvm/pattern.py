@@ -23,6 +23,7 @@ from .errors import StructuralError, UnsupportedSizeError
 from .grover import GroverConfig, interval_map_gates
 from .grover import interval_state_analytic, theoretical_success_probability
 from .kernel import _overlap, kernel_exact
+from .learn import Concept
 from . import sim
 from .sim import Circuit, Gate, StateVector, _check_int
 
@@ -43,9 +44,16 @@ class PatternLedger:
             _check_int(getattr(self, name), name)
 
 
+def _check_bit_string(value, what: str, *, error: type[Exception] = StructuralError) -> str:
+    """``value`` if it is a nonempty string of 0s and 1s, else ``error`` naming ``what``."""
+    if not (isinstance(value, str) and value and set(value) <= {"0", "1"}):
+        raise error(f"{what} must be a nonempty binary string, got {value!r}")
+    return value
+
+
 def _as_bits(value) -> np.ndarray:
-    if isinstance(value, str):  # a character other than 0 or 1 stays a str, which is no bit
-        value = [int(ch) if ch in "01" else ch for ch in value]
+    if isinstance(value, str):  # "" is no bits
+        value = [int(ch) for ch in _check_bit_string(value, "bits")] if value else []
     bits = sim._int_array(value, "bits", 0, 1).copy()  # TextInstance freezes its arrays
     if bits.ndim != 1:
         raise StructuralError(f"bit arrays must be one-dimensional, got shape {bits.shape}")
@@ -434,23 +442,17 @@ def kmp_search(text, pattern) -> tuple[int | None, PatternLedger]:
     return found, ledger
 
 
-def pattern_label(
-    start: int, location: int, text_length: int, rule: str = "halfspace"
-) -> int:
+def pattern_label(start: int, location: int, text_length: int, rule: str = "halfspace") -> int:
     """Class label of a text from its match location.
 
-    ``halfspace`` assigns +1 on the contiguous half [start, start + (N-2)/2],
-    mirroring the indicator-function concept.  ``log_width`` is the narrow
-    variant with width (log2(N) - 2)/2, which collapses below one index for
-    small N and exists only behind this flag.
+    ``halfspace`` is ``Concept(start, N).label(location)`` for the text length N,
+    +1 on [start, start + N/2 - 1].  ``log_width`` is the narrow variant, +1 on
+    [start, start + (log2(N) - 2)/2] for the same start and N, which collapses
+    below one index for small N and exists only behind this flag.
     """
-    N = _check_int(text_length, "text length", 1)
-    location = _check_int(location, "location", 0, N - 1)
-    start = _check_int(start, "start", 0, N - 1)
+    concept = Concept(start, text_length)
     if rule == "halfspace":
-        width = (N - 2) / 2.0
-    elif rule == "log_width":
-        width = (math.log2(N) - 2) / 2.0
-    else:
+        return concept.label(location)
+    if rule != "log_width":
         raise StructuralError("rule must be 'halfspace' or 'log_width'")
-    return 1 if start <= location <= start + width else -1
+    return 1 if concept._offset(location) <= (math.log2(concept.domain_size) - 2) / 2.0 else -1

@@ -248,6 +248,22 @@ def _check_int(
     raise error(f"{what} must be {_rule(lo, hi, power_of_two)}, got {value!r}")
 
 
+def _check_real(value, what: str, hi: float | None = None, *, positive: bool = False,
+                error: type[Exception] = StructuralError) -> float:
+    """``value`` as a Python float, or ``error`` naming ``what``: the package's one
+    real-number rule.  ``value`` must be a Python or numpy integer or float (not
+    a bool), finite, at least 0 (above 0 if ``positive``) and at most ``hi``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if math.isfinite(x) and (x > 0.0 if positive else x >= 0.0) and (hi is None or x <= hi):
+        return x
+    rule = "a positive finite number" if positive else "a finite non-negative number"
+    raise error(f"{what} must be {rule}{'' if hi is None else f' of at most {hi}'}, got {value!r}")
+
+
 def _ints(values, what: str, lo: int | None = None, hi: int | None = None) -> tuple[int, ...]:
     """``values`` as a tuple of Python ints in ``[lo, hi]``, or a :class:`StructuralError`."""
     values = tuple(values)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateProblemError, StructuralError
 from .kernel import GramMatrix
-from .sim import _check_int
+from .sim import _check_int, _check_real, _int_array
 
 _ALPHA_SNAP = 1e-12
 _ETA_FLOOR = 1e-15  # tau: the least pair curvature a step divides by
@@ -70,8 +69,8 @@ def _check_problem(gram, labels, *vectors) -> tuple[np.ndarray, ...]:
 
     ``K`` must be square, symmetric to within 1e-12 (a :class:`GramMatrix` is
     exactly so) and finite.  ``y``, a copy so that models never alias the
-    caller's labels, must hold one +1 or -1 per row, and each of ``vectors``
-    (dual coefficients) one finite entry per row.
+    caller's labels, must hold one integer (not bool) +1 or -1 per row, and
+    each of ``vectors`` (dual coefficients) one finite entry per row.
     """
     if isinstance(gram, GramMatrix):
         K = np.asarray(gram.entries, dtype=np.float64)
@@ -83,13 +82,13 @@ def _check_problem(gram, labels, *vectors) -> tuple[np.ndarray, ...]:
             raise ContractViolationError("gram matrix must be symmetric")
     if not np.isfinite(K).all():
         raise ContractViolationError("gram entries must be finite")
-    y = np.array(labels, dtype=np.float64)
+    y = _int_array(labels, "labels", -1, 1).astype(np.float64)
+    if not y.all():
+        raise StructuralError("labels must be +1 or -1")
     vectors = [np.asarray(v, dtype=np.float64) for v in vectors]
     shapes = [v.shape for v in (y, *vectors)]
     if any(shape != (K.shape[0],) for shape in shapes):
         raise StructuralError(f"expected {K.shape[0]} labels and coefficients, got shapes {shapes}")
-    if not np.isin(y, (-1.0, 1.0)).all():
-        raise StructuralError("labels must be +1 or -1")
     if not all(np.isfinite(v).all() for v in vectors):
         raise ContractViolationError("dual coefficients must be finite")
     return (K, y, *vectors)
@@ -98,9 +97,10 @@ def _check_problem(gram, labels, *vectors) -> tuple[np.ndarray, ...]:
 def kkt_gap(gram, labels, alpha: np.ndarray, box_bound: float) -> float:
     """Largest KKT violation m(a) - M(a); <= 0 means the KKT conditions hold.
 
-    ``labels`` and ``alpha`` hold one entry per row of the Gram matrix.
+    ``labels`` and ``alpha`` hold one entry per Gram row; the box bound is positive and finite.
     """
     K, y, alpha = _check_problem(gram, labels, alpha)
+    box_bound = _check_real(box_bound, "box bound", positive=True)
     m_up, m_low = _extreme_gradients(y - K @ (alpha * y), y, alpha, box_bound, (-np.inf, np.inf))
     return float(m_up - m_low)
 
@@ -152,23 +152,17 @@ def train(
     """Solve the soft-margin dual by deterministic pairwise optimization.
 
     Terminates when every KKT violation is at most ``tol`` or after
-    ``max_iterations`` pair updates.  The box bound must be positive and
-    finite, ``tol`` a finite non-negative number and ``max_iterations`` a
-    non-negative integer (not a bool).  If ``objective_history`` is a list, the
-    dual objective after every pair update is appended to it (it is
-    non-decreasing).
+    ``max_iterations`` pair updates.  The box bound must be a positive and
+    ``tol`` a non-negative finite real, and ``max_iterations`` a non-negative
+    integer (none a bool).  If ``objective_history`` is a list, the dual
+    objective after every pair update is appended to it (it is non-decreasing).
     """
     K, y = _check_problem(gram, labels)
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise DegenerateProblemError("both classes must be present")
     m = K.shape[0]
-    C = float(box_bound)
-    if not 0.0 < C < math.inf:
-        raise StructuralError(f"box bound must be positive and finite, got {C}")
-    real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-    if not (real and 0.0 <= tol < math.inf):
-        raise StructuralError(f"tol must be a finite non-negative number, got {tol!r}")
-    tol = float(tol)
+    C = _check_real(box_bound, "box bound", positive=True)
+    tol = _check_real(tol, "tol")
     if max_iterations is None:
         max_iterations = max(2000, 400 * m)
     max_iterations = _check_int(max_iterations, "max_iterations")

@@ -154,14 +154,10 @@ def test_criterion_04_halfspace_separability():
                 sharp = N // 2 - M + 1
                 ok &= at_delta == sharp and at_zero == sharp
                 ok &= at_delta >= (1 - delta) * N / 2 and at_zero >= (1 - delta) * N / 2
-                wrong = int(
-                    np.sum(
-                        np.array(
-                            [reference_hyperplane_classify(start, t, M, N) for t in range(N)]
-                        )
-                        != np.array([concept.label(t) for t in range(N)])
-                    )
-                )
+                every_t = np.arange(N)
+                wrong = int(np.sum(
+                    reference_hyperplane_classify(start, every_t, M, N) != concept.label(every_t)
+                ))
                 ok &= wrong <= delta * N
                 if not ok:
                     break

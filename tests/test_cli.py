@@ -89,6 +89,13 @@ class TestResolution:
         assert code == cli.EXIT_INVALID_CONFIG
         assert "box_bound" in err and out == ""
 
+    @pytest.mark.parametrize("bound", [True, "10", None])
+    def test_box_bound_must_be_a_real_number(self, bound):
+        # A config built in code skips the text parser: True was read as a
+        # box bound of 1.0, and "10" and None raised a bare TypeError.
+        with pytest.raises(cli.ConfigError, match="box_bound must be a positive finite number"):
+            cli.resolve_config(self.base(box_bound=bound))
+
     def test_explicit_interval_width_validated(self):
         with pytest.raises(cli.ConfigError):
             cli.resolve_config(self.base(domain_size=64, interval_width="32"))

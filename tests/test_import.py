@@ -1,5 +1,5 @@
 """What ``import groversvm`` loads, checked in a fresh interpreter, and which of its
-modules apply the integer rule."""
+modules apply the integer and bit-string rules."""
 
 import ast
 import os
@@ -58,3 +58,20 @@ def test_only_sim_reads_dtype_kinds():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_only_pattern_holds_the_bit_characters():
+    # A text or pattern written as characters is checked by
+    # pattern._check_bit_string, so the rule of which characters are bits has
+    # one derivation: no other module spells "01" or {"0", "1"}.
+    package = Path(groversvm.__file__).resolve().parent
+    spellings = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "pattern.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value == "01" or (
+                    isinstance(node, ast.Set)
+                    and {getattr(e, "value", None) for e in node.elts} == {"0", "1"}):
+                spellings.append(f"{path.name}:{node.lineno}")
+    assert spellings == []

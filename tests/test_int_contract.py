@@ -114,6 +114,11 @@ CONTRACT = [
      StructuralError),
     ("learn.halfspace_overlap.domain_size", lambda v: learn.halfspace_overlap(0, 0, 2, v), 0,
      StructuralError),
+    # The halfspace takes start and N as Concept does: N = 12 gave an overlap of 0.333.
+    ("learn.halfspace_overlap.domain_size_as_concept",
+     lambda v: learn.halfspace_overlap(0, 3, 2, v), 12, StructuralError),
+    ("learn.halfspace_overlap_profile.domain_size",
+     lambda v: learn.halfspace_overlap_profile(0, 2, v), 12, StructuralError),
     ("learn.classical_accuracy_bound.budget", lambda v: learn.classical_accuracy_bound(v, 16), 17,
      StructuralError),
     ("learn.classical_accuracy_bound.domain_size",
@@ -152,6 +157,9 @@ CONTRACT = [
     ("pattern.pattern_symbolic_steps.pattern_length",
      lambda v: pattern.pattern_symbolic_steps(8, v), 9, StructuralError),
     ("pattern.pattern_label.start", lambda v: pattern.pattern_label(v, 0, 8), 8, StructuralError),
+    # A start of N/2 or more labelled fewer than N/2 locations +1 (1 of 8 for start 7).
+    ("pattern.pattern_label.start_as_concept", lambda v: pattern.pattern_label(v, 0, 8), 4,
+     StructuralError),
     ("pattern.pattern_label.location", lambda v: pattern.pattern_label(0, v, 8), 8,
      StructuralError),
     ("pattern.pattern_label.text_length", lambda v: pattern.pattern_label(0, 0, v), 0,

@@ -311,6 +311,16 @@ class TestKernelSampled:
         with pytest.raises(StructuralError):
             kernel_sampled(0.5, 0, 0)
 
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "0.5", None])
+    def test_value_must_be_a_real_number(self, value):
+        # True drew as a kernel value of 1.0, and "0.5" raised a bare TypeError.
+        with pytest.raises(ContractViolationError, match="kernel value must be"):
+            kernel_sampled(value, 4, 0)
+
+    def test_numpy_and_integer_values_pass(self):
+        assert kernel_sampled(np.float32(0.5), 8, 3) == kernel_sampled(0.5, 8, 3)
+        assert kernel_sampled(np.int64(1), 8, 3) == kernel_sampled(1, 8, 3) == 1.0
+
     @pytest.mark.parametrize("shots", [2.5, 2.0, True, np.bool_(True), float("nan")])
     def test_shots_must_be_integers(self, shots):
         # kernel_sampled(0.5, 2.5, 0) returned 0.4 and kernel_sampled_many

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groversvm.errors import StructuralError
 from groversvm.grover import (
@@ -37,7 +39,7 @@ from groversvm.learn import (
 )
 from groversvm import svm
 from groversvm.grover import adder_circuit
-from groversvm.pattern import kmp_search
+from groversvm.pattern import kmp_search, pattern_label
 from search_reference import reference_search
 
 
@@ -172,6 +174,41 @@ class TestHalfspaceOverlap:
             assert at_zero == N // 2 - M + 1
             assert at_delta >= (1 - delta) * N / 2
             assert at_zero >= (1 - delta) * N / 2
+
+
+def _concept_cases():
+    """(N, start, M, indices): N = 2^e for 3 <= e <= 10, a Concept start, an
+    integer width 1 <= M < N/2 and a few marked indices."""
+    def case(e):
+        N = 1 << e
+        index = st.integers(0, N - 1)
+        return st.tuples(st.just(N), st.integers(0, N // 2 - 1), st.integers(1, N // 2 - 1),
+                         st.lists(index, min_size=1, max_size=6))
+    return st.integers(3, 10).flatmap(case)
+
+
+@settings(max_examples=40)
+@given(_concept_cases())
+def test_concept_forms_agree(case):
+    # The scalar overlap is the profile's entry bit for bit and the state
+    # overlap to 1e-12; the array forms of label and the reference classifier
+    # are their scalar forms; the halfspace pattern label is the concept's.
+    N, start, M, indices = case
+    concept = Concept(start, N)
+    profile = halfspace_overlap_profile(start, M, N)
+    phi = HalfspaceState(start, N).statevector().amplitudes if N <= 64 else None
+    for t in indices:
+        overlap = halfspace_overlap(start, t, M, N)
+        assert type(overlap) is float and np.float64(overlap).tobytes() == profile[t].tobytes()
+        if phi is not None:
+            psi = interval_state_analytic(t, M, N).amplitudes
+            assert abs(overlap - abs(np.vdot(phi, psi)) ** 2) <= 1e-12
+        assert pattern_label(start, t, N) == concept.label(t)
+    for form in (indices, np.array(indices)):
+        assert concept.label(form).tolist() == [concept.label(t) for t in indices]
+        assert reference_hyperplane_classify(start, form, M, N).tolist() == [
+            reference_hyperplane_classify(start, t, M, N) for t in indices]
+        npt.assert_array_equal(halfspace_overlap(start, form, M, N), profile[indices])
 
 
 class TestMarginGap:

@@ -247,6 +247,36 @@ class TestValidation:
         with pytest.raises(StructuralError):
             train(np.eye(2), [1, 2], box_bound=1.0)
 
+    @pytest.mark.parametrize("labels", [[True, -1], ["1", "-1"], [1.0, -1.0],
+                                        np.array([1.0, -1.0])])
+    def test_labels_must_be_integers(self, labels):
+        # [True, -1], ["1", "-1"] and float labels were read as +1 and -1.
+        with pytest.raises(StructuralError, match="labels must be integers"):
+            train(np.eye(2), labels, box_bound=1.0)
+
+    def test_zero_label_rejected(self):
+        with pytest.raises(StructuralError, match="labels must be \\+1 or -1"):
+            train(np.eye(2), [1, 0], box_bound=1.0)
+
+    @pytest.mark.parametrize("bound", [True, np.bool_(True), "10", None])
+    def test_box_bound_must_be_a_real_number(self, bound):
+        # True was read as a box bound of 1.0 and "10" as 10.0.
+        with pytest.raises(StructuralError, match="box bound must be a positive finite number"):
+            train(np.eye(2), [1, -1], box_bound=bound)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf, True, "1"])
+    def test_kkt_gap_box_bound_must_be_positive_and_finite(self, bound):
+        # kkt_gap took any box bound: 0.0 and NaN gave a gap, "1" a bare TypeError.
+        with pytest.raises(StructuralError, match="box bound must be a positive finite number"):
+            kkt_gap(np.eye(2), [1, -1], np.zeros(2), bound)
+
+    def test_numpy_and_integer_box_bounds_accepted(self):
+        K = np.array([[1.0, 0.5], [0.5, 1.0]])
+        for bound in (10, np.int64(10), np.float32(10.0)):
+            model = train(K, [1, -1], box_bound=bound)
+            assert type(model.box_bound) is float and model.box_bound == 10.0
+            assert kkt_gap(K, [1, -1], model.dual_coeffs, bound) <= 1e-8
+
     @pytest.mark.parametrize("tol", [np.nan, -1, -1e-12, np.inf, True, "1e-8", None])
     def test_bad_tolerance_rejected(self, tol):
         # NaN and -1 used to stop on no_progress, and inf to return an
@@ -421,7 +451,7 @@ class TestSolvedOnce:
         K, y = gram_case("sampled", 16, seed=2)
         fresh = train(K, y, 10.0)
         calls = self.counting_solve(monkeypatch)
-        labels = y.astype(np.float64)
+        labels = y.copy()
         with svm.solved_once():
             first = train(K, labels, 10.0)
             first.dual_coeffs[:] = -1.0  # a caller's edit must not reach the stored solution
