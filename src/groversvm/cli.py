@@ -187,7 +187,10 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     R = default_shots(m) if str(config.shots) == "auto" else _as_int("shots", config.shots, 1)
     X = N // 2 if str(config.budget) == "auto" else _as_int("budget", config.budget, 0, N)
     if config.concept_start != "random":
-        _as_int("concept_start", config.concept_start, 0, N // 2 - 1)
+        try:
+            Concept(_as_int("concept_start", config.concept_start, None), N)
+        except StructuralError as exc:  # the start rule is Concept's
+            raise ConfigError(str(exc)) from exc
     box_bound = sim._check_real(config.box_bound, "box_bound", positive=True, error=ConfigError)
     _check(config.trials, "trials", 1)
     if _check(config.test_size, "test_size", 2) % 2:
@@ -202,11 +205,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 def _concept_for_trial(resolved: ExperimentConfig, trial: int) -> Concept:
     N = resolved.domain_size
     if resolved.concept_start == "random":
-        rng = np.random.default_rng(_derived_seed(resolved.seed, trial, 11))
-        start = int(rng.integers(0, N // 2))
-    else:
-        start = int(resolved.concept_start)
-    return Concept(start, N)
+        return Concept.drawn(N, np.random.default_rng(_derived_seed(resolved.seed, trial, 11)))
+    return Concept(int(resolved.concept_start), N)
 
 
 def run_single_trial(resolved: ExperimentConfig, trial: int) -> dict:

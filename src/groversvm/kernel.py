@@ -263,14 +263,13 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     Entry ``n`` has the bits of ``kernel_sampled(true_values[n], shots,
     default_rng(SeedSequence([*key_prefix, *keys[n]])))``: the seed words of
     every stream are computed in one vectorised pass and each entry's PCG64
-    is seeded from its words directly.  ``key_prefix`` holds non-negative
-    integers shared by all entries; ``keys`` is an (entries, columns) array
-    of values below 2**32.
+    is seeded from its words directly.  Each value must pass
+    :func:`kernel_sampled`'s real-number check (see ``sim._real_array``).
+    ``key_prefix`` holds non-negative integers shared by all entries;
+    ``keys`` is an (entries, columns) array of values below 2**32.
     """
     sim._check_int(shots, "shots", 1)
-    values = np.asarray(true_values, dtype=np.float64).ravel()
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ContractViolationError("kernel values outside [0, 1]")
+    values = sim._real_array(true_values, "kernel value", 1.0, error=ContractViolationError)
     keys = sim._int_array(keys, "stream keys", 0, _MASK32)
     if keys.ndim != 2 or keys.shape[0] != values.size:
         raise StructuralError("keys must hold one row per kernel value")

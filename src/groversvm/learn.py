@@ -55,8 +55,14 @@ class Concept:
     def __post_init__(self):
         N = _check_int(self.domain_size, "domain size", 8, power_of_two=True)
         # start >= N/2 duplicates start - N/2 with swapped labels
-        object.__setattr__(self, "start", _check_int(self.start, "concept start", 0, N // 2 - 1))
+        object.__setattr__(self, "start", _check_int(self.start, "concept_start", 0, N // 2 - 1))
         object.__setattr__(self, "domain_size", N)
+
+    @classmethod
+    def drawn(cls, domain_size, rng) -> "Concept":
+        """The concept of start ``rng.integers(0, N // 2)``: every allowed start alike."""
+        N = cls(0, domain_size).domain_size
+        return cls(int(rng.integers(0, N // 2)), N)
 
     def _offset(self, index):
         """``(index - start) mod N``: an int for an index, an int64 array for an index array."""
@@ -187,8 +193,11 @@ def reference_hyperplane_classify(start: int, marked, interval_width: int, domai
 
 
 def classical_accuracy_bound(budget: int, domain_size: int) -> float:
-    """Upper bound min(1, 1/2 + 3X/(2N)) on the brute-force learner's accuracy."""
-    N = _check_int(domain_size, "domain size", 1)
+    """Upper bound min(1, 1/2 + 3X/(2N)) on the brute-force learner's accuracy.
+
+    N is a ``Concept`` domain size and the budget X an integer in [0, N].
+    """
+    N = Concept(0, domain_size).domain_size
     return min(1.0, 0.5 + 1.5 * _check_int(budget, "budget", 0, N) / N)
 
 

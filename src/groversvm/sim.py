@@ -64,18 +64,18 @@ amplitudes by rounding; every other step keeps the per-gate bits.
 From |0...0> (:func:`run_from_zero`), on a state of at least
 ``_PREFIX_MIN_QUBITS`` qubits, the longest run of leading gates that leaves
 at least two qubits untouched runs on only the qubits it touches, renumbered
-in order, and is written into a full-width buffer once (see
-:func:`_from_zero`).  The run stops before a diffusion on non-adjacent
-qubits, and a split ends on a step boundary of the full-width run (see
-:func:`_spans`).  A register above qubit 0 with no touched qubit below it
-gets the qubit just below it, so a register holds qubit 0 of the smaller
-state only if it holds qubit 0 of the full one.  Each block of the full
-state fixes the untouched qubits and gets the same operations, so the block
-where they are all 0 is the small result.  Every other block starts at +0,
-and an oracle turns its marked entries into -0; so when any oracle in the
-run marks a value, the run is applied once more to an all +0 state, and that
-result fills those blocks.  Signed zeros included, the bits are those of the
-full-width run.
+in order (see :func:`_prefix_block`), and is written into a full-width
+buffer once (see :func:`_from_zero`).  The run stops before a diffusion on
+non-adjacent qubits, and a split ends on a step boundary of the full-width
+run (see :func:`_spans`).  A register above qubit 0 with no touched qubit
+below it gets the qubit just below it, so a register holds qubit 0 of the
+smaller state only if it holds qubit 0 of the full one.  Each block of the
+full state fixes the untouched qubits and gets the same operations, so the
+block where they are all 0 is the small result.  Every other block starts
+at +0, and an oracle turns its marked entries into -0; so when any oracle
+in the run marks a value, the run is applied once more to an all +0 state,
+and that result fills those blocks.  Signed zeros included, the bits are
+those of the full-width run.
 
 A batch of circuits that differ only in their oracles (:func:`run_many`, as
 for one Grover search per data point) is one template circuit and, per row,
@@ -98,12 +98,11 @@ backward from a live set that starts as the register, a gate that shares no
 qubit with the set is dropped; any other gate is kept and adds its qubits to
 the set.  A dropped gate shares no qubit with any kept gate after it, so it
 commutes to the end of the circuit, where it acts on unmeasured qubits only
-and cannot change the register's distribution.  The kept gates run through
-``run_from_zero``, and the dropped gates are billed too, so every listed
-oracle gate is still billed once.  The probability may move by rounding:
-a dropped gate changes how the unmeasured amplitudes round, or the order
-in which the readout sums their weights, and dropping gates can join two
-Hadamard runs into one.
+and cannot change the register's distribution.  The whole gate list is
+billed, so every listed oracle gate is still billed once, run or not.  The
+probability may move by rounding: a dropped gate changes how the unmeasured
+amplitudes round, or the order in which the readout sums their weights, and
+dropping gates can join two Hadamard runs into one.
 
 Nor does it run the kept gates' tail: the longest run of trailing
 :func:`_spans` steps that are X runs, CNOT/MCX runs or lone phase oracles,
@@ -112,21 +111,38 @@ since no other qubit is live after them.  Those steps move and negate
 amplitudes, and the Hadamards mix each amplitude only with others that
 differ on the qubits they hit, so the readout needs only the ``2**(n - r +
 h)`` amplitudes where the ``r - h`` register qubits the Hadamard step does
-not hit are 0.  The head, the gates before the tail, runs through
-``run_from_zero``.  Walking the tail backward over an int64 array of those
-indices (an xor per X, an xor where the controls are set per CNOT/MCX, a
-sign flip where an oracle marks the value) finds where each comes from in
-the head's state, and whether it is negated.  That block of amplitudes is
-gathered, takes the Hadamard step through :func:`_evolve` on the free
-qubits renumbered in order, and is summed where the Hadamard qubits are 0,
-as :func:`prob_all_zero` sums.  Moves and sign flips are exact, and a
+not hit are 0.  Walking the tail backward over an int64 array of those
+indices (:func:`_walk`: an xor per X, an xor where the controls are set per
+CNOT/MCX, a sign flip where an oracle marks the value) finds where each
+comes from in the head's state, and whether it is negated.  That block of
+amplitudes is gathered, takes the Hadamard step through :func:`_evolve` on
+the free qubits renumbered in order, and is summed where the Hadamard qubits
+are 0, as :func:`prob_all_zero` sums.  Moves and sign flips are exact, and a
 Hadamard's arithmetic on an amplitude does not depend on the state's width,
 so the bits are those of running the tail.  An empty tail leaves the
 amplitudes where the register is 0, summed in basis-index order as
 :func:`prob_all_zero` sums them, so there is one readout.  The index array
 has ``2**(n - r + h)`` entries, fewer than the state has whenever some
-register qubit is not hit by the Hadamard step; no permutation is cached,
-and the tail's oracles are billed with the dropped gates.
+register qubit is not hit by the Hadamard step, and no permutation is cached.
+
+The head, the kept gates before the tail, runs from |0...0> in
+:func:`_head_state`, and stays sparse while it only moves amplitudes: its
+from-zero prefix block stays a small array beside the int64 basis index of
+each entry, and the head's next whole steps that are X runs, CNOT/MCX runs
+or lone phase oracles carry those indices through :func:`_walk`, the tail's
+rule walked forward.  The first step that mixes amplitudes (a Hadamard,
+diffusion or rounds step) scatters the block into a zeroed full-width
+buffer, and the rest of the head runs through :func:`_evolve`.  A head that
+ends sparse allocates no full-width array: the tail's indices are looked up
+among the block's, and one it does not hold reads 0.  The ideal kernel's
+head, two Hadamards, ends so; the faithful one's densifies after the adder.
+Every nonzero amplitude has the value it has in ``run_from_zero``, at the
+same index.  Only zeros may differ, in sign (+0 where ``_from_zero`` writes
+-0, and so the zero imaginary parts of the mixes that follow), since the
+prefix is not run a second time on the blocks where an untouched qubit is
+1.  A sum with a nonzero operand, a product that is nonzero and the
+readout's ``abs(a)**2`` cannot see the sign of a zero, so the probability
+keeps its bits.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
@@ -298,6 +314,29 @@ def _int_array(values, what: str, lo: int, hi: int) -> np.ndarray:
             and np.maximum.reduce(values, axis=None) <= hi):
         return values.astype(np.int64, copy=False)
     raise StructuralError(f"{what} must be {_rule(lo, hi, many=True)}, got {values!r}")
+
+
+def _real_array(values, what: str, hi: float, *,
+                error: type[Exception] = StructuralError) -> np.ndarray:
+    """``values`` flattened to a float64 array of :func:`_check_real` numbers of at most ``hi``.
+
+    An array of integer or float dtype takes one vectorised check.  Anything
+    else, and an array that fails that check, goes through
+    :func:`_check_real` entry by entry, so a bool or a string entry raises
+    ``error`` naming ``what``.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        entries = values.astype(np.float64, copy=False).ravel()
+        # A NaN fails both comparisons, since the reductions propagate it.
+        if not entries.size or (np.minimum.reduce(entries) >= 0.0
+                                and np.maximum.reduce(entries) <= hi):
+            return entries
+    else:
+        try:
+            entries = np.asarray(values, dtype=object).ravel()
+        except ValueError:  # arrays of unequal shapes, which numpy cannot nest at all
+            entries = [values]
+    return np.array([_check_real(v, what, hi, error=error) for v in entries], dtype=np.float64)
 
 
 def check_seed(seed) -> int:
@@ -991,23 +1030,18 @@ def _mask(gate: Gate) -> int:
     return mask
 
 
-def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
-    """|0...0> with the gates of its ``_zero_prefix`` applied, and the gates left.
+def _prefix_block(num_qubits: int, gates) -> tuple[int, list[int], list[Gate], np.ndarray]:
+    """|0...0> with the gates of its ``_zero_prefix`` applied, on the qubits they touch.
 
-    The prefix runs on a state of only the qubits it touches, renumbered in
-    order, and is written into one block of a new full-width buffer.  Every
-    other block, where some untouched qubit is 1, starts at +0 and gets the
-    same operations, which can turn marked entries into -0: if any oracle
-    marks a value, the prefix runs once more on all +0, and that result
-    fills those blocks.
+    Returns ``(length, qubits, prefix, block)``: the prefix's length, the
+    touched qubits in order, the prefix's gates with qubit ``qubits[p]``
+    renumbered ``p``, and the result.  Entry ``v`` of the block is the
+    amplitude where qubit ``qubits[p]`` is bit ``p`` of ``v`` and every
+    untouched qubit is 0.  With no prefix the block is |0...0>'s one amplitude.
     """
-    n = num_qubits
-    length, touched = _zero_prefix(n, gates)
-    if not length:
-        psi = np.zeros(1 << n, dtype=np.complex128)
-        psi[0] = 1.0
-        return psi, gates
-    position = {q: p for p, q in enumerate(q for q in range(n) if touched >> q & 1)}
+    length, touched = _zero_prefix(num_qubits, gates)
+    qubits = [q for q in range(num_qubits) if touched >> q & 1]
+    position = {q: p for p, q in enumerate(qubits)}
     small = {}
     for gate in gates[:length]:
         if id(gate) not in small:
@@ -1017,21 +1051,89 @@ def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
                 controls=tuple(position[q] for q in gate.controls),
             )
     prefix = [small[id(gate)] for gate in gates[:length]]
-    width = len(position)
-    block = np.zeros(1 << width, dtype=np.complex128)
+    block = np.zeros(1 << len(qubits), dtype=np.complex128)
     block[0] = 1.0
-    block = _evolve(block, width, prefix)
-    runs = _runs(n, position)  # one axis per run of adjacent qubits, touched or not
+    return length, qubits, prefix, _evolve(block, len(qubits), prefix)
+
+
+def _from_zero(num_qubits: int, gates) -> tuple[np.ndarray, tuple]:
+    """|0...0> with the gates of its ``_zero_prefix`` applied, and the gates left.
+
+    The :func:`_prefix_block` is written into one block of a new full-width
+    buffer.  Every other block, where some untouched qubit is 1, starts at
+    +0 and gets the same operations, which can turn marked entries into -0:
+    if any oracle marks a value, the prefix runs once more on all +0, and
+    that result fills those blocks.
+    """
+    n = num_qubits
+    length, qubits, prefix, block = _prefix_block(n, gates)
+    runs = _runs(n, qubits)  # one axis per run of adjacent qubits, touched or not
     shape = [1 << len(run) for _, run in runs]
     kept = [1 << len(run) if inside else 1 for inside, run in runs]  # 1 on untouched axes
     if any(gate.marked for gate in prefix):
-        rest = _evolve(np.zeros(1 << width, dtype=np.complex128), width, prefix)
+        rest = _evolve(np.zeros(block.size, dtype=np.complex128), len(qubits), prefix)
         psi = np.empty(1 << n, dtype=np.complex128)
         np.copyto(psi.reshape(shape), rest.reshape(kept))
     else:
         psi = np.zeros(1 << n, dtype=np.complex128)
     psi.reshape(shape)[tuple(slice(size) for size in kept)] = block.reshape(kept)
     return psi, gates[length:]
+
+
+def _moves(kind, first: Gate) -> bool:
+    """Whether a :func:`_spans` step of ``kind`` that begins with ``first`` only moves
+    and negates amplitudes: an X run, a CNOT/MCX run or a lone phase oracle."""
+    return kind in (PAULI_X, MCX) or kind is None and first.kind == PHASE_ORACLE
+
+
+def _walk(index: np.ndarray, negated: np.ndarray, gates) -> None:
+    """Carry the int64 basis indices ``index`` through X, CNOT, MCX and phase-oracle ``gates``.
+
+    In the order given, each X, CNOT or MCX gate flips its target bit where
+    its controls are set, and each oracle flips ``negated`` where the
+    index's register value is marked; both arrays are updated in place.
+    Walked forward, this moves amplitudes as the gates do.  Every gate is an
+    involution, so walked over the gates reversed, it finds where each
+    index's amplitude came from and whether it was negated on the way.
+    """
+    for gate in gates:
+        if gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
+            controls = _mask(gate) ^ 1 << gate.targets[0]
+            index ^= (index & controls == controls) * (1 << gate.targets[0])
+        elif gate.marked:
+            value = sum((index >> q & 1) << p for p, q in enumerate(gate.targets))
+            negated ^= np.isin(value, gate.marked)
+
+
+def _head_state(num_qubits: int, gates) -> tuple[np.ndarray, np.ndarray | None]:
+    """``run_from_zero``'s amplitudes for ``gates``, kept sparse while the gates only move them.
+
+    Returns ``(amplitudes, index)``.  The :func:`_prefix_block` stays a small
+    array beside the int64 basis index of each entry, and each :func:`_spans`
+    step after it carries those indices by :func:`_walk` as long as it passes
+    :func:`_moves`.  The first step that mixes amplitudes scatters the block
+    into a zeroed full-width buffer and runs the rest through :func:`_evolve`;
+    then ``index`` is None and ``amplitudes`` is the whole state.  Every
+    amplitude has the value ``run_from_zero`` gives it; only a zero, real or
+    imaginary part, may differ in sign (see the module docstring).  Nothing
+    is billed, and the norm is checked once, on what is returned.
+    """
+    n = num_qubits
+    length, qubits, _, block = _prefix_block(n, gates)
+    index = _spread(qubits)
+    negated = np.zeros(index.size, dtype=bool)
+    spans = [span for span in _spans(gates) if span[1] >= length]
+    for i, (kind, start, stop) in enumerate(spans):
+        if not _moves(kind, gates[start]):
+            psi = np.zeros(1 << n, dtype=np.complex128)
+            psi[index] = np.negative(block, out=block, where=negated)
+            block, index = _evolve(psi, n, gates, spans[i:]), None
+            break
+        _walk(index, negated, gates[start:stop])
+    else:
+        np.negative(block, out=block, where=negated)
+    _check_norm(block)
+    return block, index
 
 
 def run(circuit: Circuit, initial: StateVector) -> StateVector:
@@ -1180,7 +1282,7 @@ def _light_cone(circuit: Circuit, register: tuple[int, ...]):
     for kind, start, stop in reversed(list(_spans(kept))):
         if kind == HADAMARD and stop == len(kept):
             last = start
-        elif not (kind in (PAULI_X, MCX) or kind is None and kept[start].kind == PHASE_ORACLE):
+        elif not _moves(kind, kept[start]):
             break
         split = start
     return dropped, kept[:split], kept[split:last], kept[last:]
@@ -1189,28 +1291,28 @@ def _light_cone(circuit: Circuit, register: tuple[int, ...]):
 def zero_probability(circuit: Circuit, register: Sequence[int]) -> float:
     """``prob_all_zero(run_from_zero(circuit), register)``, running only the register's light cone.
 
-    The gates outside it are billed but not run, and the readout is pulled
-    back through the light cone's tail; see the module docstring.
+    The gates outside it are billed but not run, the head runs through
+    :func:`_head_state`, and the readout is pulled back through the light
+    cone's tail; see the module docstring.
     """
     n = circuit.num_qubits
     register = _check_register(n, register)
     dropped, head, moves, hadamards = _light_cone(circuit, register)
-    _bill(dropped + moves + hadamards)
-    state = run_from_zero(Circuit(n, tuple(head)))
+    _bill(circuit.gates)
+    amplitudes, at = _head_state(n, head)
     # The block spans the values of the free qubits: those outside the
     # register and those the Hadamard step hits.
     hit = {gate.targets[0] for gate in hadamards}
     free = [q for q in range(n) if q not in register or q in hit]
     index = _spread(free)
     negated = np.zeros(index.size, dtype=bool)
-    for gate in reversed(moves):  # the index each amplitude of the block comes from
-        if gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
-            controls = _mask(gate) ^ 1 << gate.targets[0]
-            index ^= (index & controls == controls) * (1 << gate.targets[0])
-        elif gate.marked:
-            value = sum((index >> q & 1) << p for p, q in enumerate(gate.targets))
-            negated ^= np.isin(value, gate.marked)
-    block = state.amplitudes[index]
+    _walk(index, negated, moves[::-1])  # the index each amplitude of the block comes from
+    if at is None:
+        block = amplitudes[index]
+    else:  # an index the sparse head does not hold reads 0
+        order = np.argsort(at)
+        found = order[np.minimum(np.searchsorted(at, index, sorter=order), at.size - 1)]
+        block = np.where(at[found] == index, amplitudes[found], 0)
     np.negative(block, out=block, where=negated)
     position = {q: p for p, q in enumerate(free)}
     block = _evolve(block, len(free), [hadamard(position[gate.targets[0]]) for gate in hadamards])

@@ -123,6 +123,11 @@ CONTRACT = [
      StructuralError),
     ("learn.classical_accuracy_bound.domain_size",
      lambda v: learn.classical_accuracy_bound(0, v), 0, StructuralError),
+    # The bound takes N as Concept does: N = 12 and N = 3 both gave 1.0.
+    ("learn.classical_accuracy_bound.domain_size_as_concept",
+     lambda v: learn.classical_accuracy_bound(4, v), 12, StructuralError),
+    ("learn.classical_accuracy_bound.small_domain_as_concept",
+     lambda v: learn.classical_accuracy_bound(1, v), 3, StructuralError),
     ("learn.classical_learner_classify.budget",
      lambda v: learn.classical_learner_classify(grover.IndicatorOracle(16, 0), 0, v, 0), 17,
      StructuralError),

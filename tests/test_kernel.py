@@ -244,8 +244,9 @@ class TestLightCone:
         k = optimal_iterations(N)
         rng = np.random.default_rng(N)
         ran, splits = [], []
-        original, original_cone = sim.run, sim._light_cone
-        monkeypatch.setattr(sim, "run", lambda c, initial: ran.append(c) or original(c, initial))
+        original, original_cone = sim._head_state, sim._light_cone
+        monkeypatch.setattr(sim, "_head_state",
+                            lambda n, gates: ran.append(gates) or original(n, gates))
         monkeypatch.setattr(sim, "_light_cone",
                             lambda c, register: splits.append(original_cone(c, register)) or splits[-1])
         for i, j in rng.integers(0, N, size=(pairs, 2)).tolist():
@@ -266,10 +267,10 @@ class TestLightCone:
             assert len(moves) == n * (n + 1) // 2
             assert {gate.kind for gate in moves} <= {sim.CNOT, sim.MCX}
             assert [gate.kind for gate in hadamards] == [sim.HADAMARD] * 2
-            assert [c.gates for c in ran] == [tuple(head)]
+            assert ran == [head]
             assert head[-1].kind == sim.DIFFUSION
         if N == 1024:
-            assert [len(c) for c in ran] == [354 - 60 - 57] and ledger.oracle_queries == 100
+            assert [len(gates) for gates in ran] == [354 - 60 - 57] and ledger.oracle_queries == 100
 
 
 class TestKernelSampled:
@@ -396,6 +397,27 @@ class TestKernelSampledMany:
                 kernel_sampled_many([bad], 10, (0,), keys)
         with pytest.raises(StructuralError):
             kernel_sampled_many([0.5], 0, (0,), keys)
+
+    @pytest.mark.parametrize("values", [
+        ["0.5", True], ["0.5"], [True], [np.bool_(False)], np.array([True, False]),
+        [0.5, None], [0.5, 1 + 0j], np.array([0.5, 2.0]), np.array([0.5, np.nan]),
+        np.array(["0.5"]), [[0.5, 0.25], [0.5]],
+    ], ids=["string-and-bool", "string", "bool", "numpy-bool", "bool-array", "none", "complex",
+            "above-one-array", "nan-array", "string-array", "ragged"])
+    def test_values_follow_the_real_number_rule(self, values):
+        # ["0.5", True] drew [0.515625, 1.0], where kernel_sampled raises for each.
+        keys = np.array([[1, 2], [1, 3]])[: len(values)]
+        with pytest.raises(ContractViolationError, match="kernel value must be"):
+            kernel_sampled_many(values, 64, (0,), keys)
+
+    def test_integer_and_float_values_pass(self):
+        keys = np.array([[1, 2], [1, 3], [1, 4]])
+        expected = kernel_sampled_many([0.0, 1.0, 0.5], 64, (0,), keys)
+        for values in ([0, 1, 0.5], [np.int64(0), np.float32(1), np.float64(0.5)],
+                       np.array([0.0, 1.0, 0.5], dtype=np.float32), np.array([[0.0, 1.0, 0.5]])):
+            npt.assert_array_equal(kernel_sampled_many(values, 64, (0,), keys), expected)
+        npt.assert_array_equal(kernel_sampled_many(np.array([0, 1], dtype=np.uint8), 64, (0,),
+                                                   keys[:2]), [0.0, 1.0])
 
     def test_key_validation(self):
         with pytest.raises(StructuralError):

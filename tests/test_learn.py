@@ -73,6 +73,16 @@ class TestConcept:
             Concept(1, 16).label(index)
         assert Concept(1, 16).label(np.int64(2)) == 1
 
+    @pytest.mark.parametrize("N", [8, 64, 1024])
+    def test_drawn_start_is_the_generators_integer_below_half(self, N):
+        # The CLI's random concept_start draws through Concept.drawn; one
+        # rng.integers(0, N // 2) call keeps every report's bytes.
+        for seed in range(20):
+            expected = int(np.random.default_rng(seed).integers(0, N // 2))
+            assert Concept.drawn(N, np.random.default_rng(seed)) == Concept(expected, N)
+        with pytest.raises(StructuralError):
+            Concept.drawn(12, np.random.default_rng(0))
+
     def test_half_of_domain_is_positive(self):
         concept = Concept(5, 64)
         labels = [concept.label(j) for j in range(64)]

@@ -56,9 +56,10 @@ def test_probe_builds_one_gate_per_kind(perfbench):
 
 
 @pytest.mark.parametrize("backend", ["ideal", "faithful"])
-def test_tracer_sees_the_head_of_a_kernel_circuit(perfbench, backend):
-    # The readout is pulled back through the light cone's tail without sim.run,
-    # so the traced call and its gate counts are those of the head alone.
+def test_tracer_misses_the_head_of_a_kernel_circuit(perfbench, backend, monkeypatch):
+    # The head runs through sim._head_state and the readout is pulled back
+    # through the light cone's tail, neither through sim.run, so the tracer
+    # sees the kernel call and its bill but no sim.run call or gate.
     tracing, _ = perfbench
     config = grover.GroverConfig(backend)
     a, b = IndicatorOracle(16, 3), IndicatorOracle(16, 5)
@@ -74,15 +75,18 @@ def test_tracer_sees_the_head_of_a_kernel_circuit(perfbench, backend):
         assert head[-1].kind == sim.DIFFUSION
     else:
         head = gates[:2]
+    heads = []
+    original = sim._head_state
+    monkeypatch.setattr(sim, "_head_state",
+                        lambda n, gates: heads.append(tuple(gates)) or original(n, gates))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         kernel.kernel_circuit(a, b, 4, config)
     finally:
         tracer.uninstall()
+    assert heads == [head]
     metrics = tracer.metrics()
-    assert metrics["sim.run_calls"] == 1
-    counts = Counter(gate.kind for gate in head)
-    assert {kind: metrics[f"sim.gates.{kind}"] for kind in sim.GATE_KINDS} == {
-        kind: counts[kind] for kind in sim.GATE_KINDS}
+    assert metrics["kernel.circuit_calls"] == 1 and metrics["sim.run_calls"] == 0
+    assert all(metrics[f"sim.gates.{kind}"] == 0 for kind in sim.GATE_KINDS)
     assert metrics["grover.ledger_diff"] == 0

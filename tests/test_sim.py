@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -992,18 +992,25 @@ class TestZeroPrefix:
             assert length == 0
         expected = sim.run(circuit, StateVector.zero(n)).amplitudes
         assert (a.query_count, b.query_count) == (2 * k, 2 * k)
-        seen = []
-        original = sim.run
+        seen, heads = [], []
+        original, original_head = sim.run, sim._head_state
 
         def wrapped(circuit, initial):
             seen.append(circuit.num_qubits)
             return original(circuit, initial)
 
+        def head_state(num_qubits, gates):
+            heads.append(num_qubits)
+            return original_head(num_qubits, gates)
+
         monkeypatch.setattr(sim, "run", wrapped)
+        monkeypatch.setattr(sim, "_head_state", head_state)
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
         assert (a.query_count, b.query_count) == (4 * k, 4 * k)
         value, ledger = kernel_circuit(a, b, 4, config)
-        assert seen == [n, n]  # one call per run_from_zero, at full width
+        # One call per run_from_zero, at full width; the kernel's head runs
+        # once, at full width, without run.
+        assert seen == [n] and heads == [n]
         assert ledger.oracle_queries == 4 * k
         assert value == pytest.approx(0.5, abs=0.05)
 
@@ -1628,11 +1635,8 @@ def random_light_cone_circuit(num_qubits: int, rng, oracles) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def random_tail(num_qubits: int, register, rng, oracles) -> tuple:
-    """X, CNOT, MCX and oracle gates on random qubits, then Hadamards on register qubits.
-
-    Some oracles mark nothing, and a Hadamard may hit its qubit twice.
-    """
+def random_moves(num_qubits: int, rng, oracles) -> tuple:
+    """X, CNOT, MCX and oracle gates on random qubits; some oracles mark nothing."""
     gates = []
     for _ in range(int(rng.integers(0, 12))):
         width = int(rng.integers(1, min(4, num_qubits) + 1))
@@ -1642,8 +1646,14 @@ def random_tail(num_qubits: int, register, rng, oracles) -> tuple:
         else:
             marked = sorted({int(v) for v in rng.integers(0, 1 << width, size=rng.integers(3))})
             gates.append(sim.phase_oracle(qubits, marked, oracles[int(rng.integers(len(oracles)))]))
+    return tuple(gates)
+
+
+def random_tail(num_qubits: int, register, rng, oracles) -> tuple:
+    """:func:`random_moves`, then Hadamards on register qubits; one may hit its qubit twice."""
+    gates = random_moves(num_qubits, rng, oracles)
     hit = [int(q) for q in rng.choice(register, size=int(rng.integers(0, len(register) + 1)))]
-    return tuple(gates) + tuple(sim.hadamard(q) for q in hit)
+    return gates + tuple(sim.hadamard(q) for q in hit)
 
 
 def light_cone(circuit: Circuit, register) -> int:
@@ -1656,16 +1666,16 @@ def light_cone(circuit: Circuit, register) -> int:
     return kept
 
 
-def spy_run(monkeypatch) -> list:
-    """Record the gate count of every circuit ``sim.run`` is given."""
+def spy_head(monkeypatch) -> list:
+    """Record the gates of every head ``sim._head_state`` runs."""
     ran = []
-    original = sim.run
+    original = sim._head_state
 
-    def run(circuit, initial):
-        ran.append(len(circuit))
-        return original(circuit, initial)
+    def head_state(num_qubits, gates):
+        ran.append(list(gates))
+        return original(num_qubits, gates)
 
-    monkeypatch.setattr(sim, "run", run)
+    monkeypatch.setattr(sim, "_head_state", head_state)
     return ran
 
 
@@ -1698,7 +1708,7 @@ class TestZeroProbability:
         listed = [sum(gate.oracle is oracle for gate in circuit.gates) for oracle in oracles]
         for c in (circuit, whole):
             with pytest.MonkeyPatch.context() as patch:
-                ran = spy_run(patch)
+                ran = spy_head(patch)
                 value = sim.zero_probability(c, register)
             assert [sum(oracle.charges) for oracle in oracles] == listed
             full = sim.prob_all_zero(sim.run_from_zero(c), register)
@@ -1708,7 +1718,7 @@ class TestZeroProbability:
             assert abs(value - full) <= 1e-12
             if light_cone(c, register) == len(c):  # no gate dropped
                 assert value == full
-        assert ran == [len(whole)]
+        assert ran == [list(whole.gates)]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=150)
@@ -1757,20 +1767,93 @@ class TestZeroProbability:
         circuit = Circuit(n, cone.gates + tuple(off))
         full = sim.prob_all_zero(sim.run_from_zero(cone), register)
         oracle.charges.clear()
-        ran = spy_run(monkeypatch)
+        ran = spy_head(monkeypatch)
         splits = spy_light_cone(monkeypatch)
         value = sim.zero_probability(circuit, register)
         assert value == full
         [(dropped, ran_head, moves, hadamards)] = splits
         assert dropped == off[::-1] and ran_head == head and moves + hadamards == tail
         assert hadamards and all(gate.kind == sim.HADAMARD for gate in hadamards)
-        assert ran == [len(head)]
+        assert ran == [head]
         assert sum(oracle.charges) == sum(gate.oracle is oracle for gate in circuit.gates)
         if off:
             assert value == pytest.approx(sim.prob_all_zero(sim.run_from_zero(circuit), register),
                                           abs=1e-15)
         if case == "rounds_end_on_an_oracle":
             assert full > 0 and [kind for kind, *_ in sim._spans(head)][-1] == sim._ROUNDS
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_sparse_head_keeps_every_bit(self, low_prefix, seed):
+        # A from-zero prefix, perhaps cut to its prefix alone, then moves on
+        # any qubits (so some cross from touched to untouched ones), perhaps a
+        # step that mixes amplitudes, then a tail.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 11))
+        oracles = [Billed(), Billed()]
+        gates = random_prefix_circuit(n, rng).gates
+        if rng.integers(2):
+            gates = gates[: sim._zero_prefix(n, gates)[0]]
+        gates += random_moves(n, rng, oracles)
+        qubits = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        gates += [(), (sim.hadamard(qubits[0]),), (sim.diffusion(qubits),)][int(rng.integers(3))]
+        register = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        circuit = Circuit(n, gates + random_tail(n, register, rng, oracles))
+        listed = [sum(gate.oracle is oracle for gate in circuit.gates) for oracle in oracles]
+        value = sim.zero_probability(circuit, register)
+        assert [sum(oracle.charges) for oracle in oracles] == listed
+        full = sim.prob_all_zero(sim.run_from_zero(circuit), register)
+        assert [sum(oracle.charges) for oracle in oracles] == [2 * q for q in listed]
+        if light_cone(circuit, register) == len(circuit):
+            assert value == full
+        else:  # a dropped gate moves the probability by rounding only
+            assert abs(value - full) <= 1e-12
+        # The head's amplitudes have run_from_zero's values, where it puts them.
+        head = sim._light_cone(circuit, tuple(register))[1]
+        amplitudes, index = sim._head_state(n, head)
+        expected = sim.run_from_zero(Circuit(n, tuple(head))).amplitudes
+        if index is None:  # == compares a nonzero part's bits, but not a zero's sign
+            assert np.array_equal(amplitudes, expected)
+        else:  # the block keeps even its zeros' signs, and nothing lies outside it
+            assert np.unique(index).size == index.size
+            assert same_bits(amplitudes, expected[index])
+            assert not np.delete(expected, index).any()
+
+    def test_a_head_that_only_moves_stays_sparse(self, low_prefix):
+        n, oracle = 8, Billed()
+        head = [sim.hadamard(0), sim.hadamard(1), sim.phase_oracle((0, 1), [3], oracle)]
+        # CNOTs from the prefix's qubits 0 and 1 to untouched ones, which would
+        # leave one qubit untouched, so the prefix stops before them; then an
+        # X, and an oracle across touched and untouched qubits.
+        moves = [sim.cnot(1, 5), sim.mcx((0, 5), 6), sim.cnot(0, 2), sim.cnot(1, 3),
+                 sim.cnot(0, 4), sim.pauli_x(7), sim.phase_oracle((5, 6, 0), [7, 2], oracle)]
+        assert sim._zero_prefix(n, head + moves) == (3, 0b11)
+        expected = sim.run_from_zero(Circuit(n, tuple(head + moves))).amplitudes
+        amplitudes, index = sim._head_state(n, head + moves)
+        assert index.tolist() == [128, 149, 170, 255] == np.flatnonzero(expected).tolist()
+        assert same_bits(amplitudes, expected[index])
+        amplitudes, index = sim._head_state(n, head + moves + [sim.hadamard(2)])
+        assert index is None and amplitudes.size == 1 << n
+
+    def test_an_ideal_kernel_readout_allocates_no_state(self):
+        # The ideal kernel's head is two Hadamards, so it ends sparse: the
+        # readout peaks at the tail's 4,096-entry block, not a 16 MiB state.
+        import tracemalloc
+
+        from groversvm.grover import GroverConfig, IndicatorOracle, feature_map_circuit
+
+        maps = [feature_map_circuit(IndicatorOracle(1024, v), 4, GroverConfig()) for v in (3, 5)]
+        kernel = Circuit(20, maps[0].gates + maps[1].gates[::-1])
+        expected = sim.zero_probability(kernel, range(10))  # builds the plans first
+        tracemalloc.start()
+        try:
+            value = sim.zero_probability(kernel, range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert value == expected == pytest.approx(0.25, abs=1e-12)
 
     def test_a_wide_block_is_summed_in_basis_index_order(self):
         # 1,024 weights whose sum moves with their order: closed-form rounds
@@ -1798,7 +1881,7 @@ class TestZeroProbability:
         circuit = Circuit(4, gates)
         full = sim.prob_all_zero(sim.run_from_zero(circuit), [0])
         oracle.charges.clear()
-        ran = spy_run(monkeypatch)
+        ran = spy_head(monkeypatch)
         splits = spy_light_cone(monkeypatch)
         assert sim.zero_probability(circuit, [0]) == pytest.approx(full, abs=1e-15)
         # The light cone is the first four gates: two Hadamards run, and the
@@ -1806,13 +1889,13 @@ class TestZeroProbability:
         [(dropped, head, moves, hadamards)] = splits
         assert dropped == list(gates[:3:-1])
         assert head == list(gates[:2]) and moves == list(gates[2:4]) and hadamards == []
-        assert ran == [2]
+        assert ran == [head]
         assert sum(oracle.charges) == 2
         oracle.charges.clear()
         for register in ([], [0, 0], [4]):
             with pytest.raises(StructuralError):
                 sim.zero_probability(circuit, register)
-        assert ran == [2] and oracle.charges == []  # rejected before billing or running
+        assert ran == [head] and oracle.charges == []  # rejected before billing or running
 
 
 class TestNormAndUnitarity:
