@@ -140,9 +140,9 @@ Every nonzero amplitude has the value it has in ``run_from_zero``, at the
 same index.  Only zeros may differ, in sign (+0 where ``_from_zero`` writes
 -0, and so the zero imaginary parts of the mixes that follow), since the
 prefix is not run a second time on the blocks where an untouched qubit is
-1.  A sum with a nonzero operand, a product that is nonzero and the
-readout's ``abs(a)**2`` cannot see the sign of a zero, so the probability
-keeps its bits.
+1.  No nonzero sum or product depends on the sign of a zero operand, and
+neither does the readout's ``abs(a)**2``, so the probability keeps its
+bits.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
