@@ -16,6 +16,7 @@ from .sim import (
     QUBIT_CAP,
     apply,
     prob_all_zero,
+    register_distribution,
     register_probabilities,
     run,
     run_from_zero,

@@ -29,6 +29,7 @@ from .grover import BACKENDS, GroverConfig, IndicatorOracle
 from .learn import (
     Concept,
     LEARNER_KINDS,
+    check_test_size,
     classical_learner,
     complexity_sweep,
     default_interval_width,
@@ -193,13 +194,19 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(str(exc)) from exc
     box_bound = sim._check_real(config.box_bound, "box_bound", positive=True, error=ConfigError)
     _check(config.trials, "trials", 1)
-    if _check(config.test_size, "test_size", 2) % 2:
-        raise ConfigError(f"test_size must be even, got {config.test_size!r}")
+    _check_test_size(config.test_size, None)
     if config.learner == "quantum_kernel" and config.backend != "ideal":
         raise ConfigError("learner quantum_kernel samples the ideal kernel only; use backend=ideal")
     _check_bits(config.pattern, "pattern")
     return replace(config, interval_width=M, shots=R, budget=X, box_bound=box_bound, seed=seed,
                    concept_start=str(config.concept_start))
+
+
+def _check_test_size(size, domain_size: int | None) -> None:
+    try:
+        check_test_size(size, domain_size, "test_size")
+    except StructuralError as exc:  # the rule is learn's
+        raise ConfigError(str(exc)) from exc
 
 
 def _concept_for_trial(resolved: ExperimentConfig, trial: int) -> Concept:
@@ -388,7 +395,7 @@ def cmd_run(resolved: ExperimentConfig, out_path: str | None) -> int:
     if resolved.problem != "indicator":
         raise ConfigError("run supports problem=indicator; use pattern-demo for texts")
     # A balanced test set holds distinct indices; gen-data and sweep read no test_size.
-    _check(resolved.test_size, "test_size", 2, resolved.domain_size)
+    _check_test_size(resolved.test_size, resolved.domain_size)
     records = _run_trials(resolved)
     _emit(format_run_report(resolved, records), out_path)
     if out_path:

@@ -134,12 +134,20 @@ def generate_dataset(concept: Concept, size: int, rng_seed) -> Dataset:
     raise StructuralError("failed to draw a two-class sample within the retry bound")
 
 
+def check_test_size(size, domain_size: int | None, what: str = "balanced test size") -> int:
+    """``size`` as an int if a balanced test set of that size can be drawn, else a
+    :class:`StructuralError` naming ``what``: an even integer of at least 2, half
+    from each class's N/2 indices, so at most ``domain_size`` (no bound if None)."""
+    size = _check_int(size, what, 2, domain_size)
+    if size % 2:
+        raise StructuralError(f"{what} must be even, got {size!r}")
+    return size
+
+
 def generate_balanced_test(concept: Concept, size: int, rng_seed):
     """Test oracles drawn half from each class, without replacement within a class."""
     N = concept.domain_size
-    if _check_int(size, "balanced test size", 0, N) % 2 != 0:  # N/2 indices in each class
-        raise StructuralError("balanced test size must be even")
-    half = size // 2
+    half = check_test_size(size, N) // 2
     rng = as_rng(rng_seed)
     plus = rng.choice(concept.positive_region(), size=half, replace=False)
     minus = rng.choice(concept.negative_region(), size=half, replace=False)

@@ -293,10 +293,10 @@ def pattern_match(
     if config.backend == "ideal":
         success = theoretical_success_probability(instance.text_length, 1, rounds)
         return instance.location, success, ledger
-    state = sim.run_from_zero(match_circuit(instance, rounds))
-    probs = sim.register_probabilities(state, _registers(instance)[0])
+    probs = sim.register_distribution(match_circuit(instance, rounds), _registers(instance)[0])
     success = float(probs[instance.location])
-    # The one measurement sample_measurement(state, index register, 1, rng_seed) makes.
+    # The one measurement sample_measurement(run_from_zero(circuit), index register, 1,
+    # rng_seed) makes.
     found = sim._one_shot(probs / probs.sum(), sim.as_rng(rng_seed))
     return found, success, ledger
 

@@ -125,24 +125,30 @@ amplitudes where the register is 0, summed in basis-index order as
 has ``2**(n - r + h)`` entries, fewer than the state has whenever some
 register qubit is not hit by the Hadamard step, and no permutation is cached.
 
-The head, the kept gates before the tail, runs from |0...0> in
-:func:`_head_state`, and stays sparse while it only moves amplitudes: its
-from-zero prefix block stays a small array beside the int64 basis index of
-each entry, and the head's next whole steps that are X runs, CNOT/MCX runs
-or lone phase oracles carry those indices through :func:`_walk`, the tail's
-rule walked forward.  The first step that mixes amplitudes (a Hadamard,
-diffusion or rounds step) scatters the block into a zeroed full-width
-buffer, and the rest of the head runs through :func:`_evolve`.  A head that
-ends sparse allocates no full-width array: the tail's indices are looked up
-among the block's, and one it does not hold reads 0.  The ideal kernel's
-head, two Hadamards, ends so; the faithful one's densifies after the adder.
-Every nonzero amplitude has the value it has in ``run_from_zero``, at the
-same index.  Only zeros may differ, in sign (+0 where ``_from_zero`` writes
--0, and so the zero imaginary parts of the mixes that follow), since the
-prefix is not run a second time on the blocks where an untouched qubit is
-1.  No nonzero sum or product depends on the sign of a zero operand, and
-neither does the readout's ``abs(a)**2``, so the probability keeps its
-bits.
+The head, the kept gates before the tail, runs sparse in
+:func:`_head_state`: the nonzero entries of its from-zero prefix block, in
+a small array beside the int64 basis index of each.  X runs, lone CNOT/MCX
+gates and oracles move them by :func:`_walk`, the tail's rule walked
+forward; a CNOT/MCX run on at most ``_CACHE_ROW`` amplitudes moves them in
+one gather through the cached array of the run reversed.  A Hadamard step
+groups them by their index with its qubits cleared, runs the kernels of
+:func:`_evolve`'s step, in its order, on a block with one row per group,
+and drops exact zeros: each butterfly gets the operands of the full-width
+one, an absent partner reading 0.  A diffusion, a rounds step, or a
+Hadamard step whose block would pass ``2**n >> _SPARSE_SHIFT`` entries
+scatters the entries into a zeroed full-width buffer, where the rest runs.
+A head that ends sparse allocates no full-width array: the tail's indices
+are looked up among its entries, one it lacks reading 0, and
+:func:`register_distribution` bins the entries' ``abs(a)**2`` by register
+value in basis-index order, the order in which :func:`register_probabilities`
+sums each value's weights.  The ideal kernel's head and the pattern matcher
+(N nonzero amplitudes at every gate) end sparse; the faithful kernel's head
+densifies at its rounds.  Every nonzero amplitude has the value
+``run_from_zero`` gives it, at the same index.  Only zeros may differ, in
+sign (+0 where ``_from_zero`` writes -0, or where an absent partner stands
+for a -0, and so the zero imaginary parts of the mixes that follow) or by
+being left out.  No nonzero sum or product depends on the sign of a zero
+operand, and neither does ``abs(a)**2``, so the probabilities keep their bits.
 
 A phase-oracle gate carries the register values it marks and the oracle it
 bills.  :func:`apply`, :func:`run`, :func:`run_many` and
@@ -181,6 +187,11 @@ _CACHE_ROW = 1 << 16
 # sweeps save (kernel circuits ran 1.2-1.5x slower at 10-12 qubits, 0.86-0.93x
 # at 14 and 0.68-0.82x at 16-20).
 _PREFIX_MIN_QUBITS = 16
+# A sparse head densifies at a Hadamard step whose block would pass 2**n >>
+# _SPARSE_SHIFT entries.  At 16 and 20 qubits, on 1/16 of the amplitudes a
+# sparse one-qubit Hadamard step took 1.0-1.4x the time of a dense one and a
+# sparse MCX gate 0.2-0.9x; on 1/8 the MCX took 0.6-1.4x, on 1/4 1.5-2.2x.
+_SPARSE_SHIFT = 4
 # Worst-case bytes of fused-run index arrays held at once: four int32 arrays
 # at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
 # by gate.
@@ -713,24 +724,34 @@ class _PermutationCache:
         self.nbytes = 0
         self._entries: OrderedDict = OrderedDict()
 
-    def lookup(self, num_qubits: int, gates: list[Gate]):
-        """``(perm, inverse)`` for the run, or None if an array would exceed the bound."""
+    def lookup(self, num_qubits: int, gates: list[Gate], either: bool = True):
+        """``(perm, inverse)`` for the run, or None if an array would exceed the bound.
+
+        With ``either`` False, ``inverse`` is False: the array is built once,
+        from the reverse's if that alone is cached."""
         shapes = tuple((gate.targets[0], gate.controls) for gate in gates)
-        for key, inverse in (((num_qubits, shapes), False), ((num_qubits, shapes[::-1]), True)):
+        keys = ((num_qubits, shapes), (num_qubits, shapes[::-1]))
+        for key in keys:
             perm = self._entries.get(key)
             if perm is not None:
                 self._entries.move_to_end(key)
-                return perm, inverse
+                if key == keys[0] or either:
+                    return perm, key != keys[0]
+                break
         nbytes = 4 << num_qubits
         if nbytes > self.max_bytes:
             return None
-        perm = np.arange(1 << num_qubits, dtype=np.int32)
-        for gate in gates:
-            _apply_inplace(perm, num_qubits, gate)
+        if perm is None:
+            perm = np.arange(1 << num_qubits, dtype=np.int32)
+            for gate in gates:
+                _apply_inplace(perm, num_qubits, gate)
+        else:  # the reverse run's array is this run's inverse
+            reverse, perm = perm, np.empty_like(perm)
+            perm[reverse] = np.arange(perm.size, dtype=np.int32)
         perm.flags.writeable = False
         while self.nbytes + nbytes > self.max_bytes:
             self.nbytes -= self._entries.popitem(last=False)[1].nbytes
-        self._entries[num_qubits, shapes] = perm
+        self._entries[keys[0]] = perm
         self.nbytes += nbytes
         return perm, False
 
@@ -945,6 +966,13 @@ def _flip_into(out: np.ndarray, psi: np.ndarray, num_qubits: int, gates) -> None
     np.copyto(out.reshape(shape), psi.reshape(shape)[index])
 
 
+def _odd_hits(step) -> list[tuple[int, ...]]:
+    """The targets a Hadamard run applies H to: those it hits an odd number of times, in
+    the order of their first hits."""
+    counts = Counter(gate.targets for gate in step)
+    return [targets for targets, count in counts.items() if count % 2]
+
+
 def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
     """Apply ``gates`` to the buffer ``psi``; return the buffer that holds the result.
 
@@ -962,9 +990,8 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
             continue
         step = gates[start:stop]
         if kind == HADAMARD:
-            for targets, count in Counter(gate.targets for gate in step).items():
-                if count % 2:
-                    _plan(n, HADAMARD, targets, ())(psi, ())
+            for targets in _odd_hits(step):
+                _plan(n, HADAMARD, targets, ())(psi, ())
             continue
         found = _PERMUTATIONS.lookup(n, step) if kind == MCX and len(step) > 1 else None
         if kind != PAULI_X and found is None:
@@ -1086,6 +1113,14 @@ def _moves(kind, first: Gate) -> bool:
     return kind in (PAULI_X, MCX) or kind is None and first.kind == PHASE_ORACLE
 
 
+def _values(index: np.ndarray, qubits) -> np.ndarray:
+    """The value of the register ``qubits`` at each basis index: ``qubits[p]`` is bit ``p``."""
+    low = qubits[0] if len(qubits) else 0
+    if list(qubits) == list(range(low, low + len(qubits))):  # adjacent, low to high: one shift
+        return index >> low & (1 << len(qubits)) - 1
+    return sum((index >> q & 1) << p for p, q in enumerate(qubits))
+
+
 def _walk(index: np.ndarray, negated: np.ndarray, gates) -> None:
     """Carry the int64 basis indices ``index`` through X, CNOT, MCX and phase-oracle ``gates``.
 
@@ -1097,41 +1132,73 @@ def _walk(index: np.ndarray, negated: np.ndarray, gates) -> None:
     index's amplitude came from and whether it was negated on the way.
     """
     for gate in gates:
-        if gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
+        if gate.kind == PAULI_X:
+            index ^= 1 << gate.targets[0]
+        elif gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
             controls = _mask(gate) ^ 1 << gate.targets[0]
             index ^= (index & controls == controls) * (1 << gate.targets[0])
         elif gate.marked:
-            value = sum((index >> q & 1) << p for p, q in enumerate(gate.targets))
-            negated ^= np.isin(value, gate.marked)
+            value = _values(index, gate.targets)
+            one = len(gate.marked) == 1
+            negated ^= value == gate.marked[0] if one else np.isin(value, gate.marked)
+
+
+def _sparse_hadamards(num_qubits: int, index: np.ndarray, amplitudes: np.ndarray, hits):
+    """The sparse state ``(index, amplitudes)`` after H on each of ``hits`` (a step's
+    :func:`_odd_hits`), or None, with nothing changed, if its block would pass the bound."""
+    qubits = sorted(q for (q,) in hits)
+    bases, rows = np.unique(index & ~sum(1 << q for q in qubits), return_inverse=True)
+    if bases.size << len(qubits) > 1 << num_qubits >> _SPARSE_SHIFT:
+        return None
+    block = np.zeros((bases.size, 1 << len(qubits)), dtype=np.complex128)
+    block[rows, _values(index, qubits)] = amplitudes
+    block = block.reshape(-1)  # the h-qubit kernels take any whole number of rows
+    for (q,) in hits:
+        _plan(len(qubits), HADAMARD, (qubits.index(q),), ())(block, ())
+    kept = np.flatnonzero(block)
+    return (bases[:, None] | _spread(qubits)).reshape(-1)[kept], block[kept]
+
+
+def _sparse_moves(num_qubits: int, index: np.ndarray, amplitudes: np.ndarray, step):
+    """The sparse state ``(index, amplitudes)`` after a :func:`_moves` step."""
+    # A run gathers through the reverse run's array, which maps each index to
+    # where the run takes it.  64 14-qubit pattern matchers took 29 ms with
+    # their 72-gate shift runs gathered, 91 ms with them walked and 86 ms
+    # dense.  At 20 qubits the faithful kernel's 55-gate adder array took 28
+    # ms and 4 MiB to build, and walking its 4,096 indices 0.47 ms.
+    if _FUSED.get(step[0].kind) == MCX and len(step) > 1 and 1 << num_qubits <= _CACHE_ROW:
+        found = _PERMUTATIONS.lookup(num_qubits, step[::-1], either=False)
+        if found is not None:
+            return found[0][index].astype(np.int64), amplitudes
+    negated = np.zeros(index.size, dtype=bool)
+    _walk(index, negated, step)
+    return index, np.negative(amplitudes, out=amplitudes, where=negated)
 
 
 def _head_state(num_qubits: int, gates) -> tuple[np.ndarray, np.ndarray | None]:
-    """``run_from_zero``'s amplitudes for ``gates``, kept sparse while the gates only move them.
+    """``(amplitudes, index)``: ``run_from_zero``'s nonzero amplitudes for ``gates`` and
+    their basis indices, or the whole state and None once a step densifies it.
 
-    Returns ``(amplitudes, index)``.  The :func:`_prefix_block` stays a small
-    array beside the int64 basis index of each entry, and each :func:`_spans`
-    step after it carries those indices by :func:`_walk` as long as it passes
-    :func:`_moves`.  The first step that mixes amplitudes scatters the block
-    into a zeroed full-width buffer and runs the rest through :func:`_evolve`;
-    then ``index`` is None and ``amplitudes`` is the whole state.  Every
-    amplitude has the value ``run_from_zero`` gives it; only a zero, real or
-    imaginary part, may differ in sign (see the module docstring).  Nothing
-    is billed, and the norm is checked once, on what is returned.
+    See the module docstring.  Nothing is billed, and the norm is checked
+    once, on what is returned.
     """
     n = num_qubits
     length, qubits, _, block = _prefix_block(n, gates)
-    index = _spread(qubits)
-    negated = np.zeros(index.size, dtype=bool)
+    kept = np.flatnonzero(block)
+    block, index = block[kept], _spread(qubits)[kept]
     spans = [span for span in _spans(gates) if span[1] >= length]
     for i, (kind, start, stop) in enumerate(spans):
-        if not _moves(kind, gates[start]):
+        step = gates[start:stop]
+        if kind == HADAMARD:
+            moved = _sparse_hadamards(n, index, block, _odd_hits(step))
+        else:
+            moved = _sparse_moves(n, index, block, step) if _moves(kind, step[0]) else None
+        if moved is None:
             psi = np.zeros(1 << n, dtype=np.complex128)
-            psi[index] = np.negative(block, out=block, where=negated)
+            psi[index] = block
             block, index = _evolve(psi, n, gates, spans[i:]), None
             break
-        _walk(index, negated, gates[start:stop])
-    else:
-        np.negative(block, out=block, where=negated)
+        index, block = moved
     _check_norm(block)
     return block, index
 
@@ -1328,6 +1395,20 @@ def register_probabilities(state: StateVector, register: Sequence[int]) -> np.nd
     # in basis-index order; a strided view could be summed pairwise instead.
     mat = _register_matrix(state.probabilities(), state.num_qubits, register)
     return np.add.reduce(np.ascontiguousarray(mat), axis=0)
+
+
+def register_distribution(circuit: Circuit, register: Sequence[int]) -> np.ndarray:
+    """``register_probabilities(run_from_zero(circuit), register)``, bit for bit, with
+    the whole circuit run as a :func:`_head_state` (see the module docstring)."""
+    n = circuit.num_qubits
+    register = _check_register(n, register)
+    _bill(circuit.gates)
+    amplitudes, index = _head_state(n, circuit.gates)
+    if index is None:
+        return register_probabilities(StateVector._adopt(n, amplitudes), register)
+    order = np.argsort(index)
+    return np.bincount(_values(index[order], register), np.abs(amplitudes[order]) ** 2,
+                       minlength=1 << len(register))
 
 
 def sample_measurement(

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from groversvm import cli
+from groversvm import cli, learn
 from groversvm.errors import StructuralError
 
 
@@ -271,6 +271,18 @@ class TestRun:
         assert "test_size must be an integer in [2, 16], got 40" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("size, bound", [(0, None), (3, None), (40, 16)])
+    def test_test_size_follows_the_balanced_test_rule(self, size, bound, capsys):
+        # One rule, learn.check_test_size: the CLI raises its message as a
+        # ConfigError.  Resolving a config applies it with no domain bound,
+        # since gen-data and sweep read no test_size; run adds the bound.
+        with pytest.raises(StructuralError) as rule:
+            learn.check_test_size(size, bound, "test_size")
+        argv = ["run", "--seed", "1", "--trials", "1", "--learner", "classical",
+                "--set", "domain_size=16", "--set", "train_size=4", "--set", f"test_size={size}"]
+        assert cli.main(argv) == cli.EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err == f"error: {rule.value}\n"
+
     def test_pattern_problem_rejected_for_run(self, capsys):
         code = cli.main(RUN_ARGS + ["--set", "problem=pattern"])
         capsys.readouterr()
@@ -522,6 +534,15 @@ class TestPatternDemo:
         rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert code == cli.EXIT_OK
         assert rows[0].split()[1:3] == ["ok", "13"]
+
+    def test_faithful_16_bit_texts(self, tmp_path, capsys):
+        # 4 + 16 + 4 = 24 qubits, the cap: the matcher runs sparse, in milliseconds.
+        texts = write(tmp_path / "texts.txt", "1000011010001000\n1111111001011010\n")
+        code = cli.main(["pattern-demo", texts, "--pattern", "1101", "--backend", "faithful",
+                         "--seed", "2"])
+        rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        assert code == cli.EXIT_OK
+        assert [row.split()[1:3] for row in rows] == [["ok", "5"], ["ok", "11"]]
 
     def test_pattern_longer_than_the_text_is_no_unique_match(self, tmp_path, capsys):
         texts = write(tmp_path / "texts.txt", "10110010\n1011001\n")

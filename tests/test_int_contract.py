@@ -104,6 +104,7 @@ CONTRACT = [
      0, StructuralError),
     ("learn.generate_balanced_test.size",
      lambda v: learn.generate_balanced_test(learn.Concept(0, 16), v, 0), -2, StructuralError),
+    ("learn.check_test_size", lambda v: learn.check_test_size(v, 16), 18, StructuralError),
     ("learn.margin_gap.interval_width", lambda v: learn.margin_gap(v, 16), 8, StructuralError),
     ("learn.margin_gap.domain_size", lambda v: learn.margin_gap(2, v), 12, StructuralError),
     ("learn.halfspace_overlap.start", lambda v: learn.halfspace_overlap(v, 0, 2, 16), 8,

@@ -1,6 +1,8 @@
 """Pattern matcher circuit, its feature map and kernel, KMP baseline, step counts."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -261,18 +263,60 @@ class TestPatternMatch:
         instance = TextInstance("10110010", "110")
         state = sim.run_from_zero(match_circuit(instance, 2))
         passes = []
-        original = sim.register_probabilities
+        original = sim.register_distribution
 
-        def spy(state, register):
+        def spy(circuit, register):
             passes.append(tuple(register))
-            return original(state, register)
+            return original(circuit, register)
 
         expected = [int(next(iter(sim.sample_measurement(state, range(3), 1, seed))), 2)
                     for seed in range(20)]
-        monkeypatch.setattr(sim, "register_probabilities", spy)
+        monkeypatch.setattr(sim, "register_distribution", spy)
         found = [pattern_match(instance, GroverConfig("faithful"), seed)[0] for seed in range(20)]
         assert found == expected and set(found) != {2}
         assert passes == [(0, 1, 2)] * 20
+
+    def test_every_8_bit_text_reads_the_dense_distribution(self):
+        # All 160 texts of 8 bits that hold "110" exactly once: the sparse
+        # readout gives the index register's probabilities bit for bit.
+        texts = ["".join(bits) for bits in itertools.product("01", repeat=8)]
+        instances = [TextInstance(t, "110") for t in texts
+                     if len(cyclic_match_locations(t, "110")) == 1]
+        assert len(instances) == 160
+        for instance in instances:
+            circuit = match_circuit(instance)
+            expected = sim.register_probabilities(sim.run_from_zero(circuit), range(3))
+            got = sim.register_distribution(circuit, range(3))
+            assert got.tobytes() == expected.tobytes(), instance.text
+
+    def test_a_16_bit_text_runs_sparse(self):
+        # 24 qubits: a dense run of this matcher took about a minute.  Its state
+        # holds 16 nonzero amplitudes at every gate, so it takes milliseconds.
+        instance = random_instance(16, "1101", 5, 3)
+        assert instance.total_qubits == sim.QUBIT_CAP
+        start = time.perf_counter()
+        found, prob, ledger = pattern_match(instance, GroverConfig("faithful"), rng_seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert found == 5
+        exact = theoretical_success_probability(16, 1, ledger.amplification_rounds)
+        assert abs(prob - exact) < 1e-12
+
+    def test_a_readout_allocates_no_state(self):
+        # Once the plans and the shift run's tables are built, an 8-bit text's
+        # readout peaks below the 256 KiB of one dense 14-qubit state.
+        import tracemalloc
+
+        instance = TextInstance("10110010", "110")
+        circuit = match_circuit(instance)
+        expected = sim.register_distribution(circuit, range(3))
+        tracemalloc.start()
+        try:
+            probs = sim.register_distribution(circuit, range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 14
+        assert probs.tobytes() == expected.tobytes()
 
     def test_ideal_is_deterministic(self):
         instance = TextInstance("10110010", "110")

@@ -1815,10 +1815,14 @@ class TestZeroProbability:
         expected = sim.run_from_zero(Circuit(n, tuple(head))).amplitudes
         if index is None:  # == compares a nonzero part's bits, but not a zero's sign
             assert np.array_equal(amplitudes, expected)
-        else:  # the block keeps even its zeros' signs, and nothing lies outside it
+        else:  # nothing lies outside the block
             assert np.unique(index).size == index.size
-            assert same_bits(amplitudes, expected[index])
             assert not np.delete(expected, index).any()
+            length = sim._zero_prefix(n, head)[0]
+            if any(kind == sim.HADAMARD and start >= length for kind, start, _ in sim._spans(head)):
+                assert np.array_equal(amplitudes, expected[index])  # butterflies with absent zeros
+            else:  # moves alone keep even the zeros' signs
+                assert same_bits(amplitudes, expected[index])
 
     def test_a_head_that_only_moves_stays_sparse(self, low_prefix):
         n, oracle = 8, Billed()
@@ -1833,8 +1837,28 @@ class TestZeroProbability:
         amplitudes, index = sim._head_state(n, head + moves)
         assert index.tolist() == [128, 149, 170, 255] == np.flatnonzero(expected).tolist()
         assert same_bits(amplitudes, expected[index])
-        amplitudes, index = sim._head_state(n, head + moves + [sim.hadamard(2)])
+        amplitudes, index = sim._head_state(n, head + moves + [sim.diffusion((2, 3))])
         assert index is None and amplitudes.size == 1 << n
+
+    def test_a_hadamard_step_stays_sparse_up_to_the_bound(self, low_prefix):
+        # The head above holds 4 entries that differ on qubits 2, 3 and 4, so
+        # a Hadamard step on k of them makes a block of 4 << k entries.
+        n = 8
+        bound = 1 << n >> sim._SPARSE_SHIFT
+        assert 4 << 2 <= bound < 4 << 3
+        head = [sim.hadamard(0), sim.hadamard(1), sim.phase_oracle((0, 1), [3]),
+                sim.cnot(1, 5), sim.mcx((0, 5), 6), sim.cnot(0, 2), sim.cnot(1, 3),
+                sim.cnot(0, 4), sim.pauli_x(7), sim.phase_oracle((5, 6, 0), [7, 2])]
+        for hits in ([2], [3, 2], [4, 2, 4, 3]):  # qubit 4 hit twice is not hit
+            gates = head + [sim.hadamard(q) for q in hits]
+            expected = sim.run_from_zero(Circuit(n, tuple(gates))).amplitudes
+            amplitudes, index = sim._head_state(n, gates)
+            assert index.tolist() == np.flatnonzero(expected).tolist()
+            assert np.array_equal(amplitudes, expected[index])
+        gates = head + [sim.hadamard(q) for q in (2, 3, 4)]
+        expected = sim.run_from_zero(Circuit(n, tuple(gates))).amplitudes
+        amplitudes, index = sim._head_state(n, gates)
+        assert index is None and np.array_equal(amplitudes, expected)
 
     def test_an_ideal_kernel_readout_allocates_no_state(self):
         # The ideal kernel's head is two Hadamards, so it ends sparse: the
@@ -1896,6 +1920,130 @@ class TestZeroProbability:
             with pytest.raises(StructuralError):
                 sim.zero_probability(circuit, register)
         assert ran == [head] and oracle.charges == []  # rejected before billing or running
+
+
+def random_sparse_circuit(num_qubits: int, rng, oracles) -> Circuit:
+    """Hadamard layers, X, CNOT, MCX and phase-oracle gates on random qubits, Hadamards first.
+
+    The leading Hadamards spread the state over several qubits, so that a
+    register's bins hold several nonzero amplitudes.
+    """
+    n = num_qubits
+    first = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    gates = [sim.hadamard(int(q)) for q in first]
+    for _ in range(int(rng.integers(0, 40))):
+        width = int(rng.integers(1, min(4, n) + 1))
+        qubits = [int(q) for q in rng.choice(n, size=width, replace=False)]
+        draw = int(rng.integers(4))
+        if draw == 0:  # a Hadamard step on up to 4 qubits
+            gates += [sim.hadamard(q) for q in qubits]
+        elif draw == 1:
+            marked = sorted({int(v) for v in rng.integers(0, 1 << width, size=rng.integers(1, 3))})
+            gates.append(sim.phase_oracle(qubits, marked, oracles[int(rng.integers(len(oracles)))]))
+        else:  # X, CNOT or MCX, often in runs
+            gates.append(sim.pauli_x(qubits[0], qubits[1:]))
+    return Circuit(n, tuple(gates))
+
+
+def bins_with_several_amplitudes(state: StateVector, register) -> int:
+    values = register_values(state.num_qubits, tuple(register))
+    return int((np.bincount(values[state.amplitudes != 0]) > 1).sum())
+
+
+class TestRegisterDistribution:
+    """register_distribution is register_probabilities of run_from_zero, from a sparse head."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=120, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_circuits_keep_every_bit(self, low_prefix, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 11))
+        oracles = [Billed(), Billed()]
+        circuit = random_sparse_circuit(n, rng, oracles)
+        register = [int(q) for q in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        expected = sim.register_probabilities(sim.run_from_zero(circuit), register)
+        bill = [list(oracle.charges) for oracle in oracles]
+        listed = [sum(gate.oracle is oracle for gate in circuit.gates) for oracle in oracles]
+        assert bill == [[count] if count else [] for count in listed]
+        # At the real bound, and with every Hadamard step kept sparse.
+        for shift in (sim._SPARSE_SHIFT, 0):
+            for oracle in oracles:
+                oracle.charges.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "_SPARSE_SHIFT", shift)
+                value = sim.register_distribution(circuit, register)
+            assert [oracle.charges for oracle in oracles] == bill
+            assert value.dtype == expected.dtype and same_bits(value, expected)
+
+    def test_random_circuits_fill_bins_with_several_amplitudes(self):
+        # The circuits of the property above: most give some bin of their
+        # register more than one nonzero amplitude, so its order of addition counts.
+        several = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(6, 11))
+            circuit = random_sparse_circuit(n, rng, [None])
+            register = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            several += bins_with_several_amplitudes(sim.run_from_zero(circuit), register) > 0
+        assert several >= 20
+
+    def test_bins_add_in_basis_index_order(self, monkeypatch):
+        # Whatever order the head leaves its entries in, each bin adds its
+        # weights in basis-index order: 200 random amplitudes in 8 bins, shuffled.
+        n, rng = 10, np.random.default_rng(5)
+        index = rng.choice(1 << n, size=200, replace=False)
+        amps = rng.normal(size=200) + 1j * rng.normal(size=200)
+        amps /= np.linalg.norm(amps)
+        dense = np.zeros(1 << n, dtype=complex)
+        dense[index] = amps
+        register = [7, 2, 9]
+        expected = sim.register_probabilities(StateVector(n, dense), register)
+        values = register_values(n, tuple(register))[index]
+        assert not same_bits(np.bincount(values, np.abs(amps) ** 2), expected)  # order counts
+        monkeypatch.setattr(sim, "_head_state", lambda num_qubits, gates: (amps.copy(), index))
+        assert same_bits(sim.register_distribution(Circuit(n, ()), register), expected)
+
+    def test_a_dense_head_and_a_register_of_every_qubit(self):
+        # A diffusion densifies the head; the register of every qubit reads one weight per bin.
+        n = 6
+        gates = [sim.hadamard(q) for q in range(3)] + [sim.phase_oracle(range(3), [5]),
+                                                       sim.diffusion(range(3)), sim.cnot(2, 4)]
+        for register in ([4, 0], list(range(n))):
+            for cut in (len(gates), len(gates) - 2):
+                circuit = Circuit(n, tuple(gates[:cut]))
+                expected = sim.register_probabilities(sim.run_from_zero(circuit), register)
+                assert same_bits(sim.register_distribution(circuit, register), expected)
+
+    def test_rejects_a_bad_register_before_billing(self):
+        oracle = Billed()
+        circuit = Circuit(3, (sim.hadamard(0), sim.phase_oracle((0,), [1], oracle)))
+        for register in ([], [0, 0], [3]):
+            with pytest.raises(StructuralError):
+                sim.register_distribution(circuit, register)
+        assert oracle.charges == []
+
+    def test_a_run_moves_the_indices_through_its_reverse_table(self, monkeypatch):
+        # A CNOT/MCX run takes the reverse run's gather array, built once from
+        # the forward one that a dense run cached; the forward run then finds
+        # the reverse's array without building anything.
+        monkeypatch.setattr(sim, "_PERMUTATIONS", sim._PermutationCache(1 << 20))
+        n = 8
+        run = [sim.cnot(0, 1), sim.mcx((0, 1), 2), sim.cnot(2, 3)]
+        forward, _ = sim._PERMUTATIONS.lookup(n, run)
+        reverse, inverse = sim._PERMUTATIONS.lookup(n, run[::-1], either=False)
+        assert not inverse and reverse.tolist() == np.argsort(forward).tolist()
+        assert sim._PERMUTATIONS.nbytes == 2 * (4 << n)
+        gates = [sim.hadamard(0), sim.hadamard(2), sim.pauli_x(4)] + run + [sim.pauli_x(5)]
+        gates += run[::-1] + [sim.phase_oracle((1, 3), [2])] + run
+        circuit = Circuit(n, tuple(gates))
+        expected = sim.register_probabilities(sim.run_from_zero(circuit), range(n))
+        assert same_bits(sim.register_distribution(circuit, range(n)), expected)
+        assert sim._PERMUTATIONS.nbytes == 2 * (4 << n)
+        amplitudes, index = sim._head_state(n, gates)
+        state = sim.run_from_zero(circuit).amplitudes
+        assert sorted(index.tolist()) == np.flatnonzero(state).tolist()
+        assert same_bits(amplitudes, state[index])
 
 
 class TestNormAndUnitarity:
