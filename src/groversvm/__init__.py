@@ -20,7 +20,6 @@ from .sim import (
     register_probabilities,
     run,
     run_from_zero,
-    run_many,
     sample_measurement,
     subsystem_fidelity,
     zero_probability,

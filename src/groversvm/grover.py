@@ -6,6 +6,8 @@ simulator bills it one query per time such a gate is listed in a circuit it
 runs.  The ``ideal`` backend writes the marked basis state exactly (the
 perfect-search idealization) but still bills the same number of queries a
 real run would consume, via identity-action billing gates.
+:func:`grover_search_many` charges each oracle the k queries of its search
+itself, on either backend; the gates it simulates bill nothing.
 """
 
 from __future__ import annotations
@@ -186,15 +188,17 @@ def grover_search_many(
 ) -> list[tuple[int, QueryLedger]]:
     """``grover_search`` on each oracle with its own seed; one ``(found, ledger)`` each.
 
-    The oracles must share one domain size.  The faithful backend runs
-    :func:`sim.run_many` on one template, ``search_circuit``'s gates with a
-    placeholder phase gate that marks nothing, and one row per oracle, its
-    phase gate, so no circuit is built per search.  It draws one measurement
-    from each state with its own seed: the value
-    ``sim.sample_measurement(state, register, 1, seed)`` would report, by
-    the same draw rule, without the histogram.  A ledger bills the oracle's
-    counter change, split evenly between the searches of an oracle listed
-    more than once.
+    The oracles must share one domain size.  Each oracle is charged the k
+    queries of its search, on either backend; the simulated gates bill
+    nothing.  The faithful backend draws one measurement per search with its
+    own seed, by ``sim.sample_measurement``'s draw rule (``sim._draw``).
+    When the k rounds are one closed-form step of ``sim`` (or k = 0), one
+    search marking 0 is simulated from |0...0>, and each search reads its
+    distribution from that state with the weights of 0 and its own mark
+    swapped: the bits its own circuit gives (see the ``sim`` module
+    docstring).  Any other batch, on N <= 8 or at k = 1, simulates each
+    search's own circuit.  A ledger bills the oracle's counter change, split
+    evenly between the searches of an oracle listed more than once.
     """
     config = config or GroverConfig()
     oracles = list(oracles)
@@ -207,24 +211,29 @@ def grover_search_many(
     if any(oracle.domain_size != N for oracle in oracles):
         raise StructuralError("batched searches must share one domain size")
     k = resolve_iterations(N, config)
+    n = oracles[0].num_qubits
+    # Built before any charge: above sim.QUBIT_CAP it raises with nothing billed.
+    shared = _unbilled_search(n, 0, k) if config.backend == "faithful" else None
     before = {id(oracle): oracle.query_count for oracle in oracles}
-    if config.backend == "ideal":
-        for oracle in oracles:
-            oracle.charge_queries(k)
+    for oracle in oracles:
+        oracle.charge_queries(k)
+    if shared is None:
         found = [oracle.marked for oracle in oracles]
         shots = 0
     else:
-        n = oracles[0].num_qubits
-        register = tuple(range(n))
-        slot = sim.phase_oracle(register, ())
-        hadamards = [sim.hadamard(q) for q in register]
-        template = Circuit(n, tuple(hadamards + [slot, sim.diffusion(register)] * k))
-        rows = [(oracle.phase_gate(register),) if k else () for oracle in oracles]
+        spans = list(sim._spans(shared.gates))
+        fused = k == 0 or spans[-1] == (sim._ROUNDS, n, len(shared.gates))
+        # The register is the state: one weight per value.
+        probs = sim.run_from_zero(shared).probabilities() if fused else None
         found = []
-        for state, seed in zip(sim.run_many(template, rows), rng_seeds):
-            probs = state.probabilities()  # the register is the state: one weight per value
-            probs /= probs.sum()
-            found.append(sim._one_shot(probs, sim.as_rng(seed)))
+        for oracle, seed in zip(oracles, rng_seeds):
+            t = oracle.marked
+            if fused:
+                own = probs.copy()
+                own[0], own[t] = probs[t], probs[0]
+            else:
+                own = sim.run_from_zero(_unbilled_search(n, t, k)).probabilities()
+            found.append(sim._draw(own, seed))
         shots = 1
     listed = Counter(id(oracle) for oracle in oracles)
     return [
@@ -234,6 +243,13 @@ def grover_search_many(
         ))
         for value, oracle in zip(found, oracles)
     ]
+
+
+def _unbilled_search(num_qubits: int, marked: int, iterations: int) -> Circuit:
+    """``search_circuit``'s gates with a phase oracle that marks ``marked`` and bills nothing."""
+    register = tuple(range(num_qubits))
+    rounds = [sim.phase_oracle(register, (marked,)), sim.diffusion(register)] * iterations
+    return Circuit(num_qubits, tuple([sim.hadamard(q) for q in register] + rounds))
 
 
 def grover_success_probability(

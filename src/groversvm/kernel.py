@@ -93,9 +93,14 @@ def kernel_exact_many(a, b, interval_width: int, domain_size: int) -> np.ndarray
     M, N = _check_interval(interval_width, domain_size)
     a = sim._int_array(a, "kernel indices", 0, N - 1)
     b = sim._int_array(b, "kernel indices", 0, N - 1)
-    d = np.abs(a - b) % N
-    d = np.minimum(d, N - d)
-    return np.where(d < M, (M - d) / M, 0.0)
+    # One int64 buffer worked in place; asarray keeps 0-d operands and results arrays.
+    d = np.asarray(np.subtract(a, b))
+    np.abs(d, out=d)
+    np.remainder(d, N, out=d)
+    np.minimum(d, N - d, out=d)  # the cyclic distance
+    np.minimum(d, M, out=d)
+    np.subtract(M, d, out=d)  # M - d, and 0 from distance M on
+    return np.asarray(d / M)
 
 
 def multi_marked_fidelity(oracle: MultiMarkedOracle, interval_width: int) -> float:
@@ -354,7 +359,9 @@ def gram_matrix(
         marked = np.array([o.marked for o in oracles], dtype=np.int64)
         entries = kernel_exact_many(marked[:, None], marked[None, :], interval_width, N)
         if mode.tag == "sampled":
-            i, j = np.nonzero(np.triu(entries, 1))
+            i, j = np.nonzero(entries)
+            upper = i < j  # row-major, as np.nonzero(np.triu(entries, 1)) lists them
+            i, j = i[upper], j[upper]
             values = kernel_sampled_many(
                 entries[i, j], mode.shots, (rng_seed,), np.stack([i, j], axis=1)
             )

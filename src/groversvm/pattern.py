@@ -297,7 +297,7 @@ def pattern_match(
     success = float(probs[instance.location])
     # The one measurement sample_measurement(run_from_zero(circuit), index register, 1,
     # rng_seed) makes.
-    found = sim._one_shot(probs / probs.sum(), sim.as_rng(rng_seed))
+    found = sim._draw(probs, rng_seed)
     return found, success, ledger
 
 

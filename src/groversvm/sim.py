@@ -40,10 +40,9 @@ the view of the qubits it flips an odd number of times, reversed on their
 axes.  Each run of two or more CNOT/MCX gates is one gather through an int32
 index array built by applying the run to an ``arange``.  The arrays are kept
 in a least-recently-used cache keyed by the run's gate shapes and bounded by
-``_PERMUTATION_CACHE_BYTES``; the same run reversed is the inverse
-permutation, a scatter through the same array.  A run whose array would not
-fit is applied gate by gate.  Either way the amplitudes are bit for bit
-those of the per-gate kernels.
+``_PERMUTATION_CACHE_BYTES``.  A run whose array would not fit is applied
+gate by gate.  Either way the amplitudes are bit for bit those of the
+per-gate kernels.
 
 Grover rounds are applied in closed form.  A maximal run of two or more
 repeats of one phase oracle and diffusion pair, in either order, is one
@@ -56,10 +55,14 @@ are the register sum, a gather of the marked amplitudes, a 2 x 2 matrix
 power per column, one broadcast pass and a scatter, instead of ``2k`` state
 sweeps.  The amplitudes move by rounding only: the tests hold them within
 1e-13 of the per-gate kernels.  The register sum is the diffusion's, and
-every column is computed alike at any width, so the from-zero prefix and
-``run_many`` below still give the bits of the full-width run.  These rounds
-and the Hadamard runs that hit a qubit twice are the only steps that move
-amplitudes by rounding; every other step keeps the per-gate bits.
+every column is computed alike at any width, so the from-zero prefix below
+still gives the bits of the full-width run.  After H on a whole register
+from |0...0>, neither the register sum nor the marked amplitude depends on
+which value is marked, and every other amplitude gets the same update: the
+rounds for one mark leave the state of those for another with the two
+values' amplitudes swapped, bit for bit.  These rounds and the Hadamard runs
+that hit a qubit twice are the only steps that move amplitudes by rounding;
+every other step keeps the per-gate bits.
 
 From |0...0> (:func:`run_from_zero`), on a state of at least
 ``_PREFIX_MIN_QUBITS`` qubits, the longest run of leading gates that leaves
@@ -76,21 +79,6 @@ at +0, and an oracle turns its marked entries into -0; so when any oracle
 in the run marks a value, the run is applied once more to an all +0 state,
 and that result fills those blocks.  Signed zeros included, the bits are
 those of the full-width run.
-
-A batch of circuits that differ only in their oracles (:func:`run_many`, as
-for one Grover search per data point) is one template circuit and, per row,
-one phase oracle for each of its slots; the slots, the steps and the bill
-are found once per call.  The rows run in one buffer, a chunk at a time.
-The gates before the step that holds the first slot run once and are copied
-into every row.  A chunk of ``2**b`` rows of ``n`` qubits is a state of
-``n + b`` qubits whose top ``b`` qubits number the row.  No gate acts on
-those qubits, so every gate acts on each row alone, and the rest of the
-gates go through :func:`_evolve` with the steps of the rows' own circuits,
-each slot widened to the row qubits: it marks ``v | r << w`` for each value
-``v`` row ``r`` marks on its ``w``-qubit register, and a short chunk is
-padded to a power of two with rows that mark nothing.  So numpy calls are
-paid once per chunk rather than once per row, and each row keeps the bits
-of its own run.
 
 :func:`zero_probability` reads one register of a circuit run from |0...0>,
 so it runs only the register's backward light cone.  Walking the gates
@@ -151,11 +139,10 @@ being left out.  No nonzero sum or product depends on the sign of a zero
 operand, and neither does ``abs(a)**2``, so the probabilities keep their bits.
 
 A phase-oracle gate carries the register values it marks and the oracle it
-bills.  :func:`apply`, :func:`run`, :func:`run_many` and
-:func:`zero_probability` bill each oracle one query per time its gate is
-listed, counted from the gate list by :func:`_bill` (``run_many`` counts
-each row gate once per listing of its slot); no code that applies gates
-bills, so no path can change a query count.  All randomness is injected
+bills.  :func:`apply`, :func:`run`, :func:`zero_probability` and
+:func:`register_distribution` bill each oracle one query per time its gate
+is listed, counted from the gate list by :func:`_bill`; no code that applies
+gates bills, so no path can change a query count.  All randomness is injected
 through explicit seeds or generators.  Qubit counts and indices, marked
 values, basis indices, shot counts and seeds are Python or numpy integers
 (not bool) in range, else a :class:`StructuralError`: :func:`_check_int` is
@@ -196,15 +183,6 @@ _SPARSE_SHIFT = 4
 # at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
 # by gate.
 _PERMUTATION_CACHE_BYTES = 16 << 20
-# Amplitudes in the buffer ``run_many`` runs a chunk of states in (256 KiB);
-# a state of half of it or more is a chunk of one.  On 200 12-qubit searches,
-# chunks of 4, 8 and 16 states took 0.68, 0.65 and 0.63 of the time of one at
-# a time; in a faithful preprocessing run, 8 states raised peak RSS by 0.3 MB
-# more than 4 did, and 16 states by 0.7 MB more.  With one template per batch,
-# 328 searches at 16 states (1 MiB) took 0.76 of their time at 4, but whole
-# search-small passes were no faster (0.38-0.41 s against 0.37-0.42 s, three
-# runs each on a 2-vCPU host) and peak at 42.10-42.16 MB against 41.88-41.94.
-_BATCH_AMPLITUDES = _CACHE_ROW >> 2
 # Registers of fewer qubits take their rounds gate by gate: a closed-form run
 # holds about ten arrays of one entry per column, which would outgrow the state
 # below this width, and on such registers k is at most 2 at the optimum.
@@ -681,11 +659,7 @@ def _apply_inplace(psi: np.ndarray, num_qubits: int, gate: Gate) -> None:
 
 def _bill(gates) -> None:
     """Charge each phase oracle's ``oracle`` one query per time its gate is in ``gates``."""
-    _charge(Counter(g.oracle for g in gates))
-
-
-def _charge(queries: Counter) -> None:
-    """One ``charge_queries`` call for each oracle in ``queries`` but None, of its count."""
+    queries = Counter(g.oracle for g in gates)
     queries.pop(None, None)
     for oracle, count in queries.items():
         oracle.charge_queries(count)
@@ -714,9 +688,9 @@ class _PermutationCache:
 
     An entry is keyed by the qubit count and the run's ``(target, controls)``
     shapes.  Its int32 array ``perm`` satisfies ``out = psi[perm]`` for the run
-    applied gate by gate.  The run reversed is the inverse permutation, since
-    every gate is an involution, so it is the scatter ``out[perm] = psi`` with
-    the same entry.  The arrays never hold more than ``max_bytes`` in total.
+    applied gate by gate.  The run reversed, the inverse permutation since
+    every gate is an involution, is an entry of its own.  The arrays never
+    hold more than ``max_bytes`` in total.
     """
 
     def __init__(self, max_bytes: int):
@@ -724,36 +698,25 @@ class _PermutationCache:
         self.nbytes = 0
         self._entries: OrderedDict = OrderedDict()
 
-    def lookup(self, num_qubits: int, gates: list[Gate], either: bool = True):
-        """``(perm, inverse)`` for the run, or None if an array would exceed the bound.
-
-        With ``either`` False, ``inverse`` is False: the array is built once,
-        from the reverse's if that alone is cached."""
-        shapes = tuple((gate.targets[0], gate.controls) for gate in gates)
-        keys = ((num_qubits, shapes), (num_qubits, shapes[::-1]))
-        for key in keys:
-            perm = self._entries.get(key)
-            if perm is not None:
-                self._entries.move_to_end(key)
-                if key == keys[0] or either:
-                    return perm, key != keys[0]
-                break
+    def lookup(self, num_qubits: int, gates: list[Gate]):
+        """The run's ``perm``, built once, or None if its array would exceed the bound."""
+        key = (num_qubits, tuple((gate.targets[0], gate.controls) for gate in gates))
+        perm = self._entries.get(key)
+        if perm is not None:
+            self._entries.move_to_end(key)
+            return perm
         nbytes = 4 << num_qubits
         if nbytes > self.max_bytes:
             return None
-        if perm is None:
-            perm = np.arange(1 << num_qubits, dtype=np.int32)
-            for gate in gates:
-                _apply_inplace(perm, num_qubits, gate)
-        else:  # the reverse run's array is this run's inverse
-            reverse, perm = perm, np.empty_like(perm)
-            perm[reverse] = np.arange(perm.size, dtype=np.int32)
+        perm = np.arange(1 << num_qubits, dtype=np.int32)
+        for gate in gates:
+            _apply_inplace(perm, num_qubits, gate)
         perm.flags.writeable = False
         while self.nbytes + nbytes > self.max_bytes:
             self.nbytes -= self._entries.popitem(last=False)[1].nbytes
-        self._entries[keys[0]] = perm
+        self._entries[key] = perm
         self.nbytes += nbytes
-        return perm, False
+        return perm
 
 
 _PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
@@ -859,8 +822,8 @@ def _rounds_plan(num_qubits: int, first: Gate, second: Gate, rounds: int):
     ``v <- s * v + (alpha' - s * alpha) * 1``, and ``alpha' + beta'`` at
     ``t``.  A column with no mark gets the diffusion's power, in the same
     coordinates at ``t = 0``.  Every column is computed alike whatever the
-    state's width, and the register sum is the diffusion's, so ``run_many``
-    rows and from-zero prefixes keep the bits of the full-width run.
+    state's width, and the register sum is the diffusion's, so from-zero
+    prefixes keep the bits of the full-width run.
     """
     oracle, diffusion = (first, second) if first.kind == PHASE_ORACLE else (second, first)
     register, low = diffusion.targets, diffusion.targets[0]
@@ -980,7 +943,7 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
     applied whole.  A run of rounds is one closed form; a Hadamard run
     applies H once to each qubit it hits an odd number of times, in the
     order of first hits; an X run is one strided copy, and a CNOT/MCX run of
-    two or more gates one gather (or scatter) through a cached index array.
+    two or more gates one gather through a cached index array.
     """
     n = num_qubits
     spare = None
@@ -993,8 +956,8 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
             for targets in _odd_hits(step):
                 _plan(n, HADAMARD, targets, ())(psi, ())
             continue
-        found = _PERMUTATIONS.lookup(n, step) if kind == MCX and len(step) > 1 else None
-        if kind != PAULI_X and found is None:
+        perm = _PERMUTATIONS.lookup(n, step) if kind == MCX and len(step) > 1 else None
+        if kind != PAULI_X and perm is None:
             for gate in step:
                 _apply_inplace(psi, n, gate)
             continue
@@ -1003,15 +966,11 @@ def _evolve(psi: np.ndarray, num_qubits: int, gates, spans=None) -> np.ndarray:
         if kind == PAULI_X:
             _flip_into(spare, psi, n, step)
         else:
-            perm, inverse = found
-            if inverse:
-                spare[perm] = psi
-            else:
-                # "clip" takes no whole-output buffer; slices bound the int64
-                # copy numpy makes of the int32 indices to one cache row.
-                for row in range(0, perm.size, _CACHE_ROW):
-                    rows = slice(row, row + _CACHE_ROW)
-                    np.take(psi, perm[rows], out=spare[rows], mode="clip")
+            # "clip" takes no whole-output buffer; slices bound the int64
+            # copy numpy makes of the int32 indices to one cache row.
+            for row in range(0, perm.size, _CACHE_ROW):
+                rows = slice(row, row + _CACHE_ROW)
+                np.take(psi, perm[rows], out=spare[rows], mode="clip")
         psi, spare = spare, psi
     return psi
 
@@ -1167,9 +1126,9 @@ def _sparse_moves(num_qubits: int, index: np.ndarray, amplitudes: np.ndarray, st
     # dense.  At 20 qubits the faithful kernel's 55-gate adder array took 28
     # ms and 4 MiB to build, and walking its 4,096 indices 0.47 ms.
     if _FUSED.get(step[0].kind) == MCX and len(step) > 1 and 1 << num_qubits <= _CACHE_ROW:
-        found = _PERMUTATIONS.lookup(num_qubits, step[::-1], either=False)
-        if found is not None:
-            return found[0][index].astype(np.int64), amplitudes
+        perm = _PERMUTATIONS.lookup(num_qubits, step[::-1])
+        if perm is not None:
+            return perm[index].astype(np.int64), amplitudes
     negated = np.zeros(index.size, dtype=bool)
     _walk(index, negated, step)
     return index, np.negative(amplitudes, out=amplitudes, where=negated)
@@ -1227,89 +1186,6 @@ def run(circuit: Circuit, initial: StateVector) -> StateVector:
 def run_from_zero(circuit: Circuit) -> StateVector:
     """``run`` from |0...0>, written straight into ``run``'s buffer."""
     return run(circuit, _FROM_ZERO)
-
-
-def run_many(template: Circuit, rows: Sequence[Sequence[Gate]]):
-    """Yield ``run_from_zero`` of ``template`` with each row's gates in its slots, as one batch.
-
-    A slot is one distinct phase-oracle gate object of the template, taken
-    in order of first listing; the template's slot gates are neither run nor
-    billed.  Each row gives one phase oracle on each slot's register, which
-    replaces the slot wherever it is listed; any other row is a
-    :class:`StructuralError`, raised before anything is billed.  Each row
-    gate's oracle is billed one query per listing of its slot, when the first
-    state is asked for.  Consecutive rows are grouped by what their steps
-    depend on: which slots they fill with :func:`_same` gates, and which
-    slots' marks pass the :func:`_fuse_test` of each diffusion register.  So
-    :func:`_spans` runs once per group, and a chunk (see the module
-    docstring) holds rows of one group and applies that group's steps.  Every
-    amplitude has the bits ``run_from_zero`` gives it, the norm of each state
-    is checked, and each yielded state owns a copy of its row.
-    """
-    if not isinstance(template, Circuit):
-        raise StructuralError(f"run_many takes a template Circuit, got {template!r}")
-    rows = list(rows)
-    if not rows:
-        return
-    n, gates = template.num_qubits, template.gates
-    slots = list({id(gate): gate for gate in gates if gate.kind == PHASE_ORACLE}.values())
-    number = {id(slot): s for s, slot in enumerate(slots)}
-    at = [number.get(id(gate)) for gate in gates]  # the slot listed at each position, or None
-    listed = [at.count(s) for s in range(len(slots))]
-    queries = Counter()
-    for row in rows:
-        if not isinstance(row, (tuple, list)) or len(row) != len(slots) or not all(
-                isinstance(gate, Gate) and gate == slot for gate, slot in zip(row, slots)):
-            raise StructuralError(
-                f"each row must give one phase oracle per template slot ({len(slots)}), "
-                f"on the slot's register, got {row!r}"
-            )
-        for gate, count in zip(row, listed):
-            queries[gate.oracle] += count
-    _charge(queries)
-    pairs = [(a, b) for b in range(len(slots)) for a in range(b) if slots[a] == slots[b]]
-    registers = dict.fromkeys(gate.targets for gate in gates if gate.kind == DIFFUSION)
-    tests = [(s, _fuse_test(slot.targets, r)) for s, slot in enumerate(slots) for r in registers]
-    keys = [(tuple(_same(row[a], row[b]) for a, b in pairs),
-             tuple(fuses(row[s].marked) for s, fuses in tests)) for row in rows]
-    steps = {}  # each group's spans, found on the circuit of its first row
-    for row, key in zip(rows, keys):
-        if key not in steps:
-            steps[key] = list(_spans([gate if s is None else row[s] for gate, s in zip(gates, at)]))
-    split = len(gates)
-    if slots:
-        # The shared head ends where some group's step holding the first slot
-        # starts: at the slot, or at the diffusion before it where a group
-        # fuses a diffusion-first run; that diffusion is a step of its own in
-        # every other group.
-        first = at.index(0)
-        split = min(next(start for _, start, stop in spans if stop > first)
-                    for spans in steps.values())
-    shared, rest = _from_zero(n, gates[:split])
-    shared = _evolve(shared, n, rest)  # holds no phase oracle
-    per_chunk = 1 << max(0, _BATCH_AMPLITUDES.bit_length() - 1 - n)  # a power of two
-    size = 1 << (min(per_chunk, len(rows)) - 1).bit_length()
-    chunk = np.empty((size, 1 << n), dtype=np.complex128)
-    for key, group in groupby(zip(keys, rows), key=lambda pair: pair[0]):
-        spans = [(kind, start - split, stop - split)
-                 for kind, start, stop in steps[key] if start >= split]
-        group = [row for _, row in group]
-        for begin in range(0, len(group), per_chunk):
-            batch = group[begin : begin + per_chunk]
-            bits = (len(batch) - 1).bit_length()
-            block = chunk[: 1 << bits]
-            block[...] = shared
-            numbers = tuple(range(n, n + bits))
-            wide = [  # each slot widened to the row qubits
-                Gate(PHASE_ORACLE, slot.targets + numbers, (), [
-                    v | r << len(slot.targets) for r, row in enumerate(batch) for v in row[s].marked
-                ])
-                for s, slot in enumerate(slots)
-            ]
-            tail = [gate if s is None else wide[s] for gate, s in zip(gates[split:], at[split:])]
-            psi = _evolve(block.reshape(-1), n + bits, tail, spans)
-            for row in psi.reshape(-1, 1 << n)[: len(batch)]:
-                yield StateVector._adopt(n, row.copy())
 
 
 def prob_all_zero(state: StateVector, register: Sequence[int]) -> float:
@@ -1420,18 +1296,22 @@ def sample_measurement(
     where position ``p`` of the register list contributes bit ``p`` of the
     value.  Identical seeds give identical histograms: the counts are
     ``Generator.multinomial(shots, p)`` of the normalised Born weights, and
-    one shot is drawn by :func:`_one_shot`, which gives the same outcome.
+    one shot is drawn by :func:`_draw`, which gives the same outcome.
     """
     register = _check_register(state.num_qubits, register)
     _check_int(shots, "shots", 1)
     probs = register_probabilities(state, register)
-    probs /= probs.sum()
-    rng = as_rng(rng_seed)
     width = len(register)
     if shots == 1:
-        return {format(_one_shot(probs, rng), f"0{width}b"): 1}
-    counts = rng.multinomial(shots, probs)
+        return {format(_draw(probs, rng_seed), f"0{width}b"): 1}
+    counts = as_rng(rng_seed).multinomial(shots, probs / probs.sum())
     return {format(v, f"0{width}b"): int(counts[v]) for v in np.flatnonzero(counts).tolist()}
+
+
+def _draw(weights: np.ndarray, rng_seed) -> int:
+    """One measurement outcome of the Born ``weights``: they are normalised, and
+    :func:`_one_shot` draws with ``as_rng(rng_seed)``.  The package's one draw rule."""
+    return _one_shot(weights / weights.sum(), as_rng(rng_seed))
 
 
 def _one_shot(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -8,7 +8,9 @@ import numpy.testing as npt
 import pytest
 
 from groversvm import grover, sim
-from groversvm.errors import InvalidIntervalError, StructuralError, UnsupportedSizeError
+from groversvm.errors import (
+    InvalidIntervalError, ResourceCapError, StructuralError, UnsupportedSizeError,
+)
 from groversvm.grover import (
     GroverConfig,
     IndicatorOracle,
@@ -239,25 +241,63 @@ class TestGroverSearch:
             GroverConfig("faithful", iterations=iterations)
 
 
+def assert_batch_matches_a_loop(N, config, marks, seeds, monkeypatch, listing=None):
+    """``grover_search_many`` gives a loop of ``reference_search`` its results and bills.
+
+    ``listing[i]`` names the oracle search ``i`` uses, so one oracle may be
+    searched several times.  A faithful batch simulates one state when its
+    rounds are one closed-form step (N >= 16 and k >= 2) or there are none,
+    and else one state per search.
+    """
+    listing = list(range(len(marks))) if listing is None else listing
+    oracles = [IndicatorOracle(N, int(v)) for v in marks]
+    ref_oracles = [IndicatorOracle(N, int(v)) for v in marks]
+    runs = []
+    original = sim.run_from_zero
+    monkeypatch.setattr(sim, "run_from_zero", lambda c: runs.append(c) or original(c))
+    results = grover_search_many([oracles[i] for i in listing], config, seeds)
+    monkeypatch.setattr(sim, "run_from_zero", original)
+    rounds = grover.resolve_iterations(N, config)
+    shared = rounds == 0 or (N >= 16 and rounds >= 2)
+    assert len(runs) == (0 if config.backend == "ideal" else 1 if shared else len(listing))
+    expected = [reference_search(ref_oracles[i], config, s) for i, s in zip(listing, seeds)]
+    assert results == expected
+    assert [o.query_count for o in oracles] == [o.query_count for o in ref_oracles]
+
+
 class TestGroverSearchMany:
     @pytest.mark.parametrize("backend", ["ideal", "faithful"])
-    @pytest.mark.parametrize("N, count", [(4, 3), (8, 150), (64, 40), (1024, 9)])
+    @pytest.mark.parametrize("N, count", [(4, 3), (8, 150), (64, 40), (1024, 9), (4096, 16)])
     def test_matches_a_loop_of_single_searches(self, N, count, backend, monkeypatch):
-        config = GroverConfig(backend)
         marks = np.random.default_rng(N).integers(0, N, size=count)
         seeds = np.random.SeedSequence(N).spawn(count)
-        oracles = [IndicatorOracle(N, int(v)) for v in marks]
-        if N == 8:  # several faithful chunks of 64 searches, the last one partial
-            monkeypatch.setattr(sim, "_BATCH_AMPLITUDES", 64 * N)
-            assert count > 2 * 64 and count % 64
-        results = grover_search_many(oracles, config, seeds)
-        ref_oracles = [IndicatorOracle(N, int(v)) for v in marks]
-        expected = [reference_search(o, config, s) for o, s in zip(ref_oracles, seeds)]
-        assert results == expected
-        assert [o.query_count for o in oracles] == [o.query_count for o in ref_oracles]
+        assert_batch_matches_a_loop(N, GroverConfig(backend), marks, seeds, monkeypatch)
+
+    @pytest.mark.parametrize("backend", ["ideal", "faithful"])
+    @pytest.mark.parametrize("N, k", [
+        *[(N, k) for N in (4, 8, 16) for k in (0, 1, 2, 3)], (64, 1), (1024, 1), (4096, 1),
+    ])
+    def test_matches_a_loop_at_a_set_number_of_rounds(self, N, k, backend, monkeypatch):
+        # k = 1 on a large domain runs each search's own circuit, as N <= 8 does.
+        marks = np.random.default_rng(N).integers(0, N, size=12)
+        seeds = np.random.SeedSequence(N).spawn(12)
+        assert_batch_matches_a_loop(N, GroverConfig(backend, k), marks, seeds, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_batches_match_a_loop_of_single_searches(self, seed, monkeypatch):
+        # Faithful batches on random domains from 4 to 1024, with round counts
+        # from none to past the optimum, in which one oracle may be searched again.
+        rng = np.random.default_rng(1700 + seed)
+        N = 1 << int(rng.integers(2, 11))
+        k = [None, 0, 1, 2, 3, 2 * optimal_iterations(N) + 1][int(rng.integers(6))]
+        marks = rng.integers(0, N, size=int(rng.integers(1, 9)))
+        listing = [int(i) for i in rng.integers(0, marks.size, size=int(rng.integers(1, 13)))]
+        seeds = [int(s) for s in rng.integers(0, 1 << 31, size=len(listing))]
+        config = GroverConfig("faithful", k)
+        assert_batch_matches_a_loop(N, config, marks, seeds, monkeypatch, listing)
 
     def test_zero_rounds_match_single_searches(self):
-        # The template then lists no slot, and every row is empty.
+        # The circuit is then the Hadamards alone, and bills nothing.
         config = GroverConfig("faithful", iterations=0)
         oracles = [IndicatorOracle(16, v) for v in (3, 5, 3)]
         expected = [reference_search(IndicatorOracle(16, v), config, s)
@@ -279,6 +319,12 @@ class TestGroverSearchMany:
                                          GroverConfig(backend), [1, 2, 3])
             assert [ledger.oracle_queries for _, ledger in results] == [3, 3, 3]
             assert oracle.query_count == 6
+
+    def test_a_batch_above_the_qubit_cap_bills_nothing(self):
+        oracles = [IndicatorOracle(1 << (sim.QUBIT_CAP + 1), v) for v in (3, 5)]
+        with pytest.raises(ResourceCapError):
+            grover_search_many(oracles, GroverConfig("faithful"), [0, 1])
+        assert [o.query_count for o in oracles] == [0, 0]
 
     def test_input_errors_before_any_query(self):
         oracles = [IndicatorOracle(16, 3), IndicatorOracle(32, 3)]

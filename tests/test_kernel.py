@@ -486,6 +486,22 @@ class TestKernelExactMany:
         with pytest.raises(InvalidIntervalError):
             kernel_exact_many([0], [1], 8, 16)
 
+    def test_a_512_point_gram_holds_two_matrices_at_most(self):
+        # The distances are worked in one int64 buffer in place, so at most two
+        # 2 MiB matrices are live at once: the buffer beside N - d, or beside
+        # the float64 result.
+        import tracemalloc
+
+        marks = np.random.default_rng(7).integers(0, 1 << 14, size=512)
+        tracemalloc.start()
+        try:
+            grid = kernel_exact_many(marks[:, None], marks[None, :], 64, 1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (512, 512)
+        assert peak < 4.1 * (1 << 20)
+
     def test_bool_indices_rejected(self):
         # kernel_exact_many([True, 3], [5, 5], 4, 16) answered [0, 0.5], reading True as 1.
         with pytest.raises(StructuralError, match="kernel indices must be integers"):

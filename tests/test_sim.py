@@ -4,7 +4,6 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -542,20 +541,22 @@ class TestFusedRuns:
             assert same_bits(out.amplitudes, per_gate(state, gates)), gates
         assert same_bits(sim.run(Circuit(n, tuple(runs[0])), state).amplitudes, state.amplitudes)
 
-    def test_reversed_run_is_the_inverse_through_one_entry(self, fresh_cache):
+    def test_each_direction_of_a_run_inverts_the_other(self, fresh_cache):
         from groversvm.grover import adder_gates
 
         n = 8
         adder = adder_gates(range(4), range(4, 8))
         state = random_state(n, seed=61)
         forward = sim.run(Circuit(n, tuple(adder)), state)
-        assert len(fresh_cache._entries) == 1
         back = sim.run(Circuit(n, tuple(reversed(adder))), forward)
-        assert len(fresh_cache._entries) == 1  # the scatter reuses the forward entry
         assert same_bits(back.amplitudes, state.amplitudes)
-        perm = next(iter(fresh_cache._entries.values()))
-        assert perm.dtype == np.int32 and not perm.flags.writeable
-        assert sorted(perm.tolist()) == list(range(1 << n))
+        built = [id(perm) for perm in fresh_cache._entries.values()]
+        assert len(built) == 2  # one gather array per direction
+        perm, reverse = fresh_cache.lookup(n, adder), fresh_cache.lookup(n, adder[::-1])
+        assert [id(perm), id(reverse)] == built  # found, not built again
+        for array in (perm, reverse):
+            assert array.dtype == np.int32 and not array.flags.writeable
+        assert perm[reverse].tolist() == reverse[perm].tolist() == list(range(1 << n))
         # |i>|j> -> |i+j mod 16>|j>: the amplitude at the sum came from (i, j).
         for i, j in [(3, 5), (15, 1), (0, 0), (9, 12)]:
             assert perm[((i + j) % 16) | (j << 4)] == i | (j << 4)
@@ -574,7 +575,7 @@ class TestFusedRuns:
         assert kept == [tuple((g.targets[0], g.controls) for g in gates) for gates in runs[2:]]
         assert cache.lookup(n + 2, runs[0]) is None  # one array over the bound: not held
         assert cache.nbytes == 3 * (4 << n)
-        perm, _ = cache.lookup(n + 1, runs[4])  # the same shapes on a wider state
+        perm = cache.lookup(n + 1, runs[4])  # the same shapes on a wider state
         assert perm.size == 1 << (n + 1)
         assert sim._PERMUTATIONS.max_bytes == sim._PERMUTATION_CACHE_BYTES
 
@@ -775,25 +776,20 @@ class TestHadamardRuns:
         gates = [sim.hadamard(q) for q in (4, 0, 2, 2, 0, 4)]
         assert same_bits(sim.run(Circuit(5, tuple(gates)), state).amplitudes, state.amplitudes)
 
-    def test_a_from_zero_prefix_does_not_split_a_qubit_across_its_end(self, low_prefix, chunk_rows):
+    def test_a_from_zero_prefix_does_not_split_a_qubit_across_its_end(self, low_prefix):
         # With X0 the Hadamard run touches all six qubits, more than a prefix
         # may, so the prefix, which takes whole steps, stops before the run,
         # and the run is reduced whole (H1 cancels) as in the full-width run.
         n = 6
-        chunk_rows(n, 2)
         run = [sim.hadamard(q) for q in (1, 2, 3, 4, 1, 5)]
-        slot = sim.phase_oracle(range(n), [])
-        template = Circuit(n, tuple([sim.pauli_x(0)] + run + [slot, sim.diffusion(range(n))]))
-        rows = [(sim.phase_oracle(range(n), [m]),) for m in (9, 22, 40)]
-        gates = template.gates
-        assert sim._zero_prefix(n, gates) == (1, 0b000001)
-        assert sim._zero_prefix(n, gates[:5] + gates[6:]) == (1, 0b000001)  # no qubit hit twice
-        states = sim.run_many(template, rows)
-        circuits = [substituted(template, gates) for gates in rows]
-        for circuit, row in zip(circuits, states, strict=True):
+        for mark in (9, 22, 40):
+            oracle = sim.phase_oracle(range(n), [mark])
+            circuit = Circuit(n, tuple([sim.pauli_x(0)] + run + [oracle, sim.diffusion(range(n))]))
+            gates = circuit.gates
+            assert sim._zero_prefix(n, gates) == (1, 0b000001)
+            assert sim._zero_prefix(n, gates[:5] + gates[6:]) == (1, 0b000001)  # no qubit hit twice
             expected = sim.run(circuit, StateVector.zero(n))
             assert same_bits(sim.run_from_zero(circuit).amplitudes, expected.amplitudes)
-            assert same_bits(row.amplitudes, expected.amplitudes)
             register = (0, 1, 2)
             assert sim.zero_probability(circuit, register) == sim.prob_all_zero(expected, register)
 
@@ -946,7 +942,7 @@ class TestZeroPrefix:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_a_list_split_at_a_step_boundary_keeps_its_steps(self, seed):
-        # The prefix, the rest after it and run_many's shared head each go
+        # The prefix, the rest after it and a sparse head's dense rest each go
         # through _evolve alone; split where a step ends, each keeps the steps
         # of the whole list.
         rng = np.random.default_rng(1300 + seed)
@@ -1085,266 +1081,6 @@ class TestZeroPrefix:
         assert plans == [12, 12, 20, 20, 20]
 
 
-@pytest.fixture
-def chunk_rows(monkeypatch):
-    """Set how many states of ``num_qubits`` qubits one ``run_many`` chunk holds."""
-
-    def set_rows(num_qubits: int, rows: int) -> None:
-        monkeypatch.setattr(sim, "_BATCH_AMPLITUDES", rows << num_qubits)
-
-    return set_rows
-
-
-def substituted(template: Circuit, row) -> Circuit:
-    """``template`` with ``row``'s gates in its slots: the circuit ``run_many`` gives the bits of.
-
-    Slot ``s`` is the template's ``s``-th distinct phase-oracle gate object, in order of listing.
-    """
-    number = {}
-    for gate in template.gates:
-        if gate.kind == sim.PHASE_ORACLE:
-            number.setdefault(id(gate), len(number))
-    gates = tuple(row[number[id(gate)]] if id(gate) in number else gate for gate in template.gates)
-    return Circuit(template.num_qubits, gates)
-
-
-def assert_rows_keep_their_bits(template: Circuit, rows) -> list:
-    """Run the batch; every state has the ``run_from_zero`` bits of its row's circuit."""
-    states = list(sim.run_many(template, rows))
-    assert len(states) == len(rows)
-    for state, row in zip(states, rows):
-        expected = sim.run_from_zero(substituted(template, row)).amplitudes
-        assert same_bits(state.amplitudes, expected), substituted(template, row).gates
-    return states
-
-
-def random_batch(num_qubits: int, count: int, rng) -> tuple:
-    """A random template and ``count`` rows of random marks for its slots.
-
-    The template covers X, CNOT, MCX and Hadamard gates, diffusions on
-    bottom, top and middle blocks and on scattered registers, and phase-oracle
-    slots on any register, some listed at several positions.  A row marks
-    none, one or two values in each slot, and may fill a slot with the gate
-    it gave an earlier slot of the same register.
-    """
-    n = num_qubits
-    gates, slots = [], []
-    for _ in range(int(rng.integers(4, 30))):
-        qubits = [int(q) for q in rng.permutation(n)]
-        kind = int(rng.integers(7))
-        width = int(rng.integers(1, n + 1))
-        low = int(rng.integers(0, n - width + 1))
-        if kind == 0:
-            gates.append(sim.hadamard(qubits[0]))
-        elif kind == 1:
-            gates.append(sim.pauli_x(qubits[0]))
-        elif kind == 2 and n >= 2:
-            gates.append(sim.cnot(qubits[0], qubits[1]))
-        elif kind == 3 and n >= 3:
-            gates.append(sim.mcx(qubits[1:3], qubits[0]))
-        elif kind == 4:
-            register = [range(width), range(n - width, n), range(low, low + width), qubits[:width]]
-            register = list(register[int(rng.integers(4))])[:: int(rng.choice([1, -1]))]
-            gates.append(sim.diffusion(register))
-        elif slots and rng.integers(3) == 0:
-            gates.append(slots[int(rng.integers(len(slots)))])  # a slot listed again
-        else:
-            slots.append(sim.phase_oracle(qubits[:width], []))
-            gates.append(slots[-1])
-    rows = []
-    for _ in range(count):
-        row = []
-        for slot in slots:
-            earlier = [gate for gate in row if gate == slot]
-            if earlier and rng.integers(3) == 0:
-                row.append(earlier[int(rng.integers(len(earlier)))])
-            else:
-                values = rng.integers(0, 1 << len(slot.targets), size=int(rng.integers(3)))
-                row.append(sim.phase_oracle(slot.targets, sorted({int(v) for v in values})))
-        rows.append(tuple(row))
-    return Circuit(n, tuple(gates)), rows
-
-
-def search_batch(domain_size: int, marks) -> tuple:
-    """A search template, its one slot before each diffusion, and a row per marked value."""
-    from groversvm.grover import IndicatorOracle, optimal_iterations
-
-    n = domain_size.bit_length() - 1
-    register = tuple(range(n))
-    slot = sim.phase_oracle(register, [])
-    rounds = [slot, sim.diffusion(register)] * optimal_iterations(domain_size)
-    template = Circuit(n, tuple([sim.hadamard(q) for q in register] + rounds))
-    return template, [(IndicatorOracle(domain_size, int(v)).phase_gate(register),) for v in marks]
-
-
-class TestRunMany:
-    """A batch of rows gives each row's circuit its ``run_from_zero`` bits."""
-
-    @pytest.mark.parametrize("n", range(4, 15))
-    def test_search_circuits(self, n):
-        from groversvm.grover import IndicatorOracle, search_circuit
-
-        marks = np.random.default_rng(n).integers(0, 1 << n, size=5)
-        template, rows = search_batch(1 << n, marks)
-        states = assert_rows_keep_their_bits(template, rows)
-        for state, v in zip(states, marks):
-            expected = sim.run_from_zero(search_circuit(IndicatorOracle(1 << n, int(v))))
-            assert same_bits(state.amplitudes, expected.amplitudes)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_shape_equal_circuits(self, seed, chunk_rows):
-        rng = np.random.default_rng(700 + seed)
-        n = 2 + seed % 9  # 2 .. 10 qubits
-        chunk_rows(n, int(rng.integers(2, 6)))
-        assert_rows_keep_their_bits(*random_batch(n, int(rng.integers(1, 12)), rng))
-
-    @pytest.mark.parametrize("count", [1, 3, 4, 5, 9])
-    def test_chunk_boundaries(self, count, chunk_rows):
-        n = 6
-        chunk_rows(n, 4)
-        assert_rows_keep_their_bits(*search_batch(1 << n, range(3, 3 + 5 * count, 5)))
-
-    def test_one_state_at_a_time_above_half_a_chunk(self, chunk_rows):
-        n = 6
-        chunk_rows(n, 1)
-        template, rows = random_batch(n, 3, np.random.default_rng(5))
-        assert len(assert_rows_keep_their_bits(template, rows)) == 3
-
-    def test_chunks_reach_the_fused_and_tiled_paths(self, chunk_rows, fresh_cache):
-        # Chunks of 4 and 2 rows of 8 qubits are states of 10 and 9 qubits.
-        n = 8
-        chunk_rows(n, 4)
-        register = tuple(range(4, 8))
-        permutation = [sim.cnot(0, 1), sim.mcx([1, 2], 3)]
-        oracle, low = sim.phase_oracle(register, []), sim.phase_oracle((0, 1, 2), [])
-        gates = [sim.hadamard(q) for q in range(n)] + [low] + permutation
-        gates += [sim.hadamard(4), oracle, sim.hadamard(5), oracle, sim.hadamard(6)]
-        template = Circuit(n, tuple(gates + permutation[::-1]))
-        rows = [(sim.phase_oracle((0, 1, 2), [c % 8]), sim.phase_oracle(register, [c, 15 - c]))
-                for c in range(6)]
-        states = list(sim.run_many(template, rows))
-        assert {width for width, _ in fresh_cache._entries} == {9, 10}
-        for state, row in zip(states, rows, strict=True):
-            expected = sim.run_from_zero(substituted(template, row)).amplitudes
-            assert same_bits(state.amplitudes, expected)
-
-    def test_shape_mismatch_raises_before_any_predicate(self):
-        # No oracle is billed either.
-        n = 4
-        register = (0, 1, 2, 3)
-        oracle = Billed()
-        slot = sim.phase_oracle(register, [])
-        template = Circuit(n, (sim.hadamard(0), slot, sim.diffusion(register)))
-        row = (sim.phase_oracle(register, [3], oracle),)
-        for other in ((sim.phase_oracle((0, 1, 2), [3], oracle),),
-                      (sim.phase_oracle(register[::-1], [3], oracle),),
-                      (sim.diffusion(register),), (), row * 2, (3,), 3, None):
-            with pytest.raises(StructuralError, match="one phase oracle per template slot"):
-                list(sim.run_many(template, [row, row, other]))
-        for wrong in ([template, template], None, template.gates):
-            with pytest.raises(StructuralError, match="template Circuit"):
-                list(sim.run_many(wrong, [row]))
-        assert oracle.charges == []
-
-    def test_yielded_states_are_read_only_and_kept(self, chunk_rows):
-        n = 5
-        chunk_rows(n, 2)
-        template, rows = search_batch(1 << n, range(7))
-        seen = []
-        for state in sim.run_many(template, rows):
-            assert not state.amplitudes.flags.writeable
-            with pytest.raises(ValueError):
-                state.amplitudes[0] = 0.0
-            seen.append((state, state.amplitudes.tobytes()))
-        for (state, first), row in zip(seen, rows, strict=True):
-            assert state.amplitudes.tobytes() == first
-            expected = sim.run_from_zero(substituted(template, row)).amplitudes
-            assert same_bits(state.amplitudes, expected)
-
-    def test_no_circuits_no_states(self):
-        template, _ = search_batch(16, [])
-        assert list(sim.run_many(template, [])) == []
-
-    def test_circuits_without_an_oracle(self, chunk_rows):
-        chunk_rows(3, 2)
-        template = Circuit(3, (sim.hadamard(0), sim.cnot(0, 2), sim.diffusion((1, 2))))
-        states = list(sim.run_many(template, [(), [], ()]))
-        expected = sim.run_from_zero(template).amplitudes
-        assert len(states) == 3
-        assert all(same_bits(state.amplitudes, expected) for state in states)
-        assert len({id(state.amplitudes) for state in states}) == 3
-
-    @pytest.mark.parametrize("register", [range(6), range(1, 5)])
-    def test_diffusion_first_rounds_keep_their_bits(self, register, chunk_rows):
-        # The first slot is the second gate of a run of rounds the full-width
-        # run fuses, so the shared head ends before that run's diffusion.  A
-        # row that marks two values of a column does not fuse, and runs in a
-        # chunk of its own after that same head.
-        n = 6
-        chunk_rows(n, 4)
-        slot = sim.phase_oracle(range(n), [])
-        head = [sim.hadamard(q) for q in range(n)]
-        template = Circuit(n, tuple(head + [sim.diffusion(register), slot] * 3))
-        rows = [(sim.phase_oracle(range(n), marks),) for marks in ([9], [22], [40, 42], [51])]
-        kinds = [step_kinds(n, substituted(template, row).gates) for row in rows]
-        assert kinds[0] == kinds[1] == kinds[3] == [sim.HADAMARD, sim._ROUNDS]
-        assert sim._ROUNDS not in kinds[2]
-        assert_rows_keep_their_bits(template, rows)
-
-    def test_a_row_that_repeats_one_gate_in_two_slots_keeps_its_bits(self):
-        # Row 0 lists one oracle in both slots, so its own circuit runs its
-        # three rounds in closed form; row 1 alternates its marks and runs
-        # gate by gate.  When both rows ran in one chunk, row 0 went gate by
-        # gate too and missed its own bits by 1.1e-16.
-        n = 6
-        register = range(n)
-        a, b = sim.phase_oracle(register, []), sim.phase_oracle(register, [])
-        diffusion = sim.diffusion(register)
-        head = [sim.hadamard(q) for q in register]
-        template = Circuit(n, tuple(head + [a, diffusion, b, diffusion, a, diffusion]))
-        nine = sim.phase_oracle(register, [9])
-        rows = [(nine, nine), (sim.phase_oracle(register, [22]), sim.phase_oracle(register, [40]))]
-        assert step_kinds(n, substituted(template, rows[0]).gates) == [sim.HADAMARD, sim._ROUNDS]
-        assert sim._ROUNDS not in step_kinds(n, substituted(template, rows[1]).gates)
-        assert_rows_keep_their_bits(template, rows)
-        # The same marks in two gate objects fuse as one gate does.
-        rows.append((nine, sim.phase_oracle(register, [9])))
-        assert_rows_keep_their_bits(template, rows)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_rows_of_rounds_that_fuse_differently(self, seed, chunk_rows):
-        # Two slots of one register alternate with a diffusion; each row fills
-        # them with one gate, two gates of the same marks, or gates of other
-        # marks, and marks one or two values, so its rounds fuse over the whole
-        # run, over part of it or not at all, in any order of the rows.
-        rng = np.random.default_rng(900 + seed)
-        n = int(rng.integers(5, 9))
-        width = int(rng.integers(4, n + 1))
-        low = int(rng.integers(0, n - width + 1))
-        register = tuple(range(low, low + width))
-        oracle_register = register if rng.integers(2) else tuple(range(n))
-        a, b = sim.phase_oracle(oracle_register, []), sim.phase_oracle(oracle_register, [])
-        pairs = [[a, sim.diffusion(register)], [b, sim.diffusion(register)]]
-        order = [0, 1, 0] + [int(p) for p in rng.integers(0, 2, size=int(rng.integers(0, 5)))]
-        rounds = [gate for p in order for gate in pairs[p]]
-        if rng.integers(2):
-            rounds = rounds[1:]  # a diffusion-first run
-        template = Circuit(n, tuple([sim.hadamard(q) for q in range(n)] + rounds))
-        chunk_rows(n, int(rng.integers(1, 5)))
-
-        def gate():
-            size = int(rng.integers(1, 3))
-            return sim.phase_oracle(oracle_register, rng.choice(1 << width, size, replace=False))
-
-        rows = []
-        for _ in range(int(rng.integers(4, 12))):
-            first = gate()
-            choice = int(rng.integers(3))
-            second = first if choice == 0 else gate() if choice == 1 else replace(first)
-            rows.append((first, second))
-        assert_rows_keep_their_bits(template, rows)
-
-
 def step_kinds(num_qubits: int, gates) -> list:
     """The kind of each step ``_evolve`` takes for ``gates``."""
     return [kind for kind, _, _ in sim._spans(gates)]
@@ -1433,28 +1169,30 @@ class TestRounds:
         assert same_bits(sim.run_from_zero(circuit).amplitudes, expected)
         assert np.abs(expected - per_gate(StateVector.zero(n), gates)).max() <= ROUNDS_TOL
 
-    def test_run_many_chunks_with_per_row_marks(self, chunk_rows, monkeypatch):
-        # Two chunks of four rows; the second holds three searches and a row
-        # that marks nothing.
-        n = 7
-        chunk_rows(n, 4)
-        template, rows = search_batch(1 << n, [0, 5, 127, 64, 9, 33, 100])
-        plans = []
-        original = sim._rounds_plan
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_a_search_from_zero_is_any_other_mark_s_with_two_entries_swapped(self, n):
+        # After H on every qubit, the register sum and the marked amplitude are
+        # the same for every mark, so the rounds' bits differ only in where the
+        # marked amplitude lands.
+        from groversvm.grover import optimal_iterations
 
-        def spy(num_qubits, first, second, rounds):
-            apply = original(num_qubits, first, second, rounds)
-            plans.append((num_qubits, apply is not None))
-            return apply
+        register = tuple(range(n))
+        hadamards = [sim.hadamard(q) for q in register]
 
-        monkeypatch.setattr(sim, "_rounds_plan", spy)
-        states = list(sim.run_many(template, rows))
-        assert plans == [(n + 2, True), (n + 2, True)]
-        circuits = [substituted(template, row) for row in rows]
-        for state, circuit in zip(states, circuits, strict=True):
-            assert same_bits(state.amplitudes, sim.run_from_zero(circuit).amplitudes)
-            expected = per_gate(StateVector.zero(n), circuit.gates)
-            assert np.abs(state.amplitudes - expected).max() <= ROUNDS_TOL
+        def search(mark):
+            rounds = [sim.phase_oracle(register, [mark]), sim.diffusion(register)]
+            gates = hadamards + rounds * optimal_iterations(1 << n)
+            assert step_kinds(n, gates) == [sim.HADAMARD, sim._ROUNDS]
+            return sim.run_from_zero(Circuit(n, tuple(gates))).amplitudes
+
+        zero = search(0)
+        marks = range(1 << n)
+        if n > 8:  # 64 sampled marks
+            marks = np.random.default_rng(n).choice(1 << n, 64, replace=False)
+        for mark in marks:
+            swapped = zero.copy()
+            swapped[[0, mark]] = zero[[mark, 0]]
+            assert same_bits(swapped, search(mark)), mark
 
     def test_a_20_qubit_search(self):
         from groversvm.grover import (
@@ -1466,13 +1204,6 @@ class TestRounds:
         state = sim.run_from_zero(search_circuit(oracle))
         assert oracle.query_count == optimal_iterations(N)
         assert abs(abs(state.amplitudes[marked]) ** 2 - theoretical_success_probability(N)) <= 1e-14
-
-
-def unsearch_batch(marks) -> tuple:
-    """A 12-qubit template, Hadamards, a phase-oracle slot, Hadamards again, and a row per mark."""
-    hadamards = tuple(sim.hadamard(q) for q in range(12))
-    template = Circuit(12, hadamards + (sim.phase_oracle(range(12), []),) + hadamards)
-    return template, [(sim.phase_oracle(range(12), [m]),) for m in marks]
 
 
 def at_default_buffer(compute):
@@ -1519,19 +1250,10 @@ class TestUfuncBuffer:
             np.setbufsize(previous)
         assert out.tobytes() == expected.reshape(-1).tobytes()
 
-    def test_a_chunk_of_four_searches(self):
-        # In a chunk of four rows, a state of 14 qubits, the Hadamards after
-        # the oracle act on runs of 1 to 2048 amplitudes.
-        template, rows = unsearch_batch([5, 1000, 2049, 4095])
-        circuits = [substituted(template, row) for row in rows]
-        expected = at_default_buffer(lambda: [sim.run_from_zero(c).amplitudes for c in circuits])
-        states = list(sim.run_many(template, rows))
-        assert sim._BATCH_AMPLITUDES >> 12 == len(rows)  # one chunk of four rows
-        for state, amps in zip(states, expected):
-            assert same_bits(state.amplitudes, amps)
-
     @pytest.mark.parametrize("caller", [8192, 4096, 1 << 14])
     def test_the_callers_buffer_is_restored(self, caller):
+        from groversvm.grover import GroverConfig, IndicatorOracle, grover_search_many
+
         state = random_state(16, seed=71)
         circuit = Circuit(16, (sim.hadamard(7), sim.diffusion(range(8, 16)), sim.hadamard(3)))
         previous = np.setbufsize(caller)
@@ -1540,7 +1262,8 @@ class TestUfuncBuffer:
             assert np.getbufsize() == caller
             sim.run(circuit, state)
             assert np.getbufsize() == caller
-            list(sim.run_many(*search_batch(1 << 12, [1, 2, 3, 4])))
+            oracles = [IndicatorOracle(1 << 12, v) for v in (1, 2, 3, 4)]
+            grover_search_many(oracles, GroverConfig("faithful"), range(4))
             assert np.getbufsize() == caller
         finally:
             np.setbufsize(previous)
@@ -1549,12 +1272,8 @@ class TestUfuncBuffer:
 class TestBilling:
     """Each sim call bills each oracle once: one query per time its gate is listed."""
 
-    @pytest.mark.parametrize(
-        "path",
-        ["apply", "gate_by_gate", "fused", "prefix", "rounds", "run_many",
-         "run_many_one_at_a_time", "run_many_padded", "run_many_shape_mismatch"],
-    )
-    def test_one_query_per_listed_gate(self, path, request, chunk_rows):
+    @pytest.mark.parametrize("path", ["apply", "gate_by_gate", "fused", "prefix", "rounds"])
+    def test_one_query_per_listed_gate(self, path, request):
         oracles = [Billed() for _ in range(7)]
         a, b = oracles[:2]
         if path == "apply":
@@ -1579,7 +1298,7 @@ class TestBilling:
             # Marking oracles in the prefix: it is replayed on +0, which bills nothing.
             assert sim._zero_prefix(6, gates)[0] == 14
             sim.run_from_zero(Circuit(6, tuple(gates)))
-        elif path == "rounds":
+        else:
             register = (1, 2, 3, 4)
             pa, pb = sim.phase_oracle(register, [6], a), sim.phase_oracle(register, [2], b)
             diffusion = sim.diffusion(register)
@@ -1587,28 +1306,6 @@ class TestBilling:
             gates += [diffusion, pb] * 2 + [pa]
             assert step_kinds(5, gates).count(sim._ROUNDS) == 2
             sim.run(Circuit(5, tuple(gates)), StateVector.zero(5))
-        else:
-            n = 5
-            chunk_rows(n, {"run_many_one_at_a_time": 1, "run_many_padded": 4}.get(path, 2))
-            # Slot 0 is listed twice and filled with one gate in every row.
-            register = tuple(range(n))
-            first, second = sim.phase_oracle(register, []), sim.phase_oracle(register, [])
-            hadamards = [sim.hadamard(q) for q in register]
-            gates = hadamards + [first, sim.diffusion(register), second, first]
-            template = Circuit(n, tuple(gates))
-            shared = sim.phase_oracle(register, [7], a)
-            rows = [(shared, sim.phase_oracle(register, [c], row))
-                    for c, row in enumerate(oracles[2:])]
-            if path == "run_many_padded":  # one chunk: three rows and a row that marks nothing
-                rows = rows[:3]
-            gates = [gate for row in rows for gate in substituted(template, row).gates]
-            if path == "run_many_shape_mismatch":
-                rows[-1] = (shared, sim.phase_oracle(register[1:], [0], oracles[-1]))
-                with pytest.raises(StructuralError):
-                    list(sim.run_many(template, rows))
-                gates = []
-            else:
-                assert len(list(sim.run_many(template, rows))) == len(rows)
         for oracle in oracles:
             listed = sum(gate.oracle is oracle for gate in gates)
             assert oracle.charges == ([listed] if listed else [])
@@ -2024,15 +1721,15 @@ class TestRegisterDistribution:
         assert oracle.charges == []
 
     def test_a_run_moves_the_indices_through_its_reverse_table(self, monkeypatch):
-        # A CNOT/MCX run takes the reverse run's gather array, built once from
-        # the forward one that a dense run cached; the forward run then finds
-        # the reverse's array without building anything.
+        # A CNOT/MCX run moves the sparse indices through the reverse run's
+        # gather array, which maps each index to where the run takes it.  Each
+        # direction's array is built once, and the circuit builds no other.
         monkeypatch.setattr(sim, "_PERMUTATIONS", sim._PermutationCache(1 << 20))
         n = 8
         run = [sim.cnot(0, 1), sim.mcx((0, 1), 2), sim.cnot(2, 3)]
-        forward, _ = sim._PERMUTATIONS.lookup(n, run)
-        reverse, inverse = sim._PERMUTATIONS.lookup(n, run[::-1], either=False)
-        assert not inverse and reverse.tolist() == np.argsort(forward).tolist()
+        forward = sim._PERMUTATIONS.lookup(n, run)
+        reverse = sim._PERMUTATIONS.lookup(n, run[::-1])
+        assert reverse.tolist() == np.argsort(forward).tolist()
         assert sim._PERMUTATIONS.nbytes == 2 * (4 << n)
         gates = [sim.hadamard(0), sim.hadamard(2), sim.pauli_x(4)] + run + [sim.pauli_x(5)]
         gates += run[::-1] + [sim.phase_oracle((1, 3), [2])] + run
