@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -346,8 +347,21 @@ def _key_values(lines: list[str]) -> dict:
 def _emit(payload: str, out_path: str | None) -> None:
     sys.stdout.write(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        _write(out_path, payload)
+
+
+def _write(path: str, payload: str) -> None:
+    """Write ``payload`` to ``path``, a regular file rewritten in place.
+
+    The file is opened without ``O_TRUNC`` and cut to the new length after
+    the write: truncating a file written moments earlier can stall for tens
+    of milliseconds (measured on ext4 mounted with ``discard``).  A pipe or
+    a device such as ``os.devnull`` is written as ``open(path, "w")`` would.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+        handle.write(payload)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def format_run_report(resolved: ExperimentConfig, records: list[dict]) -> str:
@@ -399,8 +413,7 @@ def cmd_run(resolved: ExperimentConfig, out_path: str | None) -> int:
     records = _run_trials(resolved)
     _emit(format_run_report(resolved, records), out_path)
     if out_path:
-        with open(out_path + ".csv", "w", encoding="utf-8") as handle:
-            handle.write(format_run_csv(records))
+        _write(out_path + ".csv", format_run_csv(records))
     if not any(rec["status"] == "ok" for rec in records):
         return EXIT_RESOURCE
     return EXIT_OK

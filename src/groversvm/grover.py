@@ -266,19 +266,14 @@ def adder_gates(register, addend) -> list[Gate]:
 
     For each addend bit b, targets ripple from the top register bit down to
     bit b, each controlled on the intervening register bits and the addend
-    bit.  There is no carry-out, so the sum wraps mod 2^n.
+    bit.  There is no carry-out, so the sum wraps mod 2^n.  The two
+    registers must have one nonzero width and no qubit in common or listed
+    twice.  The gates of the pairs of registers used last are kept
+    (``sim._adder``), and each call gets a new list of the shared gates.
     """
-    register = tuple(register)
-    addend = tuple(addend)
-    if len(register) != len(addend):
-        raise StructuralError("register and addend must have equal width")
-    n = len(register)
-    gates: list[Gate] = []
-    for b in range(n):
-        for tgt in range(n - 1, b - 1, -1):
-            controls = tuple(register[b:tgt]) + (addend[b],)
-            gates.append(sim.pauli_x(register[tgt], controls))
-    return gates
+    register = sim._ints(register, "adder register qubits", 0)
+    addend = sim._ints(addend, "adder addend qubits", 0)
+    return list(sim._adder(register, addend))
 
 
 def adder_circuit(n: int) -> Circuit:

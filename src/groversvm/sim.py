@@ -101,17 +101,19 @@ differ on the qubits they hit, so the readout needs only the ``2**(n - r +
 h)`` amplitudes where the ``r - h`` register qubits the Hadamard step does
 not hit are 0.  Walking the tail backward over an int64 array of those
 indices (:func:`_walk`: an xor per X, an xor where the controls are set per
-CNOT/MCX, a sign flip where an oracle marks the value) finds where each
-comes from in the head's state, and whether it is negated.  That block of
-amplitudes is gathered, takes the Hadamard step through :func:`_evolve` on
-the free qubits renumbered in order, and is summed where the Hadamard qubits
-are 0, as :func:`prob_all_zero` sums.  Moves and sign flips are exact, and a
-Hadamard's arithmetic on an amplitude does not depend on the state's width,
-so the bits are those of running the tail.  An empty tail leaves the
-amplitudes where the register is 0, summed in basis-index order as
-:func:`prob_all_zero` sums them, so there is one readout.  The index array
-has ``2**(n - r + h)`` entries, fewer than the state has whenever some
-register qubit is not hit by the Hadamard step, and no permutation is cached.
+CNOT/MCX, a sign flip where an oracle marks the value, and one modular add
+or subtract per run equal to an adder :func:`_adder` keeps, in either order)
+finds where each comes from in the head's state, and whether it is negated.
+That block of amplitudes is gathered, takes the Hadamard step through
+:func:`_evolve` on the free qubits renumbered in order, and is summed where
+the Hadamard qubits are 0, as :func:`prob_all_zero` sums.  Moves and sign
+flips are exact, and a Hadamard's arithmetic on an amplitude does not
+depend on the state's width, so the bits are those of running the tail.
+An empty tail leaves the amplitudes where the register is 0, summed in
+basis-index order as :func:`prob_all_zero` sums them, so there is one
+readout.  The index array has ``2**(n - r + h)`` entries, fewer than the
+state has whenever some register qubit is not hit by the Hadamard step,
+and no permutation is cached.
 
 The head, the kept gates before the tail, runs sparse in
 :func:`_head_state`: the nonzero entries of its from-zero prefix block, in
@@ -183,6 +185,9 @@ _SPARSE_SHIFT = 4
 # at 20 qubits, one at 22.  A run whose array would exceed it is applied gate
 # by gate.
 _PERMUTATION_CACHE_BYTES = 16 << 20
+# Modular adder networks kept at once (see _adder): a kernel circuit uses one
+# shape, and Tier-1 asks for a few dozen in all.
+_ADDER_CACHE_SIZE = 32
 # Registers of fewer qubits take their rounds gate by gate: a closed-form run
 # holds about ten arrays of one entry per column, which would outgrow the state
 # below this width, and on such registers k is at most 2 at the optimum.
@@ -720,6 +725,8 @@ class _PermutationCache:
 
 
 _PERMUTATIONS = _PermutationCache(_PERMUTATION_CACHE_BYTES)
+# (register, addend bit 0) -> (addend, _adder's gates), least recently used first
+_ADDERS: OrderedDict = OrderedDict()
 # Run kind of each gate kind whose consecutive gates ``_evolve`` applies as one step.
 _FUSED = {HADAMARD: HADAMARD, PAULI_X: PAULI_X, CNOT: MCX, MCX: MCX}
 _FROM_ZERO = object()  # ``run``'s initial state from ``run_from_zero``: |0...0>, never built
@@ -1080,6 +1087,77 @@ def _values(index: np.ndarray, qubits) -> np.ndarray:
     return sum((index >> q & 1) << p for p, q in enumerate(qubits))
 
 
+def _index_bits(values: np.ndarray, qubits) -> np.ndarray:
+    """The basis-index bits that spell each of ``values`` on the register ``qubits``:
+    :func:`_values` inverted, every other qubit 0."""
+    low = qubits[0]
+    if list(qubits) == list(range(low, low + len(qubits))):
+        return values << low
+    return sum((values >> p & 1) << q for p, q in enumerate(qubits))
+
+
+def _adder(register: tuple[int, ...], addend: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The multi-controlled-X network mapping |i>|j> to |(i+j) mod 2^n>|j>, built once per shape.
+
+    For each addend bit b, targets ripple from the top register bit down to
+    bit b, each controlled on the intervening register bits and the addend
+    bit.  There is no carry-out, so the sum wraps mod 2^n.  ``register`` and
+    ``addend`` are tuples of ints of one nonzero width with no qubit listed
+    twice, else a :class:`StructuralError` before any gate is built: only
+    such a network adds, which is what :func:`_walk` relies on.  The
+    networks of the last ``_ADDER_CACHE_SIZE`` first gates asked for are
+    kept, one per first gate, and a call for a kept network returns its gates.
+    """
+    n = len(register)
+    if len(addend) != n:
+        raise StructuralError("register and addend must have equal width")
+    if not n:
+        raise StructuralError("an adder's register must hold at least one qubit")
+    if len(set(register + addend)) != 2 * n:
+        raise StructuralError(f"an adder's qubits must be distinct, got {register} and {addend}")
+    key = (register, addend[0])  # the first gate's qubits
+    kept = _ADDERS.pop(key, None)
+    if kept is None or kept[0] != addend:
+        kept = addend, tuple(pauli_x(register[tgt], register[b:tgt] + (addend[b],))
+                             for b in range(n) for tgt in range(n - 1, b - 1, -1))
+        if len(_ADDERS) >= _ADDER_CACHE_SIZE:
+            _ADDERS.popitem(last=False)
+    _ADDERS[key] = kept
+    return kept[1]
+
+
+def _adder_runs(gates) -> list[tuple[int, int, tuple, tuple, int]]:
+    """``(start, stop, register, addend, sign)`` of each run of ``gates`` equal to a network
+    :func:`_adder` keeps: in its order (``sign`` 1) or reversed (-1).
+
+    An n-bit network's first gate is its only gate with n controls: the
+    register's low n - 1 qubits, then addend bit 0, with the top register
+    qubit its target.  So each MCX gate names the one kept network that can
+    start there or, reversed, end there, and the gates are compared with it.
+    The runs found are taken from the first on, the longest of those that
+    start together, each skipping any that overlaps one taken.
+    """
+    found = []
+    for i, gate in enumerate(gates):
+        if gate.kind != MCX:
+            continue
+        register = gate.controls[:-1] + gate.targets
+        kept = _ADDERS.get((register, gate.controls[-1]))
+        if kept is None:
+            continue
+        addend, adder = kept
+        for sign, start in ((1, i), (-1, i - len(adder) + 1)):
+            # Frozen gates compare by identity first, so a shared network compares fast.
+            if start >= 0 and tuple(gates[start:start + len(adder)][::sign]) == adder:
+                found.append((start, start + len(adder), register, addend, sign))
+    runs, end = [], 0
+    for run in sorted(found, key=lambda run: (run[0], -run[1])):
+        if run[0] >= end:
+            runs.append(run)
+            end = run[1]
+    return runs
+
+
 def _walk(index: np.ndarray, negated: np.ndarray, gates) -> None:
     """Carry the int64 basis indices ``index`` through X, CNOT, MCX and phase-oracle ``gates``.
 
@@ -1088,18 +1166,30 @@ def _walk(index: np.ndarray, negated: np.ndarray, gates) -> None:
     index's register value is marked; both arrays are updated in place.
     Walked forward, this moves amplitudes as the gates do.  Every gate is an
     involution, so walked over the gates reversed, it finds where each
-    index's amplitude came from and whether it was negated on the way.
+    index's amplitude came from and whether it was negated on the way.  A
+    run of :func:`_adder_runs` moves the indices in one step, as its gates
+    would: its register takes ``(register + sign * addend) mod 2**n``.
     """
-    for gate in gates:
-        if gate.kind == PAULI_X:
-            index ^= 1 << gate.targets[0]
-        elif gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
-            controls = _mask(gate) ^ 1 << gate.targets[0]
-            index ^= (index & controls == controls) * (1 << gate.targets[0])
-        elif gate.marked:
-            value = _values(index, gate.targets)
-            one = len(gate.marked) == 1
-            negated ^= value == gate.marked[0] if one else np.isin(value, gate.marked)
+    start = 0
+    end = (len(gates), len(gates), (), (), 0)  # no run: the gates left are walked one by one
+    for begin, stop, register, addend, sign in _adder_runs(gates) + [end]:
+        for gate in gates[start:begin]:
+            if gate.kind == PAULI_X:
+                index ^= 1 << gate.targets[0]
+            elif gate.kind != PHASE_ORACLE:  # a bool times the bit: faster than a where= mask
+                controls = _mask(gate) ^ 1 << gate.targets[0]
+                index ^= (index & controls == controls) * (1 << gate.targets[0])
+            elif gate.marked:
+                value = _values(index, gate.targets)
+                one = len(gate.marked) == 1
+                negated ^= value == gate.marked[0] if one else np.isin(value, gate.marked)
+        if begin < stop:
+            value = _values(index, register)
+            added = _values(index, addend)
+            moved = value + added if sign > 0 else value - added
+            moved &= (1 << len(register)) - 1  # two's complement: a difference wraps too
+            index ^= _index_bits(value ^ moved, register)
+        start = stop
 
 
 def _sparse_hadamards(num_qubits: int, index: np.ndarray, amplitudes: np.ndarray, hits):
@@ -1123,8 +1213,8 @@ def _sparse_moves(num_qubits: int, index: np.ndarray, amplitudes: np.ndarray, st
     # A run gathers through the reverse run's array, which maps each index to
     # where the run takes it.  64 14-qubit pattern matchers took 29 ms with
     # their 72-gate shift runs gathered, 91 ms with them walked and 86 ms
-    # dense.  At 20 qubits the faithful kernel's 55-gate adder array took 28
-    # ms and 4 MiB to build, and walking its 4,096 indices 0.47 ms.
+    # dense.  At 20 qubits, past the arrays, the faithful kernel's 55-gate
+    # adder moves its 4,096 indices by one add in 16 us (0.23 ms gate by gate).
     if _FUSED.get(step[0].kind) == MCX and len(step) > 1 and 1 << num_qubits <= _CACHE_ROW:
         perm = _PERMUTATIONS.lookup(num_qubits, step[::-1])
         if perm is not None:

@@ -145,6 +145,18 @@ class TestGenData:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_shorter_artifact_over_a_longer_file_leaves_only_its_bytes(self, tmp_path, capsys):
+        out, fresh = tmp_path / "data.txt", tmp_path / "fresh.txt"
+        out.write_bytes(b"x" * 100_000)
+        assert cli.main(self.ARGS + ["--out", str(out)]) == 0
+        assert cli.main(self.ARGS + ["--out", str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert capsys.readouterr().out == 2 * out.read_text(encoding="utf-8")
+
+    def test_the_null_device_takes_an_artifact(self, capsys):
+        assert cli.main(self.ARGS + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().out.startswith("schema ")
+
     def test_oversized_train_set_is_invalid_config(self, capsys):
         code = cli.main(
             ["gen-data", "--seed", "1", "--set", "domain_size=16", "--set", "train_size=99"]
@@ -186,6 +198,18 @@ RUN_ARGS = [
 
 
 class TestRun:
+    def test_a_report_and_its_csv_over_longer_files_leave_only_their_bytes(
+            self, tmp_path, capsys):
+        out, fresh = tmp_path / "a.rpt", tmp_path / "b.rpt"
+        out.write_bytes(b"x" * 100_000)
+        (tmp_path / "a.rpt.csv").write_bytes(b"y" * 100_000)
+        args = RUN_ARGS + ["--learner", "classical", "--trials", "1"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert cli.main(args + ["--out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "a.rpt.csv").read_bytes() == (tmp_path / "b.rpt.csv").read_bytes()
+
     def test_report_roundtrip_and_determinism(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.rpt", tmp_path / "b.rpt"
         assert cli.main(RUN_ARGS + ["--learner", "preprocessing", "--out", str(out_a)]) == 0

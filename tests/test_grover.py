@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import numpy.testing as npt
@@ -384,6 +385,41 @@ class TestAdder:
         expected[6 + (5 << n)] = 2**-0.5
         npt.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("register, addend", [
+        pytest.param((0, 1), (2, 2), id="addend-repeats-a-qubit"),
+        pytest.param((0, 0), (1, 2), id="register-repeats-a-qubit"),
+        pytest.param((0, 1), (1, 2), id="a-qubit-in-both"),
+        pytest.param((3, 1, 0), (2, 4, 3), id="interleaved-qubit-in-both"),
+        pytest.param((), (), id="width-0"),
+        pytest.param((0, 1), (2,), id="unequal-widths"),
+    ])
+    def test_rejects_registers_that_do_not_make_an_adder(self, register, addend, monkeypatch):
+        # (0, 1) + (2, 2) built 3 gates adding 3a mod 4, and width 0 built none.
+        built = []
+        monkeypatch.setattr(sim, "pauli_x", lambda *args: built.append(args))
+        with pytest.raises(StructuralError):
+            adder_gates(register, addend)
+        assert built == []  # rejected before any gate is built
+
+    def test_one_register_pair_shares_its_gates_and_each_call_gets_its_own_list(self):
+        first = adder_gates((0, 2, 4), (1, 3, 5))
+        second = adder_gates(np.array([0, 2, 4]), [1, 3, 5])
+        assert first is not second and first == second
+        assert all(a is b for a, b in zip(first, second))
+        other = adder_gates((0, 2, 4), (1, 3, 6))  # the same first gate, another addend
+        assert other[0] == first[0] and other != first
+        assert not any(a is b for a, b in zip(adder_gates((0, 2, 4), (1, 3, 5)), first))
+
+    def test_the_kept_networks_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(sim, "_ADDERS", OrderedDict())  # the other tests' networks stay kept
+        n = 3
+        for low in range(sim._ADDER_CACHE_SIZE + 8):
+            adder_gates(range(low, low + n), range(low + n, low + 2 * n))
+            assert len(sim._ADDERS) <= sim._ADDER_CACHE_SIZE
+        assert len(sim._ADDERS) == sim._ADDER_CACHE_SIZE
+        # The oldest shape was evicted: asking again builds new gates.
+        assert sim._ADDERS.get(((0, 1, 2), 3)) is None
+
 
 class TestFeatureMap:
     def test_ideal_interval_and_clean_ancilla(self):
@@ -455,6 +491,19 @@ class TestFeatureMap:
             state = sim.run_from_zero(feature_map_circuit(oracle, M, GroverConfig("faithful")))
             target = interval_state_analytic(marked, M, N)
             assert sim.subsystem_fidelity(state, range(n), target.amplitudes) >= 1 - 5 / N
+
+    @pytest.mark.parametrize("backend", grover.BACKENDS)
+    def test_maps_of_one_shape_share_their_adder(self, backend):
+        config = GroverConfig(backend)
+
+        def adder(N, marked):
+            gates = feature_map_circuit(IndicatorOracle(N, marked), 4, config).gates
+            return [g for g in gates if g.kind == sim.MCX or g.kind == sim.CNOT]
+
+        first, second, wider = adder(64, 3), adder(64, 40), adder(128, 3)
+        assert len(first) == len(second) == 6 * 7 // 2
+        assert all(a is b for a, b in zip(first, second))
+        assert not any(a is b for a in first for b in wider)
 
     def test_invalid_widths_rejected(self):
         # 2.9 and True used to build with M = 2 and M = 1; NaN raised a bare ValueError.

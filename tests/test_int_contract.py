@@ -197,6 +197,10 @@ SEQUENCE_CONTRACT = [
      StructuralError),
     ("grover.MultiMarkedOracle.marked_set", lambda v: grover.MultiMarkedOracle(8, v), (1, 2), 8,
      StructuralError),
+    ("grover.adder_gates.register", lambda v: grover.adder_gates(v, (4, 5)), (0, 1), -1,
+     StructuralError),
+    ("grover.adder_gates.addend", lambda v: grover.adder_gates((0, 1), v), (4, 5), -1,
+     StructuralError),
     ("kernel.kernel_exact_many.a", lambda v: kernel.kernel_exact_many(v, [5, 5], 4, 16), (1, 3),
      16, StructuralError),
     ("kernel.kernel_exact_many.b", lambda v: kernel.kernel_exact_many([5, 5], v, 4, 16), (1, 3),

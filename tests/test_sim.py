@@ -3,7 +3,7 @@
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import numpy.testing as npt
@@ -1741,6 +1741,113 @@ class TestRegisterDistribution:
         state = sim.run_from_zero(circuit).amplitudes
         assert sorted(index.tolist()) == np.flatnonzero(state).tolist()
         assert same_bits(amplitudes, state[index])
+
+
+def adder_registers(width: int, rng) -> tuple[int, tuple, tuple]:
+    """A qubit count and an adder's register and addend: adjacent, interleaved or scattered."""
+    num_qubits = 2 * width + int(rng.integers(0, 5))
+    layout = int(rng.integers(3))
+    if layout == 0:  # adjacent, above an offset
+        low = int(rng.integers(0, num_qubits - 2 * width + 1))
+        qubits = list(range(low, low + 2 * width))
+        return num_qubits, tuple(qubits[:width]), tuple(qubits[width:])
+    if layout == 1:  # interleaved, in either role
+        qubits = list(range(2 * width))
+        first, second = tuple(qubits[0::2]), tuple(qubits[1::2])
+        return num_qubits, *((first, second) if rng.integers(2) else (second, first))
+    qubits = [int(q) for q in rng.permutation(num_qubits)]  # scattered, in any order
+    return num_qubits, tuple(qubits[:width]), tuple(qubits[width:2 * width])
+
+
+def random_adder_walk(rng, oracles) -> tuple[int, list, list]:
+    """``(num_qubits, gates, placed)``: one or two adders, each forward or reversed, between
+    and beside random moves, some of them CNOT/MCX runs ending on the adder (as in the
+    pattern feature map); ``placed`` lists each adder's ``(start, stop, sign)``."""
+    width = int(rng.integers(1, 11))
+    n, register, addend = adder_registers(width, rng)
+    adder = sim._adder(register, addend)
+    gates, placed = [], []
+    for _ in range(int(rng.integers(1, 3))):
+        gates += random_moves(n, rng, oracles)
+        gates += random_run(n, rng, ("cnot", "mcx"), int(rng.integers(0, 4)))
+        sign = 1 if rng.integers(2) else -1
+        placed.append((len(gates), len(gates) + len(adder), sign))
+        gates += adder[::sign]
+    gates += random_run(n, rng, ("cnot", "mcx"), int(rng.integers(0, 4)))
+    return n, gates + list(random_moves(n, rng, oracles)), placed
+
+
+class TestAdderRuns:
+    """_walk moves indices through a kept adder network by one modular add or subtract."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_the_sum_walks_as_the_gates_do(self, seed):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_ADDERS", OrderedDict())  # only this example's adder is kept
+            n, gates, placed = random_adder_walk(rng, [Billed()])
+            runs = [(start, stop, sign) for start, stop, *_, sign in sim._adder_runs(gates)]
+            if placed[0][1] - placed[0][0] > 1:  # a one-bit adder is one CNOT, walked as one
+                assert set(placed) <= set(runs)
+            index = rng.integers(0, 1 << n, size=200)
+            negated = rng.integers(0, 2, size=200).astype(bool)
+            for walked in (gates, gates[::-1]):
+                moved = index.copy(), negated.copy()
+                sim._walk(*moved, walked)
+                expected = index.copy(), negated.copy()
+                patch.setattr(sim, "_ADDERS", OrderedDict())  # now every gate is walked
+                sim._walk(*expected, walked)
+                assert moved[0].tolist() == expected[0].tolist()
+                assert moved[1].tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_each_width_adds_and_subtracts_mod_its_register(self, width):
+        register, addend = tuple(range(0, 2 * width, 2)), tuple(range(1, 2 * width, 2))
+        adder = sim._adder(register, addend)
+        values = np.arange(1 << width, dtype=np.int64)
+        i, j = np.repeat(values, values.size), np.tile(values, values.size)
+        start = sim._index_bits(i, register) | sim._index_bits(j, addend)
+        for sign in (1, -1):
+            index = start.copy()
+            sim._walk(index, np.zeros(index.size, dtype=bool), adder[::sign])
+            assert sim._values(index, addend).tolist() == j.tolist()
+            assert sim._values(index, register).tolist() == ((i + sign * j) % (1 << width)).tolist()
+
+    def test_a_reversed_adder_is_taken_whole_not_as_its_tail(self, monkeypatch):
+        # The last n(n-1)/2 gates of an adder are the adder of its top n - 1 bits,
+        # so a reversed adder begins with that smaller adder reversed.
+        monkeypatch.setattr(sim, "_ADDERS", OrderedDict())
+        register, addend = (0, 1, 2, 3), (4, 5, 6, 7)
+        adder = sim._adder(register, addend)
+        assert adder[4:] == sim._adder(register[1:], addend[1:])
+        assert [run[:2] + run[-1:] for run in sim._adder_runs(adder[::-1])] == [(0, 10, -1)]
+        assert [run[:2] + run[-1:] for run in sim._adder_runs(adder)] == [(0, 10, 1)]
+
+    def test_equal_gates_built_apart_match_and_others_do_not(self, monkeypatch):
+        monkeypatch.setattr(sim, "_ADDERS", OrderedDict())
+        adder = sim._adder((0, 1, 2), (3, 4, 5))
+        rebuilt = [sim.Gate(g.kind, g.targets, g.controls) for g in adder]
+        assert [run[:2] for run in sim._adder_runs(rebuilt)] == [(0, 6)]
+        assert sim._adder_runs(rebuilt[:-1]) == []  # one gate short
+        assert sim._adder_runs(rebuilt[:3] + rebuilt[4:2:-1] + rebuilt[5:]) == []  # two swapped
+        monkeypatch.setattr(sim, "_ADDERS", OrderedDict())
+        assert sim._adder_runs(rebuilt) == []  # a network no longer kept is walked gate by gate
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_dense_run_moves_the_amplitudes_where_the_walk_does(self, seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            n, gates, _ = random_adder_walk(rng, [Billed()])
+            if n <= 12:
+                break
+        state = random_state(n, seed=seed)
+        index = np.arange(1 << n, dtype=np.int64)
+        negated = np.zeros(index.size, dtype=bool)
+        sim._walk(index, negated, gates)
+        expected = np.empty_like(state.amplitudes)
+        expected[index] = np.where(negated, -state.amplitudes, state.amplitudes)
+        assert same_bits(sim.run(Circuit(n, tuple(gates)), state).amplitudes, expected)
 
 
 class TestNormAndUnitarity:
