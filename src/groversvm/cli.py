@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ResourceCapError, StructuralError, UnsupportedSizeError
 from .grover import BACKENDS, GroverConfig, IndicatorOracle
+from .kernel import check_shots
 from .learn import (
     Concept,
     LEARNER_KINDS,
@@ -186,7 +187,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         M = default_interval_width(m, N)
     else:
         M = _as_int("interval_width", config.interval_width, 1, N // 2 - 1, power_of_two=True)
-    R = default_shots(m) if str(config.shots) == "auto" else _as_int("shots", config.shots, 1)
+    R = default_shots(m) if str(config.shots) == "auto" else _as_int("shots", config.shots, None)
+    R = check_shots(R, error=ConfigError)
     X = N // 2 if str(config.budget) == "auto" else _as_int("budget", config.budget, 0, N)
     if config.concept_start != "random":
         try:

@@ -22,6 +22,12 @@ from .ledger import QueryLedger
 from . import sim
 
 MODE_TAGS = ("exact", "circuit_ideal", "circuit_faithful", "sampled")
+MAX_SHOTS = 2**63 - 1  # numpy's binomial draws take an int64 trial count
+
+
+def check_shots(shots, error: type[Exception] = StructuralError) -> int:
+    """``shots`` as an int in [1, MAX_SHOTS], or ``error``: the one shot-count rule."""
+    return sim._check_int(shots, "shots", 1, MAX_SHOTS, error=error)
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class KernelMode:
         if self.tag not in MODE_TAGS:
             raise StructuralError(f"mode tag must be one of {MODE_TAGS}")
         if self.tag == "sampled":
-            sim._check_int(self.shots, "shots", 1)
+            check_shots(self.shots)
         elif self.shots is not None:
             raise StructuralError(f"mode {self.tag!r} takes no shot count")
 
@@ -168,7 +174,7 @@ def kernel_sampled(true_value: float, shots: int, rng_seed) -> float:
     kept, since every sampled Gram matrix and report depends on its draws;
     which of the two the paper's shot-noise claim should use is open.
     """
-    sim._check_int(shots, "shots", 1)
+    check_shots(shots)
     true_value = sim._check_real(true_value, "kernel value", 1.0, error=ContractViolationError)
     rng = sim.as_rng(rng_seed)
     return float(rng.binomial(shots, true_value)) / shots
@@ -273,7 +279,7 @@ def kernel_sampled_many(true_values, shots: int, key_prefix, keys) -> np.ndarray
     ``key_prefix`` holds non-negative integers shared by all entries;
     ``keys`` is an (entries, columns) array of values below 2**32.
     """
-    sim._check_int(shots, "shots", 1)
+    check_shots(shots)
     values = sim._real_array(true_values, "kernel value", 1.0, error=ContractViolationError)
     keys = sim._int_array(keys, "stream keys", 0, _MASK32)
     if keys.ndim != 2 or keys.shape[0] != values.size:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import StructuralError
 from .grover import GroverConfig, IndicatorOracle, resolve_iterations
 from .grover import grover_search, grover_search_many  # noqa: F401 - the name stays for perfbench/tracing.py
-from .kernel import KernelMode, gram_matrix, kernel_exact_many, kernel_sampled_many
+from .kernel import KernelMode, check_shots, gram_matrix, kernel_exact_many, kernel_sampled_many
 from .ledger import QueryLedger, merge_ledgers
 from .sim import StateVector, _check_int, _derived_seed, _int_array, as_rng, check_seed
 from . import svm
@@ -298,7 +298,7 @@ def quantum_kernel_learner(
     config = config or GroverConfig()
     if config.backend != "ideal":
         raise StructuralError("the quantum-kernel learner samples the ideal kernel only")
-    _check_int(shots, "shots", 1)
+    check_shots(shots)
     N = train.concept.domain_size
     k = resolve_iterations(N, config)
     m = train.size

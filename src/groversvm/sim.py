@@ -353,7 +353,7 @@ def _check_width(num_qubits) -> int:
 
 def _check_norm(amps: np.ndarray) -> None:
     norm_sq = np.vdot(amps, amps).real
-    if abs(norm_sq - 1.0) > _NORM_ATOL:
+    if not abs(norm_sq - 1.0) <= _NORM_ATOL:  # not "> atol", which passes a NaN norm
         raise ContractViolationError(f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
 
 

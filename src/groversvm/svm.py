@@ -6,8 +6,15 @@
     s.t.   0 <= a_i <= C,  sum_i a_i y_i = 0,
 
 selecting the maximal-KKT-violation pair each step (ties broken by lowest
-index), which makes training deterministic.  Each step costs O(m) array
-work, done in preallocated buffers, plus scalar arithmetic on Python floats.
+index), which makes training deterministic.  A step makes six O(m) array
+calls and otherwise works on Python floats.  The masked labels y_up, y_low
+and u = K (alpha y) are the rows of one (3, m) buffer, so one subtract gives
+y_up - u and u - y_low and one row-wise argmax picks i and j.  The second
+row is exactly -(y_low - u), since a - b and b - a round to the same
+magnitude, so its argmax is the argmin of g over I_low, at the same lowest
+index; only a zero may differ, in sign, which no stop rule can see.
+The step's coefficients go into 0-d arrays and alpha stays a Python list
+until the loop ends.
 
 Every pair takes one step: alpha_j moves by y_j (E_i - E_j) / eta, clipped to
 the pair's feasible segment, where eta = K_ii + K_jj - 2 K_ij is floored at
@@ -191,39 +198,43 @@ def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
     m = K.shape[0]
     # Row i of K.T is column i of K, bit for bit, even when K is symmetric
     # only to within the tolerance _check_problem allows.
-    columns = np.ascontiguousarray(K.T)
-    alpha = np.zeros(m)
-    u = np.zeros(m)  # u_i = sum_j alpha_j y_j K_ij, maintained incrementally
-    # g = y - u.  y_up holds y_k where k may move up (I_up) and -inf elsewhere,
-    # y_low holds y_k on I_low and +inf elsewhere, so g_up = y_up - u and
-    # g_low = y_low - u are g masked for the pair selection.  Only alpha_i and
-    # alpha_j change in a step, so only entries i and j of the masks do.
+    columns = list(np.ascontiguousarray(K.T))
+    alpha = [0.0] * m  # a Python list until the loop ends: its entries are read as floats
+    # z's rows: y_up holds y_k where k may move up (I_up) and -inf elsewhere,
+    # u_i = sum_j alpha_j y_j K_ij is maintained incrementally, and y_low
+    # holds y_k on I_low and +inf elsewhere.  g's rows are then g on I_up and
+    # minus g on I_low.  Only alpha_i and alpha_j change in a step, so only
+    # entries i and j of the masks do.
+    z = np.stack([np.where(y > 0, y, -np.inf), np.zeros(m), np.where(y < 0, y, np.inf)])
+    y_up, u, y_low = z  # alpha = 0: I_up is y > 0, I_low is y < 0
+    minuend, subtrahend = z[:2], z[1:]
+    g, step_i, step_j = np.empty((2, m)), np.empty(m), np.empty(m)
+    c_i, c_j = np.empty(()), np.empty(())  # step coefficients: multiply converts no float
     ys = y.tolist()
     diag = K.diagonal().tolist()
-    y_up = np.where(y > 0, y, -np.inf)  # alpha = 0: I_up is y > 0, I_low is y < 0
-    y_low = np.where(y < 0, y, np.inf)
-    g_up, g_low, step_i, step_j = (np.empty(m) for _ in range(4))
+    # Bound once, as every name below is looked up in each of thousands of steps.
+    inf = np.inf
+    subtract, multiply, add = np.subtract, np.multiply, np.add
+    argmax, g_item, u_item, k_item = g.argmax, g.item, u.item, K.item
     stop_reason = "iteration_cap"
     for iterations in range(max_iterations):
-        np.subtract(y_up, u, out=g_up)
-        np.subtract(y_low, u, out=g_low)
-        i = int(g_up.argmax())  # argmax/argmin take the lowest index on ties
-        j = int(g_low.argmin())
-        g_i, g_j = g_up.item(i), g_low.item(j)
-        if g_i == -np.inf or g_j == np.inf or g_i - g_j <= tol:
+        subtract(minuend, subtrahend, out=g)
+        i, j = argmax(axis=1).tolist()  # argmax takes the lowest index on ties
+        g_i, g_j = g_item(0, i), -g_item(1, j)
+        if g_i == -inf or g_j == inf or g_i - g_j <= tol:
             stop_reason = "converged"  # I_up or I_low is empty, or every violation is within tol
             break
 
         # Two-variable analytic step in (alpha_i, alpha_j), on Python floats.
         yi, yj = ys[i], ys[j]
-        ai, aj = alpha.item(i), alpha.item(j)
+        ai, aj = alpha[i], alpha[j]
         s = yi * yj
         if s < 0:
             lo, hi = max(0.0, aj - ai), min(C, C + aj - ai)
         else:
             lo, hi = max(0.0, aj + ai - C), min(C, aj + ai)
-        eta = max(diag[i] + diag[j] - 2.0 * K.item(i, j), _ETA_FLOOR)
-        e_diff = (u.item(i) - yi) - (u.item(j) - yj)
+        eta = max(diag[i] + diag[j] - 2.0 * k_item(i, j), _ETA_FLOOR)
+        e_diff = (u_item(i) - yi) - (u_item(j) - yj)
         aj_new = min(max(aj + yj * e_diff / eta, lo), hi)  # np.clip, signed zeros too
         ai_new = ai + s * (aj - aj_new)
         di, dj = ai_new - ai, aj_new - aj
@@ -231,20 +242,24 @@ def _solve(K, y, C, tol, max_iterations, objective_history) -> SvmModel:
             stop_reason = "no_progress"  # no representable progress on the worst pair
             break
         alpha[i], alpha[j] = ai_new, aj_new
-        for k, a in ((i, ai_new), (j, aj_new)):
-            yk = ys[k]
-            y_up[k] = yk if (yk > 0 and a < C) or (yk < 0 and a > 0) else -np.inf
-            y_low[k] = yk if (yk > 0 and a > 0) or (yk < 0 and a < C) else np.inf
+        y_up[i] = yi if (yi > 0 and ai_new < C) or (yi < 0 and ai_new > 0) else -inf
+        y_low[i] = yi if (yi > 0 and ai_new > 0) or (yi < 0 and ai_new < C) else inf
+        y_up[j] = yj if (yj > 0 and aj_new < C) or (yj < 0 and aj_new > 0) else -inf
+        y_low[j] = yj if (yj > 0 and aj_new > 0) or (yj < 0 and aj_new < C) else inf
         # u += di y_i K[:, i] + dj y_j K[:, j], summed in that order.
-        np.multiply(columns[i], di * yi, out=step_i)
-        np.multiply(columns[j], dj * yj, out=step_j)
-        step_i += step_j
-        u += step_i
+        c_i[()] = di * yi
+        c_j[()] = dj * yj
+        multiply(columns[i], c_i, out=step_i)
+        multiply(columns[j], c_j, out=step_j)
+        add(step_i, step_j, out=step_i)
+        add(u, step_i, out=u)
         if objective_history is not None:
-            objective_history.append(float(np.sum(alpha) - 0.5 * (alpha * y) @ u))
+            a = np.array(alpha)
+            objective_history.append(float(np.sum(a) - 0.5 * (a * y) @ u))
     else:
         iterations = max_iterations
 
+    alpha = np.array(alpha)
     alpha[alpha < _ALPHA_SNAP] = 0.0
     alpha[alpha > C - _ALPHA_SNAP] = C
     u = K @ (alpha * y)

@@ -89,6 +89,26 @@ class TestResolution:
         assert code == cli.EXIT_INVALID_CONFIG
         assert "box_bound" in err and out == ""
 
+    @pytest.mark.parametrize("shots", [str(2**63), str(2**70)])
+    def test_shots_beyond_int64_exit_before_any_work(self, shots, tmp_path, capsys, monkeypatch):
+        # The run died with numpy's OverflowError at the first Gram draw.
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a, **k: pytest.fail("work began"))
+        out_path = tmp_path / "q.rpt"
+        code = cli.main(["run", "--seed", "1", "--trials", "1", "--learner", "quantum_kernel",
+                         "--set", "domain_size=16", "--set", "train_size=4",
+                         "--set", "test_size=2", "--set", f"shots={shots}",
+                         "--out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INVALID_CONFIG
+        assert f"shots must be an integer in [1, {2**63 - 1}], got {shots}" in err
+        assert out == "" and not out_path.exists()
+
+    def test_auto_shots_follow_the_shot_rule(self):
+        # R = m^4 leaves numpy's int64 at m = 2**16.
+        with pytest.raises(cli.ConfigError, match="shots must be an integer in"):
+            cli.resolve_config(self.base(domain_size=2**17, train_size=2**16))
+        assert cli.resolve_config(self.base(domain_size=2**17, train_size=2**15)).shots == 2**60
+
     @pytest.mark.parametrize("bound", [True, "10", None])
     def test_box_bound_must_be_a_real_number(self, bound):
         # A config built in code skips the text parser: True was read as a

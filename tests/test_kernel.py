@@ -29,6 +29,7 @@ from groversvm.kernel import (
     kernel_sampled_many,
 )
 from groversvm.kernel import _fixed_seed_type, _seed_states
+from groversvm.learn import Concept, generate_dataset, quantum_kernel_learner
 
 
 def overlap_oracle(i: int, j: int, M: int, N: int) -> float:
@@ -332,6 +333,26 @@ class TestKernelSampled:
                        lambda: KernelMode.sampled(shots)):
             with pytest.raises(StructuralError, match="shots must be an integer"):
                 sample()
+
+    @pytest.mark.parametrize("shots", [2**63, np.uint64(2**63), 2**70])
+    def test_shots_beyond_int64_rejected(self, shots):
+        # numpy's binomial raised an untyped OverflowError at the first draw,
+        # and KernelMode.sampled(2**70) was accepted.
+        keys = np.array([[0, 1], [0, 2]])
+        for sample in (lambda: kernel_sampled(0.5, shots, 0),
+                       lambda: kernel_sampled_many([0.5, 0.5], shots, (0,), keys),
+                       lambda: KernelMode.sampled(shots),
+                       lambda: quantum_kernel_learner(
+                           generate_dataset(Concept(0, 16), 4, 0), [], 2, shots, 1.0)):
+            with pytest.raises(StructuralError, match=r"shots must be an integer in \[1, "):
+                sample()
+
+    def test_largest_shot_count_draws(self):
+        shots = 2**63 - 1
+        assert 0.0 < kernel_sampled(0.5, shots, 0) < 1.0
+        keys = np.array([[0, 1], [0, 2]])
+        assert kernel_sampled_many([0.0, 1.0], shots, (0,), keys).tolist() == [0.0, 1.0]
+        assert KernelMode.sampled(shots).shots == shots
 
     def test_numpy_integer_shots_pass(self):
         assert kernel_sampled(0.5, np.int64(4), 3) == kernel_sampled(0.5, 4, 3)

@@ -95,6 +95,15 @@ class TestStateVector:
         with pytest.raises(ContractViolationError):
             StateVector(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [
+        [math.nan, 0.0], [1.0, math.nan], [math.inf, 0.0], [-math.inf, 0.0],
+        [1.0, complex(0.0, math.inf)],
+    ])
+    def test_rejects_non_finite_amplitudes(self, amps):
+        # A NaN norm compares false with the tolerance either way round.
+        with pytest.raises(ContractViolationError, match="not normalized"):
+            StateVector(1, np.array(amps))
+
     def test_rejects_above_cap(self):
         import tracemalloc
 
@@ -2212,3 +2221,8 @@ class TestSubsystemFidelity:
     def test_rejects_unnormalized_target(self):
         with pytest.raises(ContractViolationError):
             sim.subsystem_fidelity(StateVector.zero(2), [0], np.array([2.0, 0.0]))
+
+    @pytest.mark.parametrize("target", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ContractViolationError, match="not normalized"):
+            sim.subsystem_fidelity(StateVector.zero(2), [0], np.array(target))

@@ -9,7 +9,7 @@ import pytest
 from groversvm.errors import ContractViolationError, DegenerateProblemError, StructuralError
 from groversvm.grover import IndicatorOracle
 from groversvm.kernel import GramMatrix, KernelMode, gram_matrix
-from groversvm.learn import Concept, generate_dataset
+from groversvm.learn import Concept, default_interval_width, generate_dataset
 from groversvm import svm
 from groversvm.svm import decide, dual_objective, kkt_gap, train
 import svm_reference
@@ -349,6 +349,14 @@ def gram_case(kind: str, m: int, seed: int):
     return gram_matrix(data.oracles, N // 4, mode, rng_seed=seed).entries, data.labels
 
 
+def benchmark_problem(kind: str, m: int, N: int):
+    """A training problem of one benchmark fit's shape: exact, or sampled at R = 256."""
+    data = generate_dataset(Concept(1, N), m, 1)
+    mode = KernelMode.exact() if kind == "exact" else KernelMode.sampled(256)
+    gram = gram_matrix(data.oracles, default_interval_width(m, N), mode, rng_seed=1)
+    return gram, data.labels
+
+
 def assert_same_run(K, y, C, **kwargs):
     """``train`` and the reference loop give the same bits; returns the history length."""
     history, reference_history = [], []
@@ -429,6 +437,32 @@ class TestMatchesReferenceLoop:
         assert kkt_gap(K, data.labels, model.dual_coeffs, 100.0) > 1e-3
         assert (model.iterations, model.stop_reason) == (steps, "no_progress")
 
+    @pytest.mark.parametrize("kind, seed", [("psd", 3), ("exact", 7)])
+    def test_duplicated_points_tie_on_both_sides(self, kind, seed):
+        # A point and its copy share their column of K, so their u and g are
+        # equal bit for bit at every step: where both sit in I_up, or both in
+        # I_low, the pair selection must take the lower index, as the
+        # reference's argmax and argmin do.
+        K, y = gram_case(kind, 16, seed)
+        order = np.tile(np.arange(16), 2)
+        K, y = K[np.ix_(order, order)], y[order]
+        for C in (1.0, 100.0):
+            assert assert_same_run(K, y, C) > 0
+            alpha = train(K, y, C).dual_coeffs
+            split = alpha[:16] != alpha[16:]  # a tie was broken between the copies
+            assert split[y[:16] > 0].any() and split[y[:16] < 0].any()
+
+    @pytest.mark.parametrize("kind, m, N, stop", [
+        ("exact", 128, 4096, "converged"), ("sampled", 512, 16384, "no_progress"),
+    ])
+    def test_benchmark_shapes(self, kind, m, N, stop):
+        # The Gram shapes of the search-small (exact) and learner-large
+        # (R = 256) fits, at the CLI's default interval width and box bound.
+        K, y = benchmark_problem(kind, m, N)
+        steps = assert_same_run(K, y, 100.0)
+        model = train(K, y, 100.0)
+        assert (model.iterations, model.stop_reason) == (steps, stop)
+
     def test_nearly_symmetric_ndarray_gram(self):
         # Symmetric to 1e-13 but not bit for bit: the update must read
         # columns of K, as the reference does, and not rows.
@@ -438,6 +472,25 @@ class TestMatchesReferenceLoop:
             K = K + skew
             assert not np.array_equal(K, K.T)
             assert assert_same_run(K, y, 100.0) > 0
+
+
+class TestMemory:
+    def test_the_loop_holds_one_copy_of_the_gram(self):
+        # The m = 512 Gram is 2 MiB.  The loop keeps one copy, K's columns, and
+        # O(m) besides; an ndarray Gram first passes the symmetry check, whose
+        # temporaries peak at 4.3 MiB.  Any further m^2 copy, Python list or
+        # array, in the loop breaks one of the two bounds.
+        import tracemalloc
+
+        gram, y = benchmark_problem("sampled", 512, 16384)
+        for K, bound in ((gram, 2.5), (gram.entries, 4.5)):
+            tracemalloc.start()
+            try:
+                train(K, y, 100.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * (1 << 20)
 
 
 class TestSolvedOnce:
